@@ -64,6 +64,16 @@ import (
 	"chimera/internal/vds"
 )
 
+// Connection hygiene for the listener. A client gets readHeaderTimeout
+// to send its request headers (slow-header connections would otherwise
+// pin a goroutine each forever) and a keep-alive connection is closed
+// after idleTimeout without a request. There is deliberately no write
+// timeout: a full export of a large catalog is one long response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8844", "listen address")
 	dir := flag.String("dir", "vdc-data", "catalog directory")
@@ -181,7 +191,7 @@ func main() {
 	// Optional federation: host an index over the listed members and
 	// crawl it on a timer. Each pass runs under the tracer (when on), so
 	// one crawl is one connected trace: crawl root, per-member fetches
-	// (propagated to members via traceparent), apply and rebuild spans.
+	// (propagated to members via traceparent), apply and fold/rebuild spans.
 	crawlDone := make(chan struct{})
 	if *federate != "" {
 		ix := federation.NewIndex(*name+"-federation", "collaboration")
@@ -204,10 +214,11 @@ func main() {
 		srv.OnDebug = func(info map[string]any) {
 			base(info)
 			info["federation"] = map[string]any{
-				"members": ix.Members(),
-				"crawls":  ix.Crawls(),
-				"shards":  ix.ShardStates(),
-				"stats":   ix.Stats(),
+				"members":   ix.Members(),
+				"crawls":    ix.Crawls(),
+				"last_pass": ix.LastPass(),
+				"shards":    ix.ShardStates(),
+				"stats":     ix.Stats(),
 			}
 		}
 		flog := obs.Logger("federation")
@@ -225,7 +236,7 @@ func main() {
 					flog.Error("crawl failed", "err", err)
 				} else {
 					flog.Debug("crawl complete", "crawls", ix.Crawls(),
-						"seconds", time.Since(start).Seconds())
+						"pass", ix.LastPass(), "seconds", time.Since(start).Seconds())
 				}
 				select {
 				case <-ticker.C:
@@ -238,7 +249,8 @@ func main() {
 		close(crawlDone)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: handler,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	st := cat.Stats()
 	logger.Info("serving catalog", "name", *name, "addr", *addr,

@@ -99,7 +99,7 @@ func E14Federation(memberCounts []int, objectsPerMember int) (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("members answer with a simulated %s RTT; the sequential pass pays it once per member, the delta pass amortizes it across %d workers so wall-clock tracks the slowest member, not the sum", e14RTT, federation.DefaultWorkers),
-		"delta-warm is the steady-state cost of watching an unchanged federation: one round-trip per member, no re-import, shadow reused; delta-churn re-imports only after fetching just the changed members' deltas",
+		"delta-warm is the steady-state cost of watching an unchanged federation: one round-trip per member, no re-import, shadow reused; delta-churn fetches just the changed members' deltas and folds them into that same shadow, so it costs a warm pass plus the changes",
 		fmt.Sprintf("under concurrent ingest (%d members mutating continuously): full crawl %.1f ms/pass, delta crawl %.1f ms/pass", nStorm, fullStorm, deltaStorm),
 	)
 	return t, nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -264,12 +265,7 @@ func e18Arm(storm workload.AnalystStorm, scripts [][]e18Op, window time.Duration
 			if op.Kind != workload.OpDiscover {
 				continue
 			}
-			path := "/v1/datasets"
-			if op.QueryKind == query.KDerivation {
-				path = "/v1/derivations"
-			}
-			req := httptest.NewRequest(http.MethodGet, path+"?q="+url.QueryEscape(op.Query), nil)
-			reqs = append(reqs, req)
+			reqs = append(reqs, e18Request(op))
 		}
 		// Each analyst paces at the shared interval plus a small
 		// deterministic per-analyst skew: identical intervals
@@ -358,9 +354,31 @@ func e18Arm(storm workload.AnalystStorm, scripts [][]e18Op, window time.Duration
 			if !sameResults(re, ro) {
 				res.agree = false
 			}
+			// The latency phase is only worth its numbers if the server
+			// answered the query the analyst asked: the same request must
+			// return as many rows as the in-process answer. (A mistyped
+			// parameter is not an error to the server — it answers "*".)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, e18Request(op))
+			var rows []json.RawMessage
+			if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+				return res, fmt.Errorf("E18: %q over HTTP: status %d: %w", op.Query, rec.Code, err)
+			}
+			if want := len(re.Datasets) + len(re.Transformations) + len(re.Derivations); len(rows) != want {
+				return res, fmt.Errorf("E18: %q returned %d rows over HTTP, %d in process", op.Query, len(rows), want)
+			}
 		}
 	}
 	return res, nil
+}
+
+// e18Request is the vds search request for a discover op.
+func e18Request(op e18Op) *http.Request {
+	path := "/v1/datasets"
+	if op.QueryKind == query.KDerivation {
+		path = "/v1/derivations"
+	}
+	return httptest.NewRequest(http.MethodGet, path+"?query="+url.QueryEscape(op.Query), nil)
 }
 
 // e18Dedup measures the executor's duplicate-derivation fast path on

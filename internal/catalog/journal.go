@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -338,7 +340,154 @@ func (c *Catalog) ChangesSince(since, instance uint64) Delta {
 	if compat {
 		d.Export.Compat = append([]schema.CompatibilityAssertion(nil), c.shards[0].compat...)
 	}
+	if len(d.Tombstones) > 0 {
+		// A replica removed and registered again under a dataset homed on
+		// another shard left a drop entry on the old shard and a live
+		// record on the new one: it exists, so it gets no tombstone.
+		live := make(map[string]struct{}, len(d.Export.Replicas))
+		for _, r := range d.Export.Replicas {
+			live[r.ID] = struct{}{}
+		}
+		kept := d.Tombstones[:0]
+		for _, t := range d.Tombstones {
+			if _, ok := live[t.ID]; !ok {
+				kept = append(kept, t)
+			}
+		}
+		d.Tombstones = kept
+	}
 	sortExport(&d.Export)
 	sort.Slice(d.Tombstones, func(i, j int) bool { return d.Tombstones[i].ID < d.Tombstones[j].ID })
 	return d
+}
+
+// ApplyDelta folds a delta produced by another catalog's ChangesSince
+// into c and returns how many of its records it had to skip. It is the
+// incremental counterpart of ImportTolerant: folding a source's history
+// delta by delta and then exporting equals one ImportTolerant of the
+// source's final export, byte for byte, as long as nothing was skipped
+// — a caller that sees skipped > 0 can no longer rely on that and should
+// re-import. (A Full delta carries no tombstones for what the source
+// lost, so it is only equivalent on an empty catalog.)
+//
+// Records apply in dependency order, each through its own mutation, so
+// a concurrent reader sees a prefix of the delta with no dangling
+// reference: types merge; transformations, derivations and invocations
+// are immutable at the source and add if absent; datasets upsert but
+// keep c's own producer linkage, which c's derivations establish (the
+// same reason ImportTolerant clears CreatedBy); replicas upsert, since
+// an epoch re-stamp re-ships them; tombstones remove, tolerating a
+// replica that was added and removed between two deltas.
+func (c *Catalog) ApplyDelta(d Delta) (skipped int) {
+	if d.Export.Types != nil {
+		c.mergeTypes(d.Export.Types)
+	}
+	for _, tr := range d.Export.Transformations {
+		if err := c.AddTransformation(tr); err != nil {
+			skipped++
+		}
+	}
+	for _, ds := range d.Export.Datasets {
+		if err := c.upsertDataset(ds); err != nil {
+			skipped++
+		}
+	}
+	for _, dv := range d.Export.Derivations {
+		if _, err := c.AddDerivation(dv); err != nil && !errors.Is(err, ErrDuplicate) {
+			skipped++
+		}
+	}
+	for _, iv := range d.Export.Invocations {
+		if err := c.AddInvocation(iv); err != nil && !errors.Is(err, ErrExists) {
+			skipped++
+		}
+	}
+	// Tombstones before replicas: sources that predate the re-homing fix
+	// in ChangesSince can ship an ID as both, and the live record wins.
+	for _, t := range d.Tombstones {
+		if t.Kind != "replica" {
+			skipped++
+			continue
+		}
+		if err := c.RemoveReplica(t.ID); err != nil && !errors.Is(err, ErrNotFound) {
+			skipped++
+		}
+	}
+	for _, r := range d.Export.Replicas {
+		if err := c.upsertReplica(r); err != nil {
+			skipped++
+		}
+	}
+	for _, a := range d.Export.Compat {
+		if err := c.AssertCompatibility(a); err != nil {
+			skipped++
+		}
+	}
+	return skipped
+}
+
+// upsertDataset installs ds or replaces the record under its name,
+// keeping the CreatedBy the catalog already holds ("" for a new name;
+// AddDerivation sets it when the producer arrives).
+func (c *Catalog) upsertDataset(ds schema.Dataset) (err error) {
+	opUpdate.Inc()
+	defer func() { err = countErr("update_dataset", err) }()
+	if err := ds.Validate(); err != nil {
+		return err
+	}
+	return c.mutate(c.keySet(ds.Name), func() error {
+		s := c.shardOf(ds.Name)
+		if err := c.types.CheckType(ds.Type); err != nil {
+			return fmt.Errorf("%w: dataset %q: %v", ErrType, ds.Name, err)
+		}
+		old, ok := s.datasets[ds.Name]
+		ds.CreatedBy = old.CreatedBy
+		if ok {
+			if ds.Epoch < old.Epoch {
+				return fmt.Errorf("%w: dataset %q epoch moved backwards (%d -> %d)", ErrConflict, ds.Name, old.Epoch, ds.Epoch)
+			}
+			if equalJSON(old, ds) {
+				return nil
+			}
+		}
+		c.putDataset(ds)
+		return s.logOp(opDataset, ds)
+	})
+}
+
+// upsertReplica installs r or replaces the replica registered under its
+// ID: in place for an epoch re-stamp, by drop-and-add when the source
+// removed the replica and registered the ID again under another
+// dataset. Like RemoveReplica it locks every shard, because a bare ID
+// does not reveal where the old record is homed.
+func (c *Catalog) upsertReplica(r schema.Replica) (err error) {
+	opAddReplica.Inc()
+	defer func() { err = countErr("add_replica", err) }()
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	return c.mutate(c.allSet(), func() error {
+		home := c.shardOf(r.Dataset)
+		if _, ok := home.datasets[r.Dataset]; !ok {
+			return fmt.Errorf("%w: replica %q cites unknown dataset %q", ErrNotFound, r.ID, r.Dataset)
+		}
+		for _, s := range c.shards {
+			old, ok := s.replicas[r.ID]
+			if !ok {
+				continue
+			}
+			if equalJSON(old, r) {
+				return nil
+			}
+			if old.Dataset != r.Dataset {
+				c.dropReplica(r.ID)
+				if err := s.logOp(opRemoveReplica, r.ID); err != nil {
+					return err
+				}
+			}
+			break
+		}
+		c.putReplica(r)
+		return home.logOp(opReplica, r)
+	})
 }

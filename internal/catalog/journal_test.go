@@ -2,9 +2,12 @@ package catalog
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
+	"time"
 
+	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
 
@@ -12,25 +15,13 @@ func jds(name string) schema.Dataset { return schema.Dataset{Name: name} }
 
 func applyDelta(t *testing.T, base *Catalog, d Delta) *Catalog {
 	t.Helper()
-	// Reconstruct the follower state a federation shard would hold:
-	// replay full or incremental content onto base.
+	// What a follower does: a full delta replaces its state, an
+	// incremental one folds into it.
 	if d.Full {
 		base = New(nil)
 	}
-	if err := base.Import(d.Export); err != nil {
-		t.Fatalf("apply delta: %v", err)
-	}
-	// Import skips datasets that already exist; a delta's records are
-	// upserts (e.g. epoch bumps), so re-apply them explicitly.
-	for _, ds := range d.Export.Datasets {
-		if err := base.UpdateDataset(ds); err != nil {
-			t.Fatalf("upsert dataset %s: %v", ds.Name, err)
-		}
-	}
-	for _, tomb := range d.Tombstones {
-		if tomb.Kind == "replica" {
-			_ = base.RemoveReplica(tomb.ID)
-		}
+	if skipped := base.ApplyDelta(d); skipped > 0 {
+		t.Fatalf("apply delta: %d records skipped", skipped)
 	}
 	return base
 }
@@ -242,5 +233,122 @@ func TestReopenedCatalogGetsFreshInstance(t *testing.T) {
 	// resync in full, whatever the new sequence happens to be.
 	if d := c2.ChangesSince(seq1, inst1); !d.Full {
 		t.Errorf("stale instance should get full export: %+v", d)
+	}
+}
+
+// TestApplyDeltaMatchesImport is ApplyDelta's contract: a random history
+// on a source catalog, shipped as ChangesSince deltas and folded into a
+// target one sync at a time, leaves the target byte-identical to one
+// ImportTolerant of the source's export at that point — after every
+// sync, for single-shard and sharded targets, with nothing skipped.
+func TestApplyDeltaMatchesImport(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for seed := int64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				src := NewSharded(nil, shards)
+				target := NewSharded(nil, shards)
+				var datasets, derivations, replicas []string
+				pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+				must := func(err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				addReplica := func(id string) {
+					must(src.AddReplica(schema.Replica{ID: id, Dataset: pick(datasets), Site: "s", PFN: "gsiftp://" + id}))
+				}
+				step := func(n int) {
+					switch k := rng.Intn(12); {
+					case k == 0:
+						must(src.DefineType(dtype.Content, fmt.Sprintf("type%d", n), ""))
+						must(src.AddDataset(schema.Dataset{Name: fmt.Sprintf("typed%d", n),
+							Type: dtype.Type{Content: fmt.Sprintf("type%d", n)}}))
+						datasets = append(datasets, fmt.Sprintf("typed%d", n))
+					case k == 1 || len(datasets) == 0:
+						ds := schema.Dataset{Name: fmt.Sprintf("ds%d", n), Attrs: schema.Attributes{"n": fmt.Sprint(n)}}
+						if len(derivations) > 0 && rng.Intn(2) == 0 {
+							// Linkage the source asserts by hand, to a derivation
+							// that does not output the dataset: an import drops it.
+							ds.CreatedBy = pick(derivations)
+						}
+						must(src.AddDataset(ds))
+						datasets = append(datasets, ds.Name)
+					case k == 2:
+						ds, err := src.Dataset(pick(datasets))
+						must(err)
+						ds.Attrs = schema.Attributes{"rev": fmt.Sprint(n)}
+						must(src.UpdateDataset(ds))
+					case k == 3:
+						_, err := src.BumpEpoch(pick(datasets), rng.Intn(2) == 0)
+						must(err)
+					case k <= 5:
+						tr := fmt.Sprintf("tr%d", n)
+						must(src.AddTransformation(twoArg(tr)))
+						// Inputs are sometimes existing datasets, outputs always new.
+						in, out := fmt.Sprintf("in%d", n), fmt.Sprintf("out%d", n)
+						if rng.Intn(2) == 0 {
+							in = pick(datasets)
+						}
+						dv, err := src.AddDerivation(chainDV(tr, in, out))
+						must(err)
+						derivations = append(derivations, dv.ID)
+						datasets = append(datasets, out)
+					case k == 6 && len(derivations) > 0:
+						start := time.Unix(int64(n), 0).UTC()
+						must(src.AddInvocation(schema.Invocation{ID: fmt.Sprintf("iv%d", n),
+							Derivation: pick(derivations), Start: start, End: start.Add(time.Second)}))
+					case k == 7:
+						id := fmt.Sprintf("r%d", n)
+						addReplica(id)
+						replicas = append(replicas, id)
+					case k == 8 && len(replicas) > 0:
+						i := rng.Intn(len(replicas))
+						must(src.RemoveReplica(replicas[i]))
+						replicas = append(replicas[:i], replicas[i+1:]...)
+					case k == 9: // gone again before the target ever saw it
+						addReplica("flash")
+						must(src.RemoveReplica("flash"))
+					case k == 10 && len(replicas) > 0: // same ID, new home
+						id := pick(replicas)
+						must(src.RemoveReplica(id))
+						addReplica(id)
+					case k == 11:
+						must(src.AssertCompatibility(schema.CompatibilityAssertion{Name: "tr", V1: "1", V2: fmt.Sprint(n), Mode: schema.Equivalent}))
+					}
+				}
+
+				var seq uint64
+				for round, n := 0, 0; round < 30; round++ {
+					for i := rng.Intn(8); i > 0; i-- {
+						step(n)
+						n++
+					}
+					d := src.ChangesSince(seq, src.Instance())
+					if d.Full && seq != 0 {
+						t.Fatalf("round %d: full delta past first contact", round)
+					}
+					if skipped := target.ApplyDelta(d); skipped > 0 {
+						t.Fatalf("round %d: %d records skipped", round, skipped)
+					}
+					seq = d.Seq
+
+					oracle := NewSharded(nil, shards)
+					if skipped := oracle.ImportTolerant(src.Export()); skipped > 0 {
+						t.Fatalf("round %d: oracle skipped %d", round, skipped)
+					}
+					want, err := schema.CanonicalBytes(oracle.Export())
+					must(err)
+					got, err := schema.CanonicalBytes(target.Export())
+					must(err)
+					if string(got) != string(want) {
+						t.Fatalf("round %d: folded deltas diverged from import\nfolded: %s\nimport: %s", round, got, want)
+					}
+					must(target.CheckIndexes())
+					must(target.CheckPublished())
+				}
+			})
+		}
 	}
 }

@@ -632,6 +632,19 @@ func (c *Catalog) applyExport(exp Export) error {
 	return nil
 }
 
+// mergeTypes is the tolerant registry merge shared by ImportTolerant and
+// ApplyDelta: best-effort, conflicting names keep their first parent.
+// It runs under the mutation lock so the journal (and concurrent readers
+// of the registry) see a consistent update.
+func (c *Catalog) mergeTypes(reg *dtype.Registry) {
+	_ = c.mutate(shardSet(0).with(0), func() error {
+		_ = c.types.Merge(reg)
+		c.shards[0].apply(func(*shardState) {}) // ver bump: conformance answers change
+		c.shards[0].noteJournal(c, jTypes, "", false)
+		return nil
+	})
+}
+
 // ImportTolerant merges an export, skipping objects that conflict with
 // existing state (and anything depending on them) instead of aborting.
 // It returns the number of skipped objects. Federated indexes use it so
@@ -644,15 +657,7 @@ func (c *Catalog) ImportTolerant(exp Export) int {
 		}
 	}
 	if exp.Types != nil {
-		// Best-effort merge; conflicting names keep their first parent.
-		// Run under the mutation lock so the journal (and concurrent
-		// readers of the registry) see a consistent update.
-		_ = c.mutate(shardSet(0).with(0), func() error {
-			_ = c.types.Merge(exp.Types)
-			c.shards[0].apply(func(*shardState) {}) // ver bump: conformance answers change
-			c.shards[0].noteJournal(c, jTypes, "", false)
-			return nil
-		})
+		c.mergeTypes(exp.Types)
 	}
 	for _, tr := range exp.Transformations {
 		tolerate(c.AddTransformation(tr))

@@ -40,6 +40,13 @@ type shard struct {
 	types           *dtype.Registry
 	compat          []schema.CompatibilityAssertion
 
+	// pending is the one incremental delta applied since the shard was
+	// last merged, kept so the merge can fold it into the live shadow.
+	// foldable goes false when a Full delta, or a second delta on top of
+	// an unmerged one, lands: then only a rebuild reflects the shard.
+	pending  catalog.Delta
+	foldable bool
+
 	// Cached admission result, valid for (admittedGen, admittedFilter).
 	admitted       catalog.Export
 	admitErr       error
@@ -88,13 +95,15 @@ func (sh *shard) apply(d catalog.Delta) {
 	for _, iv := range d.Export.Invocations {
 		sh.invocations[iv.ID] = iv
 	}
-	for _, r := range d.Export.Replicas {
-		sh.replicas[r.ID] = r
-	}
+	// Tombstones first: a member that predates the re-homing fix in
+	// ChangesSince can ship a replica ID as both, and the live record wins.
 	for _, tomb := range d.Tombstones {
 		if tomb.Kind == "replica" {
 			delete(sh.replicas, tomb.ID)
 		}
+	}
+	for _, r := range d.Export.Replicas {
+		sh.replicas[r.ID] = r
 	}
 	if d.Export.Types != nil {
 		// Deltas carry the member's full registry when any type changed.
@@ -103,8 +112,58 @@ func (sh *shard) apply(d catalog.Delta) {
 	if len(d.Export.Compat) > 0 {
 		sh.compat = d.Export.Compat
 	}
+	sh.pending, sh.foldable = catalog.Delta{}, false
+	if !d.Full && !sh.dirty() {
+		sh.pending, sh.foldable = d, true
+	}
 	sh.gen++
 	sh.admittedValid = false
+}
+
+// holdsAny reports whether the shard holds an object under any identity
+// the delta names, tombstones included.
+func (sh *shard) holdsAny(d *catalog.Delta) bool {
+	for _, ds := range d.Export.Datasets {
+		if _, ok := sh.datasets[ds.Name]; ok {
+			return true
+		}
+	}
+	for _, tr := range d.Export.Transformations {
+		if _, ok := sh.transformations[tr.Ref()]; ok {
+			return true
+		}
+	}
+	for _, dv := range d.Export.Derivations {
+		if _, ok := sh.derivations[dv.ID]; ok {
+			return true
+		}
+	}
+	for _, iv := range d.Export.Invocations {
+		if _, ok := sh.invocations[iv.ID]; ok {
+			return true
+		}
+	}
+	for _, r := range d.Export.Replicas {
+		if _, ok := sh.replicas[r.ID]; ok {
+			return true
+		}
+	}
+	for _, t := range d.Tombstones {
+		if _, ok := sh.replicas[t.ID]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// dirty reports whether the shard holds content the shadow does not.
+func (sh *shard) dirty() bool { return sh.gen != sh.builtGen }
+
+// merged marks the shard's content as reflected in the shadow.
+func (sh *shard) merged() {
+	sh.builtGen = sh.gen
+	sh.pending = catalog.Delta{}
+	sh.foldable = false
 }
 
 // export materializes the shard as a sorted catalog export, matching
@@ -160,9 +219,10 @@ func (sh *shard) staleErr() error {
 }
 
 // crawlDelta is the incremental parallel crawl: fan out bounded workers
-// that pull per-member deltas into shards, then merge dirty shards into
-// a fresh shadow. When nothing changed anywhere, the pass costs one
-// round-trip per member and zero re-imports.
+// that pull per-member deltas into shards, then merge the dirty shards
+// into the shadow — in place when it can (fold), from scratch when it
+// must (rebuild). When nothing changed anywhere, the pass costs one
+// round-trip per member and touches nothing.
 func (ix *Index) crawlDelta(ctx context.Context) error {
 	ix.mu.Lock()
 	members := make(map[string]*vds.Client, len(ix.members))
@@ -223,99 +283,217 @@ func (ix *Index) crawlDelta(ctx context.Context) error {
 	}
 	wg.Wait()
 
-	dirty := membersChanged || !ix.built || ix.builtFilter != filter
-	if !dirty {
-		for _, sh := range ix.shards {
-			if sh.gen != sh.builtGen {
-				dirty = true
-				break
-			}
+	// Merge what the fetches brought. A pass rebuilds when the shadow
+	// cannot be taken as the base — first contact, a crawlFull since,
+	// changed membership or filter — and otherwise folds the dirty
+	// shards' deltas into it; a fold that cannot prove itself equal to a
+	// rebuild degrades to one.
+	dirty := false
+	for _, sh := range ix.shards {
+		dirty = dirty || sh.dirty()
+	}
+	kind := passUnchanged
+	if membersChanged || !ix.built || ix.builtFilter != filter {
+		kind = passRebuild
+	} else if dirty {
+		kind = passRebuild
+		if filter == "" && ix.fold(ctx, authorities) {
+			kind = passFold
 		}
 	}
-
-	if !dirty {
-		// Nothing changed: keep the shadow, refresh only bookkeeping.
-		stale := make(map[string]error)
-		for a, sh := range ix.shards {
-			if err := sh.staleErr(); err != nil {
-				stale[a] = err
-			}
-		}
-		snap := ix.snapshotShards(authorities)
-		ix.mu.Lock()
-		ix.stale = stale
-		ix.shardSnap = snap
-		ix.crawls++
-		ix.mu.Unlock()
-		metricCrawls.Inc()
-		return nil
+	var shadow *catalog.Catalog
+	var origin map[string]string
+	if kind == passRebuild {
+		shadow, origin = ix.rebuild(ctx, authorities, filterExpr, filter)
 	}
 
-	_, rspan := obs.StartSpan(ctx, "federation.rebuild")
-	defer rspan.End()
+	stale := make(map[string]error)
+	for a, sh := range ix.shards {
+		if err := sh.staleErr(); err != nil {
+			stale[a] = err
+		}
+	}
+	snap := ix.snapshotShards(authorities)
+	ix.mu.Lock()
+	if kind == passRebuild {
+		ix.shadow = shadow
+		ix.origin = origin
+	}
+	ix.stale = stale
+	ix.shardSnap = snap
+	ix.lastPass = kind
+	ix.crawls++
+	ix.mu.Unlock()
+	metricPasses.With(kind).Inc()
+	metricCrawls.Inc()
+	return nil
+}
+
+// Pass kinds: what a delta crawl pass did to the shadow.
+const (
+	passUnchanged = "unchanged" // no shard changed; shadow untouched
+	passFold      = "fold"      // deltas applied to the live shadow in place
+	passRebuild   = "rebuild"   // shadow re-imported from every shard
+)
+
+// rebuild imports every shard, in authority order, into a fresh shadow:
+// the first authority to define an object wins, and what a later one
+// could not import counts as its overlap.
+func (ix *Index) rebuild(ctx context.Context, authorities []string, filterExpr query.Expr, filter string) (*catalog.Catalog, map[string]string) {
+	_, span := obs.StartSpan(ctx, "federation.rebuild")
+	defer span.End()
 	shadow := catalog.New(nil)
 	origin := make(map[string]string)
-	stale := make(map[string]error)
 	for _, a := range authorities {
 		sh := ix.shards[a]
-		if sh.fetchErr != nil {
-			// Serve the last good shard state (unlike the full crawl,
-			// which forgets unreachable members); still flag the member.
-			stale[a] = sh.fetchErr
-		}
 		if sh.gen == 0 {
 			continue // never fetched successfully
 		}
+		// A member whose fetch failed keeps serving its last good shard
+		// (unlike the full crawl, which forgets unreachable members).
 		admitted, err := sh.admittedExport(filterExpr, filter)
+		sh.merged()
 		if err != nil {
-			stale[a] = err
 			memberError.Inc()
-			sh.builtGen = sh.gen
 			continue
 		}
 		metricAdmitted.Add(uint64(len(admitted.Datasets)))
+		sh.overlapErr = nil
 		if skipped := shadow.ImportTolerant(admitted); skipped > 0 {
 			sh.overlapErr = fmt.Errorf("federation: %d objects of %s overlapped existing index entries", skipped, a)
-			if stale[a] == nil {
-				stale[a] = sh.overlapErr
-			}
-		} else {
-			sh.overlapErr = nil
 		}
-		for _, ds := range admitted.Datasets {
-			key := "dataset/" + ds.Name
-			if _, taken := origin[key]; !taken {
-				origin[key] = a
-			}
-		}
-		for _, tr := range admitted.Transformations {
-			key := "transformation/" + tr.Ref()
-			if _, taken := origin[key]; !taken {
-				origin[key] = a
-			}
-		}
-		for _, dv := range admitted.Derivations {
-			key := "derivation/" + dv.ID
-			if _, taken := origin[key]; !taken {
-				origin[key] = a
-			}
-		}
-		sh.builtGen = sh.gen
+		claimOrigins(origin, a, &admitted)
 	}
 	ix.built = true
 	ix.builtFilter = filter
-	rspan.SetAttr("datasets", strconv.Itoa(shadow.Stats().Datasets))
+	span.SetAttr("datasets", strconv.Itoa(shadow.Stats().Datasets))
+	return shadow, origin
+}
 
-	snap := ix.snapshotShards(authorities)
+// originKeys calls fn with the origin-map key of every object in exp
+// that the index attributes to a home authority.
+func originKeys(exp *catalog.Export, fn func(key string)) {
+	for _, ds := range exp.Datasets {
+		fn("dataset/" + ds.Name)
+	}
+	for _, tr := range exp.Transformations {
+		fn("transformation/" + tr.Ref())
+	}
+	for _, dv := range exp.Derivations {
+		fn("derivation/" + dv.ID)
+	}
+}
+
+// claimOrigins attributes exp's objects to authority a, except those an
+// earlier authority already owns.
+func claimOrigins(origin map[string]string, a string, exp *catalog.Export) {
+	originKeys(exp, func(key string) {
+		if _, taken := origin[key]; !taken {
+			origin[key] = a
+		}
+	})
+}
+
+// fold applies the dirty shards' pending deltas to the live shadow in
+// place and reports whether the shadow now equals what a rebuild would
+// produce; on false the caller rebuilds, whatever the fold had applied
+// by then.
+//
+// The proof is exclusivity. A rebuild lets members interact only
+// through shared identities (first authority wins, later copies count
+// as overlap), so when every identity a delta names — dataset,
+// transformation, derivation, invocation and replica, tombstones
+// included — is held by no other shard, importing the member's new
+// state in authority order and upserting its delta onto the old shadow
+// are the same thing. Everything else rebuilds: a Full delta, a delta
+// touching an identity another member also holds, a registry or
+// compatibility change (their merge is order-dependent), a record the
+// member's own state does not vouch for, and any record the shadow
+// refuses. So does every filtered index, which is why the caller never
+// folds one: admission is not monotone under dataset updates and the
+// catalog cannot drop a dataset that stops matching.
+func (ix *Index) fold(ctx context.Context, authorities []string) bool {
+	_, span := obs.StartSpan(ctx, "federation.fold")
+	defer span.End()
+	abandon := func(why string) bool {
+		span.SetAttr("abandoned", why)
+		return false
+	}
+	claims := make(map[string]string) // origin entries this pass introduces
+	changes := 0
+	for _, a := range authorities {
+		sh := ix.shards[a]
+		if !sh.dirty() {
+			continue
+		}
+		if !sh.foldable {
+			return abandon("full delta from " + a)
+		}
+		if why := ix.unprovable(sh); why != "" {
+			return abandon(why + " from " + a)
+		}
+		d := &sh.pending.Export
+		originKeys(d, func(key string) {
+			if ix.origin[key] != a {
+				claims[key] = a
+			}
+		})
+		changes += len(d.Datasets) + len(d.Transformations) + len(d.Derivations) +
+			len(d.Invocations) + len(d.Replicas) + len(sh.pending.Tombstones)
+	}
+	span.SetAttr("changes", strconv.Itoa(changes))
+
+	// Attribution first: a search that already sees a folded object must
+	// find its authority.
 	ix.mu.Lock()
-	ix.shadow = shadow
-	ix.origin = origin
-	ix.stale = stale
-	ix.shardSnap = snap
-	ix.crawls++
+	for key, a := range claims {
+		ix.origin[key] = a
+	}
 	ix.mu.Unlock()
-	metricCrawls.Inc()
-	return nil
+
+	for _, a := range authorities {
+		sh := ix.shards[a]
+		if !sh.dirty() {
+			continue
+		}
+		if skipped := ix.shadow.ApplyDelta(sh.pending); skipped > 0 {
+			return abandon(fmt.Sprintf("shadow skipped %d records of %s", skipped, a))
+		}
+		metricAdmitted.Add(uint64(len(sh.pending.Export.Datasets)))
+		sh.merged()
+	}
+	return true
+}
+
+// unprovable names the first reason sh's pending delta cannot be folded
+// ("" when it can): an identity some other shard also holds, or a
+// record whose import depends on more than the member's own state.
+func (ix *Index) unprovable(sh *shard) string {
+	d := &sh.pending.Export
+	if d.Types != nil || len(d.Compat) > 0 {
+		return "type or compatibility change"
+	}
+	for _, other := range ix.shards {
+		if other != sh && other.holdsAny(&sh.pending) {
+			return "shared identity"
+		}
+	}
+	for _, ds := range d.Datasets {
+		// UpdateDataset does not check types, so a member can hold a type
+		// its own registry lacks; a rebuild skips such a dataset unless an
+		// earlier member happens to define the type.
+		if !ds.Type.IsUniversal() && (sh.types == nil || sh.types.CheckType(ds.Type) != nil) {
+			return "dataset type unknown to its member"
+		}
+	}
+	for _, dv := range d.Derivations {
+		// A versionless reference resolves against whichever versions the
+		// shadow holds at import time, other members' included.
+		if _, ok := sh.transformations[dv.TR]; !ok {
+			return "versionless transformation reference"
+		}
+	}
+	return ""
 }
 
 // fetchMember pulls one member's changes into its shard. The fetch span

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"chimera/internal/catalog"
+	"chimera/internal/dtype"
 	"chimera/internal/schema"
 	"chimera/internal/vds"
 )
@@ -58,29 +59,30 @@ type mutator struct {
 	rng      *rand.Rand
 	cat      *catalog.Catalog
 	prefix   string
-	datasets []string
+	datasets []string // this member's datasets: primary, derived and shared
 	replicas []string
 	trs      int
 }
 
 func (m *mutator) step(t *testing.T) {
 	t.Helper()
-	switch m.rng.Intn(6) {
-	case 0: // new dataset
+	switch k := m.rng.Intn(24); {
+	case k < 4: // new dataset
 		name := fmt.Sprintf("%s-ds%d", m.prefix, len(m.datasets))
 		if err := m.cat.AddDataset(schema.Dataset{Name: name,
 			Attrs: schema.Attributes{"quality": []string{"approved", "draft"}[m.rng.Intn(2)]}}); err != nil {
 			t.Fatal(err)
 		}
 		m.datasets = append(m.datasets, name)
-	case 1: // epoch bump on an existing dataset
+	case k < 8: // epoch bump on an existing dataset, replicas stale or re-stamped
 		if len(m.datasets) == 0 {
 			return
 		}
-		if _, err := m.cat.BumpEpoch(m.datasets[m.rng.Intn(len(m.datasets))], false); err != nil {
+		if _, err := m.cat.BumpEpoch(m.datasets[m.rng.Intn(len(m.datasets))], m.rng.Intn(2) == 0); err != nil {
 			t.Fatal(err)
 		}
-	case 2: // transformation + derivation chain
+	case k < 11: // transformation + derivation chain; the output joins the
+		// update pool, so bumps and updates also hit derived datasets
 		tr := fmt.Sprintf("%s-tr%d", m.prefix, m.trs)
 		m.trs++
 		if err := m.cat.AddTransformation(twoArg(tr)); err != nil {
@@ -90,24 +92,25 @@ func (m *mutator) step(t *testing.T) {
 		if _, err := m.cat.AddDerivation(chainDV(tr, "input-"+m.prefix, out)); err != nil {
 			t.Fatal(err)
 		}
-	case 3: // new replica
-		if len(m.datasets) == 0 {
-			return
-		}
-		id := fmt.Sprintf("%s-r%d", m.prefix, len(m.replicas))
-		ds := m.datasets[m.rng.Intn(len(m.datasets))]
-		if err := m.cat.AddReplica(schema.Replica{ID: id, Dataset: ds, Site: m.prefix, PFN: "gsiftp://" + id}); err != nil {
-			t.Fatal(err)
-		}
-		m.replicas = append(m.replicas, id)
-	case 4: // drop a replica
+		m.datasets = append(m.datasets, out)
+	case k < 14: // new replica
+		m.addReplica(t)
+	case k < 16: // drop a replica
 		if len(m.replicas) == 0 {
 			return
 		}
 		i := m.rng.Intn(len(m.replicas))
 		_ = m.cat.RemoveReplica(m.replicas[i])
 		m.replicas = append(m.replicas[:i], m.replicas[i+1:]...)
-	case 5: // update attributes (upsert path)
+	case k < 18: // a replica that comes and goes between two passes: the
+		// index only ever sees its tombstone
+		if id := m.addReplica(t); id != "" {
+			if err := m.cat.RemoveReplica(id); err != nil {
+				t.Fatal(err)
+			}
+			m.replicas = m.replicas[:len(m.replicas)-1]
+		}
+	case k < 22: // update attributes (upsert path)
 		if len(m.datasets) == 0 {
 			return
 		}
@@ -119,14 +122,45 @@ func (m *mutator) step(t *testing.T) {
 		if err := m.cat.UpdateDataset(ds); err != nil {
 			t.Fatal(err)
 		}
+	case k < 23: // a dataset name other members register too, each with its
+		// own attributes: the first authority in sorted order owns it
+		name := fmt.Sprintf("shared-ds%d", m.rng.Intn(3))
+		if err := m.cat.AddDataset(schema.Dataset{Name: name,
+			Attrs: schema.Attributes{"quality": "approved", "home": m.prefix}}); err == nil {
+			m.datasets = append(m.datasets, name)
+		}
+	default: // a transformation other members define differently: every
+		// copy but the owner's counts as overlap
+		tr := twoArg(fmt.Sprintf("shared-tr%d", m.rng.Intn(3)))
+		tr.Exec = "/opt/" + m.prefix + "/" + tr.Name
+		_ = m.cat.AddTransformation(tr)
 	}
+}
+
+// addReplica registers a replica of a random dataset and returns its ID
+// ("" when the member has no dataset yet).
+func (m *mutator) addReplica(t *testing.T) string {
+	t.Helper()
+	if len(m.datasets) == 0 {
+		return ""
+	}
+	id := fmt.Sprintf("%s-r%d-%d", m.prefix, len(m.replicas), m.rng.Intn(1<<30))
+	ds := m.datasets[m.rng.Intn(len(m.datasets))]
+	if err := m.cat.AddReplica(schema.Replica{ID: id, Dataset: ds, Site: m.prefix, PFN: "gsiftp://" + id}); err != nil {
+		t.Fatal(err)
+	}
+	m.replicas = append(m.replicas, id)
+	return id
 }
 
 // TestDeltaCrawlEquivalence drives the incremental parallel crawl and
 // the sequential full-export oracle over identical randomized mutation
 // histories and requires bit-identical shadow state, origins and stale
-// maps after every round — including journal-window overflow, which
-// forces the delta path through its full-export fallback.
+// maps after every round — whether the pass folded its deltas into the
+// live shadow or rebuilt it (journal-window overflow, names shared
+// between members, a filter). The unfiltered cases must fold on most
+// changed rounds: an index that always rebuilds would pass the
+// comparison and prove nothing.
 func TestDeltaCrawlEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -156,7 +190,8 @@ func TestDeltaCrawlEquivalence(t *testing.T) {
 			// fallback whenever it takes a big batch between crawls.
 			muts[0].cat.SetJournalWindow(4)
 
-			for round := 0; round < 12; round++ {
+			passes := make(map[string]int)
+			for round := 0; round < 40; round++ {
 				steps := rng.Intn(10) // sometimes 0: the unchanged fast path
 				for s := 0; s < steps; s++ {
 					muts[rng.Intn(nMembers)].step(t)
@@ -167,32 +202,48 @@ func TestDeltaCrawlEquivalence(t *testing.T) {
 				if err := oracle.Crawl(); err != nil {
 					t.Fatal(err)
 				}
+				passes[delta.LastPass()]++
 				compareSnapshots(t, round, snap(t, delta), snap(t, oracle))
+			}
+			t.Logf("passes: %v", passes)
+			switch {
+			case tc.filter != "" && passes[passFold] > 0:
+				t.Errorf("filtered index folded %d passes; it must rebuild", passes[passFold])
+			case tc.filter == "" && passes[passFold] <= passes[passRebuild]:
+				t.Errorf("folds should outnumber rebuilds, got %v", passes)
 			}
 		})
 	}
 }
 
-// TestDeltaCrawlUnchangedSkipsRebuild checks the fast path: when no
+// TestDeltaCrawlUnchangedSkipsRebuild checks the fast paths: when no
 // member changed, the pass keeps the existing shadow untouched (pointer
-// identity: zero re-import) while still counting as a crawl.
+// identity: zero re-import) while still counting as a crawl, and when
+// one did, its delta is folded into that same shadow.
 func TestDeltaCrawlUnchangedSkipsRebuild(t *testing.T) {
 	cat, client, _ := site(t, "g")
 	if err := cat.AddDataset(schema.Dataset{Name: "d"}); err != nil {
 		t.Fatal(err)
+	}
+	counted := make(map[string]uint64)
+	for _, kind := range []string{passUnchanged, passFold, passRebuild} {
+		counted[kind] = metricPasses.With(kind).Value()
 	}
 	ix := NewIndex("x", "group")
 	ix.AddMember("g", client)
 	if err := ix.Crawl(); err != nil {
 		t.Fatal(err)
 	}
-	before := func() *catalog.Catalog { ix.mu.RLock(); defer ix.mu.RUnlock(); return ix.shadow }()
+	shadow := func() *catalog.Catalog { ix.mu.RLock(); defer ix.mu.RUnlock(); return ix.shadow }
+	before := shadow()
 	if err := ix.Crawl(); err != nil {
 		t.Fatal(err)
 	}
-	after := func() *catalog.Catalog { ix.mu.RLock(); defer ix.mu.RUnlock(); return ix.shadow }()
-	if before != after {
+	if before != shadow() {
 		t.Error("unchanged pass rebuilt the shadow")
+	}
+	if got := ix.LastPass(); got != passUnchanged {
+		t.Errorf("unchanged pass reported %q", got)
 	}
 	if ix.Crawls() != 2 {
 		t.Errorf("crawls: %d", ix.Crawls())
@@ -200,15 +251,27 @@ func TestDeltaCrawlUnchangedSkipsRebuild(t *testing.T) {
 	if _, ok := ix.Lookup("dataset", "d"); !ok {
 		t.Error("lookup broken after unchanged pass")
 	}
-	// A mutation makes the next pass rebuild again.
+	// A mutation is folded into the same shadow: no re-import either.
 	if err := cat.AddDataset(schema.Dataset{Name: "d2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Crawl(); err != nil {
 		t.Fatal(err)
 	}
+	if before != shadow() {
+		t.Error("changed pass rebuilt the shadow instead of folding the delta")
+	}
+	if got := ix.LastPass(); got != passFold {
+		t.Errorf("changed pass reported %q, want %q", got, passFold)
+	}
 	if _, ok := ix.Lookup("dataset", "d2"); !ok {
 		t.Error("recrawl missed new data")
+	}
+	// One pass of each kind: first contact is the index's only rebuild.
+	for kind, before := range counted {
+		if got := metricPasses.With(kind).Value() - before; got != 1 {
+			t.Errorf("vdc_federation_passes_total{kind=%q} moved by %d, want 1", kind, got)
+		}
 	}
 }
 
@@ -290,8 +353,11 @@ func TestCrawlSlowMemberWallClock(t *testing.T) {
 	}
 }
 
-// TestCrawlStorm is the -race smoke: concurrent crawls and searches
-// against members that mutate underneath them.
+// TestCrawlStorm is the -race smoke: concurrent crawls against members
+// that mutate underneath them, while readers query the index the passes
+// are folding into. Whatever a reader sees mid-pass must be attributed:
+// every entry carries its authority and reference, and every dataset a
+// search returns resolves through Lookup to the same home.
 func TestCrawlStorm(t *testing.T) {
 	const nMembers = 3
 	ix := NewIndex("storm", "group")
@@ -307,9 +373,11 @@ func TestCrawlStorm(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
-	var writers, crawlers sync.WaitGroup
-	// Writers: keep the member catalogs moving until told to stop.
-	// Paced so they contend with the crawlers without starving them.
+	var writers, crawlers, readers sync.WaitGroup
+	// Writers: keep the member catalogs moving until told to stop —
+	// datasets, and derivation chains whose datasets must never be
+	// visible without their attribution. Paced so they contend with the
+	// crawlers without starving them.
 	for i := 0; i < nMembers; i++ {
 		writers.Add(1)
 		go func(i int) {
@@ -321,13 +389,46 @@ func TestCrawlStorm(t *testing.T) {
 				default:
 				}
 				_ = cats[i].AddDataset(schema.Dataset{Name: fmt.Sprintf("m%d-ds%d", i, n)})
+				if n%10 == 0 {
+					tr := fmt.Sprintf("m%d-tr%d", i, n)
+					_ = cats[i].AddTransformation(twoArg(tr))
+					_, _ = cats[i].AddDerivation(chainDV(tr, fmt.Sprintf("m%d-ds%d", i, n), fmt.Sprintf("m%d-out%d", i, n)))
+				}
 				if n%50 == 0 {
 					time.Sleep(time.Millisecond)
 				}
 			}
 		}(i)
 	}
-	// Crawlers and readers.
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				entries, err := ix.SearchDatasets("*")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, e := range entries {
+					home, ok := ix.Lookup("dataset", e.Name)
+					if e.Authority == "" || e.Ref == "" || !ok || home != e {
+						t.Errorf("search returned %+v, lookup %+v (found %v)", e, home, ok)
+						return
+					}
+				}
+				if st := ix.Stats(); st.Datasets < len(entries) {
+					t.Errorf("stats report %d datasets after a search returned %d", st.Datasets, len(entries))
+					return
+				}
+			}
+		}()
+	}
 	for g := 0; g < 4; g++ {
 		crawlers.Add(1)
 		go func() {
@@ -347,13 +448,119 @@ func TestCrawlStorm(t *testing.T) {
 	crawlers.Wait()
 	close(stop)
 	writers.Wait()
+	readers.Wait()
 
-	// The index must still answer consistently after the storm.
+	// The index must still answer consistently after the storm, and the
+	// storm must have been absorbed by folds, not rebuilds.
 	if err := ix.Crawl(); err != nil {
 		t.Fatal(err)
 	}
 	if res, err := ix.SearchDatasets(`name ~ "*-seed"`); err != nil || len(res) != nMembers {
 		t.Fatalf("post-storm search: %d results, err %v", len(res), err)
+	}
+	if got := ix.LastPass(); got == passRebuild {
+		t.Errorf("post-storm pass was a %s", got)
+	}
+	want := 0
+	for _, cat := range cats {
+		want += cat.Stats().Datasets
+	}
+	if got := ix.Stats().Datasets; got != want {
+		t.Errorf("index holds %d datasets, members %d", got, want)
+	}
+}
+
+// TestFoldDegradesToRebuild pins the fold's boundary: a delta whose
+// identities are the member's own folds, and each kind of delta the
+// fold cannot prove equal to a rebuild takes the rebuild — and either
+// way the index equals the full-crawl oracle.
+func TestFoldDegradesToRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(t *testing.T, a, b *catalog.Catalog)
+		want   string
+	}{
+		{"own new objects", func(t *testing.T, a, b *catalog.Catalog) {
+			if err := b.AddTransformation(twoArg("b-tr")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.AddDerivation(chainDV("b-tr", "b-seed", "b-out")); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddReplica(schema.Replica{ID: "b-r", Dataset: "b-out", Site: "s", PFN: "u"}); err != nil {
+				t.Fatal(err)
+			}
+		}, passFold},
+		{"name another member holds", func(t *testing.T, a, b *catalog.Catalog) {
+			if err := b.AddDataset(schema.Dataset{Name: "a-seed", Attrs: schema.Attributes{"home": "b"}}); err != nil {
+				t.Fatal(err)
+			}
+		}, passRebuild},
+		{"owner updates a shared name", func(t *testing.T, a, b *catalog.Catalog) {
+			if _, err := a.BumpEpoch("both", false); err != nil {
+				t.Fatal(err)
+			}
+		}, passRebuild},
+		{"journal overflow", func(t *testing.T, a, b *catalog.Catalog) {
+			b.SetJournalWindow(2)
+			for i := 0; i < 8; i++ {
+				if err := b.AddDataset(schema.Dataset{Name: fmt.Sprintf("b-burst%d", i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, passRebuild},
+		{"type registry change", func(t *testing.T, a, b *catalog.Catalog) {
+			if err := b.DefineType(dtype.Content, "b-type", ""); err != nil {
+				t.Fatal(err)
+			}
+		}, passRebuild},
+		{"dataset type its member never registered", func(t *testing.T, a, b *catalog.Catalog) {
+			if err := b.UpdateDataset(schema.Dataset{Name: "b-seed", Type: dtype.Type{Content: "ghost"}}); err != nil {
+				t.Fatal(err)
+			}
+		}, passRebuild},
+		{"versionless transformation reference", func(t *testing.T, a, b *catalog.Catalog) {
+			tr := twoArg("b-versioned")
+			tr.Version = "1.0"
+			if err := b.AddTransformation(tr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.AddDerivation(chainDV("b-versioned", "b-seed", "b-out")); err != nil {
+				t.Fatal(err)
+			}
+		}, passRebuild},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			delta := NewIndex("delta", "test")
+			oracle := NewIndex("oracle", "test")
+			oracle.FullCrawl = true
+			cats := make(map[string]*catalog.Catalog)
+			for _, name := range []string{"a", "b"} {
+				cat, client, _ := site(t, name)
+				cats[name] = cat
+				for _, ds := range []string{name + "-seed", "both"} {
+					if err := cat.AddDataset(schema.Dataset{Name: ds}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				delta.AddMember(name, client)
+				oracle.AddMember(name, client)
+			}
+			if err := delta.Crawl(); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(t, cats["a"], cats["b"])
+			if err := delta.Crawl(); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.Crawl(); err != nil {
+				t.Fatal(err)
+			}
+			if got := delta.LastPass(); got != tc.want {
+				t.Errorf("pass was a %s, want %s", got, tc.want)
+			}
+			compareSnapshots(t, 0, snap(t, delta), snap(t, oracle))
+		})
 	}
 }
 

@@ -25,6 +25,8 @@ import (
 var (
 	metricCrawls = obs.Default.Counter("vdc_federation_crawls_total",
 		"Completed crawl passes across all indexes.")
+	metricPasses = obs.Default.CounterVec("vdc_federation_passes_total",
+		"Delta crawl passes by what they did to the shadow: unchanged (nothing to merge), fold (deltas applied in place, cost O(delta)) or rebuild (every shard re-imported, cost O(index)).", "kind")
 	metricCrawlSeconds = obs.Default.Histogram("vdc_federation_crawl_seconds",
 		"Wall-clock latency of one full crawl pass.", nil)
 	metricMembers = obs.Default.CounterVec("vdc_federation_member_crawls_total",
@@ -112,9 +114,11 @@ type Index struct {
 	built       bool
 	builtFilter string
 
-	// shardSnap is the last crawl's per-member cursor snapshot, published
-	// under ix.mu so ShardStates never has to wait on a crawl in flight.
+	// shardSnap is the last crawl's per-member cursor snapshot and
+	// lastPass what that pass did to the shadow, both published under
+	// ix.mu so introspection never has to wait on a crawl in flight.
 	shardSnap []ShardState
+	lastPass  string
 }
 
 // NewIndex returns an empty index.
@@ -173,10 +177,14 @@ func (ix *Index) MemberError(authority string) error {
 // Crawl refreshes the index from current member state. The default
 // path is incremental and parallel: members are fetched concurrently
 // by a bounded worker pool, each shipping only the changes since its
-// shard's last sequence; the shadow is rebuilt only when some shard
-// changed. A member that errors is recorded in MemberError — its shard
-// keeps serving the last good state — so one dead catalog does not
-// take the federation down. Set FullCrawl for the sequential
+// shard's last sequence, and the changes are folded into the live
+// shadow in place, so a pass costs what changed, not what is indexed.
+// The shadow is rebuilt from the shards only when a fold cannot be
+// proven equal to a rebuild: first contact, a member's full export,
+// changed membership or filter, overlapping definitions (see fold). A
+// member that errors is recorded in MemberError — its shard keeps
+// serving the last good state — so one dead catalog does not take the
+// federation down. Set FullCrawl for the sequential
 // full-export pass (which instead drops unreachable members).
 // Crawl passes on one index are serialized.
 func (ix *Index) Crawl() error {
@@ -187,7 +195,8 @@ func (ix *Index) Crawl() error {
 // carries a tracer, the pass records one causally-connected trace:
 // a crawl root span, one fetch span per member (whose span context
 // travels to the member as a traceparent header, parenting the remote
-// server's spans), and apply/rebuild spans for the local merge work.
+// server's spans), and apply and fold/rebuild spans for the local
+// merge work.
 func (ix *Index) CrawlContext(ctx context.Context) (err error) {
 	defer metricCrawlSeconds.ObserveSince(time.Now())
 	ctx, span := obs.StartSpan(ctx, "federation.crawl")
@@ -260,24 +269,7 @@ func (ix *Index) crawlFull(ctx context.Context) error {
 		if skipped := shadow.ImportTolerant(admitted); skipped > 0 {
 			stale[a] = fmt.Errorf("federation: %d objects of %s overlapped existing index entries", skipped, a)
 		}
-		for _, ds := range admitted.Datasets {
-			key := "dataset/" + ds.Name
-			if _, taken := origin[key]; !taken {
-				origin[key] = a
-			}
-		}
-		for _, tr := range admitted.Transformations {
-			key := "transformation/" + tr.Ref()
-			if _, taken := origin[key]; !taken {
-				origin[key] = a
-			}
-		}
-		for _, dv := range admitted.Derivations {
-			key := "derivation/" + dv.ID
-			if _, taken := origin[key]; !taken {
-				origin[key] = a
-			}
-		}
+		claimOrigins(origin, a, &admitted)
 	}
 
 	// The full pass bypasses the shards, so the next delta pass must
@@ -288,6 +280,7 @@ func (ix *Index) crawlFull(ctx context.Context) error {
 	ix.shadow = shadow
 	ix.origin = origin
 	ix.stale = stale
+	ix.lastPass = ""
 	ix.crawls++
 	ix.mu.Unlock()
 	metricCrawls.Inc()
@@ -396,6 +389,15 @@ func (ix *Index) SearchTransformations(q string) ([]Entry, error) {
 	return out, nil
 }
 
+// LastPass reports what the last delta crawl pass did to the shadow:
+// "unchanged", "fold" or "rebuild" ("" before the first pass, and after
+// a FullCrawl pass, which always re-imports).
+func (ix *Index) LastPass() string {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.lastPass
+}
+
 // Lookup finds the home of a specific object.
 func (ix *Index) Lookup(kind, name string) (Entry, bool) {
 	ix.mu.RLock()
@@ -409,7 +411,11 @@ func (ix *Index) Lookup(kind, name string) (Entry, bool) {
 }
 
 // Types exposes the shadow registry for type-aware queries.
-func (ix *Index) Types() *dtype.Registry { return ix.shadow.Types() }
+func (ix *Index) Types() *dtype.Registry {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.shadow.Types()
+}
 
 // Stats reports the size of the indexed view.
 func (ix *Index) Stats() catalog.Stats {

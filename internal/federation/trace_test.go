@@ -31,7 +31,7 @@ func tracedSite(t *testing.T, name string, tracer *obs.Tracer) (*catalog.Catalog
 // yield a single causally-connected trace. Every span shares one trace
 // ID and every parent link resolves: server spans hang off the client
 // fetch spans that caused them (propagated via the traceparent header),
-// fetch/rebuild spans hang off the crawl root.
+// fetch and fold/rebuild spans hang off the crawl root.
 func TestCrawlTraceConnected(t *testing.T) {
 	tracer := obs.NewTracer()
 
@@ -109,7 +109,7 @@ func TestCrawlTraceConnected(t *testing.T) {
 				t.Errorf("fetch span for %q parented to %d, want crawl root %d", s.Attrs["member"], s.Parent, root.ID)
 			}
 			fetches[s.Attrs["member"]] = s
-		case s.Name == "federation.rebuild" || s.Name == "federation.apply":
+		case s.Name == "federation.rebuild" || s.Name == "federation.fold" || s.Name == "federation.apply":
 			if _, ok := byID[s.Parent]; !ok {
 				t.Errorf("%s span parent %d not in trace", s.Name, s.Parent)
 			}
@@ -174,7 +174,8 @@ func countPrefix(spans []obs.SpanRecord, prefix string) int {
 }
 
 // TestCrawlTraceSecondPassShared: an unchanged second pass still forms
-// its own complete connected trace with a distinct trace ID.
+// its own complete connected trace with a distinct trace ID, and a
+// changed third one carries the fold span instead of a rebuild.
 func TestCrawlTraceSecondPassShared(t *testing.T) {
 	tracer := obs.NewTracer()
 	cat, client := tracedSite(t, "solo", tracer)
@@ -199,6 +200,30 @@ func TestCrawlTraceSecondPassShared(t *testing.T) {
 	}
 	if len(traces) != 2 {
 		t.Errorf("two passes produced %d distinct trace IDs, want 2", len(traces))
+	}
+
+	// A changed third pass merges under federation.fold; the first
+	// contact stays the only federation.rebuild.
+	if err := cat.AddDataset(schema.Dataset{Name: "d2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.CrawlContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	folds, rebuilds := 0, 0
+	for _, s := range tracer.Spans() {
+		switch s.Name {
+		case "federation.fold":
+			folds++
+			if s.Attrs["changes"] != "1" || s.Attrs["abandoned"] != "" {
+				t.Errorf("fold span attrs = %v, want changes=1 and not abandoned", s.Attrs)
+			}
+		case "federation.rebuild":
+			rebuilds++
+		}
+	}
+	if folds != 1 || rebuilds != 1 {
+		t.Errorf("three passes recorded %d fold and %d rebuild spans, want 1 and 1", folds, rebuilds)
 	}
 
 	// The shard cursors are visible after the passes.

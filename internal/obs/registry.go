@@ -275,6 +275,20 @@ func (r *Registry) RegisterCollector(fn func()) {
 	r.mu.Unlock()
 }
 
+// Names lists every registered family, sorted. Unlike WritePrometheus
+// it includes labeled families no series of which has been resolved
+// yet, so it is the complete catalog a process can ever expose.
+func (r *Registry) Names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.families))
+	for n := range r.families {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // WritePrometheus renders every family in Prometheus text exposition
 // format (sorted by family name, then label values). Registered
 // collectors run first to refresh scrape-time gauges.
@@ -286,13 +300,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fn()
 	}
 
+	names := r.Names() // families are never unregistered
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
 	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
 	for _, n := range names {
 		fams = append(fams, r.families[n])
 	}
