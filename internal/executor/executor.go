@@ -23,7 +23,9 @@
 // error) in the order the attempts finished, and a later completion's
 // records are never confirmed durable before an earlier one's — while
 // keeping many waits in flight so the catalog's group committer can
-// batch concurrent completions into shared fsyncs.
+// batch concurrent completions into shared fsyncs. Waits a placement
+// brings with it (Placement.Waits, for records the planner wrote while
+// deciding) enter the same pipeline when the node dispatches.
 package executor
 
 import (
@@ -88,6 +90,11 @@ type Placement struct {
 	// OutputBytes predicts the size of each produced dataset, used for
 	// replica registration and accounting.
 	OutputBytes map[string]int64
+	// Waits block until catalog records the decision itself wrote (the
+	// planner's dynamic replicas) are durable. The records are already
+	// applied; the executor resolves the waits with its completions'
+	// own, so a run reports success only once they are on disk.
+	Waits []func() error
 }
 
 // Result reports one attempt at one node.
@@ -383,6 +390,9 @@ func (e *Executor) startLocked(n *dag.Node, attempt int) {
 		e.firstErr = fmt.Errorf("executor: assign %s: %w", n.ID, err)
 		return
 	}
+	// The decision's own catalog writes join the recording pipeline
+	// here, before anything of the attempt can complete behind them.
+	e.awaitLocked(p.Waits)
 	e.dispatched[n.ID] = true
 	if attempt == 0 {
 		evDispatch.Inc()
@@ -405,20 +415,7 @@ func (e *Executor) complete(n *dag.Node, p Placement, res Result) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.results = append(e.results, res)
-	waits := e.record(n, p, res)
-	if len(waits) > 0 {
-		if e.rec != nil {
-			e.rec.enqueue(waits)
-		} else {
-			// Legacy synchronous recording: block for durability here,
-			// under the scheduler lock.
-			for _, w := range waits {
-				if err := w(); err != nil && e.firstErr == nil {
-					e.firstErr = err
-				}
-			}
-		}
-	}
+	e.awaitLocked(e.record(n, p, res))
 	e.traceAttempt(n, res)
 	if res.ExitCode == 0 {
 		e.done[n.ID] = true
@@ -438,6 +435,24 @@ func (e *Executor) complete(n *dag.Node, p Placement, res Result) {
 	evFail.Inc()
 	gaugeInflight.Dec()
 	e.emit(Event{Kind: "fail", Node: n.ID, Attempt: res.Attempt, Result: res})
+}
+
+// awaitLocked hands durability waits to the recording pipeline, or
+// without one (SyncRecording, or no Catalog to record in) blocks for
+// them here, under the scheduler lock. Callers hold e.mu.
+func (e *Executor) awaitLocked(waits []func() error) {
+	if len(waits) == 0 {
+		return
+	}
+	if e.rec != nil {
+		e.rec.enqueue(waits)
+		return
+	}
+	for _, w := range waits {
+		if err := w(); err != nil && e.firstErr == nil {
+			e.firstErr = err
+		}
+	}
 }
 
 // recordErr surfaces an asynchronous recording failure through the

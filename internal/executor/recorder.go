@@ -7,7 +7,7 @@ import (
 )
 
 var gaugeRecordQueue = obs.Default.Gauge("vdc_executor_record_queue",
-	"Completions whose catalog durability waits are still queued in the recording pipeline.")
+	"Completions and placements whose catalog durability waits are still queued in the recording pipeline.")
 
 // recorder is the executor's ordered off-lock recording pipeline.
 //
@@ -19,7 +19,9 @@ var gaugeRecordQueue = obs.Default.Gauge("vdc_executor_record_queue",
 // hand their durability waits to the recorder in completion order and
 // return immediately; with many waits outstanding at once, the
 // catalog's group committer batches them into shared fsyncs instead of
-// being fed one record per scheduler-lock hold.
+// being fed one record per scheduler-lock hold. A placement that wrote
+// to the catalog itself (Placement.Waits: the planner's dynamic
+// replicas) joins the same queue when its node dispatches.
 //
 // Ordering guarantee: waits resolve in completion order (one FIFO, one
 // consumer), so the first durability failure surfaced via firstErr is
@@ -43,9 +45,9 @@ func newRecorder(e *Executor) *recorder {
 	return r
 }
 
-// enqueue hands one completion's durability waits to the pipeline.
-// Callers hold e.mu, which is what serializes jobs into completion
-// order.
+// enqueue hands one completion's or placement's durability waits to
+// the pipeline. Callers hold e.mu, which is what serializes jobs into
+// completion order.
 func (r *recorder) enqueue(waits []func() error) {
 	r.mu.Lock()
 	r.queue = append(r.queue, waits)

@@ -36,7 +36,8 @@ func (d *SimDriver) Start(n *dag.Node, p Placement, attempt int, done func(Resul
 			return fmt.Errorf("executor: unknown host %q", p.Host)
 		}
 		site = h.Site
-	} else if d.Cluster.LeastLoadedHost(site) == "" {
+	} else if s, ok := d.Cluster.Grid.Site(site); !ok || s.UpCores() == 0 {
+		// Unknown, empty or all down; launch picks the host.
 		return fmt.Errorf("executor: site %q has no hosts", site)
 	}
 	var totalIn int64

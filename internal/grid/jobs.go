@@ -60,6 +60,7 @@ func (c *Cluster) Submit(host string, job *Job) error {
 		c.start(job)
 	} else {
 		h.queue = append(h.queue, job)
+		h.site.queued++
 	}
 	return nil
 }
@@ -67,6 +68,7 @@ func (c *Cluster) Submit(host string, job *Job) error {
 func (c *Cluster) start(job *Job) {
 	h := job.host
 	h.busy++
+	h.site.busy++
 	h.running = append(h.running, job)
 	start := c.Sim.Now()
 	elapsed := job.Work / h.Speed * c.Sim.Noise(job.NoiseAmp)
@@ -77,12 +79,14 @@ func (c *Cluster) start(job *Job) {
 			return
 		}
 		h.busy--
+		h.site.busy--
 		removeJob(&h.running, job)
 		c.Completed++
 		c.BusyTime += elapsed
 		if len(h.queue) > 0 {
 			next := h.queue[0]
 			h.queue = h.queue[:copy(h.queue, h.queue[1:])]
+			h.site.queued--
 			c.start(next)
 		}
 		if job.OnDone != nil {
@@ -113,6 +117,9 @@ func (c *Cluster) FailHost(name string) error {
 		return nil
 	}
 	h.down = true
+	h.site.upCores -= h.Cores
+	h.site.busy -= h.busy
+	h.site.queued -= len(h.queue)
 	victims := append(append([]*Job{}, h.running...), h.queue...)
 	h.running = nil
 	h.queue = nil
@@ -136,7 +143,10 @@ func (c *Cluster) RepairHost(name string) error {
 	if !ok {
 		return fmt.Errorf("grid: unknown host %q", name)
 	}
-	h.down = false
+	if h.down {
+		h.down = false
+		h.site.upCores += h.Cores
+	}
 	return nil
 }
 
@@ -220,7 +230,7 @@ func (c *Cluster) LeastLoadedHost(site string) string {
 		if h.down {
 			continue
 		}
-		load := h.busy + len(h.queue)
+		load := h.Load()
 		if load < bestLoad || (load == bestLoad && h.Name < best) {
 			best, bestLoad = h.Name, load
 		}
@@ -232,21 +242,10 @@ func (c *Cluster) LeastLoadedHost(site string) string {
 // dimensionless congestion measure for planners.
 func (c *Cluster) SiteLoad(site string) float64 {
 	s, ok := c.Grid.Site(site)
-	if !ok || len(s.Hosts) == 0 {
+	if !ok {
 		return 0
 	}
-	jobs, cores := 0, 0
-	for _, h := range s.Hosts {
-		if h.down {
-			continue
-		}
-		jobs += h.busy + len(h.queue)
-		cores += h.Cores
-	}
-	if cores == 0 {
-		return 1e9 // the whole site is down: effectively unusable
-	}
-	return float64(jobs) / float64(cores)
+	return s.Load()
 }
 
 // FourSiteTestbed builds a topology shaped like the paper's SDSS

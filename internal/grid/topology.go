@@ -14,9 +14,12 @@ type Host struct {
 	// Speed is the relative CPU speed (1.0 = reference host); a job of
 	// W reference-seconds takes W/Speed simulated seconds here.
 	Speed float64
-	// Cores is the number of jobs the host runs concurrently.
+	// Cores is the number of jobs the host runs concurrently. Speed and
+	// Cores are fixed once the host is added: the site's aggregates
+	// count them.
 	Cores int
 
+	site    *Site
 	busy    int
 	queue   []*Job
 	running []*Job
@@ -25,6 +28,9 @@ type Host struct {
 
 // Down reports whether the host has been failed.
 func (h *Host) Down() bool { return h.down }
+
+// Load returns the host's running plus queued jobs.
+func (h *Host) Load() int { return h.busy + len(h.queue) }
 
 // StorageElement is a site's storage system.
 type StorageElement struct {
@@ -74,10 +80,71 @@ func (se *StorageElement) Release(bytes int64) error {
 }
 
 // Site groups hosts and a storage element.
+//
+// Beside the host list a site carries aggregates over it, so that a
+// planner reads a site's capacity and load in O(1) however many hosts
+// it has. Invariants, after every Grid and Cluster call: cores and
+// speedSum cover every host (speedSum added in insertion order, so the
+// mean is the float a walk of Hosts gives); upCores, busy and queued
+// cover the hosts that are up. AddHost, Cluster.Submit, job completion,
+// FailHost and RepairHost are the only writers.
 type Site struct {
 	Name    string
 	Hosts   []*Host
 	Storage *StorageElement
+
+	index    int     // insertion order in the grid; keys links
+	links    []*Link // by peer index; nil where no link exists
+	cores    int
+	upCores  int
+	speedSum float64
+	busy     int // occupied cores
+	queued   int // jobs waiting for a core
+}
+
+// Cores returns the site's total cores, failed hosts included.
+func (s *Site) Cores() int { return s.cores }
+
+// UpCores returns the cores of the hosts in service; zero means the
+// site cannot run a job.
+func (s *Site) UpCores() int { return s.upCores }
+
+// MeanSpeed averages the host speeds at the site (1.0 for no hosts).
+func (s *Site) MeanSpeed() float64 {
+	if len(s.Hosts) == 0 {
+		return 1
+	}
+	return s.speedSum / float64(len(s.Hosts))
+}
+
+// Load returns running+queued jobs divided by cores over the hosts in
+// service, a dimensionless congestion measure for planners: 0 for a
+// site without hosts, 1e9 (effectively unusable) for one whose hosts
+// are all down.
+func (s *Site) Load() float64 {
+	if len(s.Hosts) == 0 {
+		return 0
+	}
+	if s.upCores == 0 {
+		return 1e9
+	}
+	return float64(s.busy+s.queued) / float64(s.upCores)
+}
+
+// LinkTo returns the WAN link to another site of the same grid, nil if
+// there is none (or peer is s itself).
+func (s *Site) LinkTo(peer *Site) *Link {
+	if peer.index < len(s.links) {
+		return s.links[peer.index]
+	}
+	return nil
+}
+
+func (s *Site) setLink(peer *Site, l *Link) {
+	if n := peer.index + 1 - len(s.links); n > 0 {
+		s.links = append(s.links, make([]*Link, n)...)
+	}
+	s.links[peer.index] = l
 }
 
 // Link classes of the bandwidth hierarchy: intra-site LAN moves are
@@ -121,7 +188,9 @@ func (l *Link) streamBandwidth() float64 {
 type Grid struct {
 	sites map[string]*Site
 	hosts map[string]*Host
-	links map[[2]string]*Link
+	// sorted lists the sites by name. AddSite replaces it with a new
+	// slice, so one a caller holds never changes.
+	sorted []*Site
 	// LocalBandwidth is the intra-site (LAN) transfer rate in bytes per
 	// second; intra-site transfers have no latency or stream limit.
 	LocalBandwidth float64
@@ -132,7 +201,6 @@ func NewGrid() *Grid {
 	return &Grid{
 		sites:          make(map[string]*Site),
 		hosts:          make(map[string]*Host),
-		links:          make(map[[2]string]*Link),
 		LocalBandwidth: 1e9,
 	}
 }
@@ -145,8 +213,14 @@ func (g *Grid) AddSite(name string, storageCapacity int64) (*Site, error) {
 	if _, ok := g.sites[name]; ok {
 		return nil, fmt.Errorf("grid: site %q already exists", name)
 	}
-	s := &Site{Name: name, Storage: &StorageElement{Site: name, Capacity: storageCapacity}}
+	s := &Site{Name: name, Storage: &StorageElement{Site: name, Capacity: storageCapacity}, index: len(g.sites)}
 	g.sites[name] = s
+	at := sort.Search(len(g.sorted), func(i int) bool { return g.sorted[i].Name >= name })
+	sorted := make([]*Site, len(g.sorted)+1)
+	copy(sorted, g.sorted[:at])
+	sorted[at] = s
+	copy(sorted[at+1:], g.sorted[at:])
+	g.sorted = sorted
 	return s, nil
 }
 
@@ -165,8 +239,11 @@ func (g *Grid) AddHost(site, name string, speed float64, cores int) (*Host, erro
 	if cores <= 0 {
 		cores = 1
 	}
-	h := &Host{Name: name, Site: site, Speed: speed, Cores: cores}
+	h := &Host{Name: name, Site: site, Speed: speed, Cores: cores, site: s}
 	s.Hosts = append(s.Hosts, h)
+	s.cores += cores
+	s.upCores += cores
+	s.speedSum += speed
 	g.hosts[name] = h
 	return h, nil
 }
@@ -189,10 +266,12 @@ func (g *Grid) Connect(a, b string, bandwidth, latencySec float64, streams int) 
 // ConnectClass installs a bidirectional WAN link carrying a bandwidth-
 // hierarchy class label (ClassRegional, ClassTransatlantic).
 func (g *Grid) ConnectClass(a, b, class string, bandwidth, latencySec float64, streams int) error {
-	if _, ok := g.sites[a]; !ok {
+	sa, ok := g.sites[a]
+	if !ok {
 		return fmt.Errorf("grid: unknown site %q", a)
 	}
-	if _, ok := g.sites[b]; !ok {
+	sb, ok := g.sites[b]
+	if !ok {
 		return fmt.Errorf("grid: unknown site %q", b)
 	}
 	if a == b {
@@ -202,7 +281,8 @@ func (g *Grid) ConnectClass(a, b, class string, bandwidth, latencySec float64, s
 		return err
 	}
 	l := &Link{From: a, To: b, Bandwidth: bandwidth, LatencySec: latencySec, Streams: streams, Class: class}
-	g.links[linkKey(a, b)] = l
+	sa.setLink(sb, l)
+	sb.setLink(sa, l)
 	return nil
 }
 
@@ -218,17 +298,26 @@ func (g *Grid) ClassBetween(a, b string) string {
 	if !ok {
 		return ""
 	}
+	return l.class()
+}
+
+// ClassTo is ClassBetween for two sites of one grid already in hand.
+func (s *Site) ClassTo(peer *Site) string {
+	if s == peer {
+		return ClassLocal
+	}
+	l := s.LinkTo(peer)
+	if l == nil {
+		return ""
+	}
+	return l.class()
+}
+
+func (l *Link) class() string {
 	if l.Class == "" {
 		return ClassRegional
 	}
 	return l.Class
-}
-
-func linkKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
 }
 
 // Site returns a site by name.
@@ -245,17 +334,24 @@ func (g *Grid) Host(name string) (*Host, bool) {
 
 // Link returns the link between two sites (order-insensitive).
 func (g *Grid) Link(a, b string) (*Link, bool) {
-	l, ok := g.links[linkKey(a, b)]
-	return l, ok
+	sa, sb := g.sites[a], g.sites[b]
+	if sa == nil || sb == nil {
+		return nil, false
+	}
+	l := sa.LinkTo(sb)
+	return l, l != nil
 }
+
+// SiteList returns the sites sorted by name. The slice is shared
+// between callers and must not be modified.
+func (g *Grid) SiteList() []*Site { return g.sorted }
 
 // Sites returns site names, sorted.
 func (g *Grid) Sites() []string {
-	out := make([]string, 0, len(g.sites))
-	for n := range g.sites {
-		out = append(out, n)
+	out := make([]string, len(g.sorted))
+	for i, s := range g.sorted {
+		out[i] = s.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -283,13 +379,7 @@ func (g *Grid) QueueDepth(site string) int {
 	if !ok {
 		return 0
 	}
-	n := 0
-	for _, h := range s.Hosts {
-		if !h.down {
-			n += len(h.queue)
-		}
-	}
-	return n
+	return s.queued
 }
 
 // BusyCores returns the number of occupied cores at a site.
@@ -298,13 +388,7 @@ func (g *Grid) BusyCores(site string) int {
 	if !ok {
 		return 0
 	}
-	n := 0
-	for _, h := range s.Hosts {
-		if !h.down {
-			n += h.busy
-		}
-	}
-	return n
+	return s.busy
 }
 
 // FreeCores returns the number of idle cores at a site.
@@ -313,13 +397,7 @@ func (g *Grid) FreeCores(site string) int {
 	if !ok {
 		return 0
 	}
-	n := 0
-	for _, h := range s.Hosts {
-		if !h.down {
-			n += h.Cores - h.busy
-		}
-	}
-	return n
+	return s.upCores - s.busy
 }
 
 // TransferTime predicts the unloaded duration of moving bytes between
@@ -334,4 +412,17 @@ func (g *Grid) TransferTime(from, to string, bytes int64) (float64, error) {
 		return 0, fmt.Errorf("grid: no link between %q and %q", from, to)
 	}
 	return l.LatencySec + float64(bytes)/l.streamBandwidth(), nil
+}
+
+// SiteTransferTime is TransferTime for two sites of this grid already
+// in hand; ok is false when no link joins them.
+func (g *Grid) SiteTransferTime(from, to *Site, bytes int64) (secs float64, ok bool) {
+	if from == to {
+		return float64(bytes) / g.LocalBandwidth, true
+	}
+	l := from.LinkTo(to)
+	if l == nil {
+		return 0, false
+	}
+	return l.LatencySec + float64(bytes)/l.streamBandwidth(), true
 }

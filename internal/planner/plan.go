@@ -57,17 +57,15 @@ func (p *Planner) PlanRequest(target, atSite string) (Plan, error) {
 		return Plan{}, err
 	}
 
-	// Cost of retrieving an existing replica, if any. One lookup cache
-	// spans the whole request decision.
-	lc := p.newAssignCache()
+	// Cost of retrieving an existing replica, if any.
 	retrieveCost := math.Inf(1)
 	var source string
 	if p.Cat.Materialized(target) {
-		if containsStr(lc.replicaSites(target), atSite) {
+		if containsStr(p.replicaSites(target), atSite) {
 			plan.Decision = Reuse
 			return plan, nil
 		}
-		if s, secs, ok := p.bestSource(target, atSite, lc); ok {
+		if s, secs, ok := p.bestSource(target, atSite); ok {
 			source, retrieveCost = s, secs
 		}
 	}
@@ -87,11 +85,10 @@ func (p *Planner) PlanRequest(target, atSite string) (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
-		hosts := 0
-		for _, s := range p.Cluster.Grid.Sites() {
-			hosts += len(p.Cluster.Grid.HostNames(s))
-		}
-		est := p.Est.EstimateGraph(g, hosts, func(n *dag.Node) float64 {
+		// Staging seconds per external input, looked up once per request:
+		// nodes share inputs.
+		staging := make(map[string]float64)
+		est := p.Est.EstimateGraph(g, p.Cluster.Grid.TotalHosts(), func(n *dag.Node) float64 {
 			// External inputs may need staging; internal edges are
 			// assumed co-located by the placement policy.
 			secs := 0.0
@@ -99,9 +96,14 @@ func (p *Planner) PlanRequest(target, atSite string) (Plan, error) {
 				if _, ok := g.Producer(in); ok {
 					continue
 				}
-				if _, t, ok := p.bestSource(in, atSite, lc); ok {
-					secs += t
+				t, known := staging[in]
+				if !known {
+					if _, best, ok := p.bestSource(in, atSite); ok {
+						t = best
+					}
+					staging[in] = t
 				}
+				secs += t
 			}
 			return secs
 		})

@@ -37,10 +37,6 @@ var (
 		"Placement decisions that found no feasible site.")
 	metricReplicas = obs.Default.Counter("vdc_planner_replications_total",
 		"Replicas created by the dynamic replication policy.")
-	metricAssignCache = obs.Default.CounterVec("vdc_planner_assign_cache_total",
-		"Assign-cache lookups of replica sites and dataset sizes; miss means a catalog read.", "outcome")
-	assignCacheHit  = metricAssignCache.With("hit")
-	assignCacheMiss = metricAssignCache.With("miss")
 
 	metricGridReplicas = obs.Default.Counter("vdc_grid_replicas_created_total",
 		"Dynamic replicas created on the simulated grid by replication policies.")
@@ -135,7 +131,7 @@ type Planner struct {
 
 	mu        sync.Mutex
 	accesses  map[string]map[string]int // dataset -> site -> count
-	pending   map[string]int            // site -> assigned-but-unfinished jobs
+	pending   map[*grid.Site]int        // site -> assigned-but-unfinished jobs
 	allocated map[string]int64          // replica ID -> bytes reserved by this planner
 	repSeq    int
 }
@@ -146,7 +142,7 @@ func New(cat *catalog.Catalog, est *estimator.Estimator, cl *grid.Cluster) *Plan
 		Cat: cat, Est: est, Cluster: cl,
 		DefaultSize: 1 << 20,
 		accesses:    make(map[string]map[string]int),
-		pending:     make(map[string]int),
+		pending:     make(map[*grid.Site]int),
 		allocated:   make(map[string]int64),
 	}
 }
@@ -157,8 +153,12 @@ func New(cat *catalog.Catalog, est *estimator.Estimator, cl *grid.Cluster) *Plan
 func (p *Planner) OnEvent(ev executor.Event) {
 	switch ev.Kind {
 	case "done", "fail", "retry":
+		site, ok := p.Cluster.Grid.Site(ev.Result.Site)
+		if !ok {
+			return
+		}
 		p.mu.Lock()
-		if site := ev.Result.Site; site != "" && p.pending[site] > 0 {
+		if p.pending[site] > 0 {
 			p.pending[site]--
 		}
 		p.mu.Unlock()
@@ -166,105 +166,75 @@ func (p *Planner) OnEvent(ev executor.Event) {
 }
 
 // pendingLoad is the planner's own outstanding jobs per core at a site.
-func (p *Planner) pendingLoad(site string) float64 {
-	if p.DisablePendingLoad {
+func (p *Planner) pendingLoad(s *grid.Site) float64 {
+	if p.DisablePendingLoad || len(s.Hosts) == 0 {
 		return 0
-	}
-	s, ok := p.Cluster.Grid.Site(site)
-	if !ok || len(s.Hosts) == 0 {
-		return 0
-	}
-	cores := 0
-	for _, h := range s.Hosts {
-		cores += h.Cores
 	}
 	p.mu.Lock()
-	n := p.pending[site]
+	n := p.pending[s]
 	p.mu.Unlock()
-	return float64(n) / float64(cores)
+	return float64(n) / float64(s.Cores())
 }
 
-// meanSpeed averages the host speeds at a site (1.0 when unknown).
-func (p *Planner) meanSpeed(site string) float64 {
-	s, ok := p.Cluster.Grid.Site(site)
-	if !ok || len(s.Hosts) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, h := range s.Hosts {
-		sum += h.Speed
-	}
-	return sum / float64(len(s.Hosts))
-}
-
-// assignCache memoizes the catalog lookups one placement decision
-// repeats: replica-site sets and dataset sizes. siteCost re-reads the
-// same inputs for every candidate site, so an uncached Assign pays
-// O(sites × inputs × replicas) in catalog lock traffic; the cache cuts
-// it to one catalog read per distinct dataset. The cache lives for a
-// single Assign (or noteAccess) — replicas materialized by later nodes
-// are always observed fresh — and is invalidated per dataset when the
-// replication policy itself adds a replica mid-decision.
-type assignCache struct {
-	p     *Planner
-	sites map[string][]string
-	sizes map[string]int64
-}
-
-func (p *Planner) newAssignCache() *assignCache {
-	return &assignCache{
-		p:     p,
-		sites: make(map[string][]string),
-		sizes: make(map[string]int64),
-	}
-}
-
-func (c *assignCache) replicaSites(ds string) []string {
-	if s, ok := c.sites[ds]; ok {
-		assignCacheHit.Inc()
-		return s
-	}
-	assignCacheMiss.Inc()
-	s := c.p.replicaSites(ds)
-	c.sites[ds] = s
-	return s
-}
-
-func (c *assignCache) sizeOf(ds string) int64 {
-	if v, ok := c.sizes[ds]; ok {
-		assignCacheHit.Inc()
-		return v
-	}
-	assignCacheMiss.Inc()
-	v := c.p.sizeOf(ds)
-	c.sizes[ds] = v
-	return v
-}
-
-// invalidate drops a dataset's cached replica sites after a mutation.
-func (c *assignCache) invalidate(ds string) { delete(c.sites, ds) }
-
-// sizeOf estimates a dataset's size from its record, its replicas, or
-// — for an unmaterialized derived output — the estimator's byte model
-// of its producing transformation, before falling back to DefaultSize.
-func (p *Planner) sizeOf(ds string) int64 {
+// resolve reads what placement needs to know of a dataset, in one pass
+// over its record and replicas.
+//
+// size comes from the record, else the first replica that states one,
+// else — for an unmaterialized derived output — the estimator's byte
+// model of the producing transformation, else DefaultSize. sites are
+// those holding a current-epoch replica, sorted.
+func (p *Planner) resolve(ds string) (size int64, sites []string) {
 	rec, recErr := p.Cat.Dataset(ds)
-	if recErr == nil && rec.Size > 0 {
-		return rec.Size
-	}
 	for _, r := range p.Cat.ReplicasOf(ds) {
-		if r.Size > 0 {
-			return r.Size
+		if size == 0 && r.Size > 0 {
+			size = r.Size
+		}
+		if recErr != nil || r.Epoch != rec.Epoch {
+			continue
+		}
+		i := sort.SearchStrings(sites, r.Site)
+		if i == len(sites) || sites[i] != r.Site {
+			sites = append(sites, "")
+			copy(sites[i+1:], sites[i:])
+			sites[i] = r.Site
 		}
 	}
+	if recErr == nil && rec.Size > 0 {
+		size = rec.Size
+	}
+	if size > 0 {
+		return size, sites
+	}
+	size = p.DefaultSize
 	if recErr == nil && rec.CreatedBy != "" && p.Est != nil {
 		if dv, err := p.Cat.Derivation(rec.CreatedBy); err == nil {
 			if _, out := p.Est.Bytes(dv.TR); out > 0 {
-				return int64(out)
+				size = int64(out)
 			}
 		}
 	}
-	return p.DefaultSize
+	return size, sites
+}
+
+// sizeOf estimates a dataset's size.
+func (p *Planner) sizeOf(ds string) int64 {
+	size, _ := p.resolve(ds)
+	return size
+}
+
+// replicaSites returns the sites holding a current-epoch replica.
+func (p *Planner) replicaSites(ds string) []string {
+	_, sites := p.resolve(ds)
+	return sites
+}
+
+// classWeight scales predicted staging seconds by the weight of the
+// path's bandwidth-hierarchy class; unset classes weigh 1.
+func (p *Planner) classWeight(t float64, class string) float64 {
+	if w, ok := p.LinkClassWeight[class]; ok && w > 0 {
+		t *= w
+	}
+	return t
 }
 
 // transferCost predicts staging seconds between sites, weighted by the
@@ -274,38 +244,15 @@ func (p *Planner) transferCost(from, to string, bytes int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(p.LinkClassWeight) > 0 {
-		if w, ok := p.LinkClassWeight[p.Cluster.Grid.ClassBetween(from, to)]; ok && w > 0 {
-			t *= w
-		}
-	}
-	return t, nil
-}
-
-// replicaSites returns the sites holding a current-epoch replica.
-func (p *Planner) replicaSites(ds string) []string {
-	rec, err := p.Cat.Dataset(ds)
-	if err != nil {
-		return nil
-	}
-	var sites []string
-	seen := make(map[string]bool)
-	for _, r := range p.Cat.ReplicasOf(ds) {
-		if r.Epoch == rec.Epoch && !seen[r.Site] {
-			seen[r.Site] = true
-			sites = append(sites, r.Site)
-		}
-	}
-	sort.Strings(sites)
-	return sites
+	return p.classWeight(t, p.Cluster.Grid.ClassBetween(from, to)), nil
 }
 
 // bestSource returns the replica site with the cheapest transfer to
 // dst, with its predicted seconds; ok=false if no replica exists.
-func (p *Planner) bestSource(ds, dst string, lc *assignCache) (site string, seconds float64, ok bool) {
+func (p *Planner) bestSource(ds, dst string) (site string, seconds float64, ok bool) {
 	best := math.Inf(1)
-	size := lc.sizeOf(ds)
-	for _, s := range lc.replicaSites(ds) {
+	size, sites := p.resolve(ds)
+	for _, s := range sites {
 		t, err := p.transferCost(s, dst, size)
 		if err != nil {
 			continue
@@ -348,50 +295,6 @@ func installCost(tr schema.Transformation) (float64, bool) {
 	return v, true
 }
 
-// siteCost estimates completion seconds for running node n at site:
-// queue delay + input staging + procedure provisioning + execution.
-func (p *Planner) siteCost(n *dag.Node, tr schema.Transformation, site string, lc *assignCache) (float64, []executor.StageIn, error) {
-	if len(p.Cluster.Grid.HostNames(site)) == 0 {
-		return 0, nil, fmt.Errorf("planner: site %q has no compute hosts", site)
-	}
-	// Execution time scales inversely with the site's host speed.
-	refWork, _ := p.Est.Work(n.Derivation.TR)
-	work := refWork / p.meanSpeed(site)
-	var transfers []executor.StageIn
-	cost := 0.0
-
-	// Queue delay: jobs ahead of us (both in host queues and assigned
-	// by this planner but still staging), normalized by capacity.
-	cost += (p.Cluster.SiteLoad(site) + p.pendingLoad(site)) * work
-
-	// Input staging.
-	for _, in := range n.Inputs {
-		sites := lc.replicaSites(in)
-		if containsStr(sites, site) {
-			continue
-		}
-		src, secs, ok := p.bestSource(in, site, lc)
-		if !ok {
-			return 0, nil, fmt.Errorf("planner: no replica of %q reachable from %q", in, site)
-		}
-		cost += secs
-		transfers = append(transfers, executor.StageIn{Dataset: in, FromSite: src, Bytes: lc.sizeOf(in)})
-	}
-
-	// Procedure provisioning.
-	homes := homeSites(tr)
-	if len(homes) > 0 && !containsStr(homes, site) {
-		ic, movable := installCost(tr)
-		if !movable {
-			return 0, nil, fmt.Errorf("planner: procedure %s unavailable at %q", tr.Ref(), site)
-		}
-		cost += ic
-	}
-
-	cost += work
-	return cost, transfers, nil
-}
-
 func containsStr(xs []string, x string) bool {
 	for _, v := range xs {
 		if v == x {
@@ -401,45 +304,188 @@ func containsStr(xs []string, x string) bool {
 	return false
 }
 
-// candidateSites returns the feasible sites for a node under the
-// current mode.
-func (p *Planner) candidateSites(n *dag.Node, tr schema.Transformation, lc *assignCache) []string {
-	all := p.Cluster.Grid.Sites()
-	homes := homeSites(tr)
-	_, movable := installCost(tr)
-	switch p.Mode {
-	case ShipDataToProcedure:
-		if len(homes) > 0 {
-			return homes
+// input is one consumed dataset as a placement decision sees it.
+type input struct {
+	name string
+	size int64
+	// sites hold a current-epoch replica, sorted by name. A replica at a
+	// site the grid does not know is left out: no candidate can be it
+	// or reach it.
+	sites []*grid.Site
+}
+
+func (in *input) at(s *grid.Site) bool {
+	for _, r := range in.sites {
+		if r == s {
+			return true
 		}
-		return all
-	case ShipProcedureToData:
-		// Site holding the most input bytes.
-		byBytes := make(map[string]int64)
-		for _, in := range n.Inputs {
-			for _, s := range lc.replicaSites(in) {
-				byBytes[s] += lc.sizeOf(in)
-			}
-		}
-		best, bestBytes := "", int64(-1)
-		for _, s := range all {
-			if len(homes) > 0 && !movable && !containsStr(homes, s) {
-				continue
-			}
-			if byBytes[s] > bestBytes || (byBytes[s] == bestBytes && s < best) {
-				best, bestBytes = s, byBytes[s]
-			}
-		}
-		if best != "" {
-			return []string{best}
-		}
-		return all
-	default:
-		if len(homes) > 0 && !movable {
-			return homes
-		}
-		return all
 	}
+	return false
+}
+
+// decision is the state of one Assign. Everything that does not depend
+// on the candidate site is resolved into it once, before the first site
+// is scored: the procedure's parsed profile, its reference work, and
+// every input's size and replica sites as grid handles. Scoring a site
+// then reads only this and the site's aggregates — O(inputs × replicas)
+// with no catalog read, no allocation and no walk over hosts.
+type decision struct {
+	p       *Planner
+	tr      schema.Transformation
+	homes   []string
+	install float64
+	movable bool
+	refWork float64
+	inputs  []input
+
+	best     *grid.Site
+	bestCost float64
+	lastErr  error
+}
+
+func (p *Planner) newDecision(n *dag.Node, tr schema.Transformation) *decision {
+	d := &decision{p: p, tr: tr, homes: homeSites(tr), bestCost: math.Inf(1)}
+	d.install, d.movable = installCost(tr)
+	d.refWork, _ = p.Est.Work(n.Derivation.TR)
+	d.inputs = make([]input, len(n.Inputs))
+	for i, name := range n.Inputs {
+		in := &d.inputs[i]
+		in.name = name
+		var sites []string
+		in.size, sites = p.resolve(name)
+		for _, s := range sites {
+			if site, ok := p.Cluster.Grid.Site(s); ok {
+				in.sites = append(in.sites, site)
+			}
+		}
+	}
+	return d
+}
+
+// source returns the replica site of in with the cheapest transfer to
+// dst and its predicted seconds; nil if none is reachable.
+func (d *decision) source(in *input, dst *grid.Site) (src *grid.Site, seconds float64) {
+	p, g := d.p, d.p.Cluster.Grid
+	best := math.Inf(1)
+	for _, s := range in.sites {
+		t, ok := g.SiteTransferTime(s, dst, in.size)
+		if !ok {
+			continue
+		}
+		t = p.classWeight(t, s.ClassTo(dst))
+		if t < best || (t == best && src != nil && s.Name < src.Name) {
+			best, src = t, s
+		}
+	}
+	return src, best
+}
+
+// cost estimates completion seconds for running the node at site s:
+// queue delay + input staging + procedure provisioning + execution.
+func (d *decision) cost(s *grid.Site) (float64, error) {
+	if len(s.Hosts) == 0 {
+		return 0, fmt.Errorf("planner: site %q has no compute hosts", s.Name)
+	}
+	// Execution time scales inversely with the site's host speed.
+	work := d.refWork / s.MeanSpeed()
+	cost := 0.0
+
+	// Queue delay: jobs ahead of us (both in host queues and assigned
+	// by this planner but still staging), normalized by capacity.
+	cost += (s.Load() + d.p.pendingLoad(s)) * work
+
+	// Input staging.
+	for i := range d.inputs {
+		in := &d.inputs[i]
+		if in.at(s) {
+			continue
+		}
+		src, secs := d.source(in, s)
+		if src == nil {
+			return 0, fmt.Errorf("planner: no replica of %q reachable from %q", in.name, s.Name)
+		}
+		cost += secs
+	}
+
+	// Procedure provisioning.
+	if len(d.homes) > 0 && !containsStr(d.homes, s.Name) {
+		if !d.movable {
+			return 0, fmt.Errorf("planner: procedure %s unavailable at %q", d.tr.Ref(), s.Name)
+		}
+		cost += d.install
+	}
+
+	cost += work
+	return cost, nil
+}
+
+// consider scores one candidate and keeps it if it is the cheapest so
+// far (ties to the lesser name).
+func (d *decision) consider(s *grid.Site) {
+	cost, err := d.cost(s)
+	if err != nil {
+		d.lastErr = err
+		return
+	}
+	if cost < d.bestCost || (cost == d.bestCost && d.best != nil && s.Name < d.best.Name) {
+		d.best, d.bestCost = s, cost
+	}
+}
+
+// considerHomes scores the procedure's home sites, in profile order. A
+// home the grid does not know has no hosts to run on.
+func (d *decision) considerHomes() {
+	for _, h := range d.homes {
+		if s, ok := d.p.Cluster.Grid.Site(h); ok {
+			d.consider(s)
+		} else {
+			d.lastErr = fmt.Errorf("planner: site %q has no compute hosts", h)
+		}
+	}
+}
+
+// considerAll scores every site of the grid, in name order.
+func (d *decision) considerAll() {
+	for _, s := range d.p.Cluster.Grid.SiteList() {
+		d.consider(s)
+	}
+}
+
+// mostInputBytes returns the site holding the most input bytes among
+// those the procedure can run at (ties to the lesser name), nil if
+// there is none.
+func (d *decision) mostInputBytes() *grid.Site {
+	var best *grid.Site
+	bestBytes := int64(-1)
+	for _, s := range d.p.Cluster.Grid.SiteList() {
+		if len(d.homes) > 0 && !d.movable && !containsStr(d.homes, s.Name) {
+			continue
+		}
+		var held int64
+		for i := range d.inputs {
+			if d.inputs[i].at(s) {
+				held += d.inputs[i].size
+			}
+		}
+		if held > bestBytes || (held == bestBytes && best != nil && s.Name < best.Name) {
+			best, bestBytes = s, held
+		}
+	}
+	return best
+}
+
+// transfers lists the staging the winning site needs, in input order.
+func (d *decision) transfers() []executor.StageIn {
+	var out []executor.StageIn
+	for i := range d.inputs {
+		in := &d.inputs[i]
+		if in.at(d.best) {
+			continue
+		}
+		src, _ := d.source(in, d.best)
+		out = append(out, executor.StageIn{Dataset: in.name, FromSite: src.Name, Bytes: in.size})
+	}
+	return out
 }
 
 // Assign implements the executor's placement callback: it is invoked as
@@ -452,59 +498,59 @@ func (p *Planner) Assign(n *dag.Node) (executor.Placement, error) {
 		metricAssignErrors.Inc()
 		return executor.Placement{}, err
 	}
-	// One cache per decision: every candidate site sees the same
-	// replica-site sets and sizes, read from the catalog once.
-	lc := p.newAssignCache()
-	var (
-		bestSite  string
-		bestCost  = math.Inf(1)
-		bestXfers []executor.StageIn
-		lastErr   error
-	)
-	for _, site := range p.candidateSites(n, tr, lc) {
-		cost, xfers, err := p.siteCost(n, tr, site, lc)
-		if err != nil {
-			lastErr = err
-			continue
+	d := p.newDecision(n, tr)
+	// The feasible sites under the current mode.
+	homesOnly := len(d.homes) > 0 && (p.Mode == ShipDataToProcedure || !d.movable)
+	switch {
+	case p.Mode == ShipProcedureToData:
+		if s := d.mostInputBytes(); s != nil {
+			d.consider(s)
+		} else {
+			d.considerAll()
 		}
-		if cost < bestCost || (cost == bestCost && site < bestSite) {
-			bestSite, bestCost, bestXfers = site, cost, xfers
-		}
+	case homesOnly:
+		d.considerHomes()
+	default:
+		d.considerAll()
 	}
-	if math.IsInf(bestCost, 1) {
+	if math.IsInf(d.bestCost, 1) {
 		metricAssignErrors.Inc()
-		if lastErr != nil {
-			return executor.Placement{}, lastErr
+		if d.lastErr != nil {
+			return executor.Placement{}, d.lastErr
 		}
 		return executor.Placement{}, errors.New("planner: no feasible site")
 	}
 	metricAssignments.Inc()
 
-	work, _ := p.Est.Work(n.Derivation.TR)
 	outBytes := make(map[string]int64, len(n.Outputs))
 	for _, out := range n.Outputs {
-		outBytes[out] = lc.sizeOf(out)
+		outBytes[out] = p.sizeOf(out)
 	}
 	// Record accesses and apply the replication policy.
-	for _, x := range bestXfers {
-		p.noteAccess(x.Dataset, bestSite, x.Bytes, lc)
+	xfers := d.transfers()
+	var waits []func() error
+	for _, x := range xfers {
+		waits = append(waits, p.noteAccess(x.Dataset, d.best.Name, x.Bytes)...)
 	}
 	p.mu.Lock()
-	p.pending[bestSite]++
+	p.pending[d.best]++
 	p.mu.Unlock()
 	return executor.Placement{
-		Site:        bestSite,
-		Work:        work,
+		Site:        d.best.Name,
+		Work:        d.refWork,
 		NoiseAmp:    p.NoiseAmp,
-		Transfers:   bestXfers,
+		Transfers:   xfers,
 		OutputBytes: outBytes,
+		Waits:       waits,
 	}, nil
 }
 
 // noteAccess bumps the access count for (dataset, site) and applies the
 // replication policy, registering any new replicas and issuing their
-// background transfers.
-func (p *Planner) noteAccess(ds, site string, bytes int64, lc *assignCache) {
+// background transfers. The replicas are applied to the catalog when it
+// returns; the waits it returns block until they are durable, and the
+// caller owes them to whoever reports the run as recorded.
+func (p *Planner) noteAccess(ds, site string, bytes int64) (waits []func() error) {
 	p.mu.Lock()
 	m := p.accesses[ds]
 	if m == nil {
@@ -517,20 +563,21 @@ func (p *Planner) noteAccess(ds, site string, bytes int64, lc *assignCache) {
 		snapshot[k] = v
 	}
 	p.mu.Unlock()
-	m = snapshot
 	if p.Replication == nil {
-		return
+		return nil
 	}
-	src, _, ok := p.bestSource(ds, site, lc)
+	src, _, ok := p.bestSource(ds, site)
 	if !ok {
-		return
+		return nil
 	}
-	for _, dst := range p.Replication.OnAccess(ds, bytes, src, site, m) {
-		if containsStr(lc.replicaSites(ds), dst) {
-			continue
-		}
-		rec, err := p.Cat.Dataset(ds)
-		if err != nil {
+	rec, err := p.Cat.Dataset(ds)
+	if err != nil {
+		return nil
+	}
+	for _, dst := range p.Replication.OnAccess(ds, bytes, src, site, snapshot) {
+		// Read afresh for every destination: the previous one may have
+		// just added a replica.
+		if containsStr(p.replicaSites(ds), dst) {
 			continue
 		}
 		if !p.reserveStorage(dst, bytes) {
@@ -549,14 +596,25 @@ func (p *Planner) noteAccess(ds, site string, bytes int64, lc *assignCache) {
 			Epoch: rec.Epoch,
 			Attrs: schema.Attributes{"replication": p.Replication.Name()},
 		}
-		if err := p.Cat.AddReplica(rep); err != nil {
+		wait, err := p.Cat.AddReplicaAsync(rep)
+		if errors.Is(err, catalog.ErrDurability) {
+			// An inline or already failed log reports the lost write at
+			// once, but like a failed wait it leaves the replica applied
+			// in memory: account for it, and hand the error on.
+			failed := err
+			wait, err = func() error { return failed }, nil
+		}
+		if err != nil {
+			// Not registered: the space was never used.
 			p.unreserveStorage(dst, bytes)
 			continue
+		}
+		if wait != nil {
+			waits = append(waits, wait)
 		}
 		p.mu.Lock()
 		p.allocated[rep.ID] = bytes
 		p.mu.Unlock()
-		lc.invalidate(ds)
 		metricReplicas.Inc()
 		metricGridReplicas.Inc()
 		if dst != site {
@@ -567,6 +625,7 @@ func (p *Planner) noteAccess(ds, site string, bytes int64, lc *assignCache) {
 			})
 		}
 	}
+	return waits
 }
 
 // reserveStorage allocates bytes for a new replica at a site's storage

@@ -27,6 +27,12 @@ type world struct {
 
 func buildWorld(t *testing.T, profile map[string]string) *world {
 	t.Helper()
+	return buildWorldOn(t, catalog.New(nil), profile)
+}
+
+// buildWorldOn builds the world in a catalog of the caller's.
+func buildWorldOn(t *testing.T, cat *catalog.Catalog, profile map[string]string) *world {
+	t.Helper()
 	g := grid.NewGrid()
 	for _, s := range []string{"east", "west"} {
 		if _, err := g.AddSite(s, 1e15); err != nil {
@@ -41,7 +47,6 @@ func buildWorld(t *testing.T, profile map[string]string) *world {
 	}
 	cl := grid.NewCluster(g, grid.NewSim(5))
 
-	cat := catalog.New(nil)
 	tr := schema.Transformation{Name: "t", Kind: schema.Simple, Exec: "/bin/t",
 		Profile: profile,
 		Args: []schema.FormalArg{
@@ -361,9 +366,9 @@ func TestProfileHintParsing(t *testing.T) {
 		{"5", 5, true},
 		{" 2.5 ", 2.5, true},
 		{"1e2", 100, true},
-		{"5x", 0, false},      // trailing garbage
-		{"4.2.1", 0, false},   // not a number
-		{"-3", 0, false},      // negative cost
+		{"5x", 0, false},    // trailing garbage
+		{"4.2.1", 0, false}, // not a number
+		{"-3", 0, false},    // negative cost
 		{"NaN", 0, false},
 		{"+Inf", 0, false},
 		{"seconds", 0, false},
@@ -388,7 +393,7 @@ func TestProfileHintParsing(t *testing.T) {
 		{"", nil},
 		{"east", []string{"east"}},
 		{" east , west ", []string{"east", "west"}},
-		{",,", nil},          // only separators: no pin, not empty-site pins
+		{",,", nil}, // only separators: no pin, not empty-site pins
 		{"east,,west,", []string{"east", "west"}},
 	}
 	for _, tc := range homeCases {

@@ -79,8 +79,7 @@ func TestPopularityDrivenPolicy(t *testing.T) {
 func TestReplicationStorageAccounting(t *testing.T) {
 	w := buildWorld(t, map[string]string{ProfileHomeSites: "west"})
 	w.p.Replication = CacheAtClient{}
-	lc := w.p.newAssignCache()
-	w.p.noteAccess("raw", "west", 8e6, lc)
+	w.p.noteAccess("raw", "west", 8e6)
 	west, _ := w.cl.Grid.Site("west")
 	if west.Storage.Used() != 8e6 {
 		t.Fatalf("replica bytes not reserved: used=%d", west.Storage.Used())
@@ -115,7 +114,7 @@ func TestReplicationStorageAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiny.p.Replication = CacheAtClient{}
-	tiny.p.noteAccess("raw", "small", 8e6, tiny.p.newAssignCache())
+	tiny.p.noteAccess("raw", "small", 8e6)
 	if n := len(tiny.cat.ReplicasOf("raw")); n != 1 {
 		t.Errorf("replica created past storage capacity: %d copies", n)
 	}
@@ -155,16 +154,16 @@ func TestEconomyEvictionMakesRoom(t *testing.T) {
 	w.p.Replication = PopularityDriven{Pop: pop, Now: w.p.SimNow, Threshold: 1}
 
 	// "cold" gets cached at edge first.
-	w.p.noteAccess("cold", "edge", 8e6, w.p.newAssignCache())
+	w.p.noteAccess("cold", "edge", 8e6)
 	edge, _ := g.Site("edge")
 	if edge.Storage.Used() != 8e6 {
 		t.Fatalf("cold not cached: used=%d", edge.Storage.Used())
 	}
 	// Time passes; cold's popularity decays while raw becomes hot.
 	now = 5000
-	w.p.noteAccess("raw", "edge", 8e6, w.p.newAssignCache())
+	w.p.noteAccess("raw", "edge", 8e6)
 	now = 5001
-	w.p.noteAccess("raw", "edge", 8e6, w.p.newAssignCache())
+	w.p.noteAccess("raw", "edge", 8e6)
 
 	sitesOf := func(ds string) map[string]bool {
 		out := map[string]bool{}

@@ -38,8 +38,8 @@ func reclaimWorld(t *testing.T) *world {
 func TestReclaimEvictsLowValueFirst(t *testing.T) {
 	w := reclaimWorld(t)
 	// Record accesses making raw@west valuable.
-	w.p.noteAccess("raw", "west", 4e6, w.p.newAssignCache())
-	w.p.noteAccess("raw", "west", 4e6, w.p.newAssignCache())
+	w.p.noteAccess("raw", "west", 4e6)
+	w.p.noteAccess("raw", "west", 4e6)
 
 	evicted, err := w.p.Reclaim("west", 1)
 	if err != nil {
@@ -154,17 +154,18 @@ func TestOnEventDecrements(t *testing.T) {
 	if _, err := w.p.Assign(n); err != nil {
 		t.Fatal(err)
 	}
-	if w.p.pendingLoad("east") == 0 {
+	east, _ := w.cl.Grid.Site("east")
+	if w.p.pendingLoad(east) == 0 {
 		t.Fatal("assignment not tracked")
 	}
 	done := executor.Event{Kind: "done", Result: executor.Result{Site: "east"}}
 	w.p.OnEvent(done)
-	if w.p.pendingLoad("east") != 0 {
+	if w.p.pendingLoad(east) != 0 {
 		t.Error("done event did not decrement")
 	}
 	// Double-decrement is clamped.
 	w.p.OnEvent(done)
-	if w.p.pendingLoad("east") != 0 {
+	if w.p.pendingLoad(east) != 0 {
 		t.Error("negative pending")
 	}
 	// Dispatch events are ignored.
