@@ -3,7 +3,6 @@ package catalog
 import (
 	"fmt"
 	"reflect"
-	"sort"
 
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
@@ -22,9 +21,9 @@ import (
 // dataset name, derivation indexes by derivation ID), so maintaining
 // an entry never needs a lock the mutation does not already hold. The
 // read side is Catalog.View (view.go): queries resolve candidate sets
-// from these indexes — merged across shards when Shards()>1 — and
-// iterate one consistent snapshot instead of copying and sorting the
-// whole catalog per query.
+// from these indexes — each shard's set as one part of an IndexParts,
+// never merged — and iterate one consistent snapshot instead of copying
+// and sorting the whole catalog per query.
 
 // IndexSet is a set of object identifiers (dataset names, canonical
 // transformation refs, or derivation IDs, depending on the index).
@@ -445,16 +444,5 @@ func (c *Catalog) IndexStats() map[string]int {
 		out["derivations_by_tr_base"] += len(s.idx.dvByTRBase)
 		out["derivations_by_name"] += len(s.idx.dvByName)
 	}
-	return out
-}
-
-// sortedKeys returns a sorted copy of a set's members — the helper the
-// query layer uses to keep result order deterministic.
-func sortedKeys(s IndexSet) []string {
-	out := make([]string, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -272,7 +272,7 @@ func TestViewConsistencyUnderStorm(t *testing.T) {
 				if !v.Materialized("hot") {
 					t.Error("view observed torn epoch/replica state")
 				}
-				derived := len(v.DerivedDatasets())
+				derived := v.DerivedDatasets().Len()
 				if n := v.NumDerivations(); derived != n {
 					t.Errorf("view observed %d derived datasets but %d derivations", derived, n)
 				}

@@ -186,6 +186,32 @@ func (v *View) RangeDatasets(fn func(schema.Dataset) bool) {
 	}
 }
 
+// RangeDatasetNames calls fn for every dataset name, in map order,
+// until fn returns false. Unlike RangeDatasets it copies no record, so
+// a caller that can decide on the name alone pays Dataset only for the
+// names it accepts.
+func (v *View) RangeDatasetNames(fn func(name string) bool) {
+	for _, st := range v.states {
+		for name := range st.datasets {
+			if !fn(name) {
+				return
+			}
+		}
+	}
+}
+
+// RangeTransformationRefs calls fn for every canonical transformation
+// ref, in map order, until fn returns false.
+func (v *View) RangeTransformationRefs(fn func(ref string) bool) {
+	for _, st := range v.states {
+		for ref := range st.transformations {
+			if !fn(ref) {
+				return
+			}
+		}
+	}
+}
+
 // RangeTransformations calls fn for every transformation, in map order,
 // until fn returns false.
 func (v *View) RangeTransformations(fn func(schema.Transformation) bool) {
@@ -259,114 +285,132 @@ func (v *View) Descendants(dataset string) (Closure, error) {
 
 // --- index access (candidate sets for the query planner) ---------------
 
-// gatherSets merges per-shard index sets into one candidate set. A
-// single-shard catalog (and the none/one cross-shard cases) returns the
-// live set without copying — the common fast path; only a genuinely
-// cross-shard result allocates.
-func gatherSets(sets []IndexSet) IndexSet {
-	var only IndexSet
-	var merged IndexSet
-	for _, set := range sets {
-		if len(set) == 0 {
-			continue
-		}
-		if only == nil && merged == nil {
-			only = set
-			continue
-		}
-		if merged == nil {
-			merged = make(IndexSet, len(only)+len(set))
-			for k := range only {
-				merged[k] = struct{}{}
-			}
-			only = nil
-		}
-		for k := range set {
-			merged[k] = struct{}{}
-		}
+// IndexParts is a candidate set held as the snapshot's own index sets,
+// one part per shard (and per exact type, for DatasetsByType) that has
+// members. The parts are never merged or copied, so obtaining a set
+// costs the shard count, not the set's size. Parts are disjoint: every
+// object is indexed on its home shard only, under one key per index.
+// The zero value is the empty set. Like every View result, an
+// IndexParts is read-only and valid until the View is closed.
+type IndexParts struct{ parts []IndexSet }
+
+// SetOf builds a one-part set from explicit identifiers, for candidate
+// sets the planner derives from something other than an index.
+func SetOf(ids ...string) IndexParts {
+	if len(ids) == 0 {
+		return IndexParts{}
 	}
-	if merged != nil {
-		return merged
+	set := make(IndexSet, len(ids))
+	for _, id := range ids {
+		set[id] = struct{}{}
 	}
-	return only
+	return IndexParts{parts: []IndexSet{set}}
 }
 
-// gather runs pick on every shard's indexes and merges the results.
-func (v *View) gather(pick func(*indexes) IndexSet) IndexSet {
-	if len(v.states) == 1 {
-		return pick(&v.states[0].idx)
+// Len reports the number of members.
+func (p IndexParts) Len() int {
+	n := 0
+	for _, part := range p.parts {
+		n += len(part)
 	}
-	sets := make([]IndexSet, 0, len(v.states))
+	return n
+}
+
+// Has reports membership.
+func (p IndexParts) Has(id string) bool {
+	for _, part := range p.parts {
+		if part.Has(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// Each calls fn for every member, in unspecified order.
+func (p IndexParts) Each(fn func(id string)) {
+	for _, part := range p.parts {
+		for id := range part {
+			fn(id)
+		}
+	}
+}
+
+// gather collects the non-empty set pick selects on each shard.
+func (v *View) gather(pick func(*indexes) IndexSet) IndexParts {
+	parts := make([]IndexSet, 0, len(v.states))
 	for _, st := range v.states {
-		sets = append(sets, pick(&st.idx))
+		if set := pick(&st.idx); len(set) > 0 {
+			parts = append(parts, set)
+		}
 	}
-	return gatherSets(sets)
+	return IndexParts{parts: parts}
 }
 
 // DatasetsByAttr returns the datasets carrying attribute key=value.
-func (v *View) DatasetsByAttr(key, value string) IndexSet {
+func (v *View) DatasetsByAttr(key, value string) IndexParts {
 	return v.gather(func(ix *indexes) IndexSet { return ix.dsAttr[key][value] })
 }
 
 // TransformationsByAttr returns the transformations carrying key=value.
-func (v *View) TransformationsByAttr(key, value string) IndexSet {
+func (v *View) TransformationsByAttr(key, value string) IndexParts {
 	return v.gather(func(ix *indexes) IndexSet { return ix.trAttr[key][value] })
 }
 
 // DerivationsByAttr returns the derivations carrying key=value.
-func (v *View) DerivationsByAttr(key, value string) IndexSet {
+func (v *View) DerivationsByAttr(key, value string) IndexParts {
 	return v.gather(func(ix *indexes) IndexSet { return ix.dvAttr[key][value] })
 }
 
 // DatasetsByType returns the datasets whose exact declared type
-// conforms to t (subtype closure via the live registry). The returned
-// set is freshly allocated when more than one exact type matches.
-func (v *View) DatasetsByType(t dtype.Type) IndexSet {
-	var sets []IndexSet
+// conforms to t (subtype closure via the live registry): one part per
+// shard and conforming exact type.
+func (v *View) DatasetsByType(t dtype.Type) IndexParts {
+	var parts []IndexSet
 	for _, st := range v.states {
 		for exact, set := range st.idx.dsByType {
 			if v.c.types.Conforms(exact, t) {
-				sets = append(sets, set)
+				parts = append(parts, set)
 			}
 		}
 	}
-	return gatherSets(sets)
+	return IndexParts{parts: parts}
 }
 
 // DerivedDatasets returns the datasets with a producing derivation.
-func (v *View) DerivedDatasets() IndexSet {
+func (v *View) DerivedDatasets() IndexParts {
 	return v.gather(func(ix *indexes) IndexSet { return ix.derived })
 }
 
 // MaterializedDatasets returns the datasets with a current-epoch
 // replica.
-func (v *View) MaterializedDatasets() IndexSet {
+func (v *View) MaterializedDatasets() IndexParts {
 	return v.gather(func(ix *indexes) IndexSet { return ix.materialized })
 }
 
 // ExecutedDerivations returns the derivations with >=1 invocation.
-func (v *View) ExecutedDerivations() IndexSet {
+func (v *View) ExecutedDerivations() IndexParts {
 	return v.gather(func(ix *indexes) IndexSet { return ix.executed })
 }
 
 // DerivationsByTR returns the derivations citing the transformation
-// reference: exact matches always, plus — when ref is versionless —
-// derivations citing any version of ns::name. Both index families live
-// on the derivation's home shard, so the sweep spans all shards.
-func (v *View) DerivationsByTR(ref string) IndexSet {
-	exact := v.gather(func(ix *indexes) IndexSet { return ix.dvByTR[ref] })
+// reference: any version of ns::name when ref is versionless, exact
+// matches otherwise. Both index families live on the derivation's home
+// shard, so the sweep spans all shards. A versionless ref reads the
+// base family alone: a derivation citing ref verbatim parses to the same
+// ns::name and so is already filed under that base (putDerivation), and
+// the parts stay disjoint.
+func (v *View) DerivationsByTR(ref string) IndexParts {
 	ns, name, ver, err := schema.ParseTRRef(ref)
 	if err != nil || ver != "" {
-		return exact
+		return v.gather(func(ix *indexes) IndexSet { return ix.dvByTR[ref] })
 	}
 	baseRef := schema.FormatTRRef(ns, name, "")
-	base := v.gather(func(ix *indexes) IndexSet { return ix.dvByTRBase[baseRef] })
-	return gatherSets([]IndexSet{exact, base})
+	return v.gather(func(ix *indexes) IndexSet { return ix.dvByTRBase[baseRef] })
 }
 
 // DerivationsByName returns the derivations whose display name (Name,
 // or ID when unnamed) equals name.
-func (v *View) DerivationsByName(name string) IndexSet {
+func (v *View) DerivationsByName(name string) IndexParts {
 	return v.gather(func(ix *indexes) IndexSet { return ix.dvByName[name] })
 }
 
@@ -388,7 +432,3 @@ func (v *View) ConsumersOf(dataset string) []string {
 func (v *View) ProducerOf(dataset string) string {
 	return v.state(dataset).producerOf[dataset]
 }
-
-// SortedSet returns the members of an index set, sorted — the helper
-// query execution uses to keep result order deterministic.
-func SortedSet(s IndexSet) []string { return sortedKeys(s) }

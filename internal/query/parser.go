@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"path"
 	"strings"
 	"unicode"
 
@@ -193,17 +192,19 @@ func (p *qparser) parseUnary() (Expr, error) {
 	return p.parsePred()
 }
 
-// checkPattern rejects malformed glob patterns at parse time, so a bad
-// pattern errors identically whether the planner later routes the
-// predicate through an index or a scan.
-func checkPattern(op cmpOp, val string) error {
-	if op != opMatch {
-		return nil
+// strCmp parses `cmp value` into a compiled comparison. A malformed
+// glob is rejected here, so a bad pattern errors identically whatever
+// the catalog holds and whichever path the planner takes.
+func (p *qparser) strCmp() (strCmp, error) {
+	op, err := p.cmp()
+	if err != nil {
+		return strCmp{}, err
 	}
-	if _, err := path.Match(val, ""); err != nil {
-		return fmt.Errorf("query: bad pattern %q: %w", val, err)
+	v, err := p.value()
+	if err != nil {
+		return strCmp{}, err
 	}
-	return nil
+	return newStrCmp(op, v)
 }
 
 func (p *qparser) cmp() (cmpOp, error) {
@@ -232,18 +233,11 @@ func (p *qparser) parsePred() (Expr, error) {
 	switch {
 	case head.text == "name":
 		p.pos++
-		op, err := p.cmp()
+		cmp, err := p.strCmp()
 		if err != nil {
 			return nil, err
 		}
-		v, err := p.value()
-		if err != nil {
-			return nil, err
-		}
-		if err := checkPattern(op, v); err != nil {
-			return nil, err
-		}
-		return namePred{op: op, val: v}, nil
+		return namePred{cmp: cmp}, nil
 
 	case strings.HasPrefix(head.text, "attr."):
 		key := strings.TrimPrefix(head.text, "attr.")
@@ -251,18 +245,11 @@ func (p *qparser) parsePred() (Expr, error) {
 			return nil, fmt.Errorf("query: empty attribute key")
 		}
 		p.pos++
-		op, err := p.cmp()
+		cmp, err := p.strCmp()
 		if err != nil {
 			return nil, err
 		}
-		v, err := p.value()
-		if err != nil {
-			return nil, err
-		}
-		if err := checkPattern(op, v); err != nil {
-			return nil, err
-		}
-		return attrPred{key: key, op: op, val: v}, nil
+		return attrPred{key: key, cmp: cmp}, nil
 
 	case head.text == "type" || head.text == "input" || head.text == "output":
 		field := head.text

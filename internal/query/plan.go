@@ -14,31 +14,40 @@ import (
 )
 
 // The predicate planner. A query is planned by flattening its top-level
-// AND-conjuncts and pulling every *indexable* conjunct — one whose
-// exact matching set the catalog's secondary indexes can produce — into
-// a candidate-set intersection. The remaining (residual) conjuncts are
-// evaluated only over the candidates. A query with no indexable
-// conjunct falls back to scanning the snapshot, which is still one
-// lock acquisition and zero copies, versus the old path's full
-// copy+sort plus per-object lock traffic.
+// AND-conjuncts into three groups:
 //
-// Indexable conjuncts (per object kind):
+//   - *indexed* conjuncts, whose exact matching set the catalog's
+//     secondary indexes hold. The view hands each set out as its own
+//     per-shard parts (catalog.IndexParts), never merged or copied; the
+//     planner iterates the smallest and probes the others.
+//   - *key tests*, decided on the candidate's identifier before the object
+//     is loaded: `name ~ p` and `name != v` on datasets and transformations
+//     (whose name is the map key), and the unmaterialized half of `virtual`.
+//   - the *residual*, evaluated only on the objects that survive both.
+//
+// A query with no indexed conjunct scans the snapshot. With key tests it
+// ranges the identifiers and fetches only accepted ones; without, it
+// ranges the objects themselves.
+//
+// Indexed conjuncts (per object kind):
 //
 //	name = v                 exact-name lookup
 //	attr.k = v               attribute index
-//	type <= T                exact-type sets unioned under conformance (datasets)
-//	derived | materialized | virtual | executed   flag sets
+//	type <= T                exact-type sets under conformance (datasets)
+//	derived | materialized | executed             flag sets
+//	virtual                  derived ∩ key test "not materialized"
 //	tr = ref                 transformation-ref index (incl. versionless)
 //	consumes(ds) | produces(ds)                   provenance index
 //	descendantof(ds) | ancestorof(ds)             provenance closure (datasets)
 //
 // A predicate whose kind cannot match (e.g. `derived` against
 // derivations) is constant-false: it yields the empty candidate set.
-// Everything else — negations, OR subtrees, `!=`/`~` comparisons,
-// transformation type predicates — stays residual.
+// Everything else — negations, OR subtrees, attribute `!=`/`~`
+// comparisons, derivation display-name patterns, transformation type
+// predicates — stays residual.
 
-// Query metrics: planner path counters, candidate-set sizes, and
-// end-to-end run latency by path.
+// Query metrics: planner path counters, candidate-set sizes, objects
+// loaded, and end-to-end run latency by path.
 var (
 	queryCandBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
 
@@ -48,51 +57,59 @@ var (
 		"End-to-end query latency (plan + execute) by planner path.", obs.TimeBuckets, "path")
 	metricQueryCandidates = obs.Default.Histogram("vdc_query_candidates",
 		"Candidate-set size after index intersection (indexed path only).", queryCandBuckets)
+	metricQueryLoaded = obs.Default.CounterVec("vdc_query_objects_loaded_total",
+		"Objects fetched from the catalog view to evaluate the residual on, by planner path; compare with rows returned.", "path")
 
-	queryRunsIndex = metricQueryRuns.With("index")
-	queryRunsScan  = metricQueryRuns.With("scan")
-	querySecsIndex = metricQuerySeconds.With("index")
-	querySecsScan  = metricQuerySeconds.With("scan")
+	queryRunsIndex   = metricQueryRuns.With("index")
+	queryRunsScan    = metricQueryRuns.With("scan")
+	querySecsIndex   = metricQuerySeconds.With("index")
+	querySecsScan    = metricQuerySeconds.With("scan")
+	queryLoadedIndex = metricQueryLoaded.With("index")
+	queryLoadedScan  = metricQueryLoaded.With("scan")
 )
 
-// cset is a candidate set drawn from an index: either an IndexSet, a
-// closure map, or nil-nil for the constant-empty set.
+// cset is a candidate set: index parts (the zero value is the
+// constant-empty set), or a provenance closure map.
 type cset struct {
-	set     catalog.IndexSet
-	boolSet map[string]bool
+	parts   catalog.IndexParts
+	closure map[string]bool
 }
 
 func (s cset) size() int {
-	if s.set != nil {
-		return len(s.set)
+	if s.closure != nil {
+		return len(s.closure)
 	}
-	return len(s.boolSet)
+	return s.parts.Len()
 }
 
 func (s cset) has(id string) bool {
-	if s.set != nil {
-		return s.set.Has(id)
+	if s.closure != nil {
+		return s.closure[id]
 	}
-	return s.boolSet[id]
+	return s.parts.Has(id)
 }
 
 func (s cset) each(fn func(string)) {
-	if s.set != nil {
-		for id := range s.set {
+	if s.closure != nil {
+		for id := range s.closure {
 			fn(id)
 		}
 		return
 	}
-	for id := range s.boolSet {
-		fn(id)
-	}
+	s.parts.Each(fn)
 }
 
-// planStep records one indexed conjunct for the explain string.
+// planStep is one indexed conjunct.
 type planStep struct {
-	pred string // the conjunct, in query syntax
-	size int    // its candidate-set size at plan time
+	pred Expr
+	size int // its candidate-set size at plan time
 	set  cset
+}
+
+// keyTest is one conjunct decided on the identifier alone.
+type keyTest struct {
+	pred   Expr
+	accept func(id string) bool
 }
 
 // queryPlan is the executable plan for one Run.
@@ -101,32 +118,48 @@ type queryPlan struct {
 	scan       bool
 	scanReason string
 	steps      []planStep // indexed conjuncts, when !scan
-	residual   Expr       // nil when every conjunct was indexed
-	candidates []string   // sorted intersection, when !scan
+	keys       []keyTest
+	// residual is evaluated on each loaded object: the conjuncts that are
+	// neither indexed nor key tests (nil when none are left), or the whole
+	// expression when the planner is disabled.
+	residual   Expr
+	candidates []string // identifiers passing every step and key test, unsorted, when !scan
+	loaded     int      // objects execute fetched from the view
 }
 
 // String renders the plan in EXPLAIN style, e.g.
 //
 //	index derivations: [tr = sdss::brgSearch ->2] ∩ [executed ->1] => 1 candidate; residual: attr.campaign = "dr1"
+//	index datasets: [derived ->3] ∩ [name ~ "b*" key] => 2 candidates
+//	scan datasets: [name ~ "raw*" key]; residual: not derived
 //	scan datasets: no indexable conjunct
 func (p *queryPlan) String() string {
 	var b strings.Builder
-	if p.scan {
+	if p.scan && len(p.keys) == 0 {
 		fmt.Fprintf(&b, "scan %s: %s", kindNoun(p.kind), p.scanReason)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "index %s: ", kindNoun(p.kind))
-	for i, st := range p.steps {
-		if i > 0 {
-			b.WriteString(" ∩ ")
+	path := "index"
+	if p.scan {
+		path = "scan"
+	}
+	fmt.Fprintf(&b, "%s %s: ", path, kindNoun(p.kind))
+	sep := ""
+	for _, st := range p.steps {
+		fmt.Fprintf(&b, "%s[%s ->%d]", sep, st.pred, st.size)
+		sep = " ∩ "
+	}
+	for _, k := range p.keys {
+		fmt.Fprintf(&b, "%s[%s key]", sep, k.pred)
+		sep = " ∩ "
+	}
+	if !p.scan {
+		noun := "candidates"
+		if len(p.candidates) == 1 {
+			noun = "candidate"
 		}
-		fmt.Fprintf(&b, "[%s ->%d]", st.pred, st.size)
+		fmt.Fprintf(&b, " => %d %s", len(p.candidates), noun)
 	}
-	noun := "candidates"
-	if len(p.candidates) == 1 {
-		noun = "candidate"
-	}
-	fmt.Fprintf(&b, " => %d %s", len(p.candidates), noun)
 	if p.residual != nil {
 		fmt.Fprintf(&b, "; residual: %s", p.residual)
 	}
@@ -175,7 +208,7 @@ func singleton(id string, present bool) cset {
 	if !present {
 		return emptySet
 	}
-	return cset{set: catalog.IndexSet{id: struct{}{}}}
+	return cset{parts: catalog.SetOf(id)}
 }
 
 // indexConjunct maps one conjunct to its exact candidate set. It
@@ -187,31 +220,31 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 	v := ctx.view
 	switch p := e.(type) {
 	case namePred:
-		if p.op != opEq {
+		if p.cmp.op != opEq {
 			return emptySet, false, nil
 		}
 		switch kind {
 		case KDataset:
-			_, ok := v.Dataset(p.val)
-			return singleton(p.val, ok), true, nil
+			_, ok := v.Dataset(p.cmp.val)
+			return singleton(p.cmp.val, ok), true, nil
 		case KTransformation:
 			// Query names are exact canonical refs; versionless
 			// resolution is a lookup concern, not a search one.
-			return singleton(p.val, v.HasTransformation(p.val)), true, nil
+			return singleton(p.cmp.val, v.HasTransformation(p.cmp.val)), true, nil
 		default:
-			return cset{set: v.DerivationsByName(p.val)}, true, nil
+			return cset{parts: v.DerivationsByName(p.cmp.val)}, true, nil
 		}
 	case attrPred:
-		if p.op != opEq {
+		if p.cmp.op != opEq {
 			return emptySet, false, nil
 		}
 		switch kind {
 		case KDataset:
-			return cset{set: v.DatasetsByAttr(p.key, p.val)}, true, nil
+			return cset{parts: v.DatasetsByAttr(p.key, p.cmp.val)}, true, nil
 		case KTransformation:
-			return cset{set: v.TransformationsByAttr(p.key, p.val)}, true, nil
+			return cset{parts: v.TransformationsByAttr(p.key, p.cmp.val)}, true, nil
 		default:
-			return cset{set: v.DerivationsByAttr(p.key, p.val)}, true, nil
+			return cset{parts: v.DerivationsByAttr(p.key, p.cmp.val)}, true, nil
 		}
 	case typePred:
 		switch kind {
@@ -224,7 +257,7 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 				// Matches every dataset: constrains nothing.
 				return emptySet, false, nil
 			}
-			return cset{set: v.DatasetsByType(p.t)}, true, nil
+			return cset{parts: v.DatasetsByType(p.t)}, true, nil
 		case KTransformation:
 			// Formal-list scan; stays residual.
 			return emptySet, false, nil
@@ -237,28 +270,24 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 			if kind != KDataset {
 				return emptySet, true, nil
 			}
-			return cset{set: v.DerivedDatasets()}, true, nil
+			return cset{parts: v.DerivedDatasets()}, true, nil
 		case "materialized":
 			if kind != KDataset {
 				return emptySet, true, nil
 			}
-			return cset{set: v.MaterializedDatasets()}, true, nil
+			return cset{parts: v.MaterializedDatasets()}, true, nil
 		case "virtual":
 			if kind != KDataset {
 				return emptySet, true, nil
 			}
-			vs := make(catalog.IndexSet)
-			for name := range v.DerivedDatasets() {
-				if !v.Materialized(name) {
-					vs[name] = struct{}{}
-				}
-			}
-			return cset{set: vs}, true, nil
+			// No index holds this set; plan splits the conjunct into
+			// `derived` and a key test before it gets here.
+			return emptySet, false, nil
 		case "executed":
 			if kind != KDerivation {
 				return emptySet, true, nil
 			}
-			return cset{set: v.ExecutedDerivations()}, true, nil
+			return cset{parts: v.ExecutedDerivations()}, true, nil
 		default: // simple/compound: cheap residual for transformations
 			if kind != KTransformation {
 				return emptySet, true, nil
@@ -269,7 +298,7 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 		if kind != KDerivation {
 			return emptySet, true, nil
 		}
-		return cset{set: v.DerivationsByTR(p.ref)}, true, nil
+		return cset{parts: v.DerivationsByTR(p.ref)}, true, nil
 	case relPred:
 		switch p.rel {
 		case "descendantof", "ancestorof":
@@ -286,16 +315,12 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 			if err != nil {
 				return emptySet, false, err
 			}
-			return cset{boolSet: m}, true, nil
+			return cset{closure: m}, true, nil
 		case "consumes":
 			if kind != KDerivation {
 				return emptySet, true, nil
 			}
-			s := make(catalog.IndexSet)
-			for _, id := range v.ConsumersOf(p.ds) {
-				s[id] = struct{}{}
-			}
-			return cset{set: s}, true, nil
+			return cset{parts: catalog.SetOf(v.ConsumersOf(p.ds)...)}, true, nil
 		case "produces":
 			if kind != KDerivation {
 				return emptySet, true, nil
@@ -309,6 +334,16 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 	}
 }
 
+// keyConjunct maps one conjunct to a test on the object's identifier,
+// when the identifier decides it: name comparisons other than `=` (which
+// is an index lookup) on the kinds whose name is the map key.
+func keyConjunct(kind Kind, e Expr) (keyTest, bool) {
+	if p, ok := e.(namePred); ok && p.cmp.op != opEq && kind != KDerivation {
+		return keyTest{pred: e, accept: p.cmp.test}, true
+	}
+	return keyTest{}, false
+}
+
 // plan builds the query plan for e against the snapshot in ctx.
 func plan(ctx *evalCtx, kind Kind, e Expr, forceScan bool) (*queryPlan, error) {
 	p := &queryPlan{kind: kind}
@@ -318,11 +353,25 @@ func plan(ctx *evalCtx, kind Kind, e Expr, forceScan bool) (*queryPlan, error) {
 		p.residual = e
 		return p, nil
 	}
-	conjuncts := flattenAnd(e, nil)
+	v := ctx.view
 	var residual []Expr
-	for _, cj := range conjuncts {
+	for _, cj := range flattenAnd(e, nil) {
 		if _, ok := cj.(truePred); ok {
 			continue // `*` constrains nothing
+		}
+		if key, ok := keyConjunct(kind, cj); ok {
+			p.keys = append(p.keys, key)
+			continue
+		}
+		if f, ok := cj.(flagPred); ok && f.flag == "virtual" && kind == KDataset {
+			// derived and not materialized: the derived parts bound the
+			// candidates and the flag set is probed per candidate, so the
+			// cost is the intersection's, not the catalog's.
+			cj = flagPred{flag: "derived"}
+			p.keys = append(p.keys, keyTest{
+				pred:   notExpr{flagPred{flag: "materialized"}},
+				accept: func(id string) bool { return !v.Materialized(id) },
+			})
 		}
 		set, handled, err := indexConjunct(ctx, kind, cj)
 		if err != nil {
@@ -332,21 +381,22 @@ func plan(ctx *evalCtx, kind Kind, e Expr, forceScan bool) (*queryPlan, error) {
 			residual = append(residual, cj)
 			continue
 		}
-		p.steps = append(p.steps, planStep{pred: cj.String(), size: set.size(), set: set})
+		p.steps = append(p.steps, planStep{pred: cj, size: set.size(), set: set})
 	}
+	p.residual = andChain(residual)
 	if len(p.steps) == 0 {
 		p.scan = true
 		p.scanReason = "no indexable conjunct"
-		p.residual = e
 		return p, nil
 	}
-	p.residual = andChain(residual)
 
 	// Intersect, iterating the smallest set and probing the others.
 	sort.SliceStable(p.steps, func(i, j int) bool { return p.steps[i].size < p.steps[j].size })
-	smallest := p.steps[0].set
 	rest := p.steps[1:]
-	smallest.each(func(id string) {
+	p.steps[0].set.each(func(id string) {
+		if !p.acceptKey(id) {
+			return
+		}
 		for _, st := range rest {
 			if !st.set.has(id) {
 				return
@@ -357,6 +407,16 @@ func plan(ctx *evalCtx, kind Kind, e Expr, forceScan bool) (*queryPlan, error) {
 	// Left unsorted: execute sorts the (usually far smaller) result set,
 	// not the candidates.
 	return p, nil
+}
+
+// acceptKey reports whether an identifier passes every key test.
+func (p *queryPlan) acceptKey(id string) bool {
+	for _, k := range p.keys {
+		if !k.accept(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // run is the shared Run/RunScan implementation: an epoch view (zero
@@ -403,12 +463,14 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr, forceSc
 		span.SetAttr("path", "scan")
 		queryRunsScan.Inc()
 		querySecsScan.ObserveSince(start)
+		queryLoadedScan.Add(uint64(p.loaded))
 	} else {
 		span.SetAttr("path", "index")
 		span.SetAttr("candidates", strconv.Itoa(len(p.candidates)))
 		queryRunsIndex.Inc()
 		querySecsIndex.ObserveSince(start)
 		metricQueryCandidates.Observe(float64(len(p.candidates)))
+		queryLoadedIndex.Add(uint64(p.loaded))
 	}
 	return res, nil
 }
@@ -421,7 +483,7 @@ func evalView(v *catalog.View, kind Kind, e Expr, forceScan bool) (Results, *que
 	if err != nil {
 		return Results{}, nil, err
 	}
-	res, err := p.execute(ctx, e)
+	res, err := p.execute(ctx)
 	if err != nil {
 		return Results{}, nil, err
 	}
@@ -431,117 +493,96 @@ func evalView(v *catalog.View, kind Kind, e Expr, forceScan bool) (Results, *que
 // execute materializes the plan's results. Result order matches the
 // legacy full-scan path: datasets by name, transformations by ref,
 // derivations by ID.
-func (p *queryPlan) execute(ctx *evalCtx, full Expr) (Results, error) {
+func (p *queryPlan) execute(ctx *evalCtx) (Results, error) {
 	var res Results
-	if p.scan {
-		return p.executeScan(ctx, full)
-	}
-	keep := func(o object) (bool, error) {
-		if p.residual == nil {
-			return true, nil
-		}
-		return p.residual.eval(ctx, o)
-	}
+	var err error
 	v := ctx.view
 	switch p.kind {
 	case KDataset:
-		for _, name := range p.candidates {
-			ds, ok := v.Dataset(name)
-			if !ok {
-				continue
-			}
-			ok, err := keep(object{kind: KDataset, ds: &ds})
-			if err != nil {
-				return Results{}, err
-			}
-			if ok {
-				res.Datasets = append(res.Datasets, ds)
-			}
-		}
-		sort.Slice(res.Datasets, func(i, j int) bool { return res.Datasets[i].Name < res.Datasets[j].Name })
+		res.Datasets, err = collect(p, ctx, kindOps[schema.Dataset]{
+			load: v.Dataset, each: v.RangeDatasets, keys: v.RangeDatasetNames,
+			obj: func(ds *schema.Dataset) object { return object{kind: KDataset, ds: ds} },
+			id:  func(ds *schema.Dataset) string { return ds.Name },
+		})
 	case KTransformation:
-		for _, ref := range p.candidates {
-			tr, ok := v.Transformation(ref)
-			if !ok {
-				continue
-			}
-			ok, err := keep(object{kind: KTransformation, tr: &tr})
-			if err != nil {
-				return Results{}, err
-			}
-			if ok {
-				res.Transformations = append(res.Transformations, tr)
-			}
-		}
-		sort.Slice(res.Transformations, func(i, j int) bool { return res.Transformations[i].Ref() < res.Transformations[j].Ref() })
+		res.Transformations, err = collect(p, ctx, kindOps[schema.Transformation]{
+			load: v.Transformation, each: v.RangeTransformations, keys: v.RangeTransformationRefs,
+			obj: func(tr *schema.Transformation) object { return object{kind: KTransformation, tr: tr} },
+			id:  func(tr *schema.Transformation) string { return tr.Ref() },
+		})
 	case KDerivation:
-		for _, id := range p.candidates {
-			dv, ok := v.Derivation(id)
-			if !ok {
-				continue
-			}
-			ok, err := keep(object{kind: KDerivation, dv: &dv})
-			if err != nil {
-				return Results{}, err
-			}
-			if ok {
-				res.Derivations = append(res.Derivations, dv)
-			}
-		}
-		sort.Slice(res.Derivations, func(i, j int) bool { return res.Derivations[i].ID < res.Derivations[j].ID })
+		res.Derivations, err = collect(p, ctx, kindOps[schema.Derivation]{
+			load: v.Derivation, each: v.RangeDerivations, // no key tests: the display name is not the key
+			obj: func(dv *schema.Derivation) object { return object{kind: KDerivation, dv: dv} },
+			id:  func(dv *schema.Derivation) string { return dv.ID },
+		})
 	}
-	return res, nil
+	return res, err
 }
 
-func (p *queryPlan) executeScan(ctx *evalCtx, full Expr) (Results, error) {
-	var res Results
+// kindOps binds collect to one object kind's storage in the view.
+type kindOps[T any] struct {
+	load func(id string) (T, bool)
+	each func(fn func(T) bool)         // every object
+	keys func(fn func(id string) bool) // every identifier
+	obj  func(*T) object
+	id   func(*T) string // the result order
+}
+
+// collect loads the plan's objects — the candidates, the identifiers a
+// key-tested scan accepts, or everything — keeps those the residual
+// accepts, and sorts them.
+func collect[T any](p *queryPlan, ctx *evalCtx, k kindOps[T]) ([]T, error) {
+	var out []T
+	if !p.scan && p.residual == nil {
+		out = make([]T, 0, len(p.candidates)) // every candidate is an answer
+	}
 	var evalErr error
-	v := ctx.view
-	switch p.kind {
-	case KDataset:
-		v.RangeDatasets(func(ds schema.Dataset) bool {
-			ok, err := full.eval(ctx, object{kind: KDataset, ds: &ds})
+	// One slot for the object under evaluation: its address escapes into
+	// eval, so a per-object variable would be a heap allocation each.
+	var cur T
+	keep := func() bool {
+		p.loaded++
+		if p.residual != nil {
+			ok, err := p.residual.eval(ctx, k.obj(&cur))
 			if err != nil {
 				evalErr = err
 				return false
 			}
-			if ok {
-				res.Datasets = append(res.Datasets, ds)
+			if !ok {
+				return true
 			}
+		}
+		out = append(out, cur)
+		return true
+	}
+	byID := func(id string) bool {
+		var ok bool
+		if cur, ok = k.load(id); !ok {
 			return true
+		}
+		return keep()
+	}
+	switch {
+	case !p.scan:
+		for _, id := range p.candidates {
+			if !byID(id) {
+				break
+			}
+		}
+	case len(p.keys) > 0:
+		k.keys(func(id string) bool { return !p.acceptKey(id) || byID(id) })
+	default:
+		k.each(func(o T) bool {
+			cur = o
+			return keep()
 		})
-		sort.Slice(res.Datasets, func(i, j int) bool { return res.Datasets[i].Name < res.Datasets[j].Name })
-	case KTransformation:
-		v.RangeTransformations(func(tr schema.Transformation) bool {
-			ok, err := full.eval(ctx, object{kind: KTransformation, tr: &tr})
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if ok {
-				res.Transformations = append(res.Transformations, tr)
-			}
-			return true
-		})
-		sort.Slice(res.Transformations, func(i, j int) bool { return res.Transformations[i].Ref() < res.Transformations[j].Ref() })
-	case KDerivation:
-		v.RangeDerivations(func(dv schema.Derivation) bool {
-			ok, err := full.eval(ctx, object{kind: KDerivation, dv: &dv})
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if ok {
-				res.Derivations = append(res.Derivations, dv)
-			}
-			return true
-		})
-		sort.Slice(res.Derivations, func(i, j int) bool { return res.Derivations[i].ID < res.Derivations[j].ID })
 	}
 	if evalErr != nil {
-		return Results{}, evalErr
+		return nil, evalErr
 	}
-	return res, nil
+	sort.Slice(out, func(i, j int) bool { return k.id(&out[i]) < k.id(&out[j]) })
+	return out, nil
 }
 
 // Explain plans (but does not execute) a query and renders the plan: a

@@ -35,8 +35,10 @@ func resKey(res Results) string {
 	return strings.Join(out, ",")
 }
 
-func TestExplain(t *testing.T) {
-	c := fixture(t)
+func TestExplain(t *testing.T) { eachShardCount(t, testExplain) }
+
+func testExplain(t *testing.T, shards int) {
+	c := fixtureShards(t, shards)
 	cases := []struct {
 		kind Kind
 		q    string
@@ -45,11 +47,25 @@ func TestExplain(t *testing.T) {
 		// Indexed conjuncts intersect smallest-first.
 		{KDataset, `materialized and name = raw1`,
 			`index datasets: [name = "raw1" ->1] ∩ [materialized ->2] => 1 candidate`},
-		// Non-indexable conjuncts become the residual.
+		// Name conjuncts on datasets and transformations are tested on the
+		// key, before the candidate is counted or loaded.
 		{KDataset, `derived and name ~ "b*"`,
-			`index datasets: [derived ->3] => 3 candidates; residual: name ~ "b*"`},
-		// No indexable conjunct at all: scan fallback.
-		{KDataset, `name ~ "raw*"`, `scan datasets: no indexable conjunct`},
+			`index datasets: [derived ->3] ∩ [name ~ "b*" key] => 2 candidates`},
+		{KTransformation, `attr.author = annis and name != sdss::pipeline and simple`,
+			`index transformations: [attr.author = "annis" ->1] ∩ [name != "sdss::pipeline" key] => 1 candidate; residual: simple`},
+		// A derivation's display name is not its key: residual.
+		{KDerivation, `executed and name ~ "x*"`,
+			`index derivations: [executed ->1] => 1 candidate; residual: name ~ "x*"`},
+		// `virtual` is the derived parts with the flag set probed per candidate.
+		{KDataset, `virtual and attr.owner = annis`,
+			`index datasets: [attr.owner = "annis" ->2] ∩ [derived ->3] ∩ [not materialized key] => 0 candidates`},
+		// Other non-indexable conjuncts become the residual.
+		{KDataset, `derived and attr.owner != annis`,
+			`index datasets: [derived ->3] => 3 candidates; residual: attr.owner != "annis"`},
+		// No indexable conjunct at all: scan fallback, over the keys when
+		// there is a name conjunct to test them with.
+		{KDataset, `name ~ "raw*"`, `scan datasets: [name ~ "raw*" key]`},
+		{KDataset, `not derived and name ~ "raw*"`, `scan datasets: [name ~ "raw*" key]; residual: not derived`},
 		{KDataset, `not derived`, `scan datasets: no indexable conjunct`},
 		// `*` constrains nothing.
 		{KDataset, `*`, `scan datasets: no indexable conjunct`},
@@ -85,8 +101,10 @@ func TestExplainErrors(t *testing.T) {
 // TestRunScanEquivalence asserts the planner's indexed path returns
 // exactly what the forced full scan returns — same objects, same order —
 // across all kinds, including kind-mismatched and empty-result queries.
-func TestRunScanEquivalence(t *testing.T) {
-	c := fixture(t)
+func TestRunScanEquivalence(t *testing.T) { eachShardCount(t, testRunScanEquivalence) }
+
+func testRunScanEquivalence(t *testing.T, shards int) {
+	c := fixtureShards(t, shards)
 	cases := []struct {
 		kind Kind
 		qs   []string
@@ -97,6 +115,12 @@ func TestRunScanEquivalence(t *testing.T) {
 			`name = missing`,
 			`name ~ "raw*"`,
 			`name != raw1 and name ~ "raw*"`,
+			`name ~ "*"`,
+			`name ~ "[a-c]*" and derived and name != brg2`,
+			`attr.owner = annis and not derived and name ~ "raw1*"`,
+			`name ~ "zzz*" and materialized`,
+			`not (name ~ "raw*")`,
+			`attr.owner ~ "ann*"`,
 			`attr.owner = annis`,
 			`attr.owner = "annis" and attr.stripe = "82"`,
 			`attr.missing = x`,
@@ -109,6 +133,8 @@ func TestRunScanEquivalence(t *testing.T) {
 			`materialized`,
 			`virtual`,
 			`virtual and descendantof(raw1)`,
+			`virtual and name ~ "brg*"`,
+			`virtual and materialized`,
 			`descendantof(raw1)`,
 			`ancestorof(clusters)`,
 			`descendantof(raw1) and descendantof(raw2)`,
@@ -134,6 +160,8 @@ func TestRunScanEquivalence(t *testing.T) {
 			`simple and attr.author = annis`,
 			`attr.author = annis`,
 			`name ~ "sdss::b*"`,
+			`name ~ "sdss::b*" and simple and name != sdss::brgSearch`,
+			`attr.author = annis and name ~ "sdss::*"`,
 			`input <= Dataset`,
 			`derived`,
 			`materialized`,
@@ -144,6 +172,9 @@ func TestRunScanEquivalence(t *testing.T) {
 			`tr = sdss::brgSearch`,
 			`tr = sdss::bcgSearch`,
 			`tr = nosuch::tr`,
+			`tr = sdss::brgSearch:1.0`,
+			`name ~ "*" and executed`,
+			`name != x`,
 			`consumes(raw1)`,
 			`consumes(missing)`,
 			`produces(clusters)`,
@@ -173,8 +204,14 @@ func TestRunScanEquivalence(t *testing.T) {
 				t.Errorf("RunScan(kind %d, %q): %v", group.kind, q, err)
 				continue
 			}
-			if resKey(idx) != resKey(scan) {
-				t.Errorf("kind %d %q:\n index %q\n scan  %q", group.kind, q, resKey(idx), resKey(scan))
+			oracle, err := RunOracle(c, group.kind, e)
+			if err != nil {
+				t.Errorf("RunOracle(kind %d, %q): %v", group.kind, q, err)
+				continue
+			}
+			if resKey(idx) != resKey(scan) || resKey(idx) != resKey(oracle) {
+				t.Errorf("kind %d %q:\n index  %q\n scan   %q\n oracle %q",
+					group.kind, q, resKey(idx), resKey(scan), resKey(oracle))
 			}
 		}
 	}
@@ -182,8 +219,10 @@ func TestRunScanEquivalence(t *testing.T) {
 
 // TestRunScanErrorEquivalence: queries that fail must fail on both
 // paths, even when the indexed path detects the error at plan time.
-func TestRunScanErrorEquivalence(t *testing.T) {
-	c := fixture(t)
+func TestRunScanErrorEquivalence(t *testing.T) { eachShardCount(t, testRunScanErrorEquivalence) }
+
+func testRunScanErrorEquivalence(t *testing.T, shards int) {
+	c := fixtureShards(t, shards)
 	for _, q := range []string{`descendantof(ghost)`, `ancestorof(ghost)`} {
 		e := mustParse(t, q)
 		if _, err := Run(c, KDataset, e); err == nil {
@@ -191,6 +230,9 @@ func TestRunScanErrorEquivalence(t *testing.T) {
 		}
 		if _, err := RunScan(c, KDataset, e); err == nil {
 			t.Errorf("RunScan(%q): expected error", q)
+		}
+		if _, err := RunOracle(c, KDataset, e); err == nil {
+			t.Errorf("RunOracle(%q): expected error", q)
 		}
 	}
 	if _, err := RunScan(c, Kind(42), All); err == nil {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"path"
+	"strings"
 
 	"chimera/internal/catalog"
 	"chimera/internal/dtype"
@@ -240,22 +241,6 @@ const (
 	opMatch // glob pattern match (~)
 )
 
-func (op cmpOp) apply(lhs, rhs string) (bool, error) {
-	switch op {
-	case opEq:
-		return lhs == rhs, nil
-	case opNe:
-		return lhs != rhs, nil
-	case opMatch:
-		ok, err := path.Match(rhs, lhs)
-		if err != nil {
-			return false, fmt.Errorf("query: bad pattern %q: %w", rhs, err)
-		}
-		return ok, nil
-	}
-	return false, fmt.Errorf("query: bad operator")
-}
-
 func (op cmpOp) String() string {
 	switch op {
 	case opNe:
@@ -267,31 +252,65 @@ func (op cmpOp) String() string {
 	}
 }
 
-// namePred compares the object's name.
-type namePred struct {
-	op  cmpOp
-	val string
+// strCmp is one string comparison, compiled at Parse: a `~` pattern is
+// validated there and its literal prefix split off, so evaluation cannot
+// fail and most non-matching strings are rejected by a prefix compare
+// before path.Match runs.
+type strCmp struct {
+	op     cmpOp
+	val    string
+	prefix string // opMatch only: the pattern's bytes before its first metacharacter
 }
 
-func (p namePred) eval(_ *evalCtx, o object) (bool, error) { return p.op.apply(o.name(), p.val) }
-func (p namePred) String() string                          { return fmt.Sprintf("name %s %q", p.op, p.val) }
+func newStrCmp(op cmpOp, val string) (strCmp, error) {
+	c := strCmp{op: op, val: val}
+	if op != opMatch {
+		return c, nil
+	}
+	if _, err := path.Match(val, ""); err != nil {
+		return strCmp{}, fmt.Errorf("query: bad pattern %q: %w", val, err)
+	}
+	c.prefix = val
+	if i := strings.IndexAny(val, `*?[\`); i >= 0 {
+		c.prefix = val[:i]
+	}
+	return c, nil
+}
+
+func (c strCmp) String() string { return fmt.Sprintf("%s %q", c.op, c.val) }
+
+func (c strCmp) test(s string) bool {
+	switch c.op {
+	case opEq:
+		return s == c.val
+	case opNe:
+		return s != c.val
+	}
+	if !strings.HasPrefix(s, c.prefix) {
+		return false
+	}
+	ok, _ := path.Match(c.val, s) // the only error is a bad pattern, rejected by newStrCmp
+	return ok
+}
+
+// namePred compares the object's name.
+type namePred struct{ cmp strCmp }
+
+func (p namePred) eval(_ *evalCtx, o object) (bool, error) { return p.cmp.test(o.name()), nil }
+func (p namePred) String() string                          { return "name " + p.cmp.String() }
 
 // attrPred compares a metadata attribute.
 type attrPred struct {
 	key string
-	op  cmpOp
-	val string
+	cmp strCmp
 }
 
 func (p attrPred) eval(_ *evalCtx, o object) (bool, error) {
 	v, ok := o.attrs()[p.key]
-	if !ok {
-		return false, nil
-	}
-	return p.op.apply(v, p.val)
+	return ok && p.cmp.test(v), nil
 }
 
-func (p attrPred) String() string { return fmt.Sprintf("attr.%s %s %q", p.key, p.op, p.val) }
+func (p attrPred) String() string { return "attr." + p.key + " " + p.cmp.String() }
 
 // typePred tests dataset-type conformance: for datasets, the dataset's
 // own type; for transformations, whether any input (or output, when

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -15,9 +16,23 @@ import (
 //	raw1, raw2 (primary, FITS-file, materialized)
 //	brg1 = brgSearch(raw1); brg2 = brgSearch(raw2)
 //	clusters = bcgSearch(brg1, brg2)   [executed]
-func fixture(t testing.TB) *catalog.Catalog {
+func fixture(t testing.TB) *catalog.Catalog { return fixtureShards(t, 1) }
+
+// shardCounts are the catalogs every query fixture runs on: one shard,
+// where a candidate set is a single live index set, and the four the
+// daemon ships with, where it is per-shard parts.
+var shardCounts = []int{1, 4}
+
+// eachShardCount runs fn as one subtest per shard count.
+func eachShardCount(t *testing.T, fn func(t *testing.T, shards int)) {
+	for _, n := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { fn(t, n) })
+	}
+}
+
+func fixtureShards(t testing.TB, shards int) *catalog.Catalog {
 	t.Helper()
-	c := catalog.New(dtype.StandardRegistry())
+	c := catalog.NewSharded(dtype.StandardRegistry(), shards)
 
 	brgSearch := schema.Transformation{
 		Namespace: "sdss", Name: "brgSearch", Kind: schema.Simple, Exec: "/bin/brg",
@@ -102,17 +117,34 @@ func names(res Results) string {
 	return strings.Join(out, ",")
 }
 
+// search runs q through the planner, the forced scan and the locked
+// oracle, and fails unless all three return the same objects in the
+// same order.
 func search(t testing.TB, c *catalog.Catalog, kind Kind, q string) Results {
 	t.Helper()
 	res, err := Search(c, kind, q)
 	if err != nil {
 		t.Fatalf("Search(%q): %v", q, err)
 	}
+	e := mustParse(t, q)
+	scan, err := RunScan(c, kind, e)
+	if err != nil {
+		t.Fatalf("RunScan(%q): %v", q, err)
+	}
+	oracle, err := RunOracle(c, kind, e)
+	if err != nil {
+		t.Fatalf("RunOracle(%q): %v", q, err)
+	}
+	if resKey(res) != resKey(scan) || resKey(res) != resKey(oracle) {
+		t.Fatalf("%q:\n index  %q\n scan   %q\n oracle %q", q, resKey(res), resKey(scan), resKey(oracle))
+	}
 	return res
 }
 
-func TestDatasetQueries(t *testing.T) {
-	c := fixture(t)
+func TestDatasetQueries(t *testing.T) { eachShardCount(t, testDatasetQueries) }
+
+func testDatasetQueries(t *testing.T, shards int) {
+	c := fixtureShards(t, shards)
 	cases := []struct {
 		q    string
 		want string
@@ -121,6 +153,9 @@ func TestDatasetQueries(t *testing.T) {
 		{`name = raw1`, "raw1"},
 		{`name ~ "raw*"`, "raw1,raw2"},
 		{`name != raw1 and name ~ "raw*"`, "raw2"},
+		{`name ~ "*1" and derived`, "brg1"},
+		{`name ~ "r?w[12]"`, "raw1,raw2"},
+		{`attr.owner = annis and not derived and name ~ "raw2*"`, "raw2"},
 		{`attr.owner = annis`, "raw1,raw2"},
 		{`attr.owner = "annis" and attr.stripe = "82"`, "raw2"},
 		{`attr.missing = x`, ""},
@@ -144,8 +179,10 @@ func TestDatasetQueries(t *testing.T) {
 	}
 }
 
-func TestTransformationQueries(t *testing.T) {
-	c := fixture(t)
+func TestTransformationQueries(t *testing.T) { eachShardCount(t, testTransformationQueries) }
+
+func testTransformationQueries(t *testing.T, shards int) {
+	c := fixtureShards(t, shards)
 	cases := []struct {
 		q    string
 		want string
@@ -157,6 +194,8 @@ func TestTransformationQueries(t *testing.T) {
 		{`simple`, "sdss::bcgSearch,sdss::brgSearch"},
 		{`attr.author = annis`, "sdss::brgSearch"},
 		{`name ~ "sdss::b*"`, "sdss::bcgSearch,sdss::brgSearch"},
+		{`name ~ "sdss::b*" and name != sdss::bcgSearch`, "sdss::brgSearch"},
+		{`simple and name ~ "*Search"`, "sdss::bcgSearch,sdss::brgSearch"},
 		// Untyped formals accept the universal type.
 		{`input <= Dataset`, "sdss::bcgSearch,sdss::brgSearch,sdss::pipeline"},
 	}
@@ -167,8 +206,10 @@ func TestTransformationQueries(t *testing.T) {
 	}
 }
 
-func TestDerivationQueries(t *testing.T) {
-	c := fixture(t)
+func TestDerivationQueries(t *testing.T) { eachShardCount(t, testDerivationQueries) }
+
+func testDerivationQueries(t *testing.T, shards int) {
+	c := fixtureShards(t, shards)
 	cases := []struct {
 		q    string
 		want int
@@ -190,25 +231,47 @@ func TestDerivationQueries(t *testing.T) {
 	}
 }
 
-func TestTRVersionlessMatch(t *testing.T) {
-	c := catalog.New(nil)
-	tr := schema.Transformation{Name: "sim", Version: "1.3", Kind: schema.Simple, Exec: "/bin/sim",
-		Args: []schema.FormalArg{{Name: "o", Direction: schema.Out}, {Name: "i", Direction: schema.In}}}
-	if err := c.AddTransformation(tr); err != nil {
-		t.Fatal(err)
+func TestTRVersionlessMatch(t *testing.T) { eachShardCount(t, testTRVersionlessMatch) }
+
+// testTRVersionlessMatch has derivations cite a transformation both by
+// version and by its bare name, so a versionless `tr =` finds members in
+// both TR index families (exact ref and versionless base) and must count
+// the ones filed under both once.
+func testTRVersionlessMatch(t *testing.T, shards int) {
+	c := catalog.NewSharded(nil, shards)
+	for _, ver := range []string{"", "1.3", "1.4"} {
+		tr := schema.Transformation{Name: "sim", Version: ver, Kind: schema.Simple, Exec: "/bin/sim",
+			Args: []schema.FormalArg{{Name: "o", Direction: schema.Out}, {Name: "i", Direction: schema.In}}}
+		if err := c.AddTransformation(tr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := c.AddDerivation(schema.Derivation{TR: "sim:1.3", Params: map[string]schema.Actual{
-		"o": schema.DatasetActual("output", "o1"), "i": schema.DatasetActual("input", "i1"),
-	}}); err != nil {
-		t.Fatal(err)
+	for i, ref := range []string{"sim:1.3", "sim:1.3", "sim:1.4", "sim", "sim", "sim"} {
+		if _, err := c.AddDerivation(schema.Derivation{TR: ref, Params: map[string]schema.Actual{
+			"o": schema.DatasetActual("output", fmt.Sprintf("o%d", i)),
+			"i": schema.DatasetActual("input", fmt.Sprintf("i%d", i)),
+		}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res := search(t, c, KDerivation, `tr = sim`)
-	if len(res.Derivations) != 1 {
-		t.Errorf("versionless tr match: %d", len(res.Derivations))
+	for _, tc := range []struct {
+		q    string
+		want int
+	}{
+		{`tr = sim`, 6},
+		{`tr = sim:1.3`, 2},
+		{`tr = sim:1.4`, 1},
+		{`tr = sim:1.5`, 0},
+		{`tr = sim and consumes(i3)`, 1},
+		{`tr = sim and not consumes(i3)`, 5},
+	} {
+		if res := search(t, c, KDerivation, tc.q); len(res.Derivations) != tc.want {
+			t.Errorf("%q: got %d derivations, want %d", tc.q, len(res.Derivations), tc.want)
+		}
 	}
-	res = search(t, c, KDerivation, `tr = sim:1.4`)
-	if len(res.Derivations) != 0 {
-		t.Errorf("wrong version matched: %d", len(res.Derivations))
+	want := `index derivations: [tr = sim ->6] => 6 candidates`
+	if got, err := Explain(c, KDerivation, mustParse(t, `tr = sim`)); err != nil || got != want {
+		t.Errorf("Explain(tr = sim) = %q, %v; want %q", got, err, want)
 	}
 }
 
@@ -242,9 +305,14 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Search(c, KDataset, `descendantof(ghost)`); err == nil {
 		t.Error("unknown dataset in relationship accepted")
 	}
-	// Bad glob pattern surfaces at eval time.
-	if _, err := Search(c, KDataset, `name ~ "[unclosed"`); err == nil {
-		t.Error("bad pattern accepted")
+	// A bad glob pattern is a parse error, whatever the catalog holds.
+	for _, q := range []string{`name ~ "[unclosed"`, `attr.owner ~ "[a"`, `name = nosuch and name ~ "a[]"`} {
+		if _, err := Parse(q); err == nil {
+			t.Errorf("Parse(%q): bad pattern accepted", q)
+		}
+		if _, err := Search(catalog.New(nil), KDataset, q); err == nil {
+			t.Errorf("Search(%q) on an empty catalog: bad pattern accepted", q)
+		}
 	}
 	if _, err := Run(c, Kind(42), All); err == nil {
 		t.Error("bad kind accepted")

@@ -84,23 +84,26 @@ func TestBooleanAlgebraProperty(t *testing.T) {
 
 // randomCatalog builds a seeded pseudo-random catalog: a small type
 // hierarchy, primary datasets with random types/attrs/replicas, a chain
-// of derivations over random inputs, random invocations, and random
-// epoch bumps (with and without restamp).
-func randomCatalog(t testing.TB, r *rand.Rand) *catalog.Catalog {
+// of derivations over random inputs citing the transformation by bare
+// name or by version, random invocations, and random epoch bumps (with
+// and without restamp).
+func randomCatalog(t testing.TB, r *rand.Rand, shards int) *catalog.Catalog {
 	t.Helper()
-	c := catalog.New(nil)
+	c := catalog.NewSharded(nil, shards)
 	for _, def := range [][2]string{{"root", ""}, {"mid", "root"}, {"leaf", "mid"}, {"other", ""}} {
 		if err := c.DefineType(dtype.Content, def[0], def[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.AddTransformation(schema.Transformation{
-		Namespace: "t", Name: "gen", Kind: schema.Simple, Exec: "/bin/gen",
-		Args: []schema.FormalArg{
-			{Name: "o", Direction: schema.Out},
-			{Name: "i", Direction: schema.In},
-		}}); err != nil {
-		t.Fatal(err)
+	for _, ver := range []string{"", "2"} {
+		if err := c.AddTransformation(schema.Transformation{
+			Namespace: "t", Name: "gen", Version: ver, Kind: schema.Simple, Exec: "/bin/gen",
+			Args: []schema.FormalArg{
+				{Name: "o", Direction: schema.Out},
+				{Name: "i", Direction: schema.In},
+			}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	contents := []string{"root", "mid", "leaf", "other", ""}
@@ -121,7 +124,7 @@ func randomCatalog(t testing.TB, r *rand.Rand) *catalog.Catalog {
 	}
 	for i := 0; i < 10; i++ {
 		out := fmt.Sprintf("o%d", i)
-		dv, err := c.AddDerivation(schema.Derivation{TR: "t::gen", Params: map[string]schema.Actual{
+		dv, err := c.AddDerivation(schema.Derivation{TR: []string{"t::gen", "t::gen:2"}[r.Intn(2)], Params: map[string]schema.Actual{
 			"o": schema.DatasetActual("output", out),
 			"i": schema.DatasetActual("input", names[r.Intn(len(names))]),
 		}})
@@ -164,7 +167,10 @@ func randExprSrc(r *rand.Rand, depth int) string {
 		fmt.Sprintf("name = o%d", r.Intn(10)),
 		`name = nosuch`,
 		`name ~ "ds*"`,
+		fmt.Sprintf(`name ~ "?%d*"`, r.Intn(10)),
+		`name ~ "t::*"`,
 		`name != ds0`,
+		`name != t::gen`,
 		fmt.Sprintf("attr.owner = %s", []string{"ann", "bob"}[r.Intn(2)]),
 		`attr.batch = x`,
 		`attr.missing = z`,
@@ -173,7 +179,7 @@ func randExprSrc(r *rand.Rand, depth int) string {
 		`type <= other`,
 		`type <= Dataset`,
 		`derived`, `materialized`, `virtual`, `executed`, `simple`, `compound`,
-		`tr = t::gen`, `tr = t`, `tr = nosuch::tr`,
+		`tr = t::gen`, `tr = t::gen:2`, `tr = t`, `tr = nosuch::tr`,
 		fmt.Sprintf("consumes(ds%d)", r.Intn(8)),
 		fmt.Sprintf("produces(o%d)", r.Intn(10)),
 		fmt.Sprintf("descendantof(ds%d)", r.Intn(8)),
@@ -196,12 +202,14 @@ func randExprSrc(r *rand.Rand, depth int) string {
 }
 
 // Property: for random catalogs and random expression trees, the
-// planner's indexed path and the forced full scan return identical
-// results (objects and order) for every object kind.
-func TestIndexScanEquivalenceQuick(t *testing.T) {
+// planner's indexed path, the forced full scan and the locked oracle
+// return identical results (objects and order) for every object kind.
+func TestIndexScanEquivalenceQuick(t *testing.T) { eachShardCount(t, testIndexScanEquivalenceQuick) }
+
+func testIndexScanEquivalenceQuick(t *testing.T, shards int) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		c := randomCatalog(t, r)
+		c := randomCatalog(t, r, shards)
 		if err := c.CheckIndexes(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -214,15 +222,16 @@ func TestIndexScanEquivalenceQuick(t *testing.T) {
 			for _, kind := range []Kind{KDataset, KTransformation, KDerivation} {
 				idx, err1 := Run(c, kind, e)
 				scan, err2 := RunScan(c, kind, e)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("seed %d kind %d %q: index err %v, scan err %v", seed, kind, src, err1, err2)
+				oracle, err3 := RunOracle(c, kind, e)
+				if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
+					t.Fatalf("seed %d kind %d %q: index err %v, scan err %v, oracle err %v", seed, kind, src, err1, err2, err3)
 				}
 				if err1 != nil {
 					continue
 				}
-				if resKey(idx) != resKey(scan) {
-					t.Fatalf("seed %d kind %d %q:\n index %q\n scan  %q",
-						seed, kind, src, resKey(idx), resKey(scan))
+				if resKey(idx) != resKey(scan) || resKey(idx) != resKey(oracle) {
+					t.Fatalf("seed %d kind %d %q:\n index  %q\n scan   %q\n oracle %q",
+						seed, kind, src, resKey(idx), resKey(scan), resKey(oracle))
 				}
 			}
 		}

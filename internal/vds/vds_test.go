@@ -147,6 +147,36 @@ func TestSearchOverWire(t *testing.T) {
 	}
 }
 
+// TestMalformedGlobIs400: a bad `~` pattern is rejected when the query is
+// parsed, so the status cannot depend on whether the catalog is empty,
+// the candidate set is empty, or some object reached the pattern.
+func TestMalformedGlobIs400(t *testing.T) {
+	_, client := startServer(t, "s")
+	check := func(state string) {
+		t.Helper()
+		for _, q := range []string{
+			`name ~ "[a"`,
+			`attr.owner ~ "[a"`,
+			`name = nothing and name ~ "[a"`, // empty candidate set
+			`derived and name ~ "a[]"`,
+		} {
+			_, err := client.SearchDatasets(q)
+			var re *RemoteError
+			if !errors.As(err, &re) || re.Status != http.StatusBadRequest {
+				t.Errorf("%s catalog, %q: got %v, want a 400", state, q, err)
+			}
+		}
+	}
+	check("empty")
+	if err := client.PutTransformation(twoArg("t")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.PutDerivation(chainDV("t", "a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	check("populated")
+}
+
 func TestErrorMapping(t *testing.T) {
 	_, client := startServer(t, "s")
 	_, err := client.Dataset("ghost")
