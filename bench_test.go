@@ -8,7 +8,6 @@ package chimera
 
 import (
 	"testing"
-	"time"
 
 	"chimera/internal/bench"
 )
@@ -87,69 +86,6 @@ func BenchmarkE9Shipping(b *testing.B) {
 // expansion throughput (Appendix A).
 func BenchmarkE10VDL(b *testing.B) {
 	runTable(b, func() (bench.Table, error) { return bench.E10VDL([]int{1000}) })
-}
-
-// BenchmarkE11Ingest regenerates E11: concurrent catalog ingest
-// throughput, group-commit WAL vs per-op fsync (docs/PERF.md). Kept
-// small so the -race CI smoke run exercises every durability mode in
-// seconds.
-func BenchmarkE11Ingest(b *testing.B) {
-	runTable(b, func() (bench.Table, error) { return bench.E11Ingest([]int{1, 4, 16}, 50) })
-}
-
-// BenchmarkE12Query regenerates E12: indexed discovery vs full scan,
-// plus query throughput under concurrent ingest (docs/PERF.md). Kept
-// small so the -race CI smoke run finishes in seconds.
-func BenchmarkE12Query(b *testing.B) {
-	runTable(b, func() (bench.Table, error) { return bench.E12Query([]int{1000}, 5) })
-}
-
-// BenchmarkE13Sched regenerates E13: scheduler event throughput with
-// the incremental ready-frontier vs the full-rescan dispatcher, plus
-// WAL batch occupancy under pipelined recording (docs/PERF.md). Kept
-// small so the -race CI smoke run finishes in seconds.
-func BenchmarkE13Sched(b *testing.B) {
-	runTable(b, func() (bench.Table, error) { return bench.E13Sched([]int{500, 2000}, 100) })
-}
-
-// BenchmarkFederationCrawl regenerates E14: sequential full-export
-// crawl vs parallel incremental delta crawl, including warm unchanged
-// passes and a concurrent-ingest storm (docs/PERF.md). Kept small so
-// the -race CI smoke run finishes in seconds.
-func BenchmarkFederationCrawl(b *testing.B) {
-	runTable(b, func() (bench.Table, error) { return bench.E14Federation([]int{4, 8}, 50) })
-}
-
-// BenchmarkE15Shards regenerates E15: sharded-catalog ingest scaling
-// across shard counts and durability modes, with modeled stable-storage
-// commit latency (docs/PERF.md). Kept small so the -race CI smoke run
-// exercises the scatter-gather and per-shard WAL paths in seconds.
-func BenchmarkE15Shards(b *testing.B) {
-	runTable(b, func() (bench.Table, error) {
-		return bench.E15Shards([]int{1, 8}, 8, 30, 200*time.Microsecond)
-	})
-}
-
-// BenchmarkE16Codec regenerates E16: binary vs JSON catalog codec —
-// snapshot bytes, cold-start decode, and delta body bytes
-// (docs/PERF.md, "Binary catalog format"). Kept small so the -race CI
-// smoke run covers both codecs' encode and decode paths in seconds.
-func BenchmarkE16Codec(b *testing.B) {
-	runTable(b, func() (bench.Table, error) {
-		return bench.E16Codec([]int{10000}, 0.05)
-	})
-}
-
-// BenchmarkAnalystStorm regenerates E18: the concurrent-analyst storm —
-// locked ordered-snapshot reads vs the lock-free epoch path with the
-// plan/result cache, under sustained ingest (docs/PERF.md, "Concurrent
-// read path"). Kept small (short windows, two analyst counts) so the
-// -race CI smoke run drives epoch acquisition, cache hits, and the
-// executor dedup fast path under real concurrency in seconds.
-func BenchmarkAnalystStorm(b *testing.B) {
-	runTable(b, func() (bench.Table, error) {
-		return bench.E18Analysts([]int{1, 8}, 40, 100*time.Millisecond)
-	})
 }
 
 // BenchmarkE17Replication regenerates E17: the dynamic-replication

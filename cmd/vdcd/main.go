@@ -29,11 +29,10 @@
 // With -federate, vdcd also hosts a federated index over the listed
 // member catalogs and crawls them incrementally every -crawl-every;
 // the per-member sync cursors appear under /debug/vdc, and each pass
-// is one connected trace when -trace is on. Member exports use the
-// compact binary transport when members support it (-export-binary,
-// on by default, negotiates down to JSON against older members), and
-// -max-export-bytes caps how large a member response the crawler will
-// buffer.
+// is one connected trace when -trace is on. The crawler always offers
+// the compact binary export transport (members that do not speak it
+// negotiate down to JSON), and -max-export-bytes caps how large a
+// member response it will buffer.
 //
 // Usage:
 //
@@ -80,7 +79,7 @@ func main() {
 	name := flag.String("name", "vdc", "catalog authority name")
 	readonly := flag.Bool("readonly", false, "reject mutations")
 	syncWAL := flag.Bool("sync", false, "fsync the write-ahead log before acknowledging mutations (one fsync per commit batch)")
-	walBatch := flag.Int("wal-batch", catalog.DefaultMaxBatch, "group-commit batch-size target; 1 disables group commit (inline per-op writes)")
+	walBatch := flag.Int("wal-batch", catalog.DefaultMaxBatch, "group-commit batch-size target; 1 commits every record as its own batch before acknowledging")
 	walDelay := flag.Duration("wal-delay", catalog.DefaultMaxDelay, "how long a contended commit batch stays open for stragglers; <0 disables the window")
 	journalWindow := flag.Int("journal-window", catalog.DefaultJournalWindow, "change-journal entries retained for delta exports; crawlers further behind fall back to full exports")
 	shards := flag.Int("shards", 1, "catalog shard count (1..64): independent lock/WAL/journal partitions for multi-core ingest; fixed at directory creation, the on-disk count wins on reopen")
@@ -94,7 +93,6 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiles at /debug/pprof/")
 	federate := flag.String("federate", "", "comma-separated authority=url member list; vdcd hosts a federated index over them")
 	crawlEvery := flag.Duration("crawl-every", 30*time.Second, "federation crawl interval with -federate")
-	exportBinary := flag.Bool("export-binary", true, "request the binary export representation when crawling -federate members; members that don't speak it negotiate down to JSON")
 	maxExportBytes := flag.Int64("max-export-bytes", vds.DefaultMaxResponseBytes, "largest member export response the federation crawler accepts, in bytes; <0 removes the cap")
 	flag.Parse()
 
@@ -206,7 +204,7 @@ func main() {
 				os.Exit(2)
 			}
 			cl := vds.NewClient(strings.TrimSpace(url))
-			cl.Binary = *exportBinary
+			cl.Binary = true // JSON-only members negotiate down
 			cl.MaxResponseBytes = *maxExportBytes
 			ix.AddMember(strings.TrimSpace(authority), cl)
 		}

@@ -1,7 +1,7 @@
 // Command vdg-bench runs the experiment harness at paper scale and
-// prints one results table per experiment (E1–E18 in DESIGN.md). The
-// tables reproduce the shapes of the paper's evaluation claims; the
-// recorded outputs live in EXPERIMENTS.md.
+// prints one results table per experiment (E1–E10, E17, A1–A2 in
+// DESIGN.md). The tables reproduce the shapes of the paper's evaluation
+// claims; the recorded outputs live in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -61,52 +61,20 @@ func experiments() []experiment {
 		{"E10",
 			func() (bench.Table, error) { return bench.E10VDL([]int{100, 1000}) },
 			func() (bench.Table, error) { return bench.E10VDL([]int{100, 1000, 10000}) }},
-		{"E11",
-			func() (bench.Table, error) { return bench.E11Ingest([]int{1, 4, 16}, 50) },
-			func() (bench.Table, error) { return bench.E11Ingest([]int{1, 4, 16, 64}, 200) }},
-		{"E12",
-			func() (bench.Table, error) { return bench.E12Query([]int{1000, 10000}, 20) },
-			func() (bench.Table, error) { return bench.E12Query([]int{1000, 10000, 100000}, 50) }},
-		{"E13",
-			func() (bench.Table, error) { return bench.E13Sched([]int{1000, 5000}, 150) },
-			func() (bench.Table, error) { return bench.E13Sched([]int{1000, 5000, 20000}, 400) }},
-		{"E14",
-			func() (bench.Table, error) { return bench.E14Federation([]int{4, 8}, 50) },
-			func() (bench.Table, error) { return bench.E14Federation([]int{4, 16, 64}, 200) }},
-		{"E15",
-			func() (bench.Table, error) {
-				return bench.E15Shards([]int{1, 4, 8}, 8, 60, 200*time.Microsecond)
-			},
-			func() (bench.Table, error) {
-				return bench.E15Shards([]int{1, 2, 4, 8, 16}, 8, 150, time.Millisecond)
-			}},
-		{"E16",
-			func() (bench.Table, error) { return bench.E16Codec([]int{20000, 100000}, 0.01) },
-			func() (bench.Table, error) { return bench.E16Codec([]int{100000, 1000000}, 0.01) }},
 		{"E17",
 			func() (bench.Table, error) { return bench.E17DynamicReplication([]int{200, 1000}, 2) },
 			func() (bench.Table, error) { return bench.E17DynamicReplication([]int{1000, 10000}, 2) }},
-		{"E18",
-			func() (bench.Table, error) {
-				return bench.E18Analysts([]int{1, 16}, 60, 250*time.Millisecond)
-			},
-			func() (bench.Table, error) {
-				return bench.E18Analysts([]int{1, 16, 256}, 100, 750*time.Millisecond)
-			}},
 		{"A1",
 			func() (bench.Table, error) { return bench.A1IndexVsScan([]int{500, 2000}) },
 			func() (bench.Table, error) { return bench.A1IndexVsScan([]int{500, 2000, 10000}) }},
 		{"A2",
 			func() (bench.Table, error) { return bench.A2PendingLoad(100, 16) },
 			func() (bench.Table, error) { return bench.A2PendingLoad(600, 60) }},
-		{"A3",
-			func() (bench.Table, error) { return bench.A3PlannerOff(2000, 20) },
-			func() (bench.Table, error) { return bench.A3PlannerOff(10000, 50) }},
 	}
 }
 
 func main() {
-	run := flag.String("run", "all", "experiment to run (E1..E18, A1..A3, or all)")
+	run := flag.String("run", "all", "experiment to run (E1..E10, E17, A1, A2, or all)")
 	scale := flag.String("scale", "paper", "parameter scale: small or paper")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
 	tracePath := flag.String("trace", "", "write a Chrome trace with one span per experiment")
@@ -143,8 +111,8 @@ func main() {
 			fmt.Println(tab.String())
 		}
 		fmt.Printf("(%s completed in %v)\n\n", ex.id, time.Since(start).Round(time.Millisecond))
-		// CI consumes these experiments' headline numbers as artifacts.
-		if ex.id == "E15" || ex.id == "E16" || ex.id == "E17" || ex.id == "E18" {
+		// CI consumes E17's headline numbers as an artifact.
+		if ex.id == "E17" {
 			name := "BENCH_" + ex.id + ".json"
 			data, err := json.MarshalIndent(tab, "", "  ")
 			if err == nil {

@@ -201,101 +201,6 @@ func TestA1IndexBeatsScan(t *testing.T) {
 	}
 }
 
-func TestE12IndexedBeatsScan(t *testing.T) {
-	tab, err := E12Query([]int{10000}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell(t, tab, 0, "agree") != "true" {
-		t.Errorf("indexed and scan paths disagree: %v", tab.Rows[0])
-	}
-	if ratio := cellF(t, tab, 0, "scan/indexed"); !(ratio > 10) {
-		t.Errorf("indexed not >=10x faster at 10k derivations: %v", tab.Rows[0])
-	}
-	if !(cellF(t, tab, 0, "qps-under-ingest") > 0) {
-		t.Errorf("no queries completed under ingest: %v", tab.Rows[0])
-	}
-}
-
-func TestE13FrontierBeatsRescan(t *testing.T) {
-	tab, err := E13Sched([]int{500, 2000}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tab.Rows {
-		if !(cellF(t, tab, i, "frontier-events/s") > 0) || !(cellF(t, tab, i, "rescan-events/s") > 0) {
-			t.Errorf("row %d: zero throughput: %v", i, tab.Rows[i])
-		}
-	}
-	// Even at modest test sizes the incremental frontier should win
-	// clearly on the largest DAG; paper scale (20k nodes) targets >=10x.
-	if s := cellF(t, tab, len(tab.Rows)-1, "speedup"); !(s > 2) {
-		t.Errorf("frontier speedup at largest DAG only %gx: %v", s, tab.Rows[len(tab.Rows)-1])
-	}
-	if len(tab.Notes) < 2 || !strings.Contains(tab.Notes[1], "records/batch") {
-		t.Errorf("missing WAL occupancy note: %v", tab.Notes)
-	}
-}
-
-func TestE14DeltaBeatsFull(t *testing.T) {
-	tab, err := E14Federation([]int{4, 8}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tab.Rows {
-		if !(cellF(t, tab, i, "full-ms") > 0) || !(cellF(t, tab, i, "delta-warm-ms") > 0) {
-			t.Errorf("row %d: zero latency recorded: %v", i, tab.Rows[i])
-		}
-	}
-	// Warm (unchanged) delta passes skip all re-import and parallelize
-	// the round-trips; paper scale targets >=10x at 16 members.
-	last := len(tab.Rows) - 1
-	if s := cellF(t, tab, last, "warm-speedup"); !(s > 2) {
-		t.Errorf("warm delta speedup at largest member count only %gx: %v", s, tab.Rows[last])
-	}
-	if len(tab.Notes) < 3 || !strings.Contains(tab.Notes[2], "concurrent ingest") {
-		t.Errorf("missing concurrent-ingest note: %v", tab.Notes)
-	}
-}
-
-func TestE16BinaryCodecWins(t *testing.T) {
-	tab, err := E16Codec([]int{20000}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Even at this modest size the binary codec should be clearly
-	// smaller and faster to load; paper scale (1M objects) targets >=3x
-	// cold start and >=2x smaller deltas.
-	if r := cellF(t, tab, 0, "snap-ratio"); !(r > 1.3) {
-		t.Errorf("binary snapshot not smaller: %gx (%v)", r, tab.Rows[0])
-	}
-	if x := cellF(t, tab, 0, "cold-start-x"); !(x > 2) {
-		t.Errorf("binary cold start only %gx faster: %v", x, tab.Rows[0])
-	}
-	if x := cellF(t, tab, 0, "delta-x"); !(x > 2) {
-		t.Errorf("binary delta only %gx smaller: %v", x, tab.Rows[0])
-	}
-	if tab.Metrics["cold_start_speedup"] <= 0 || tab.Metrics["delta_bytes_ratio"] <= 0 {
-		t.Errorf("headline metrics missing: %v", tab.Metrics)
-	}
-}
-
-func TestA3PlannerNeverLoses(t *testing.T) {
-	tab, err := A3PlannerOff(2000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tab.Rows {
-		if cell(t, tab, i, "agree") != "true" {
-			t.Errorf("row %d: planner and scan disagree: %v", i, tab.Rows[i])
-		}
-	}
-	// The point lookup (row 0) must be dramatically faster indexed.
-	if ratio := cellF(t, tab, 0, "scan/indexed"); !(ratio > 10) {
-		t.Errorf("point lookup not >=10x faster: %v", tab.Rows[0])
-	}
-}
-
 func TestA2TrackingWins(t *testing.T) {
 	tab, err := A2PendingLoad(60, 16)
 	if err != nil {

@@ -100,7 +100,7 @@ func (c *Catalog) Types() *dtype.Registry { return c.types }
 // mutation therefore never returns success before its records are
 // written (and fsynced when Options.Sync is set), yet the fsync happens
 // off-lock so concurrent writers share it instead of serializing on
-// it. In-memory and inline-WAL catalogs return as soon as fn does.
+// it. In-memory catalogs return as soon as fn does.
 func (c *Catalog) mutate(set shardSet, fn func() error) error {
 	wait, err := c.mutateAsync(set, fn)
 	if err != nil {
@@ -122,8 +122,8 @@ type walWait struct {
 // blocking for durability, returns a wait function the caller invokes
 // (off any lock, possibly from another goroutine) to block until every
 // batch holding fn's WAL records is durable. A nil wait means the
-// mutation needs no waiting (in-memory or inline-WAL catalog). This is
-// the primitive behind the executor's off-lock recording pipeline:
+// mutation needs no waiting (in-memory catalog, or nothing logged).
+// This is the primitive behind the executor's off-lock recording pipeline:
 // applies stay ordered under the shard locks while many durability
 // waits stay in flight at once, which is what lets the group
 // committers batch them.
@@ -137,15 +137,14 @@ func (c *Catalog) mutateAsync(set shardSet, fn func() error) (wait func() error,
 		if !set.has(i) {
 			continue
 		}
-		committed := false
-		if s.pendingSeq != 0 {
-			if s.wal != nil && s.wal.com != nil {
-				if w0.com == nil {
-					w0 = walWait{s.wal.com, s.pendingSeq}
-				} else {
-					more = append(more, walWait{s.wal.com, s.pendingSeq})
-				}
-				committed = true
+		// logOp set pendingSeq under this same lock hold, so the WAL it
+		// enqueued on is still attached.
+		committed := s.pendingSeq != 0
+		if committed {
+			if w0.com == nil {
+				w0 = walWait{s.wal.com, s.pendingSeq}
+			} else {
+				more = append(more, walWait{s.wal.com, s.pendingSeq})
 			}
 			s.pendingSeq = 0
 		}
@@ -153,7 +152,7 @@ func (c *Catalog) mutateAsync(set shardSet, fn func() error) (wait func() error,
 		// riding a group commit publish when the batch resolves — that
 		// amortization is what lets N concurrent writers pay one swap per
 		// batch instead of one per mutation. Everything else — in-memory
-		// catalogs, inline WALs, failed mutations, and shards touched only
+		// catalogs, failed mutations, and shards touched only
 		// by cross-shard adjacency updates (no WAL record) — publishes
 		// inline, before the lock drops, preserving read-your-writes.
 		if committed && err == nil {

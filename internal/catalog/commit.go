@@ -60,12 +60,6 @@ type committer struct {
 	shardBatches *obs.Counter
 	shardRecords *obs.Counter
 
-	// syncDelay models slow stable storage (Options.SyncDelay): an
-	// extra wait per batch commit, taken off-lock where the fsync
-	// blocks, so it amortizes across the batch like a real slow fsync.
-	// Set once before the committer sees traffic.
-	syncDelay time.Duration
-
 	// fsyncEWMA smooths recent fsync latencies. The MaxDelay batch
 	// window only pays off when fsync costs much more than the window
 	// itself (spinning disks, network filesystems); on storage where
@@ -267,9 +261,6 @@ func (w *committer) commitLocked() {
 			fsyncTook = time.Since(start)
 			metricWALBatchFsync.Observe(fsyncTook.Seconds())
 		}
-	}
-	if err == nil && w.syncDelay > 0 {
-		time.Sleep(w.syncDelay)
 	}
 
 	w.mu.Lock()

@@ -83,18 +83,21 @@ func TestGroupCommitReopenRestoresState(t *testing.T) {
 	requireSameState(t, c, c2)
 }
 
-// TestInlineFallbackMode checks that MaxBatch=1 keeps the synchronous
-// pre-group-commit path working end to end.
+// TestInlineFallbackMode checks what MaxBatch=1 means now that every
+// record goes through the committer: records commit one per batch,
+// fsynced, and round-trip.
 func TestInlineFallbackMode(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, nil, Options{Sync: true, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.shards[0].wal.com != nil {
-		t.Fatal("MaxBatch=1 must not start a committer")
-	}
+	batches0, records0 := WALBatchStats()
 	populate(t, c)
+	batches, records := WALBatchStats()
+	if db, dr := batches-batches0, records-records0; db == 0 || dr != float64(db) {
+		t.Fatalf("MaxBatch=1: %v records in %d batches, want one per batch", dr, db)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestCommitterStickyFailure(t *testing.T) {
 	}
 }
 
-// TestInlineStickyFailure poisons the inline (MaxBatch=1) WAL by
+// TestInlineStickyFailure poisons a MaxBatch=1 catalog's WAL by
 // severing its file descriptor: the failing mutation reports
 // ErrDurability, and every later mutation must fail fast instead of
 // appending past the (possibly torn) record — which would produce the
@@ -157,10 +160,10 @@ func TestInlineStickyFailure(t *testing.T) {
 		t.Fatalf("want ErrDurability, got %v", err)
 	}
 	if err := c.AddDataset(schema.Dataset{Name: "later"}); !errors.Is(err, ErrDurability) {
-		t.Fatalf("mutation after inline WAL failure must fail fast, got %v", err)
+		t.Fatalf("mutation after WAL failure must fail fast, got %v", err)
 	}
 	if c.DurabilityErr() == nil {
-		t.Fatal("inline sticky failure not reported by DurabilityErr")
+		t.Fatal("sticky failure not reported by DurabilityErr")
 	}
 }
 

@@ -17,9 +17,7 @@ var (
 		"Catalog mutations that returned an error, by operation.", "op")
 
 	metricWALAppend = obs.Default.Histogram("vdc_wal_append_seconds",
-		"Latency of encoding one WAL record (inline mode: encode + write; group mode: encode + enqueue).", obs.TimeBuckets)
-	metricWALFsync = obs.Default.Histogram("vdc_wal_fsync_seconds",
-		"Latency of the per-record fsync on the inline path (Options.Sync with MaxBatch=1).", obs.TimeBuckets)
+		"Latency of encoding one WAL record and enqueueing it on the group committer.", obs.TimeBuckets)
 
 	// Group-commit series; see docs/PERF.md.
 	metricWALBatchRecords = obs.Default.Histogram("vdc_wal_batch_records",
@@ -77,9 +75,8 @@ var (
 // WALBatchStats reports the cumulative group-commit batch count and the
 // total records those batches carried (the vdc_wal_batch_records
 // histogram). The delta ratio over an interval is the WAL's
-// amortization factor — mean records per write+fsync; the E13 scheduler
-// experiment uses it to prove concurrent workflow completions share
-// commits.
+// amortization factor — mean records per write+fsync; the executor's
+// tests use it to prove concurrent workflow completions share commits.
 func WALBatchStats() (batches uint64, records float64) {
 	return metricWALBatchRecords.Count(), metricWALBatchRecords.Sum()
 }

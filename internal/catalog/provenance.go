@@ -17,8 +17,7 @@ import (
 // dataset's home shard, inputsOf/outputsOf on each derivation's. Every
 // entry point walks an epoch View (view.go) — the published snapshots,
 // read with zero lock acquisitions — and routes each map access to the
-// owning shard's state. Callers that need the ordered-snapshot oracle
-// instead can open a LockedView and use its Ancestors/Descendants.
+// owning shard's state.
 
 // Producer returns the derivation registered as producing the dataset,
 // or ErrNotFound for primary data.

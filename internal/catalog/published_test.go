@@ -11,14 +11,26 @@ import (
 )
 
 // The epoch read path's correctness argument mirrors the sharding one:
-// LockedView (every shard's read lock, reading the live write side) is
-// the oracle, and at any quiescent point — no writers, every durability
+// the live write side, read under every shard's read lock
+// (exportWriteSide), is the oracle, and at any quiescent point — no writers, every durability
 // wait resolved — an epoch view must observe byte-identical state. The
 // tests here drive that equivalence through randomized histories,
 // concurrent mutation storms (run under -race in CI), crash-replay of
 // the shard WALs, and both the 1-shard and 8-shard layouts; plus the
 // headline property the design exists for: the hot read paths acquire
 // zero shard locks.
+
+// exportWriteSide serializes the live write side of every shard under
+// rlockAll: the ordered snapshot the published epochs are held to.
+func exportWriteSide(c *Catalog) Export {
+	c.rlockAll()
+	defer c.runlockAll()
+	states := make([]*shardState, len(c.shards))
+	for i, s := range c.shards {
+		states[i] = s.shardState
+	}
+	return exportStates(c.types.Clone(), states)
+}
 
 // requireEpochMatchesLocked asserts the epoch view and the locked
 // oracle export identical state right now. Callers quiesce writers
@@ -32,9 +44,7 @@ func requireEpochMatchesLocked(t *testing.T, c *Catalog) {
 	ev := c.View()
 	epoch := ev.Export()
 	ev.Close()
-	lv := c.LockedView()
-	locked := lv.Export()
-	lv.Close()
+	locked := exportWriteSide(c)
 	je, err := schema.CanonicalBytes(epoch)
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +197,8 @@ func TestEpochCrashReplayPublishes(t *testing.T) {
 
 // TestReadPathLockFree is the lock-freedom assertion: the hot read
 // paths — View open/scan/Close, Export, point reads, the executor's
-// dedup probe — must acquire zero shard read locks, while the LockedView
-// oracle (kept, by design, behind an explicit option) takes exactly one
-// per shard.
+// dedup probe — must acquire zero shard read locks, while the
+// write-side oracle takes exactly one per shard (so the counter counts).
 func TestReadPathLockFree(t *testing.T) {
 	c := NewSharded(dtype.StandardRegistry(), 8)
 	populate(t, c)
@@ -214,9 +223,8 @@ func TestReadPathLockFree(t *testing.T) {
 		t.Fatalf("epoch read path acquired %d shard read locks, want 0", got)
 	}
 
-	lv := c.LockedView()
-	lv.Close()
+	exportWriteSide(c)
 	if got := LockReadAcquisitions() - before; got != uint64(c.Shards()) {
-		t.Fatalf("LockedView acquired %d shard read locks, want %d", got, c.Shards())
+		t.Fatalf("exportWriteSide acquired %d shard read locks, want %d", got, c.Shards())
 	}
 }

@@ -146,9 +146,8 @@ func (c *Catalog) shardIndex(name string) int {
 
 // HomeShard reports the shard index (0..shards-1) a catalog with the
 // given shard count homes an object name on. Exported so ingest
-// pipelines can align their streams with shard placement (and so
-// vdg-bench's E15 shard-aligned rows can pre-route workload names)
-// without re-deriving the hash.
+// pipelines can align their streams with shard placement without
+// re-deriving the hash.
 func HomeShard(name string, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -221,8 +220,8 @@ func (c *Catalog) unlockSet(set shardSet) {
 }
 
 // rlockAll takes every shard's read lock in ascending order: the
-// ordered-snapshot oracle underpinning LockedView, ChangesSince, and
-// the administrative probes. The hot scatter-gather paths (View, query,
+// ordered snapshot underpinning ChangesSince and the administrative
+// probes. The hot scatter-gather paths (View, query,
 // Export, provenance) no longer come here — they read published epochs
 // lock-free (published.go).
 func (c *Catalog) rlockAll() {

@@ -8,36 +8,29 @@ import (
 	"chimera/internal/schema"
 )
 
-// View is a consistent read-only snapshot of the catalog. The default
-// (epoch) view pins each shard's published epoch (published.go) with a
-// refcount — zero lock acquisitions, immutable state — so everything
-// observed through it reflects one published snapshot per shard, no
-// matter how many mutations race with the reader. LockedView is the
-// legacy oracle: it holds every shard's read lock from open to Close
-// and reads the live write side, giving ordered-snapshot consistency
-// across shards at the cost of contending with writers.
+// View is a consistent read-only snapshot of the catalog. It pins each
+// shard's published epoch (published.go) with a refcount — zero lock
+// acquisitions, immutable state — so everything observed through it
+// reflects one published snapshot per shard, no matter how many
+// mutations race with the reader.
 //
-// Epoch views are per-shard consistent: each shard's state is one
-// atomic publication, but two shards may expose publications from
-// slightly different moments (staleness bound: one group commit). At a
-// quiescent point — every durability wait resolved — an epoch view and
-// a locked view observe byte-identical state; the equivalence storm in
-// published_test.go proves it.
+// Views are per-shard consistent: each shard's state is one atomic
+// publication, but two shards may expose publications from slightly
+// different moments (staleness bound: one group commit). At a quiescent
+// point — every durability wait resolved — a view observes exactly the
+// write side's state; CheckPublished and the equivalence storm in
+// published_test.go prove it.
 //
 // Rules: a View is not safe for use after Close; maps and slices
-// returned by View methods are the snapshot's own storage — read-only,
-// and (for locked views) only valid until Close. A goroutine holding a
-// LockedView must not call any mutating catalog method before Close;
-// epoch views have no such restriction.
+// returned by View methods are the snapshot's own storage — read-only.
 type View struct {
 	c      *Catalog
 	states []*shardState
-	// eps holds the pinned epochs (nil for locked views, which read the
-	// write sides under rlockAll instead).
+	// eps holds the pinned epochs.
 	eps []*publishedEpoch
 	// seqs/vers are the per-shard cursor stamps of the snapshot: the
 	// journal sequence and mutation version each shard's state was
-	// published (or read) at.
+	// published at.
 	seqs []uint64
 	vers []uint64
 }
@@ -63,29 +56,8 @@ func (c *Catalog) View() *View {
 	return v
 }
 
-// LockedView opens the legacy locked snapshot: every shard's read lock
-// held until Close, reading the live write side. It is the equivalence
-// oracle for the epoch read path and the option for callers that need
-// ordered-snapshot consistency across shards (a locked reader can never
-// observe a mutation without every mutation that happened-before it).
-func (c *Catalog) LockedView() *View {
-	c.rlockAll()
-	n := len(c.shards)
-	v := &View{c: c, states: make([]*shardState, n), seqs: make([]uint64, n), vers: make([]uint64, n)}
-	for i, s := range c.shards {
-		v.states[i] = s.shardState
-		v.seqs[i] = s.lastSeq
-		v.vers[i] = s.ver
-	}
-	return v
-}
-
-// Close releases the snapshot (epoch pins or read locks).
+// Close releases the snapshot's epoch pins.
 func (v *View) Close() {
-	if v.eps == nil {
-		v.c.runlockAll()
-		return
-	}
 	for _, e := range v.eps {
 		e.release()
 	}

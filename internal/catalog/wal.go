@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,26 +59,8 @@ type typeRecord struct {
 }
 
 type wal struct {
-	dir  string
-	f    *os.File
-	sync bool
-	com  *committer // group-commit engine; nil in inline (MaxBatch=1) mode
-
-	// syncDelay models slow stable storage (Options.SyncDelay): an
-	// extra wait per commit, taken where the real fsync would block.
-	syncDelay time.Duration
-
-	// Inline-mode encode buffer, reused per record; guarded by the
-	// shard lock.
-	scratch bytes.Buffer
-	enc     *json.Encoder
-
-	// Inline-mode sticky durability error, guarded by the shard lock. A
-	// failed write can leave a torn record mid-file; appending past it
-	// would produce exactly the corrupt-record-followed-by-valid-records
-	// shape replay rejects, so the first failure poisons the log —
-	// mirroring the group committer's sticky err.
-	err error
+	f   *os.File
+	com *committer // group-commit engine: the one write path
 }
 
 const (
@@ -131,10 +112,9 @@ type Options struct {
 	// committer always drains the whole queue, which is the batching
 	// that makes fsync amortize. 0 means DefaultMaxBatch.
 	//
-	// MaxBatch == 1 disables group commit entirely: records are written
-	// (and fsynced) inline under the shard lock, the pre-group-commit
-	// behaviour. Single-writer deployments can use it to shave the last
-	// microseconds of commit latency.
+	// MaxBatch == 1 means batches of one: each record is committed
+	// (and fsynced) before its shard lock is released, the
+	// pre-group-commit cadence.
 	MaxBatch int
 
 	// MaxDelay bounds how long a committer holds a batch open for
@@ -148,14 +128,6 @@ type Options struct {
 	// shard's window receive a full export. 0 means
 	// DefaultJournalWindow.
 	JournalWindow int
-
-	// SyncDelay adds an artificial wait to every WAL commit (after the
-	// write and any fsync), modeling stable storage slower than the
-	// machine at hand — spinning disks, network filesystems. It is a
-	// benchmarking aid (E15 uses it to expose commit-wait overlap
-	// across shard WALs on fast local disks); leave it zero in
-	// production.
-	SyncDelay time.Duration
 
 	// Shards partitions the catalog (clamped to [1, MaxShards]): each
 	// shard owns its own lock, WAL file, change journal, and secondary
@@ -189,9 +161,6 @@ func (o Options) normalize() Options {
 	}
 	if o.JournalWindow <= 0 {
 		o.JournalWindow = DefaultJournalWindow
-	}
-	if o.SyncDelay < 0 {
-		o.SyncDelay = 0
 	}
 	o.Shards = normalizeShards(o.Shards)
 	return o
@@ -287,15 +256,9 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 		if err != nil {
 			return nil, fmt.Errorf("catalog: wal: %w", err)
 		}
-		w := &wal{dir: dir, f: f, sync: opts.Sync, syncDelay: opts.SyncDelay}
-		if opts.MaxBatch > 1 {
-			w.com = newCommitter(f, opts.Sync, opts.MaxBatch, opts.MaxDelay)
-			w.com.syncDelay = opts.SyncDelay
-			w.com.setShardMetrics(strconv.Itoa(i))
-		} else {
-			w.enc = json.NewEncoder(&w.scratch)
-		}
-		s.wal = w
+		com := newCommitter(f, opts.Sync, opts.MaxBatch, opts.MaxDelay)
+		com.setShardMetrics(strconv.Itoa(i))
+		s.wal = &wal{f: f, com: com}
 	}
 	// Expose the restored state to the lock-free read path: one epoch
 	// publication per shard covering the whole replay.
@@ -317,12 +280,10 @@ func (c *Catalog) Close() error {
 		}
 		w := s.wal
 		s.wal = nil
-		if w.com != nil {
-			if err := w.com.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := w.com.close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		if w.sync && firstErr == nil {
+		if w.com.fsync && firstErr == nil {
 			// A clean shutdown must be as durable as every acknowledged
 			// mutation: fsync before the descriptor goes away.
 			if err := w.f.Sync(); err != nil {
@@ -337,19 +298,15 @@ func (c *Catalog) Close() error {
 }
 
 // DurabilityErr reports the first shard WAL's sticky failure, if any:
-// non-nil once a WAL write or fsync has failed (batched or inline),
-// after which every further mutation on that shard is rejected.
-// In-memory catalogs always return nil.
+// non-nil once a WAL write or fsync has failed, after which every
+// further mutation on that shard is rejected. In-memory catalogs
+// always return nil.
 func (c *Catalog) DurabilityErr() error {
 	for _, s := range c.shards {
 		s.mu.RLock()
 		var err error
 		if s.wal != nil {
-			if s.wal.com != nil {
-				err = s.wal.com.failure()
-			} else {
-				err = s.wal.err
-			}
+			err = s.wal.com.failure()
 		}
 		s.mu.RUnlock()
 		if err != nil {
@@ -360,54 +317,21 @@ func (c *Catalog) DurabilityErr() error {
 }
 
 // logOp records one operation in the shard's WAL. Callers hold s.mu.
-// With the group committer the record is only enqueued here;
-// Catalog.mutate waits for its batch off-lock. In inline mode the
-// record is written (and fsynced) immediately, under the lock.
+// The record is only enqueued here; Catalog.mutate waits for its batch
+// off-lock. With MaxBatch == 1 the wait happens here instead, while
+// s.mu still keeps the next record out: every batch is one record.
 func (s *cshard) logOp(op opKind, v any) error {
 	if s.wal == nil {
 		return nil
 	}
-	if s.wal.com != nil {
-		seq, err := s.wal.com.enqueue(op, v)
-		if err != nil {
-			return err
-		}
-		s.pendingSeq = seq
-		return nil
+	seq, err := s.wal.com.enqueue(op, v)
+	if err != nil {
+		return err
 	}
-	return s.wal.append(op, v)
-}
-
-// append writes one record synchronously: the inline (MaxBatch=1)
-// path. The scratch buffer is reused across records, so the only
-// allocation is whatever the JSON encoder needs for the value itself.
-// The first write/fsync failure poisons the log (see wal.err); encode
-// failures do not, since nothing reached the file.
-func (w *wal) append(op opKind, v any) error {
-	if w.err != nil {
-		return w.err
+	if s.wal.com.maxBatch == 1 {
+		return s.wal.com.wait(seq)
 	}
-	start := time.Now()
-	w.scratch.Reset()
-	if err := w.enc.Encode(walEnvelope{Op: op, Data: v}); err != nil {
-		return fmt.Errorf("catalog: wal encode: %w", err)
-	}
-	if _, err := w.f.Write(w.scratch.Bytes()); err != nil {
-		w.err = fmt.Errorf("%w: wal append: %v", ErrDurability, err)
-		return w.err
-	}
-	metricWALAppend.ObserveSince(start)
-	if w.sync {
-		fsyncStart := time.Now()
-		if err := w.f.Sync(); err != nil {
-			w.err = fmt.Errorf("%w: wal sync: %v", ErrDurability, err)
-			return w.err
-		}
-		metricWALFsync.ObserveSince(fsyncStart)
-	}
-	if w.syncDelay > 0 {
-		time.Sleep(w.syncDelay)
-	}
+	s.pendingSeq = seq
 	return nil
 }
 
@@ -572,9 +496,8 @@ func (c *Catalog) Export() Export {
 	return v.Export()
 }
 
-// Export serializes the view's full state. For epoch views the
-// (instance, seqs) from Stamp() is the cursor the export is consistent
-// at, per shard.
+// Export serializes the view's full state. The (instance, seqs) from
+// Stamp() is the cursor the export is consistent at, per shard.
 func (v *View) Export() Export {
 	return exportStates(v.c.types.Clone(), v.states)
 }
@@ -778,10 +701,8 @@ func (c *Catalog) Snapshot() error {
 		if s.wal == nil {
 			continue
 		}
-		if s.wal.com != nil {
-			if err := s.wal.com.flush(); err != nil {
-				return err
-			}
+		if err := s.wal.com.flush(); err != nil {
+			return err
 		}
 		if err := s.wal.f.Truncate(0); err != nil {
 			return err

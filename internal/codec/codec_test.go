@@ -318,9 +318,8 @@ func TestBinaryCorruptInputs(t *testing.T) {
 	}
 }
 
-// TestBinarySmallerThanJSON sanity-checks the size claim the E16
-// experiment quantifies: on a representative payload the binary form
-// must be materially smaller.
+// TestBinarySmallerThanJSON sanity-checks the size claim: on a
+// representative payload the binary form must be materially smaller.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	jsonC, _ := Lookup(JSONName)
 	binC, _ := Lookup(BinaryName)

@@ -6,10 +6,10 @@ import (
 	"chimera/internal/obs"
 )
 
-// Codec metrics: encode/decode CPU and byte volume per codec, the
-// observability face of the E16 experiment. Series are labeled by the
-// codec registry name so a mixed deployment (binary snapshots, JSON
-// wire fallback for old members) shows where the cycles and bytes go.
+// Codec metrics: encode/decode CPU and byte volume per codec. Series
+// are labeled by the codec registry name so a mixed deployment (binary
+// snapshots, JSON wire fallback for old members) shows where the cycles
+// and bytes go.
 var (
 	metricEncodeSeconds = obs.Default.HistogramVec("vdc_codec_encode_seconds",
 		"Latency of one snapshot/delta encode, by codec.", obs.TimeBuckets, "codec")

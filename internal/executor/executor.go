@@ -13,7 +13,8 @@
 // Scheduling is incremental: the executor maintains per-node indegree
 // counters seeded from each node's predecessors, so a completion
 // touches only its successors instead of rescanning the whole graph
-// (dag.Ready remains the oracle the frontier is tested against).
+// (a dag.Ready rescan model is the oracle the frontier is tested
+// against).
 //
 // Catalog recording is pipelined: a completion applies its invocation
 // and replica records to the catalog before its successors dispatch,
@@ -155,18 +156,6 @@ type Executor struct {
 	// Trace, when set, records one span per attempt (plus a workflow
 	// root span) on the driver's timeline for Chrome-trace export.
 	Trace *obs.Tracer
-	// RescanDispatch reverts to the legacy dispatch strategy: a full
-	// dag.Ready rescan of the graph after every completion, O(V+E) per
-	// event. It exists as the frontier oracle — equivalence tests prove
-	// the incremental scheduler dispatches identically, and E13
-	// measures the gap — and costs nothing when off.
-	RescanDispatch bool
-	// SyncRecording reverts to recording catalog writes fully
-	// synchronously under the scheduler lock, durability wait included
-	// (the legacy path, also the serial oracle for the concurrency
-	// tests). The default hands durability waits to the off-lock
-	// recording pipeline so concurrent completions group-commit.
-	SyncRecording bool
 	// DedupExecuted, with Catalog set, answers "has this derivation
 	// already run?" from the catalog's published epoch before paying for
 	// a placement: a node whose derivation already has a recorded
@@ -252,7 +241,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph) (rep Report, er
 	e.results = nil
 	e.firstErr = nil
 	e.rec = nil
-	if e.Catalog != nil && !e.SyncRecording {
+	if e.Catalog != nil {
 		e.rec = newRecorder(e)
 	}
 	e.mu.Unlock()
@@ -311,10 +300,6 @@ func driverDur(sec float64) time.Duration {
 // dispatchInitialLocked seeds the scheduler and starts the initial
 // frontier. Callers hold e.mu.
 func (e *Executor) dispatchInitialLocked() {
-	if e.RescanDispatch {
-		e.dispatchReadyLocked()
-		return
-	}
 	nodes := e.graph.Nodes()
 	for _, n := range nodes {
 		e.indeg[n.ID] = n.NumPreds()
@@ -337,10 +322,6 @@ func (e *Executor) dispatchInitialLocked() {
 // dispatch — O(successors) per completion. Callers hold e.mu and have
 // already marked n done.
 func (e *Executor) unlockSuccsLocked(n *dag.Node) {
-	if e.RescanDispatch {
-		e.dispatchReadyLocked()
-		return
-	}
 	for _, s := range n.Succs() {
 		e.indeg[s.ID]--
 		if e.indeg[s.ID] > 0 || e.dispatched[s.ID] || e.failed[s.ID] {
@@ -350,24 +331,6 @@ func (e *Executor) unlockSuccsLocked(n *dag.Node) {
 			return
 		}
 		e.startLocked(s, 0)
-	}
-}
-
-// dispatchReadyLocked starts every ready, not-yet-dispatched node by
-// rescanning the whole graph — the legacy strategy kept as the
-// frontier oracle (RescanDispatch). Callers hold e.mu.
-func (e *Executor) dispatchReadyLocked() {
-	if e.firstErr != nil {
-		return
-	}
-	for _, n := range e.graph.Ready(e.done) {
-		if e.dispatched[n.ID] || e.failed[n.ID] {
-			continue
-		}
-		if e.firstErr != nil {
-			return
-		}
-		e.startLocked(n, 0)
 	}
 }
 
@@ -438,8 +401,8 @@ func (e *Executor) complete(n *dag.Node, p Placement, res Result) {
 }
 
 // awaitLocked hands durability waits to the recording pipeline, or
-// without one (SyncRecording, or no Catalog to record in) blocks for
-// them here, under the scheduler lock. Callers hold e.mu.
+// without one (no Catalog to record in) blocks for them here, under
+// the scheduler lock. Callers hold e.mu.
 func (e *Executor) awaitLocked(waits []func() error) {
 	if len(waits) == 0 {
 		return
@@ -489,8 +452,8 @@ func (e *Executor) traceAttempt(n *dag.Node, res Result) {
 // replicas) to the catalog if one is attached, and returns the
 // durability waits for the enqueued WAL records. The apply happens
 // here, synchronously, so successors dispatched after this completion
-// always observe its replicas; whether the waits resolve inline or on
-// the recording pipeline is the caller's choice. Callers hold e.mu.
+// always observe its replicas; the waits resolve on the recording
+// pipeline. Callers hold e.mu.
 func (e *Executor) record(n *dag.Node, p Placement, res Result) []func() error {
 	if e.Catalog == nil {
 		return nil

@@ -66,14 +66,13 @@ type eventKey struct {
 }
 
 // runNull executes g on a NullDriver and returns the event stream.
-func runNull(t *testing.T, g *dag.Graph, rescan bool, retries int) ([]eventKey, Report) {
+func runNull(t *testing.T, g *dag.Graph, retries int) ([]eventKey, Report) {
 	t.Helper()
 	var events []eventKey
 	ex := &Executor{
-		Driver:         &NullDriver{ExitCode: hashExit},
-		Assign:         fixedAssign(1),
-		MaxRetries:     retries,
-		RescanDispatch: rescan,
+		Driver:     &NullDriver{ExitCode: hashExit},
+		Assign:     fixedAssign(1),
+		MaxRetries: retries,
 		OnEvent: func(ev Event) {
 			events = append(events, eventKey{ev.Kind, ev.Node, ev.Attempt})
 		},
@@ -85,10 +84,70 @@ func runNull(t *testing.T, g *dag.Graph, rescan bool, retries int) ([]eventKey, 
 	return events, rep
 }
 
+// rescanModel is the reference the frontier is held to: the executor's
+// dispatch/complete protocol over a FIFO of instant completions (what
+// NullDriver delivers), with the scheduling decision made the slow,
+// obviously-right way — a full dag.Ready rescan of the graph after
+// every successful completion. It returns the event stream and report
+// counters an Executor must reproduce for the same graph, retry bound
+// and hashExit outcomes.
+func rescanModel(g *dag.Graph, retries int) ([]eventKey, Report) {
+	type job struct {
+		n       *dag.Node
+		attempt int
+	}
+	var (
+		events     []eventKey
+		queue      []job
+		rep        Report
+		done       = map[string]bool{}
+		failed     = map[string]bool{}
+		dispatched = map[string]bool{}
+	)
+	start := func(n *dag.Node, attempt int) {
+		kind := "dispatch"
+		if attempt > 0 {
+			kind = "redispatch"
+			rep.Retries++
+		}
+		dispatched[n.ID] = true
+		events = append(events, eventKey{kind, n.ID, attempt})
+		queue = append(queue, job{n, attempt})
+	}
+	rescan := func() {
+		for _, n := range g.Ready(done) {
+			if !dispatched[n.ID] && !failed[n.ID] {
+				start(n, 0)
+			}
+		}
+	}
+	rescan()
+	for len(queue) > 0 {
+		j := queue[0]
+		queue = queue[1:]
+		switch {
+		case hashExit(j.n.ID, j.attempt) == 0:
+			done[j.n.ID] = true
+			rep.Completed++
+			events = append(events, eventKey{"done", j.n.ID, j.attempt})
+			rescan()
+		case j.attempt < retries:
+			events = append(events, eventKey{"retry", j.n.ID, j.attempt})
+			start(j.n, j.attempt+1)
+		default:
+			failed[j.n.ID] = true
+			rep.Failed++
+			events = append(events, eventKey{"fail", j.n.ID, j.attempt})
+		}
+	}
+	rep.Blocked = g.Len() - rep.Completed - rep.Failed
+	return events, rep
+}
+
 // TestFrontierMatchesReadyOracle proves the incremental indegree
-// frontier equivalent to the dag.Ready rescan: over randomized DAGs
-// with deterministic failures and retries, both modes must produce the
-// *identical* event sequence (the rescan mode consults dag.Ready
+// frontier equivalent to a dag.Ready rescan: over randomized DAGs with
+// deterministic failures and retries, the executor must produce the
+// *identical* event sequence as rescanModel (which consults dag.Ready
 // directly, so byte-for-byte equal streams mean the frontier never
 // dispatches early, late, out of order, or at all differently).
 func TestFrontierMatchesReadyOracle(t *testing.T) {
@@ -99,8 +158,8 @@ func TestFrontierMatchesReadyOracle(t *testing.T) {
 		for _, sh := range shapes {
 			for _, retries := range []int{0, 2} {
 				g := genLayered(t, sh.layers, sh.width, seed)
-				got, gotRep := runNull(t, g, false, retries)
-				want, wantRep := runNull(t, g, true, retries)
+				got, gotRep := runNull(t, g, retries)
+				want, wantRep := rescanModel(g, retries)
 				if len(got) != len(want) {
 					t.Fatalf("seed=%d shape=%dx%d retries=%d: %d events vs %d (oracle)",
 						seed, sh.layers, sh.width, retries, len(got), len(want))
@@ -146,8 +205,15 @@ func stormDriver(t *testing.T) *LocalDriver {
 	return drv
 }
 
-func stormRun(t *testing.T, sync bool) (Report, *catalog.Catalog) {
-	t.Helper()
+// TestRecordingStormMatchesSerial drives a LocalDriver workflow with
+// overlapping completions and retries through the scheduler (frontier +
+// recording pipeline) and asserts that what it reports and records is
+// what the serial rescanModel says one-completion-at-a-time execution
+// of the same graph produces: the report counters, one invocation per
+// attempt with that attempt's exit code, and one replica per output of
+// every node that succeeded. Run under -race this is also the data-race
+// storm for the scheduler/recorder/planner surfaces.
+func TestRecordingStormMatchesSerial(t *testing.T) {
 	cat := catalog.New(nil)
 	if err := cat.AddTransformation(tr1()); err != nil {
 		t.Fatal(err)
@@ -172,43 +238,42 @@ func stormRun(t *testing.T, sync bool) (Report, *catalog.Catalog) {
 			}
 			return Placement{OutputBytes: out}, nil
 		},
-		RescanDispatch: sync,
-		SyncRecording:  sync,
 	}
-	rep, err := ex.Run(g)
+	conc, err := ex.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, cat
-}
-
-// TestRecordingStormMatchesSerial drives a LocalDriver workflow with
-// overlapping completions and retries through the concurrent scheduler
-// (incremental frontier + recording pipeline) and through the legacy
-// serial path (full rescan + inline recording), and asserts the report
-// counters, invocation IDs, and replica records agree. Run under -race
-// this is also the data-race storm for the scheduler/recorder/planner
-// surfaces.
-func TestRecordingStormMatchesSerial(t *testing.T) {
-	conc, concCat := stormRun(t, false)
-	serial, serialCat := stormRun(t, true)
+	events, serial := rescanModel(g, ex.MaxRetries)
 
 	if conc.Completed != serial.Completed || conc.Failed != serial.Failed ||
 		conc.Blocked != serial.Blocked || conc.Retries != serial.Retries {
 		t.Fatalf("concurrent report %+v, serial %+v", conc, serial)
 	}
-	if len(conc.Results) != len(serial.Results) {
-		t.Fatalf("results: %d vs %d", len(conc.Results), len(serial.Results))
-	}
 
-	ivs := func(c *catalog.Catalog) map[string]int {
-		out := map[string]int{}
-		for _, iv := range c.Invocations() {
-			out[iv.ID] = iv.ExitCode
+	// Every attempt ends in exactly one of done, retry or fail.
+	wantIV := map[string]int{}
+	wantRep := map[string]schema.Replica{}
+	for _, ev := range events {
+		iv := fmt.Sprintf("iv-%s-%d", ev.Node, ev.Attempt)
+		switch ev.Kind {
+		case "retry", "fail":
+			wantIV[iv] = 1
+		case "done":
+			wantIV[iv] = 0
+			n, _ := g.Node(ev.Node)
+			for _, out := range n.Outputs {
+				id := fmt.Sprintf("rep-%s-local-e0", out)
+				wantRep[id] = schema.Replica{ID: id, Dataset: out, Site: "local", Size: 100, ProducedBy: iv}
+			}
 		}
-		return out
 	}
-	gotIV, wantIV := ivs(concCat), ivs(serialCat)
+	if len(conc.Results) != len(wantIV) {
+		t.Fatalf("results: %d vs %d attempts", len(conc.Results), len(wantIV))
+	}
+	gotIV := map[string]int{}
+	for _, iv := range cat.Invocations() {
+		gotIV[iv.ID] = iv.ExitCode
+	}
 	if len(gotIV) != len(wantIV) {
 		t.Fatalf("invocations: %d vs %d", len(gotIV), len(wantIV))
 	}
@@ -218,16 +283,12 @@ func TestRecordingStormMatchesSerial(t *testing.T) {
 		}
 	}
 
-	reps := func(c *catalog.Catalog) map[string]schema.Replica {
-		out := map[string]schema.Replica{}
-		for _, ds := range c.Datasets() {
-			for _, r := range c.ReplicasOf(ds.Name) {
-				out[r.ID] = r
-			}
+	gotRep := map[string]schema.Replica{}
+	for _, ds := range cat.Datasets() {
+		for _, r := range cat.ReplicasOf(ds.Name) {
+			gotRep[r.ID] = r
 		}
-		return out
 	}
-	gotRep, wantRep := reps(concCat), reps(serialCat)
 	if len(gotRep) != len(wantRep) {
 		t.Fatalf("replicas: %d vs %d", len(gotRep), len(wantRep))
 	}
@@ -247,9 +308,8 @@ func TestRecordingStormMatchesSerial(t *testing.T) {
 // TestPipelinedRecordingBatchesWAL proves the point of the off-lock
 // pipeline: against a fsync-on-commit catalog, overlapping completions
 // must reach the group committer together, i.e. the mean WAL batch
-// carries more than one record. (The legacy inline path waits under
-// the scheduler lock, so a batch never spans completions — the mean is
-// pinned at one completion's records.)
+// carries more than one record. (Waiting inline under the scheduler
+// lock, a batch could never span completions.)
 func TestPipelinedRecordingBatchesWAL(t *testing.T) {
 	cat, err := catalog.Open(t.TempDir(), nil, catalog.Options{Sync: true})
 	if err != nil {
@@ -300,26 +360,14 @@ func TestPipelinedRecordingBatchesWAL(t *testing.T) {
 }
 
 // BenchmarkSchedulerDispatch isolates the dispatch+complete hot path on
-// a NullDriver: the frontier sub-benchmark is the incremental
-// scheduler, rescan is the legacy O(V+E)-per-completion baseline.
+// a NullDriver.
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	g := genLayered(b, 40, 50, 7) // 2000 nodes
-	for _, mode := range []struct {
-		name   string
-		rescan bool
-	}{{"frontier", false}, {"rescan", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ex := &Executor{
-					Driver:         &NullDriver{},
-					Assign:         fixedAssign(1),
-					RescanDispatch: mode.rescan,
-				}
-				if _, err := ex.Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ex := &Executor{Driver: &NullDriver{}, Assign: fixedAssign(1)}
+		if _, err := ex.Run(g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

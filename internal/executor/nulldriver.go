@@ -8,7 +8,7 @@ import (
 // the goroutine that calls Drain. It performs no work and keeps no
 // timeline beyond an event counter, which isolates the executor's own
 // dispatch/complete bookkeeping — the scheduler hot path — for
-// benchmarks (E13, BenchmarkSchedulerDispatch) and for deterministic
+// benchmarks (BenchmarkSchedulerDispatch) and for deterministic
 // frontier-equivalence tests.
 //
 // ExitCode, when set, injects failures deterministically per (node,

@@ -45,9 +45,8 @@ func TestSimDriverRefusesSiteWithoutUpHost(t *testing.T) {
 
 // TestPlacementWaitsResolveBeforeRunReturns checks that Run owes a
 // placement's waits like its own records': each is called exactly once
-// before Run returns, on the recording pipeline, inline with
-// SyncRecording, and inline when there is no catalog to record in; and
-// the first failure is Run's error.
+// before Run returns, on the recording pipeline and inline when there
+// is no catalog to record in; and the first failure is Run's error.
 func TestPlacementWaitsResolveBeforeRunReturns(t *testing.T) {
 	// The diamond, registered in a catalog that can record its run.
 	recorded := func() (*catalog.Catalog, *dag.Graph) {
@@ -75,20 +74,17 @@ func TestPlacementWaitsResolveBeforeRunReturns(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		catalog bool
-		sync    bool
 		fail    bool
 	}{
 		{name: "pipeline", catalog: true},
 		{name: "pipeline, a wait fails", catalog: true, fail: true},
-		{name: "SyncRecording", catalog: true, sync: true},
-		{name: "SyncRecording, a wait fails", catalog: true, sync: true, fail: true},
 		{name: "no catalog"},
 		{name: "no catalog, a wait fails", fail: true},
 	} {
 		_, drv := simSetup(t, 2)
 		var mu sync.Mutex
 		resolved := make(map[string]int)
-		ex := &Executor{Driver: drv, SyncRecording: tc.sync, Assign: func(n *dag.Node) (Placement, error) {
+		ex := &Executor{Driver: drv, Assign: func(n *dag.Node) (Placement, error) {
 			wait := func() error {
 				mu.Lock()
 				defer mu.Unlock()

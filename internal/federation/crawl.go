@@ -284,10 +284,9 @@ func (ix *Index) crawlDelta(ctx context.Context) error {
 	wg.Wait()
 
 	// Merge what the fetches brought. A pass rebuilds when the shadow
-	// cannot be taken as the base — first contact, a crawlFull since,
-	// changed membership or filter — and otherwise folds the dirty
-	// shards' deltas into it; a fold that cannot prove itself equal to a
-	// rebuild degrades to one.
+	// cannot be taken as the base — first contact, changed membership
+	// or filter — and otherwise folds the dirty shards' deltas into it;
+	// a fold that cannot prove itself equal to a rebuild degrades to one.
 	dirty := false
 	for _, sh := range ix.shards {
 		dirty = dirty || sh.dirty()

@@ -12,6 +12,7 @@ import (
 
 	"chimera/internal/catalog"
 	"chimera/internal/dtype"
+	"chimera/internal/query"
 	"chimera/internal/schema"
 	"chimera/internal/vds"
 )
@@ -38,6 +39,47 @@ func snap(t *testing.T, ix *Index) snapshot {
 	for k, v := range ix.stale {
 		s.stale[k] = v.Error()
 	}
+	return s
+}
+
+// fullCrawl is the oracle the incremental crawl is held to: what ix
+// must hold after a pass, computed the slow, obviously-right way — every
+// member's full export fetched in authority order, admitted through the
+// filter and imported into an empty catalog, the first-crawled copy of
+// an overlapping definition winning.
+func fullCrawl(t *testing.T, ix *Index) snapshot {
+	t.Helper()
+	var filter query.Expr
+	if ix.Filter != "" {
+		var err error
+		if filter, err = query.Parse(ix.Filter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shadow := catalog.New(nil)
+	s := snapshot{origin: make(map[string]string), stale: make(map[string]string)}
+	for _, a := range ix.Members() {
+		ix.mu.RLock()
+		client := ix.members[a]
+		ix.mu.RUnlock()
+		exp, err := client.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted, err := admit(exp, filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skipped := shadow.ImportTolerant(admitted); skipped > 0 {
+			s.stale[a] = fmt.Sprintf("federation: %d objects of %s overlapped existing index entries", skipped, a)
+		}
+		claimOrigins(s.origin, a, &admitted)
+	}
+	data, err := schema.CanonicalBytes(shadow.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.export = string(data)
 	return s
 }
 
@@ -176,15 +218,12 @@ func TestDeltaCrawlEquivalence(t *testing.T) {
 			const nMembers = 4
 			muts := make([]*mutator, nMembers)
 			delta := NewIndex("delta", "test")
-			oracle := NewIndex("oracle", "test")
-			oracle.FullCrawl = true
-			delta.Filter, oracle.Filter = tc.filter, tc.filter
+			delta.Filter = tc.filter
 			for i := 0; i < nMembers; i++ {
 				name := fmt.Sprintf("m%d", i)
 				cat, client, _ := site(t, name)
 				muts[i] = &mutator{rng: rng, cat: cat, prefix: name}
 				delta.AddMember(name, client)
-				oracle.AddMember(name, client)
 			}
 			// A tight journal on one member forces overflow -> full
 			// fallback whenever it takes a big batch between crawls.
@@ -199,11 +238,8 @@ func TestDeltaCrawlEquivalence(t *testing.T) {
 				if err := delta.Crawl(); err != nil {
 					t.Fatal(err)
 				}
-				if err := oracle.Crawl(); err != nil {
-					t.Fatal(err)
-				}
 				passes[delta.LastPass()]++
-				compareSnapshots(t, round, snap(t, delta), snap(t, oracle))
+				compareSnapshots(t, round, snap(t, delta), fullCrawl(t, delta))
 			}
 			t.Logf("passes: %v", passes)
 			switch {
@@ -532,8 +568,6 @@ func TestFoldDegradesToRebuild(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			delta := NewIndex("delta", "test")
-			oracle := NewIndex("oracle", "test")
-			oracle.FullCrawl = true
 			cats := make(map[string]*catalog.Catalog)
 			for _, name := range []string{"a", "b"} {
 				cat, client, _ := site(t, name)
@@ -544,7 +578,6 @@ func TestFoldDegradesToRebuild(t *testing.T) {
 					}
 				}
 				delta.AddMember(name, client)
-				oracle.AddMember(name, client)
 			}
 			if err := delta.Crawl(); err != nil {
 				t.Fatal(err)
@@ -553,13 +586,10 @@ func TestFoldDegradesToRebuild(t *testing.T) {
 			if err := delta.Crawl(); err != nil {
 				t.Fatal(err)
 			}
-			if err := oracle.Crawl(); err != nil {
-				t.Fatal(err)
-			}
 			if got := delta.LastPass(); got != tc.want {
 				t.Errorf("pass was a %s, want %s", got, tc.want)
 			}
-			compareSnapshots(t, 0, snap(t, delta), snap(t, oracle))
+			compareSnapshots(t, 0, snap(t, delta), fullCrawl(t, delta))
 		})
 	}
 }
@@ -580,13 +610,11 @@ func siteSharded(t *testing.T, name string) (*catalog.Catalog, *vds.Client) {
 // journal window. After a big burst those members' per-shard journals
 // have trimmed past the crawler's cursor — their next delta degrades to
 // a full-export fallback — while the quiet members still serve true
-// deltas. The merged incremental crawl must match the FullCrawl oracle
+// deltas. The merged incremental crawl must match the fullCrawl oracle
 // exactly in either regime.
 func TestDeltaCrawlShardedMembersMixedOverflow(t *testing.T) {
 	const nMembers = 16
 	delta := NewIndex("delta", "test")
-	oracle := NewIndex("oracle", "test")
-	oracle.FullCrawl = true
 	cats := make([]*catalog.Catalog, nMembers)
 	for i := 0; i < nMembers; i++ {
 		name := fmt.Sprintf("m%d", i)
@@ -599,7 +627,6 @@ func TestDeltaCrawlShardedMembersMixedOverflow(t *testing.T) {
 			cat.SetJournalWindow(4)
 		}
 		delta.AddMember(name, client)
-		oracle.AddMember(name, client)
 	}
 
 	for round := 0; round < 4; round++ {
@@ -656,9 +683,6 @@ func TestDeltaCrawlShardedMembersMixedOverflow(t *testing.T) {
 		if err := delta.Crawl(); err != nil {
 			t.Fatal(err)
 		}
-		if err := oracle.Crawl(); err != nil {
-			t.Fatal(err)
-		}
-		compareSnapshots(t, round, snap(t, delta), snap(t, oracle))
+		compareSnapshots(t, round, snap(t, delta), fullCrawl(t, delta))
 	}
 }

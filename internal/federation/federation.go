@@ -8,7 +8,6 @@ package federation
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -94,11 +93,6 @@ type Index struct {
 	// MemberTimeout bounds one member's fetch in the delta crawl
 	// (default DefaultMemberTimeout).
 	MemberTimeout time.Duration
-	// FullCrawl forces the sequential full-export crawl: every pass
-	// re-fetches and re-imports every member. Kept as the oracle the
-	// incremental path is checked against; also the fallback if a
-	// member's delta protocol misbehaves.
-	FullCrawl bool
 
 	mu      sync.RWMutex
 	members map[string]*vds.Client
@@ -184,9 +178,7 @@ func (ix *Index) MemberError(authority string) error {
 // changed membership or filter, overlapping definitions (see fold). A
 // member that errors is recorded in MemberError — its shard keeps
 // serving the last good state — so one dead catalog does not take the
-// federation down. Set FullCrawl for the sequential
-// full-export pass (which instead drops unreachable members).
-// Crawl passes on one index are serialized.
+// federation down. Crawl passes on one index are serialized.
 func (ix *Index) Crawl() error {
 	return ix.CrawlContext(context.Background())
 }
@@ -207,84 +199,7 @@ func (ix *Index) CrawlContext(ctx context.Context) (err error) {
 	}()
 	ix.crawlMu.Lock()
 	defer ix.crawlMu.Unlock()
-	if ix.FullCrawl {
-		return ix.crawlFull(ctx)
-	}
 	return ix.crawlDelta(ctx)
-}
-
-// crawlFull rebuilds the index from full member exports, sequentially.
-func (ix *Index) crawlFull(ctx context.Context) error {
-	ix.mu.Lock()
-	members := make(map[string]*vds.Client, len(ix.members))
-	for a, c := range ix.members {
-		members[a] = c
-	}
-	filter := ix.Filter
-	ix.mu.Unlock()
-
-	shadow := catalog.New(nil)
-	origin := make(map[string]string)
-	stale := make(map[string]error)
-
-	// Parse the admission filter once per pass instead of once per
-	// member; each admit() then runs the planned query directly.
-	var filterExpr query.Expr
-	if filter != "" {
-		e, err := query.Parse(filter)
-		if err != nil {
-			return fmt.Errorf("federation: index %q filter: %w", ix.Name, err)
-		}
-		filterExpr = e
-	}
-
-	authorities := make([]string, 0, len(members))
-	for a := range members {
-		authorities = append(authorities, a)
-	}
-	sort.Strings(authorities)
-
-	for _, a := range authorities {
-		fctx, fspan := obs.StartSpan(ctx, "federation.fetch")
-		fspan.SetAttr("member", a)
-		exp, err := members[a].ExportCtx(fctx)
-		fspan.SetError(err)
-		fspan.End()
-		if err != nil {
-			stale[a] = err
-			memberError.Inc()
-			continue
-		}
-		admitted, err := admit(exp, filterExpr)
-		if err != nil {
-			stale[a] = err
-			memberError.Inc()
-			continue
-		}
-		memberOK.Inc()
-		metricAdmitted.Add(uint64(len(admitted.Datasets)))
-		// Overlapping definitions across members (e.g. one catalog
-		// re-exporting a transformation it imported from another) skip
-		// only the overlapping objects, keeping first-crawled copies.
-		if skipped := shadow.ImportTolerant(admitted); skipped > 0 {
-			stale[a] = fmt.Errorf("federation: %d objects of %s overlapped existing index entries", skipped, a)
-		}
-		claimOrigins(origin, a, &admitted)
-	}
-
-	// The full pass bypasses the shards, so the next delta pass must
-	// not trust its skip-rebuild bookkeeping.
-	ix.built = false
-
-	ix.mu.Lock()
-	ix.shadow = shadow
-	ix.origin = origin
-	ix.stale = stale
-	ix.lastPass = ""
-	ix.crawls++
-	ix.mu.Unlock()
-	metricCrawls.Inc()
-	return nil
 }
 
 // admit filters an export down to the entries the index accepts.
@@ -390,8 +305,7 @@ func (ix *Index) SearchTransformations(q string) ([]Entry, error) {
 }
 
 // LastPass reports what the last delta crawl pass did to the shadow:
-// "unchanged", "fold" or "rebuild" ("" before the first pass, and after
-// a FullCrawl pass, which always re-imports).
+// "unchanged", "fold" or "rebuild" ("" before the first pass).
 func (ix *Index) LastPass() string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -18,14 +18,14 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 	for _, hosts := range []int{1000, 10000} {
 		occupancy := 2 * hosts
 		for _, engine := range []struct {
-			name string
-			opts Options
+			name   string
+			newSim func(int64) *Sim
 		}{
-			{"calendar", Options{}},
-			{"heap", Options{HeapQueue: true}},
+			{"calendar", NewSim},
+			{"heap", newHeapSim},
 		} {
 			b.Run(fmt.Sprintf("hosts=%d/%s", hosts, engine.name), func(b *testing.B) {
-				s := NewSimOpts(1, engine.opts)
+				s := engine.newSim(1)
 				rng := rand.New(rand.NewSource(2))
 				// One self-rescheduling closure shared by all events keeps
 				// closure construction out of the measured loop.

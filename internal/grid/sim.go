@@ -11,21 +11,10 @@
 package grid
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
 )
-
-// Options configures a simulator's event engine.
-type Options struct {
-	// HeapQueue selects the original container/heap event queue instead
-	// of the default indexed calendar queue. The heap is kept as the
-	// equivalence oracle: both engines dispatch events in identical
-	// (time, seq) order, so any run may be replayed on either and must
-	// produce a byte-identical trajectory.
-	HeapQueue bool
-}
 
 // Sim is the discrete-event engine. Time is simulated seconds from 0.
 // Sim is not safe for concurrent use: the executor drives it from one
@@ -37,19 +26,9 @@ type Sim struct {
 	rng *rand.Rand
 }
 
-// NewSim returns a simulator seeded for reproducibility, using the
-// calendar-queue engine.
-func NewSim(seed int64) *Sim { return NewSimOpts(seed, Options{}) }
-
-// NewSimOpts returns a seeded simulator with an explicit engine choice.
-func NewSimOpts(seed int64, o Options) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed))}
-	if o.HeapQueue {
-		s.q = &heapQueue{}
-	} else {
-		s.q = newCalQueue()
-	}
-	return s
+// NewSim returns a simulator seeded for reproducibility.
+func NewSim(seed int64) *Sim {
+	return &Sim{rng: rand.New(rand.NewSource(seed)), q: newCalQueue()}
 }
 
 // Now returns the current simulated time in seconds.
@@ -124,15 +103,15 @@ func (s *Sim) Noise(amp float64) float64 {
 }
 
 // event is one pending callback. Events are ordered by (time, seq):
-// the monotone seq gives simultaneous events FIFO semantics, which both
-// engines must preserve exactly (the determinism contract).
+// the monotone seq gives simultaneous events FIFO semantics, which the
+// queue must preserve exactly (the determinism contract).
 type event struct {
 	time float64
 	seq  int64 // FIFO tie-break for simultaneous events
 	fn   func()
 }
 
-// before reports the (time, seq) ordering both engines sort by.
+// before reports the (time, seq) ordering the queue sorts by.
 func (e event) before(o event) bool {
 	if e.time != o.time {
 		return e.time < o.time
@@ -140,72 +119,15 @@ func (e event) before(o event) bool {
 	return e.seq < o.seq
 }
 
-// simQueue is the event-queue engine contract: push accepts any finite
-// time >= the last popped time, pop removes the (time, seq)-minimum,
-// peek reports its time without removing it.
+// simQueue is the event-queue contract, and the seam through which the
+// tests run the same schedule on the heap oracle: push accepts any
+// finite time >= the last popped time, pop removes the (time,
+// seq)-minimum, peek reports its time without removing it.
 type simQueue interface {
 	push(e event)
 	pop() (event, bool)
 	peek() (float64, bool)
 	len() int
-}
-
-// heapQueue is the original pointer-heavy container/heap engine, kept
-// unchanged as the equivalence oracle and the perf baseline: every push
-// allocates one *event node and pays O(log n) sift, which is what the
-// calendar queue is measured against in BenchmarkSimEventThroughput.
-type heapQueue struct{ events heapEvents }
-
-func (h *heapQueue) push(e event) {
-	heap.Push(&h.events, &heapEvent{event: e})
-}
-
-func (h *heapQueue) pop() (event, bool) {
-	if h.events.Len() == 0 {
-		return event{}, false
-	}
-	return heap.Pop(&h.events).(*heapEvent).event, true
-}
-
-func (h *heapQueue) peek() (float64, bool) {
-	if h.events.Len() == 0 {
-		return 0, false
-	}
-	return h.events[0].time, true
-}
-
-func (h *heapQueue) len() int { return h.events.Len() }
-
-type heapEvent struct {
-	event
-	index int
-}
-
-type heapEvents []*heapEvent
-
-func (q heapEvents) Len() int { return len(q) }
-
-func (q heapEvents) Less(i, j int) bool { return q[i].event.before(q[j].event) }
-
-func (q heapEvents) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *heapEvents) Push(x any) {
-	e := x.(*heapEvent)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *heapEvents) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
 }
 
 func checkPositive(name string, v float64) error {

@@ -16,9 +16,9 @@ import (
 // (quantized times force ties), far-future outliers (exercising the
 // calendar's year-skip and direct-search paths), nested rescheduling,
 // and interleaved RunUntil checkpoints.
-func driveQueueScenario(t *testing.T, seed int64, opts Options) []string {
+func driveQueueScenario(t *testing.T, seed int64, newSim func(int64) *Sim) []string {
 	t.Helper()
-	s := NewSimOpts(seed, opts)
+	s := newSim(seed)
 	rng := rand.New(rand.NewSource(seed * 7779))
 	var trace []string
 	id := 0
@@ -67,8 +67,8 @@ func driveQueueScenario(t *testing.T, seed int64, opts Options) []string {
 // oracle, including simultaneous-event tie-breaks.
 func TestQueueEquivalenceOracle(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		cal := driveQueueScenario(t, seed, Options{})
-		heap := driveQueueScenario(t, seed, Options{HeapQueue: true})
+		cal := driveQueueScenario(t, seed, NewSim)
+		heap := driveQueueScenario(t, seed, newHeapSim)
 		if len(cal) != len(heap) {
 			t.Fatalf("seed %d: trajectory lengths differ: calendar %d vs heap %d", seed, len(cal), len(heap))
 		}
@@ -171,16 +171,5 @@ func TestSimAtRejectsNonFiniteTimes(t *testing.T) {
 	s.At(1e18, func() {})
 	if end := s.Run(); end != 1e18 {
 		t.Errorf("huge finite time mishandled: end=%g", end)
-	}
-}
-
-// TestHeapQueueOptionSelectsOracle confirms both engines are reachable
-// through the public API.
-func TestHeapQueueOptionSelectsOracle(t *testing.T) {
-	if _, ok := NewSimOpts(1, Options{HeapQueue: true}).q.(*heapQueue); !ok {
-		t.Error("HeapQueue option ignored")
-	}
-	if _, ok := NewSim(1).q.(*calQueue); !ok {
-		t.Error("default engine is not the calendar queue")
 	}
 }

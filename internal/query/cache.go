@@ -25,8 +25,7 @@ import (
 //
 // The cache is sharded to keep the hot analyst path from serializing
 // on one mutex; each shard is an independent LRU over its slice of the
-// key space. RunScan and RunOracle bypass the cache entirely (the
-// ablation and the equivalence oracle must always execute).
+// key space.
 
 const cacheShardCount = 8
 

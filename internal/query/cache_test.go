@@ -24,7 +24,7 @@ func resetCache(t *testing.T) {
 
 // TestCacheHitServesIdenticalResults: the second run of a query at an
 // unchanged epoch must be a cache hit and return results equal to both
-// the first run and an uncached scan.
+// the first run and the naive evaluator.
 func TestCacheHitServesIdenticalResults(t *testing.T) {
 	resetCache(t)
 	c := fixture(t)
@@ -42,12 +42,12 @@ func TestCacheHitServesIdenticalResults(t *testing.T) {
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("cached results differ:\n%+v\n%+v", r1, r2)
 	}
-	scan, err := RunScan(c, KDataset, e)
+	naive, err := runNaive(c, KDataset, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1, scan) {
-		t.Fatalf("cached run differs from scan:\n%+v\n%+v", r1, scan)
+	if !reflect.DeepEqual(r1, naive) {
+		t.Fatalf("cached run differs from naive evaluation:\n%+v\n%+v", r1, naive)
 	}
 	after := CacheStats()
 	if after.Hits-before.Hits != 1 || after.Misses-before.Misses != 1 {
@@ -192,42 +192,8 @@ func TestExplainReportsCachePlacement(t *testing.T) {
 	}
 }
 
-// TestRunOracleBypassesCache: the locked equivalence oracle always
-// executes — it must neither consult nor populate the cache — and its
-// results match the epoch path's.
-func TestRunOracleBypassesCache(t *testing.T) {
-	resetCache(t)
-	c := fixture(t)
-	e := mustParse(t, "attr.tag != x and derived")
-
-	before := CacheStats()
-	o1, err := RunOracle(c, KDataset, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := RunOracle(c, KDataset, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := CacheStats()
-	if after.Hits != before.Hits || after.Misses != before.Misses || after.Size != before.Size {
-		t.Fatalf("oracle touched the cache: %+v -> %+v", before, after)
-	}
-	if !reflect.DeepEqual(o1, o2) {
-		t.Fatal("oracle runs differ")
-	}
-	r, err := Run(c, KDataset, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, o1) {
-		t.Fatalf("epoch path differs from locked oracle:\n%+v\n%+v", r, o1)
-	}
-}
-
 // TestRunAcquiresNoShardLocks: the satellite lock-freedom assertion at
-// the query layer — Run (cached or not) takes zero shard read locks;
-// RunOracle, by definition, takes one per shard.
+// the query layer — Run (cached or not) takes zero shard read locks.
 func TestRunAcquiresNoShardLocks(t *testing.T) {
 	resetCache(t)
 	c := fixture(t)
@@ -241,11 +207,5 @@ func TestRunAcquiresNoShardLocks(t *testing.T) {
 	}
 	if got := catalog.LockReadAcquisitions() - before; got != 0 {
 		t.Fatalf("query.Run acquired %d shard read locks, want 0", got)
-	}
-	if _, err := RunOracle(c, KDerivation, e); err != nil {
-		t.Fatal(err)
-	}
-	if got := catalog.LockReadAcquisitions() - before; got != uint64(c.Shards()) {
-		t.Fatalf("RunOracle acquired %d shard read locks, want %d", got, c.Shards())
 	}
 }

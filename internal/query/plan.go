@@ -114,14 +114,12 @@ type keyTest struct {
 
 // queryPlan is the executable plan for one Run.
 type queryPlan struct {
-	kind       Kind
-	scan       bool
-	scanReason string
-	steps      []planStep // indexed conjuncts, when !scan
-	keys       []keyTest
+	kind  Kind
+	scan  bool       // no conjunct was indexable
+	steps []planStep // indexed conjuncts, when !scan
+	keys  []keyTest
 	// residual is evaluated on each loaded object: the conjuncts that are
-	// neither indexed nor key tests (nil when none are left), or the whole
-	// expression when the planner is disabled.
+	// neither indexed nor key tests (nil when none are left).
 	residual   Expr
 	candidates []string // identifiers passing every step and key test, unsorted, when !scan
 	loaded     int      // objects execute fetched from the view
@@ -136,7 +134,7 @@ type queryPlan struct {
 func (p *queryPlan) String() string {
 	var b strings.Builder
 	if p.scan && len(p.keys) == 0 {
-		fmt.Fprintf(&b, "scan %s: %s", kindNoun(p.kind), p.scanReason)
+		fmt.Fprintf(&b, "scan %s: no indexable conjunct", kindNoun(p.kind))
 		return b.String()
 	}
 	path := "index"
@@ -345,14 +343,8 @@ func keyConjunct(kind Kind, e Expr) (keyTest, bool) {
 }
 
 // plan builds the query plan for e against the snapshot in ctx.
-func plan(ctx *evalCtx, kind Kind, e Expr, forceScan bool) (*queryPlan, error) {
+func plan(ctx *evalCtx, kind Kind, e Expr) (*queryPlan, error) {
 	p := &queryPlan{kind: kind}
-	if forceScan {
-		p.scan = true
-		p.scanReason = "planner disabled"
-		p.residual = e
-		return p, nil
-	}
 	v := ctx.view
 	var residual []Expr
 	for _, cj := range flattenAnd(e, nil) {
@@ -386,7 +378,6 @@ func plan(ctx *evalCtx, kind Kind, e Expr, forceScan bool) (*queryPlan, error) {
 	p.residual = andChain(residual)
 	if len(p.steps) == 0 {
 		p.scan = true
-		p.scanReason = "no indexable conjunct"
 		return p, nil
 	}
 
@@ -419,10 +410,9 @@ func (p *queryPlan) acceptKey(id string) bool {
 	return true
 }
 
-// run is the shared Run/RunScan implementation: an epoch view (zero
-// shard-lock acquisitions), consulted through the result cache unless
-// the caller forces a scan.
-func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr, forceScan bool) (Results, error) {
+// run evaluates e against an epoch view (zero shard-lock
+// acquisitions), consulted through the result cache.
+func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
 	if kind != KDataset && kind != KTransformation && kind != KDerivation {
 		return Results{}, fmt.Errorf("query: invalid kind %d", int(kind))
 	}
@@ -435,9 +425,8 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr, forceSc
 
 	// Cache lookup. The view is acquired *first* and the key derived
 	// from its own epoch vector, so a hit is exactly a prior execution
-	// against byte-identical state; RunScan bypasses (the ablation must
-	// always execute).
-	useCache := !forceScan && planCache.enabled()
+	// against byte-identical state.
+	useCache := planCache.enabled()
 	var key string
 	if useCache {
 		key = cacheKey(kind, e, v)
@@ -451,7 +440,7 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr, forceSc
 		metricPlanCacheMisses.Inc()
 	}
 
-	res, p, err := evalView(v, kind, e, forceScan)
+	res, p, err := evalView(v, kind, e)
 	if err != nil {
 		span.SetError(err)
 		return Results{}, err
@@ -476,10 +465,10 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr, forceSc
 }
 
 // evalView plans and executes a query against an already-open view:
-// the shared body of the cached epoch path and the locked oracle.
-func evalView(v *catalog.View, kind Kind, e Expr, forceScan bool) (Results, *queryPlan, error) {
+// what a cache miss in run does.
+func evalView(v *catalog.View, kind Kind, e Expr) (Results, *queryPlan, error) {
 	ctx := newEvalCtx(v)
-	p, err := plan(ctx, kind, e, forceScan)
+	p, err := plan(ctx, kind, e)
 	if err != nil {
 		return Results{}, nil, err
 	}
@@ -490,9 +479,8 @@ func evalView(v *catalog.View, kind Kind, e Expr, forceScan bool) (Results, *que
 	return res, p, nil
 }
 
-// execute materializes the plan's results. Result order matches the
-// legacy full-scan path: datasets by name, transformations by ref,
-// derivations by ID.
+// execute materializes the plan's results, ordered datasets by name,
+// transformations by ref, derivations by ID.
 func (p *queryPlan) execute(ctx *evalCtx) (Results, error) {
 	var res Results
 	var err error
@@ -618,7 +606,7 @@ func ExplainQuery(c *catalog.Catalog, kind Kind, e Expr) (ExplainInfo, error) {
 	v := c.View()
 	defer v.Close()
 	ctx := newEvalCtx(v)
-	p, err := plan(ctx, kind, e, false)
+	p, err := plan(ctx, kind, e)
 	if err != nil {
 		return ExplainInfo{}, err
 	}

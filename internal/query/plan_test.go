@@ -98,8 +98,8 @@ func TestExplainErrors(t *testing.T) {
 	}
 }
 
-// TestRunScanEquivalence asserts the planner's indexed path returns
-// exactly what the forced full scan returns — same objects, same order —
+// TestRunScanEquivalence asserts the planner returns exactly what the
+// naive evaluator (naive_test.go) returns — same objects, same order —
 // across all kinds, including kind-mismatched and empty-result queries.
 func TestRunScanEquivalence(t *testing.T) { eachShardCount(t, testRunScanEquivalence) }
 
@@ -199,26 +199,22 @@ func testRunScanEquivalence(t *testing.T, shards int) {
 				t.Errorf("Run(kind %d, %q): %v", group.kind, q, err)
 				continue
 			}
-			scan, err := RunScan(c, group.kind, e)
+			naive, err := runNaive(c, group.kind, e)
 			if err != nil {
-				t.Errorf("RunScan(kind %d, %q): %v", group.kind, q, err)
+				t.Errorf("runNaive(kind %d, %q): %v", group.kind, q, err)
 				continue
 			}
-			oracle, err := RunOracle(c, group.kind, e)
-			if err != nil {
-				t.Errorf("RunOracle(kind %d, %q): %v", group.kind, q, err)
-				continue
-			}
-			if resKey(idx) != resKey(scan) || resKey(idx) != resKey(oracle) {
-				t.Errorf("kind %d %q:\n index  %q\n scan   %q\n oracle %q",
-					group.kind, q, resKey(idx), resKey(scan), resKey(oracle))
+			if resKey(idx) != resKey(naive) {
+				t.Errorf("kind %d %q:\n planner %q\n naive   %q",
+					group.kind, q, resKey(idx), resKey(naive))
 			}
 		}
 	}
 }
 
 // TestRunScanErrorEquivalence: queries that fail must fail on both
-// paths, even when the indexed path detects the error at plan time.
+// the planner and the naive evaluator, even when the planner detects
+// the error at plan time.
 func TestRunScanErrorEquivalence(t *testing.T) { eachShardCount(t, testRunScanErrorEquivalence) }
 
 func testRunScanErrorEquivalence(t *testing.T, shards int) {
@@ -228,15 +224,9 @@ func testRunScanErrorEquivalence(t *testing.T, shards int) {
 		if _, err := Run(c, KDataset, e); err == nil {
 			t.Errorf("Run(%q): expected error", q)
 		}
-		if _, err := RunScan(c, KDataset, e); err == nil {
-			t.Errorf("RunScan(%q): expected error", q)
+		if _, err := runNaive(c, KDataset, e); err == nil {
+			t.Errorf("runNaive(%q): expected error", q)
 		}
-		if _, err := RunOracle(c, KDataset, e); err == nil {
-			t.Errorf("RunOracle(%q): expected error", q)
-		}
-	}
-	if _, err := RunScan(c, Kind(42), All); err == nil {
-		t.Error("RunScan accepted invalid kind")
 	}
 }
 

@@ -144,43 +144,14 @@ type Results struct {
 // only the residual predicates are evaluated per candidate. Queries
 // with no indexable conjunct fall back to a snapshot scan.
 func Run(c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
-	return run(context.Background(), c, kind, e, false)
+	return run(context.Background(), c, kind, e)
 }
 
 // RunContext is Run under a caller context: when the context carries a
 // tracer, the execution records a query span (planner path, candidate
 // count) into the caller's trace.
 func RunContext(ctx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
-	return run(ctx, c, kind, e, false)
-}
-
-// RunScan evaluates the expression by full snapshot scan, bypassing the
-// planner. It exists for the A3 ablation and for equivalence tests; the
-// results are identical to Run's.
-func RunScan(c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
-	return run(context.Background(), c, kind, e, true)
-}
-
-// RunOracle evaluates the expression against a LockedView — every shard
-// read lock held for the duration, reading the live write sides — and
-// never consults the result cache. It is the ordered-snapshot oracle
-// the lock-free cached path is proven equivalent to (the -race
-// equivalence storm, the E18 locked arm, and vds's LockedReads option
-// all run through here).
-func RunOracle(c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
-	v := c.LockedView()
-	defer v.Close()
-	res, _, err := evalView(v, kind, e, false)
-	return res, err
-}
-
-// SearchOracle parses and runs a query through RunOracle.
-func SearchOracle(c *catalog.Catalog, kind Kind, src string) (Results, error) {
-	e, err := Parse(src)
-	if err != nil {
-		return Results{}, err
-	}
-	return RunOracle(c, kind, e)
+	return run(ctx, c, kind, e)
 }
 
 // Search parses and runs a query in one step.

@@ -49,7 +49,7 @@ func cavesCatalog(tb testing.TB, shards, chains int) *catalog.Catalog {
 func evalUncached(tb testing.TB, c *catalog.Catalog, kind Kind, e Expr) Results {
 	v := c.View()
 	defer v.Close()
-	res, _, err := evalView(v, kind, e, false)
+	res, _, err := evalView(v, kind, e)
 	if err != nil {
 		tb.Fatal(err)
 	}

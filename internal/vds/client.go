@@ -222,8 +222,14 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in any, acc
 			}
 			ceiling *= 2
 		}
-		var retryable bool
-		data, contentType, retryable, err = c.once(ctx, method, path, payload, in != nil, accept)
+		d, ct, retryable, e := c.once(ctx, method, path, payload, in != nil, accept)
+		if e != nil && err != nil && ctx.Err() != nil {
+			// ctx ended with this attempt in flight: its error is the
+			// transport's echo of ctx.Err(); the previous attempt's says why
+			// we were still retrying.
+			return data, contentType, err
+		}
+		data, contentType, err = d, ct, e
 		if err == nil || !retryable || ctx.Err() != nil {
 			return data, contentType, err
 		}

@@ -44,12 +44,6 @@ type Server struct {
 	// OnDebug, when set, contributes extra entries to the /debug/vdc
 	// report (e.g. a daemon's federation shard states).
 	OnDebug func(map[string]any)
-	// LockedReads routes search endpoints through the locked
-	// ordered-snapshot oracle (query.RunOracle: every shard read lock
-	// held, no result cache) instead of the lock-free epoch path. It
-	// exists for A/B measurement (the E18 locked arm) and as an escape
-	// hatch; leave it off in production.
-	LockedReads bool
 
 	slow *slowRing
 	mux  *http.ServeMux
@@ -354,12 +348,7 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, kind query.Kind)
 		}{Query: q, Plan: info.Plan, Cached: info.Cached, Epoch: info.Epoch})
 		return
 	}
-	var res query.Results
-	if s.LockedReads {
-		res, err = query.RunOracle(s.Cat, kind, e)
-	} else {
-		res, err = query.RunContext(r.Context(), s.Cat, kind, e)
-	}
+	res, err := query.RunContext(r.Context(), s.Cat, kind, e)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return

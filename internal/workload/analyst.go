@@ -20,8 +20,8 @@ import (
 // executor's dedup fast path) pay off.
 //
 // The generator is deterministic in Seed: the same configuration always
-// yields the same base catalog and the same per-analyst scripts, so the
-// locked and epoch arms of E18 replay identical work.
+// yields the same base catalog and the same per-analyst scripts, so two
+// runs replay identical work.
 type AnalystStorm struct {
 	// Analysts is the number of concurrent analyst scripts.
 	Analysts int
@@ -94,10 +94,10 @@ type AnalystOp struct {
 	Derivation schema.Derivation
 }
 
-func analystChainTag(c int) string  { return fmt.Sprintf("tag%02d", c%analystTagGroups) }
-func analystRaw(c int) string       { return fmt.Sprintf("caves.raw.%04d", c) }
-func analystStage(j, c int) string  { return fmt.Sprintf("caves.s%d.%04d", j, c) }
-func analystSummary(c int) string   { return fmt.Sprintf("caves.summary.%04d", c) }
+func analystChainTag(c int) string { return fmt.Sprintf("tag%02d", c%analystTagGroups) }
+func analystRaw(c int) string      { return fmt.Sprintf("caves.raw.%04d", c) }
+func analystStage(j, c int) string { return fmt.Sprintf("caves.s%d.%04d", j, c) }
+func analystSummary(c int) string  { return fmt.Sprintf("caves.summary.%04d", c) }
 func (s AnalystStorm) last(c int) string {
 	return analystStage(s.Depth-1, c)
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestAnalystStormDeterministic: the same configuration must yield the
-// same base catalog and byte-identical scripts — E18's locked and epoch
-// arms replay the exact same work.
+// same base catalog and byte-identical scripts — two runs replay the
+// exact same work.
 func TestAnalystStormDeterministic(t *testing.T) {
 	a := AnalystStorm{Analysts: 4, Chains: 50, Ops: 60, Seed: 5}
 	b := AnalystStorm{Analysts: 4, Chains: 50, Ops: 60, Seed: 5}
