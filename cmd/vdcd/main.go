@@ -17,14 +17,15 @@
 // the catalog is snapshotted, and the WAL is flushed closed.
 //
 // Durability is a group-commit WAL: mutations batch their log writes
-// and (with -sync) share one fsync per batch; see docs/PERF.md for the
-// -wal-batch / -wal-delay knobs. With -shards N the catalog is
-// partitioned into N lock/WAL/journal shards for multi-core ingest
-// (docs/PERF.md, "Catalog sharding"); the count is fixed at directory
-// creation and the on-disk count wins on reopen. -snapshot-format
-// selects the snapshot codec (json/v1 default, binary/v1 for compact
-// mmap-loaded snapshots; docs/PERF.md, "Binary catalog format") and is
-// pinned the same way: the recorded format wins on reopen.
+// and (with -sync) share one fsync per batch, written by the first
+// waiting writer (docs/PERF.md, "Write path"). With -shards N the
+// catalog is partitioned into N lock/WAL/journal shards for multi-core
+// ingest (docs/PERF.md, "Catalog sharding"); the count is fixed at
+// directory creation and the on-disk count wins on reopen. The
+// snapshot codec is chosen by -snapshot-format (json/v1 default,
+// binary/v1 for compact mmap-loaded snapshots; docs/PERF.md, "Binary
+// catalog format") and is pinned the same way: the recorded format
+// wins on reopen.
 //
 // With -federate, vdcd also hosts a federated index over the listed
 // member catalogs and crawls them incrementally every -crawl-every;
@@ -79,9 +80,6 @@ func main() {
 	name := flag.String("name", "vdc", "catalog authority name")
 	readonly := flag.Bool("readonly", false, "reject mutations")
 	syncWAL := flag.Bool("sync", false, "fsync the write-ahead log before acknowledging mutations (one fsync per commit batch)")
-	walBatch := flag.Int("wal-batch", catalog.DefaultMaxBatch, "group-commit batch-size target; 1 commits every record as its own batch before acknowledging")
-	walDelay := flag.Duration("wal-delay", catalog.DefaultMaxDelay, "how long a contended commit batch stays open for stragglers; <0 disables the window")
-	journalWindow := flag.Int("journal-window", catalog.DefaultJournalWindow, "change-journal entries retained for delta exports; crawlers further behind fall back to full exports")
 	shards := flag.Int("shards", 1, "catalog shard count (1..64): independent lock/WAL/journal partitions for multi-core ingest; fixed at directory creation, the on-disk count wins on reopen")
 	snapshotFormat := flag.String("snapshot-format", "", "snapshot codec (json/v1 or binary/v1); empty keeps the directory's recorded format (json/v1 for new directories), and like -shards the recorded format wins on reopen")
 	snapshotEvery := flag.Duration("snapshot-every", 10*time.Minute, "WAL compaction interval (0 disables)")
@@ -106,9 +104,6 @@ func main() {
 
 	cat, err := catalog.Open(*dir, dtype.StandardRegistry(), catalog.Options{
 		Sync:           *syncWAL,
-		MaxBatch:       *walBatch,
-		MaxDelay:       *walDelay,
-		JournalWindow:  *journalWindow,
 		Shards:         *shards,
 		SnapshotFormat: *snapshotFormat,
 	})
@@ -282,8 +277,8 @@ func main() {
 
 	// Compact and flush durable state, then log the final counters so
 	// the last scrape isn't the only record of the run. Snapshot
-	// quiesces the group committer before truncating the WAL, and Close
-	// drains whatever was queued after it, so nothing acknowledged is
+	// flushes the group committer before truncating the WAL, and Close
+	// flushes whatever was queued after it, so nothing acknowledged is
 	// lost between the last request and process exit.
 	if err := cat.Snapshot(); err != nil {
 		logger.Error("final snapshot failed", "err", err)

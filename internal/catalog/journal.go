@@ -28,8 +28,7 @@ import (
 // (ShardJournalStates) is introspection, not protocol.
 
 // DefaultJournalWindow is the number of journal entries retained per
-// shard when Options.JournalWindow (or SetJournalWindow) does not
-// override it.
+// shard unless SetJournalWindow overrides it.
 const DefaultJournalWindow = 4096
 
 // Instance tokens let a client that cached a sequence against one

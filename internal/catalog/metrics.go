@@ -17,7 +17,7 @@ var (
 		"Catalog mutations that returned an error, by operation.", "op")
 
 	metricWALAppend = obs.Default.Histogram("vdc_wal_append_seconds",
-		"Latency of encoding one WAL record and enqueueing it on the group committer.", obs.TimeBuckets)
+		"Latency of encoding one WAL record into its shard log's pending group-commit batch.", obs.TimeBuckets)
 
 	// Group-commit series; see docs/PERF.md.
 	metricWALBatchRecords = obs.Default.Histogram("vdc_wal_batch_records",

@@ -43,8 +43,8 @@ import (
 //     to the durability wait for group-committed shards, so a batch of
 //     N writers pays one rotation, not N (amortized copy-on-write).
 //  2. Inline, before the shard lock drops, for mutations that need no
-//     committer round-trip — in-memory catalogs, inline WALs, failed
-//     mutations, cross-shard adjacency updates with no WAL record.
+//     durability wait — in-memory catalogs, failed mutations,
+//     cross-shard adjacency updates with no WAL record.
 //  3. Reader assist: acquire() sees the shard's dirty flag, TryLocks
 //     the shard (never blocking), and publishes — this is what bounds
 //     staleness after writes quiesce while a deferral was pending.

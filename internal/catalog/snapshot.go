@@ -131,8 +131,10 @@ func writeMeta(dir string, meta catalogMeta) error {
 	return syncDir(dir)
 }
 
-// syncDir fsyncs a directory so a just-created entry survives a crash.
-func syncDir(dir string) error {
+// syncDir fsyncs a directory so a just-created (or renamed) entry
+// survives a crash. A variable so tests can observe the state each
+// directory sync makes durable.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("catalog: dir open: %w", err)
@@ -221,5 +223,8 @@ func (c *Catalog) writeSnapshotLocked(exp *Export) error {
 	if err := os.Remove(filepath.Join(c.dir, stale)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	return nil
+	// The rename must be durable before Snapshot truncates the logs: a
+	// crash that kept the truncation but lost the rename would drop
+	// every record since the previous snapshot.
+	return syncDir(c.dir)
 }

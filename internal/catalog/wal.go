@@ -89,45 +89,12 @@ func walPath(dir string, i, n int) string {
 	return filepath.Join(dir, "wal-"+strconv.Itoa(i)+".jsonl")
 }
 
-// Group-commit defaults; see docs/PERF.md.
-const (
-	// DefaultMaxBatch is the batch-size target that ends the
-	// accumulation window early.
-	DefaultMaxBatch = 1024
-	// DefaultMaxDelay is how long an already-contended batch stays open
-	// for stragglers before committing.
-	DefaultMaxDelay = 200 * time.Microsecond
-)
-
 // Options configure a durable catalog.
 type Options struct {
 	// Sync forces an fsync before a mutation is acknowledged. Slower but
-	// survives OS crashes, not just process crashes. With group commit
-	// (the default) concurrent mutations share one fsync per batch.
+	// survives OS crashes, not just process crashes. Group commit lets
+	// concurrent mutations share one fsync per batch.
 	Sync bool
-
-	// MaxBatch is the group-commit batch-size target: the accumulation
-	// window closes as soon as this many records are pending. A burst
-	// arriving while a commit is in flight can still exceed it — the
-	// committer always drains the whole queue, which is the batching
-	// that makes fsync amortize. 0 means DefaultMaxBatch.
-	//
-	// MaxBatch == 1 means batches of one: each record is committed
-	// (and fsynced) before its shard lock is released, the
-	// pre-group-commit cadence.
-	MaxBatch int
-
-	// MaxDelay bounds how long a committer holds a batch open for
-	// stragglers once it has seen more than one record (a lone writer
-	// never waits). 0 means DefaultMaxDelay; negative disables the
-	// window so batches close as fast as the disk allows.
-	MaxDelay time.Duration
-
-	// JournalWindow bounds each shard's change journal backing
-	// ChangesSince delta exports; callers further behind than any
-	// shard's window receive a full export. 0 means
-	// DefaultJournalWindow.
-	JournalWindow int
 
 	// Shards partitions the catalog (clamped to [1, MaxShards]): each
 	// shard owns its own lock, WAL file, change journal, and secondary
@@ -149,23 +116,6 @@ type Options struct {
 	SnapshotFormat string
 }
 
-// normalize resolves zero values to defaults.
-func (o Options) normalize() Options {
-	if o.MaxBatch == 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = DefaultMaxDelay
-	} else if o.MaxDelay < 0 {
-		o.MaxDelay = 0
-	}
-	if o.JournalWindow <= 0 {
-		o.JournalWindow = DefaultJournalWindow
-	}
-	o.Shards = normalizeShards(o.Shards)
-	return o
-}
-
 // Open loads (or creates) a durable catalog in dir. The registry seeds
 // the type hierarchy for *new* catalogs; reopened catalogs restore
 // their persisted registry and merge the seed into it.
@@ -173,7 +123,6 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: open: %w", err)
 	}
-	opts = opts.normalize()
 
 	// Resolve the layout pins: the directory's recorded shard count and
 	// snapshot format win, a pre-sharding directory (data but no meta)
@@ -182,7 +131,7 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := opts.Shards
+	shards := normalizeShards(opts.Shards)
 	metaPath := filepath.Join(dir, metaFile)
 	if data, err := os.ReadFile(metaPath); err == nil {
 		var meta catalogMeta
@@ -216,9 +165,6 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	c := NewSharded(dtype.NewRegistry(), shards)
 	c.dir = dir
 	c.snapFormat = format
-	for _, s := range c.shards {
-		s.jwindow = opts.JournalWindow
-	}
 	if seed != nil {
 		if err := c.types.Merge(seed); err != nil {
 			return nil, err
@@ -254,11 +200,18 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	for i, s := range c.shards {
 		f, err := os.OpenFile(walPath(dir, i, shards), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
+			c.Close() // the logs already opened
 			return nil, fmt.Errorf("catalog: wal: %w", err)
 		}
-		com := newCommitter(f, opts.Sync, opts.MaxBatch, opts.MaxDelay)
+		com := newCommitter(f, opts.Sync)
 		com.setShardMetrics(strconv.Itoa(i))
 		s.wal = &wal{f: f, com: com}
+	}
+	// The logs may have just been created; writeMeta's directory sync
+	// came before them.
+	if err := syncDir(dir); err != nil {
+		c.Close()
+		return nil, err
 	}
 	// Expose the restored state to the lock-free read path: one epoch
 	// publication per shard covering the whole replay.
@@ -266,9 +219,9 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	return c, nil
 }
 
-// Close drains every shard's group committer, makes the logs durable,
-// and closes them. The catalog remains usable in memory but further
-// mutations are not persisted.
+// Close flushes every shard's group committer (returning the first
+// sticky failure), makes the logs durable, and closes them. The catalog
+// remains usable in memory but further mutations are not persisted.
 func (c *Catalog) Close() error {
 	set := c.allSet()
 	c.lockSet(set)
@@ -280,7 +233,7 @@ func (c *Catalog) Close() error {
 		}
 		w := s.wal
 		s.wal = nil
-		if err := w.com.close(); err != nil && firstErr == nil {
+		if err := w.com.flush(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if w.com.fsync && firstErr == nil {
@@ -318,8 +271,7 @@ func (c *Catalog) DurabilityErr() error {
 
 // logOp records one operation in the shard's WAL. Callers hold s.mu.
 // The record is only enqueued here; Catalog.mutate waits for its batch
-// off-lock. With MaxBatch == 1 the wait happens here instead, while
-// s.mu still keeps the next record out: every batch is one record.
+// off-lock.
 func (s *cshard) logOp(op opKind, v any) error {
 	if s.wal == nil {
 		return nil
@@ -327,9 +279,6 @@ func (s *cshard) logOp(op opKind, v any) error {
 	seq, err := s.wal.com.enqueue(op, v)
 	if err != nil {
 		return err
-	}
-	if s.wal.com.maxBatch == 1 {
-		return s.wal.com.wait(seq)
 	}
 	s.pendingSeq = seq
 	return nil
@@ -695,7 +644,7 @@ func (c *Catalog) Snapshot() error {
 	if err := c.writeSnapshotLocked(&exp); err != nil {
 		return err
 	}
-	// Quiesce each committer (every shard lock is held, so no queue can
+	// Flush each committer (every shard lock is held, so no queue can
 	// grow), then truncate the logs now that the snapshot covers them.
 	for _, s := range c.shards {
 		if s.wal == nil {

@@ -14,7 +14,7 @@ import (
 )
 
 // populate fills a catalog with a representative mix of objects.
-func populate(t *testing.T, c *Catalog) {
+func populate(t testing.TB, c *Catalog) {
 	t.Helper()
 	if err := c.DefineType(dtype.Content, "HEP", ""); err != nil {
 		t.Fatal(err)
@@ -130,6 +130,87 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	defer c2.Close()
 	requireSameState(t, c, c2)
+}
+
+// logBytes sums the sizes of an n-shard directory's logs.
+func logBytes(t *testing.T, dir string, n int) int64 {
+	t.Helper()
+	var total int64
+	for i := 0; i < n; i++ {
+		fi, err := os.Stat(walPath(dir, i, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	return total
+}
+
+// TestSnapshotSyncsDirBeforeTruncate checks the order a crash-safe
+// Snapshot needs: the directory sync that makes the new snapshot's
+// rename durable runs while the logs still hold every record, so a
+// crash can lose the truncation but never the rename.
+func TestSnapshotSyncsDirBeforeTruncate(t *testing.T) {
+	const shards = 2
+	dir := t.TempDir()
+	c, err := Open(dir, nil, Options{Sync: true, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	populate(t, c)
+	logged := logBytes(t, dir, shards)
+
+	syncs := 0
+	prev := syncDir
+	t.Cleanup(func() { syncDir = prev })
+	syncDir = func(d string) error {
+		syncs++
+		if _, err := os.Stat(filepath.Join(d, snapshotFile)); err != nil {
+			t.Errorf("directory synced before the snapshot was renamed into place: %v", err)
+		}
+		if got := logBytes(t, d, shards); got != logged {
+			t.Errorf("logs hold %d bytes at the directory sync, want all %d", got, logged)
+		}
+		return prev(d)
+	}
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 1 {
+		t.Fatalf("Snapshot synced the directory %d times, want 1", syncs)
+	}
+	if got := logBytes(t, dir, shards); got != 0 {
+		t.Fatalf("logs not truncated: %d bytes", got)
+	}
+}
+
+// TestOpenSyncsDirAfterCreatingLogs: a fresh directory's last directory
+// sync in Open must come after every shard log exists, or the logs'
+// entries are not durable.
+func TestOpenSyncsDirAfterCreatingLogs(t *testing.T) {
+	const shards = 4
+	var sawLogs []bool
+	prev := syncDir
+	t.Cleanup(func() { syncDir = prev })
+	syncDir = func(d string) error {
+		all := true
+		for i := 0; i < shards; i++ {
+			if _, err := os.Stat(walPath(d, i, shards)); err != nil {
+				all = false
+			}
+		}
+		sawLogs = append(sawLogs, all)
+		return prev(d)
+	}
+	c, err := Open(t.TempDir(), nil, Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n := len(sawLogs); n == 0 || !sawLogs[n-1] {
+		t.Fatalf("directory syncs saw every log: %v; the last must", sawLogs)
+	}
 }
 
 func TestTornTailTolerated(t *testing.T) {

@@ -230,12 +230,8 @@ func (ix *Index) crawlDelta(ctx context.Context) error {
 		members[a] = c
 	}
 	filter := ix.Filter
-	workers := ix.Workers
 	timeout := ix.MemberTimeout
 	ix.mu.Unlock()
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
 	if timeout <= 0 {
 		timeout = DefaultMemberTimeout
 	}
@@ -270,7 +266,7 @@ func (ix *Index) crawlDelta(ctx context.Context) error {
 	sort.Strings(authorities)
 
 	// Fan out: each worker owns its member's shard for the duration.
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, DefaultWorkers)
 	var wg sync.WaitGroup
 	for _, a := range authorities {
 		wg.Add(1)

@@ -87,9 +87,6 @@ type Index struct {
 	// discovery query (evaluated on the member's exported state).
 	Filter string
 
-	// Workers bounds concurrent member fetches in the delta crawl
-	// (default DefaultWorkers).
-	Workers int
 	// MemberTimeout bounds one member's fetch in the delta crawl
 	// (default DefaultMemberTimeout).
 	MemberTimeout time.Duration
