@@ -297,7 +297,7 @@ func plan(cat *catalog.Catalog, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("plan needs exactly one TARGET")
 	}
-	dvs, err := cat.MaterializationPlan(args[0], assumePrimary(cat))
+	dvs, err := cat.MaterializationPlan(args[0], assumePrimary)
 	if err != nil {
 		return err
 	}
@@ -321,7 +321,7 @@ func estimate(cat *catalog.Catalog, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("estimate needs exactly one TARGET")
 	}
-	dvs, err := cat.MaterializationPlan(fs.Arg(0), assumePrimary(cat))
+	dvs, err := cat.MaterializationPlan(fs.Arg(0), assumePrimary)
 	if err != nil {
 		return err
 	}
@@ -354,11 +354,10 @@ func run(cat *catalog.Catalog, args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("run needs at least one TARGET")
 	}
-	available := assumePrimary(cat)
 	var pending []schema.Derivation
 	seen := map[string]bool{}
 	for _, target := range fs.Args() {
-		dvs, err := cat.MaterializationPlan(target, available)
+		dvs, err := cat.MaterializationPlan(target, assumePrimary)
 		if err != nil {
 			return err
 		}
@@ -433,14 +432,12 @@ func annotate(cat *catalog.Catalog, args []string) error {
 }
 
 // assumePrimary treats underived data as stageable for planning.
-func assumePrimary(cat *catalog.Catalog) func(string) bool {
-	return func(ds string) bool {
-		if cat.Materialized(ds) {
-			return true
-		}
-		rec, err := cat.Dataset(ds)
-		return err == nil && rec.CreatedBy == ""
+func assumePrimary(v *catalog.View, ds string) bool {
+	if v.Materialized(ds) {
+		return true
 	}
+	rec, ok := v.Dataset(ds)
+	return ok && rec.CreatedBy == ""
 }
 
 // remoteCommand runs the subset of commands that operate against a

@@ -270,9 +270,9 @@ func E4Reuse(overlaps []float64) (Table, error) {
 		coldSeen := map[string]bool{}
 		coldBaseline := 0
 		for _, target := range targets {
-			p, err := env.cat.MaterializationPlan(target, func(ds string) bool {
-				rec, err := env.cat.Dataset(ds)
-				return err == nil && rec.CreatedBy == ""
+			p, err := env.cat.MaterializationPlan(target, func(v *catalog.View, ds string) bool {
+				rec, ok := v.Dataset(ds)
+				return ok && rec.CreatedBy == ""
 			})
 			if err != nil {
 				return t, err

@@ -259,8 +259,10 @@ func TestPaperProvenanceChain(t *testing.T) {
 	if _, err := c.Producer("file0"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("primary data has producer: %v", err)
 	}
-	cons := c.Consumers("file1")
-	if len(cons) != 1 || cons[0].ID != dvs[1].ID {
+	v := c.View()
+	cons := v.ConsumersOf("file1")
+	v.Close()
+	if len(cons) != 1 || cons[0] != dvs[1].ID {
 		t.Errorf("consumers: %v", cons)
 	}
 
@@ -441,7 +443,7 @@ func TestMaterializationPlan(t *testing.T) {
 	// Underivable, unmaterialized input is an error.
 	c2 := New(nil)
 	buildChain(t, c2, 1)
-	if _, err := c2.MaterializationPlan("file1", func(string) bool { return false }); !errors.Is(err, ErrNotFound) {
+	if _, err := c2.MaterializationPlan("file1", func(*View, string) bool { return false }); !errors.Is(err, ErrNotFound) {
 		t.Errorf("underivable: %v", err)
 	}
 }
@@ -486,7 +488,7 @@ func TestMaterializationPlanTopoProperty(t *testing.T) {
 			}
 		}
 		target := fmt.Sprintf("n%d", n-1)
-		plan, err := c.MaterializationPlan(target, func(ds string) bool { return mat[ds] })
+		plan, err := c.MaterializationPlan(target, func(_ *View, ds string) bool { return mat[ds] })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -592,8 +594,8 @@ func TestReplicasAndInvocations(t *testing.T) {
 	if err := c.AddInvocation(schema.Invocation{ID: "iv2", Derivation: "ghost", Start: time.Unix(0, 0), End: time.Unix(1, 0)}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("invocation of unknown derivation: %v", err)
 	}
-	if got := c.InvocationsOf(dv.ID); len(got) != 1 || got[0].ID != "iv1" {
-		t.Errorf("InvocationsOf: %v", got)
+	if got := c.Export().Invocations; len(got) != 1 || got[0].ID != "iv1" || got[0].Derivation != dv.ID {
+		t.Errorf("invocations: %v", got)
 	}
 	if _, err := c.Invocation("iv1"); err != nil {
 		t.Error(err)

@@ -70,6 +70,11 @@ var (
 	// is the copy-on-write amortization factor group commit buys.
 	metricEpochSwaps = obs.Default.Counter("vdc_catalog_epoch_swaps_total",
 		"Shard read-epoch publications (atomic snapshot swaps).")
+	// metricPublishWait records, for each publication that found readers
+	// still pinning the epoch it retired, how long the publisher waited
+	// (holding the shard lock) for them to drain.
+	metricPublishWait = obs.Default.Histogram("vdc_catalog_publish_wait_seconds",
+		"Time a publication waited for readers of the epoch it retired to drain (only publications that waited).", obs.TimeBuckets)
 )
 
 // WALBatchStats reports the cumulative group-commit batch count and the

@@ -31,18 +31,6 @@ func (c *Catalog) Producer(dataset string) (schema.Derivation, error) {
 	return v.state(id).derivations[id], nil
 }
 
-// Consumers returns the derivations that read the dataset.
-func (c *Catalog) Consumers(dataset string) []schema.Derivation {
-	v := c.View()
-	defer v.Close()
-	ids := v.state(dataset).consumersOf[dataset]
-	out := make([]schema.Derivation, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, v.state(id).derivations[id])
-	}
-	return out
-}
-
 // DerivationIO returns the input and output dataset names of a
 // registered derivation.
 func (c *Catalog) DerivationIO(id string) (inputs, outputs []string, err error) {
@@ -281,24 +269,28 @@ func (c *Catalog) Lineage(dataset string) (LineageReport, error) {
 // MaterializationPlan returns the derivations that must run, in
 // dependency (topological) order, to materialize the target dataset,
 // given the predicate that reports which datasets are already
-// materialized. Materialized datasets prune the traversal: their
-// ancestors need not run. A dataset that is unmaterialized, underived
-// and not primary input data is an error.
-func (c *Catalog) MaterializationPlan(target string, materialized func(dataset string) bool) ([]schema.Derivation, error) {
+// materialized (nil means (*View).Materialized). Materialized datasets
+// prune the traversal: their ancestors need not run. A dataset that is
+// unmaterialized, underived and not primary input data is an error.
+//
+// The predicate runs while the plan pins v, so it must read the catalog
+// through v only — a locked Catalog method would deadlock against a
+// concurrent publication (published.go).
+func (c *Catalog) MaterializationPlan(target string, materialized func(v *View, dataset string) bool) ([]schema.Derivation, error) {
 	v := c.View()
 	defer v.Close()
 	if _, ok := v.state(target).datasets[target]; !ok {
 		return nil, fmt.Errorf("%w: dataset %q", ErrNotFound, target)
 	}
 	if materialized == nil {
-		materialized = v.Materialized
+		materialized = (*View).Materialized
 	}
 	var order []schema.Derivation
 	visiting := make(map[string]bool) // derivation IDs on the stack
 	done := make(map[string]bool)     // derivation IDs emitted
 	var need func(ds string, forWhom string) error
 	need = func(ds string, forWhom string) error {
-		if materialized(ds) {
+		if materialized(v, ds) {
 			return nil
 		}
 		dvID, ok := v.state(ds).producerOf[ds]

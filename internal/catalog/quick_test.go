@@ -114,12 +114,14 @@ func TestIndexConsistencyAfterRandomOps(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, in := range ins {
+				v := c.View()
 				found := false
-				for _, consumer := range c.Consumers(in) {
-					if consumer.ID == dv.ID {
+				for _, consumer := range v.ConsumersOf(in) {
+					if consumer == dv.ID {
 						found = true
 					}
 				}
+				v.Close()
 				if !found {
 					t.Fatalf("consumer index missing %s <- %s", dv.ID, in)
 				}
@@ -216,7 +218,8 @@ func TestGetterSurfaces(t *testing.T) {
 	c.AddReplica(schema.Replica{ID: "r1", Dataset: "b", Site: "s", PFN: "/b"})
 	c.AddInvocation(schema.Invocation{ID: "iv1", Derivation: dv.ID})
 
-	if got := c.Transformations(); len(got) != 1 || got[0].Name != "t" {
+	exp := c.Export()
+	if got := exp.Transformations; len(got) != 1 || got[0].Name != "t" {
 		t.Errorf("Transformations: %v", got)
 	}
 	if got, err := c.Derivation(dv.ID); err != nil || got.ID != dv.ID {
@@ -228,11 +231,8 @@ func TestGetterSurfaces(t *testing.T) {
 	if got := c.Invocations(); len(got) != 1 || got[0].ID != "iv1" {
 		t.Errorf("Invocations: %v", got)
 	}
-	if got, err := c.Replica("r1"); err != nil || got.Dataset != "b" {
-		t.Errorf("Replica: %v %v", got, err)
-	}
-	if _, err := c.Replica("ghost"); err == nil {
-		t.Error("ghost replica accepted")
+	if got := exp.Replicas; len(got) != 1 || got[0].ID != "r1" || got[0].Dataset != "b" {
+		t.Errorf("Replicas: %v", got)
 	}
 }
 

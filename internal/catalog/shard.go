@@ -40,14 +40,14 @@ import (
 //
 // Multi-shard mutations (AddDerivation spans the derivation's shard,
 // the transformation's shard, and every input/output dataset's shard)
-// write-lock their whole shard set in ascending shard order; reads that
-// need a consistent cross-shard picture (View, Export, provenance
-// cones, ChangesSince) take every shard's read lock, also in ascending
-// order. One global acquisition order makes deadlock impossible, and
-// gives ordered-snapshot consistency: a reader holding all read locks
-// can never observe a mutation M2 without also observing every
-// mutation that happened-before M2 (see docs/PERF.md, "Catalog
-// sharding").
+// write-lock their whole shard set in ascending shard order; ChangesSince
+// and the administrative probes take every shard's read lock, also in
+// ascending order. One global acquisition order makes deadlock
+// impossible, and gives ordered-snapshot consistency: a reader holding
+// all read locks can never observe a mutation M2 without also observing
+// every mutation that happened-before M2 (see docs/PERF.md, "Catalog
+// sharding"). View, Export, query and provenance take no shard lock at
+// all: they pin each shard's published epoch (published.go).
 //
 // Shards=1 degenerates to exactly the pre-sharding catalog — one lock,
 // one WAL, one journal — and is kept as the equivalence oracle:
@@ -72,27 +72,10 @@ type cshard struct {
 	// write side, read lock-free via acquire/release (published.go).
 	pub atomic.Pointer[publishedEpoch]
 
-	// spare is the third buffer: the previously published state, waiting
-	// for its last readers to drain so a rotation can recycle it as the
-	// next write side. Guarded by mu (its ep.readers is atomic).
-	spare *sideState
-
-	// spareEp mirrors spare.ep for lock-free observation: readers gate
-	// the assist publication on the spare having drained (spareDrained),
-	// so a pinned spare never triggers futile TryLock storms. Written
-	// under mu at rotation; nil while the spare was never published.
-	spareEp atomic.Pointer[publishedEpoch]
-
-	// ops is the log of mutation closures applied to the write side,
-	// kept for replay onto the lagging buffers; opBase is the ver value
-	// of ops[0]. Entries below every laggard's cursor are dropped at
-	// rotation. Guarded by mu.
-	ops    []func(*shardState)
-	opBase uint64
-
-	// dirty flags unpublished mutations, letting lock-free readers
-	// trigger the reader-assist publication without touching mu first.
-	dirty atomic.Bool
+	// ops is the log of mutation closures applied to the write side
+	// since the last publication, replayed onto the retired state when
+	// it is recycled as the write side, then cleared. Guarded by mu.
+	ops []func(*shardState)
 
 	// ver counts every applied mutation closure on this shard (journaled
 	// or not); lastSeq is the catalog-wide sequence of the shard's last
@@ -132,8 +115,7 @@ func newCShard(index, window int) *cshard {
 		gObjects:   metricShardObjects.With(label),
 		gJournal:   metricShardJournal.With(label),
 	}
-	s.pub.Store(&publishedEpoch{state: newShardState()})
-	s.spare = &sideState{state: newShardState()}
+	s.pub.Store(&publishedEpoch{state: newShardState(), drained: make(chan struct{}, 1)})
 	return s
 }
 

@@ -16,42 +16,37 @@ import (
 //
 // Views are per-shard consistent: each shard's state is one atomic
 // publication, but two shards may expose publications from slightly
-// different moments (staleness bound: one group commit). At a quiescent
-// point — every durability wait resolved — a view observes exactly the
-// write side's state; CheckPublished and the equivalence storm in
-// published_test.go prove it.
+// different moments. Every mutation is published before it is
+// acknowledged, so a view opened after a mutation returns contains it;
+// at a quiescent point a view observes exactly the write side's state
+// (CheckPublished and the equivalence storm in published_test.go).
 //
 // Rules: a View is not safe for use after Close; maps and slices
 // returned by View methods are the snapshot's own storage — read-only.
 type View struct {
 	c      *Catalog
 	states []*shardState
-	// eps holds the pinned epochs.
+	// eps holds the pinned epochs (states[i] is eps[i].state).
 	eps []*publishedEpoch
-	// seqs/vers are the per-shard cursor stamps of the snapshot: the
-	// journal sequence and mutation version each shard's state was
-	// published at.
-	seqs []uint64
-	vers []uint64
 }
 
 // View opens a lock-free snapshot of the published epochs. Callers must
-// Close it.
+// Close it, and until then must not take a shard lock — call a locked
+// Catalog method such as Dataset, Materialized or Transformation — or
+// mutate the catalog: a publication waiting for this view's pins holds
+// the shard lock, so either would deadlock. Read through the View
+// instead.
 func (c *Catalog) View() *View {
 	n := len(c.shards)
 	v := &View{
 		c:      c,
 		states: make([]*shardState, n),
 		eps:    make([]*publishedEpoch, n),
-		seqs:   make([]uint64, n),
-		vers:   make([]uint64, n),
 	}
 	for i, s := range c.shards {
 		e := s.acquire()
 		v.eps[i] = e
 		v.states[i] = e.state
-		v.seqs[i] = e.seq
-		v.vers[i] = e.ver
 	}
 	return v
 }
@@ -63,14 +58,6 @@ func (v *View) Close() {
 	}
 }
 
-// Stamp reports the snapshot's (instance, per-shard seq) cursor: the
-// journal identity plus the sequence of the last journaled mutation
-// visible in each shard's state. This is the consistency stamp exports
-// and explain output carry.
-func (v *View) Stamp() (instance uint64, seqs []uint64) {
-	return v.c.jinstance, v.seqs
-}
-
 // EpochKey renders the snapshot's identity — journal instance plus the
 // per-shard mutation-version vector — as a compact string. Two views
 // with equal keys observed identical state (versions advance on every
@@ -79,8 +66,8 @@ func (v *View) Stamp() (instance uint64, seqs []uint64) {
 func (v *View) EpochKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d", v.c.jinstance)
-	for _, ver := range v.vers {
-		fmt.Fprintf(&b, ".%d", ver)
+	for _, e := range v.eps {
+		fmt.Fprintf(&b, ".%d", e.ver)
 	}
 	return b.String()
 }
@@ -119,31 +106,6 @@ func (v *View) Transformation(ref string) (schema.Transformation, bool) {
 func (v *View) Derivation(id string) (schema.Derivation, bool) {
 	dv, ok := v.state(id).derivations[id]
 	return dv, ok
-}
-
-// NumDatasets, NumTransformations, NumDerivations report object counts.
-func (v *View) NumDatasets() int {
-	n := 0
-	for _, st := range v.states {
-		n += len(st.datasets)
-	}
-	return n
-}
-
-func (v *View) NumTransformations() int {
-	n := 0
-	for _, st := range v.states {
-		n += len(st.transformations)
-	}
-	return n
-}
-
-func (v *View) NumDerivations() int {
-	n := 0
-	for _, st := range v.states {
-		n += len(st.derivations)
-	}
-	return n
 }
 
 // RangeDatasets calls fn for every dataset, in map (unspecified) order,

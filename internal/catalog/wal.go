@@ -445,8 +445,7 @@ func (c *Catalog) Export() Export {
 	return v.Export()
 }
 
-// Export serializes the view's full state. The (instance, seqs) from
-// Stamp() is the cursor the export is consistent at, per shard.
+// Export serializes the view's full state.
 func (v *View) Export() Export {
 	return exportStates(v.c.types.Clone(), v.states)
 }

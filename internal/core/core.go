@@ -208,12 +208,12 @@ func (s *System) Estimate(target string, hosts int) (estimator.Estimate, error) 
 	// For estimation, primary data is assumed stageable even if no
 	// replica is registered yet: the question is "what would deriving
 	// this cost?", not "can it run right now?".
-	available := func(ds string) bool {
-		if s.Cat.Materialized(ds) {
+	available := func(v *catalog.View, ds string) bool {
+		if v.Materialized(ds) {
 			return true
 		}
-		rec, err := s.Cat.Dataset(ds)
-		return err == nil && rec.CreatedBy == ""
+		rec, ok := v.Dataset(ds)
+		return ok && rec.CreatedBy == ""
 	}
 	dvs, err := s.Cat.MaterializationPlan(target, available)
 	if err != nil {
@@ -301,13 +301,13 @@ func (s *System) Materialize(targets ...string) ([]MaterializeResult, error) {
 // materializedOrLocal treats a dataset as materialized if the catalog
 // says so; in local mode every external input is assumed present in the
 // workspace (the driver will fail loudly if not).
-func (s *System) materializedOrLocal(ds string) bool {
-	if s.Cat.Materialized(ds) {
+func (s *System) materializedOrLocal(v *catalog.View, ds string) bool {
+	if v.Materialized(ds) {
 		return true
 	}
 	if s.Local != nil {
-		rec, err := s.Cat.Dataset(ds)
-		return err == nil && rec.CreatedBy == ""
+		rec, ok := v.Dataset(ds)
+		return ok && rec.CreatedBy == ""
 	}
 	return false
 }

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"chimera/internal/catalog"
 	"chimera/internal/executor"
@@ -257,5 +259,89 @@ func TestMaterializeFailurePropagates(t *testing.T) {
 	os.WriteFile(filepath.Join(ws, "source"), []byte("x"), 0o644)
 	if _, err := s.Materialize("refined"); err == nil {
 		t.Error("failed workflow reported success")
+	}
+}
+
+// TestMaterializationPlanUnderConcurrentWriters is the deadlock
+// regression for the pinned-View callback: planning runs its
+// materialized predicate while it pins the catalog's published epochs,
+// and a publication waiting for that pin holds the shard lock. The
+// planner's real callbacks (materializedOrLocal, Estimate's predicate)
+// must therefore read through the View; one that called a locked
+// Catalog method would hang here against 8 concurrent writers on a
+// 4-shard durable catalog.
+func TestMaterializationPlanUnderConcurrentWriters(t *testing.T) {
+	const chain, writers, perWriter = 12, 8, 150
+	dir := t.TempDir()
+	cat, err := catalog.Open(filepath.Join(dir, "cat"), nil, catalog.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithCatalog("storm", dir, cat)
+	var vdlSrc strings.Builder
+	vdlSrc.WriteString("TYPE content Events;\nDS src0<Events> size \"1\";\n")
+	vdlSrc.WriteString("TR step( output o, input i ) {\n  argument stdin = ${input:i};\n  argument stdout = ${output:o};\n  exec = \"/bin/step\";\n}\n")
+	for i := 1; i <= chain; i++ {
+		fmt.Fprintf(&vdlSrc, "DV s%d->step( i=@{input:\"src%d\"}, o=@{output:\"src%d\"} );\n", i, i-1, i)
+	}
+	if err := s.LoadVDL(vdlSrc.String()); err != nil {
+		t.Fatal(err)
+	}
+	target := fmt.Sprintf("src%d", chain)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					name := fmt.Sprintf("w%d-%d", w, i)
+					if err := cat.AddDataset(schema.Dataset{Name: name}); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := cat.AddReplica(schema.Replica{ID: "r-" + name, Dataset: name, Site: "s", PFN: "/" + name}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		stop := make(chan struct{})
+		planned := make(chan struct{})
+		go func() {
+			defer close(planned)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				dvs, err := cat.MaterializationPlan(target, s.materializedOrLocal)
+				if err != nil || len(dvs) != chain {
+					t.Errorf("plan: %d derivations, %v; want %d", len(dvs), err, chain)
+					return
+				}
+				if _, err := s.Estimate(target, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		<-planned
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		// Not closing the catalog: a deadlocked one would hang Close too.
+		t.Fatal("planning against concurrent writers did not finish: a materialized callback blocked on a shard lock while its View was pinned")
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
