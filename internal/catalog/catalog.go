@@ -132,40 +132,20 @@ func (c *Catalog) mutateAsync(set shardSet, fn func() error) (wait func() error,
 	err = fn()
 	var w0 walWait
 	var more []walWait
-	var deferred, inline shardSet
 	for i, s := range c.shards {
-		if !set.has(i) {
-			continue
-		}
 		// logOp set pendingSeq under this same lock hold, so the WAL it
 		// enqueued on is still attached.
-		committed := s.pendingSeq != 0
-		if committed {
-			if w0.com == nil {
-				w0 = walWait{s.wal.com, s.pendingSeq}
-			} else {
-				more = append(more, walWait{s.wal.com, s.pendingSeq})
-			}
-			s.pendingSeq = 0
+		if !set.has(i) || s.pendingSeq == 0 {
+			continue
 		}
-		// Epoch publication (published.go). Shards whose records are
-		// riding a group commit publish when the batch resolves, inside
-		// the wait function — that amortization is what lets N concurrent
-		// writers pay one swap per batch instead of one per mutation.
-		// Everything else — in-memory catalogs, failed mutations, and
-		// shards touched only by cross-shard adjacency updates (no WAL
-		// record) — publishes inline, right after the set unlocks. Either
-		// way the mutation is published before it is acknowledged, and a
-		// publisher waiting for a pinned epoch to drain holds only that
-		// one shard's lock.
-		if committed && err == nil {
-			deferred = deferred.with(i)
+		if w0.com == nil {
+			w0 = walWait{s.wal.com, s.pendingSeq}
 		} else {
-			inline = inline.with(i)
+			more = append(more, walWait{s.wal.com, s.pendingSeq})
 		}
+		s.pendingSeq = 0
 	}
 	c.unlockSet(set)
-	c.publishSet(inline)
 	if err != nil {
 		// The operation failed after possibly enqueueing records (the
 		// seed's partial-log semantics); its error wins either way.
@@ -181,12 +161,6 @@ func (c *Catalog) mutateAsync(set shardSet, fn func() error) (wait func() error,
 				first = e
 			}
 		}
-		// Publish after durability resolves, even on failure: the ops are
-		// applied in memory either way, and the published side must track
-		// the write side. The first waiter of a shared batch does the real
-		// swap; later waiters find nothing pending and no-op. Callers must
-		// not hold an open View here (published.go).
-		c.publishSet(deferred)
 		return first
 	}, nil
 }
@@ -202,10 +176,10 @@ func (c *Catalog) DefineType(d dtype.Dimension, name, parent string) (err error)
 			return err
 		}
 		// The registry is shared (own lock), not part of shard state, but
-		// a definition changes type-conformance answers — apply a no-op
-		// closure so shard 0's epoch version advances and every cached
-		// query result keyed on the old vector invalidates.
-		c.shards[0].apply(func(*shardState) {})
+		// a definition changes type-conformance answers — advance shard
+		// 0's mutation version so every cached query result keyed on the
+		// old vector invalidates.
+		c.shards[0].ver++
 		c.shards[0].noteJournal(c, jTypes, "", false)
 		return c.shards[0].logOp(opType, typeRecord{Dim: int(d), Name: name, Parent: parent})
 	})
@@ -314,8 +288,8 @@ func (c *Catalog) BumpEpoch(name string, restampReplicas bool) (_ int, err error
 // Dataset returns the dataset with the given logical name.
 func (c *Catalog) Dataset(name string) (schema.Dataset, error) {
 	s := c.shardOf(name)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	ds, ok := s.datasets[name]
 	if !ok {
 		return schema.Dataset{}, fmt.Errorf("%w: dataset %q", ErrNotFound, name)
@@ -323,13 +297,12 @@ func (c *Catalog) Dataset(name string) (schema.Dataset, error) {
 	return ds, nil
 }
 
-// Datasets returns all datasets, sorted by name. The listing walks the
-// published epochs — zero lock acquisitions.
+// Datasets returns all datasets, sorted by name.
 func (c *Catalog) Datasets() []schema.Dataset {
-	v := c.View()
-	defer v.Close()
+	c.rlockAll()
+	defer c.runlockAll()
 	var out []schema.Dataset
-	for _, st := range v.states {
+	for _, st := range c.shards {
 		for _, ds := range st.datasets {
 			out = append(out, ds)
 		}
@@ -377,8 +350,8 @@ func (c *Catalog) AddTransformation(tr schema.Transformation) (err error) {
 // error, if several versions exist).
 func (c *Catalog) Transformation(ref string) (schema.Transformation, error) {
 	s := c.shardOfTR(ref)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.transformationLocked(ref)
 }
 
@@ -415,8 +388,8 @@ func (s *cshard) transformationLocked(ref string) (schema.Transformation, error)
 func (c *Catalog) Versions(namespace, name string) []string {
 	base := schema.FormatTRRef(namespace, name, "")
 	s := c.shardOfTR(base)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	vs := append([]string(nil), s.versionsOf[base]...)
 	sort.Strings(vs)
 	return vs
@@ -447,7 +420,8 @@ func (c *Catalog) AssertCompatibility(a schema.CompatibilityAssertion) (err erro
 				return nil
 			}
 		}
-		s.apply(func(st *shardState) { st.compat = append(st.compat, a) })
+		s.compat = append(s.compat, a)
+		s.ver++
 		s.noteJournal(c, jCompat, "", false)
 		return s.logOp(opCompat, a)
 	})
@@ -462,8 +436,8 @@ func (c *Catalog) Compatible(namespace, name, v1, v2 string) bool {
 		return true
 	}
 	s := c.shards[0]
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// Collect equivalence edges and veto pairs for this transformation.
 	adj := make(map[string][]string)
 	veto := make(map[[2]string]bool)
@@ -674,8 +648,8 @@ func (c *Catalog) AddDerivation(dv schema.Derivation) (_ schema.Derivation, err 
 // Derivation returns the derivation with the given ID.
 func (c *Catalog) Derivation(id string) (schema.Derivation, error) {
 	s := c.shardOf(id)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	dv, ok := s.derivations[id]
 	if !ok {
 		return schema.Derivation{}, fmt.Errorf("%w: derivation %q", ErrNotFound, id)
@@ -689,8 +663,8 @@ func (c *Catalog) Derivation(id string) (schema.Derivation, error) {
 func (c *Catalog) FindDerivation(dv schema.Derivation) (schema.Derivation, bool) {
 	sig := dv.Signature()
 	s := c.shardOf(sig)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	found, ok := s.derivations[sig]
 	return found, ok
 }
@@ -722,13 +696,12 @@ func (c *Catalog) FindEquivalentDerivation(dv schema.Derivation) (schema.Derivat
 	return schema.Derivation{}, "", false
 }
 
-// Derivations returns all derivations sorted by ID, from the published
-// epochs.
+// Derivations returns all derivations sorted by ID.
 func (c *Catalog) Derivations() []schema.Derivation {
-	v := c.View()
-	defer v.Close()
+	c.rlockAll()
+	defer c.runlockAll()
 	var out []schema.Derivation
-	for _, st := range v.states {
+	for _, st := range c.shards {
 		for _, dv := range st.derivations {
 			out = append(out, dv)
 		}
@@ -800,8 +773,8 @@ func (c *Catalog) Invocation(id string) (schema.Invocation, error) {
 // query layer's `executed` flag wants.
 func (c *Catalog) HasInvocations(derivation string) bool {
 	s := c.shardOf(derivation)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.idx.executed.Has(derivation)
 }
 
@@ -809,18 +782,17 @@ func (c *Catalog) HasInvocations(derivation string) bool {
 // derivation.
 func (c *Catalog) InvocationCount(derivation string) int {
 	s := c.shardOf(derivation)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.invocationsByDV[derivation])
 }
 
-// Invocations returns all invocations sorted by ID, from the published
-// epochs.
+// Invocations returns all invocations sorted by ID.
 func (c *Catalog) Invocations() []schema.Invocation {
-	v := c.View()
-	defer v.Close()
+	c.rlockAll()
+	defer c.runlockAll()
 	var out []schema.Invocation
-	for _, st := range v.states {
+	for _, st := range c.shards {
 		for _, iv := range st.invocations {
 			out = append(out, iv)
 		}
@@ -888,8 +860,8 @@ func (c *Catalog) RemoveReplica(id string) (err error) {
 // ReplicasOf lists the replicas of a dataset, in registration order.
 func (c *Catalog) ReplicasOf(dataset string) []schema.Replica {
 	s := c.shardOf(dataset)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	ids := s.replicasByDataset[dataset]
 	out := make([]schema.Replica, 0, len(ids))
 	for _, id := range ids {
@@ -902,8 +874,8 @@ func (c *Catalog) ReplicasOf(dataset string) []schema.Replica {
 // its current epoch.
 func (c *Catalog) Materialized(dataset string) bool {
 	s := c.shardOf(dataset)
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// The flag set is maintained by every mutation path (index.go), so
 	// membership is the answer — no replica scan.
 	return s.idx.materialized.Has(dataset)
@@ -914,12 +886,12 @@ type Stats struct {
 	Datasets, Transformations, Derivations, Invocations, Replicas int
 }
 
-// Stats returns object counts, from the published epochs.
+// Stats returns object counts.
 func (c *Catalog) Stats() Stats {
-	v := c.View()
-	defer v.Close()
+	c.rlockAll()
+	defer c.runlockAll()
 	var st Stats
-	for _, ss := range v.states {
+	for _, ss := range c.shards {
 		st.Datasets += len(ss.datasets)
 		st.Transformations += len(ss.transformations)
 		st.Derivations += len(ss.derivations)

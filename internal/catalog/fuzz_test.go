@@ -20,7 +20,6 @@ func replayLog(log []byte) (*Catalog, error) {
 	if err := c.replayDeferred(deferred); err != nil {
 		return nil, err
 	}
-	c.publishAll()
 	return c, nil
 }
 

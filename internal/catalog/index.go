@@ -130,20 +130,17 @@ func attrIndexRemove(idx map[string]map[string]IndexSet, attrs schema.Attributes
 // --- mutation funnel ---------------------------------------------------
 //
 // Each put*/drop* is split in two: a Catalog-level wrapper that routes
-// to the home shard, applies a deterministic mutation closure through
-// cshard.apply (which runs it on the write side and queues it for
-// replay onto the published side at the next epoch swap), and journals;
-// and a shardState-level method holding the actual map/index edits.
-// The closures capture values only — replaying them in order against
-// the retired epoch state reproduces the write side exactly, which is
-// the left-right invariant CheckPublished verifies.
+// to the home shard, applies the edit, advances the shard's mutation
+// version (cshard.ver) and journals; and a shardState-level method
+// holding the actual map/index edits.
 
 // putDataset installs or replaces a dataset record and all its index
 // entries on the dataset's home shard. Callers hold that shard's write
 // lock.
 func (c *Catalog) putDataset(ds schema.Dataset) {
 	s := c.shardOf(ds.Name)
-	s.apply(func(st *shardState) { st.putDataset(ds) })
+	s.putDataset(ds)
+	s.ver++
 	s.noteJournal(c, jDataset, ds.Name, false)
 }
 
@@ -191,7 +188,8 @@ func setRemoveTyped(m map[dtype.Type]IndexSet, t dtype.Type, id string) {
 func (c *Catalog) putTransformation(tr schema.Transformation) {
 	ref := tr.Ref()
 	s := c.shardOfTR(ref)
-	s.apply(func(st *shardState) { st.putTransformation(tr) })
+	s.putTransformation(tr)
+	s.ver++
 	s.noteJournal(c, jTransformation, ref, false)
 }
 
@@ -220,18 +218,20 @@ func (c *Catalog) indexDerivation(dv schema.Derivation, tr schema.Transformation
 	}
 	inputs := dv.Inputs(tr)
 	outputs := dv.Outputs(tr)
-	home.apply(func(st *shardState) { st.indexDerivationHome(dv, inputs, outputs) })
-	// Adjacency entries land on each dataset's own shard; these closures
-	// write no journal entry there, which is exactly why the epoch
-	// version (cshard.ver) and not the journal cursor keys cache
-	// invalidation.
+	home.indexDerivationHome(dv, inputs, outputs)
+	home.ver++
+	// Adjacency entries land on each dataset's own shard and write no
+	// journal entry there, which is exactly why the mutation version
+	// (cshard.ver) and not the journal cursor keys cache invalidation.
 	for _, in := range inputs {
-		c.shardOf(in).apply(func(st *shardState) {
-			st.consumersOf[in] = append(st.consumersOf[in], dv.ID)
-		})
+		s := c.shardOf(in)
+		s.consumersOf[in] = append(s.consumersOf[in], dv.ID)
+		s.ver++
 	}
 	for _, out := range outputs {
-		c.shardOf(out).apply(func(st *shardState) { st.producerOf[out] = dv.ID })
+		s := c.shardOf(out)
+		s.producerOf[out] = dv.ID
+		s.ver++
 	}
 	home.noteJournal(c, jDerivation, dv.ID, false)
 }
@@ -261,11 +261,10 @@ func (c *Catalog) putInvocation(iv schema.Invocation) {
 	if _, ok := s.invocations[iv.ID]; ok {
 		return
 	}
-	s.apply(func(st *shardState) {
-		st.invocations[iv.ID] = iv
-		st.invocationsByDV[iv.Derivation] = append(st.invocationsByDV[iv.Derivation], iv.ID)
-		st.idx.executed[iv.Derivation] = struct{}{}
-	})
+	s.invocations[iv.ID] = iv
+	s.invocationsByDV[iv.Derivation] = append(s.invocationsByDV[iv.Derivation], iv.ID)
+	s.idx.executed[iv.Derivation] = struct{}{}
+	s.ver++
 	s.noteJournal(c, jInvocation, iv.ID, false)
 }
 
@@ -274,13 +273,12 @@ func (c *Catalog) putInvocation(iv schema.Invocation) {
 // materialized set current. Callers hold that shard's write lock.
 func (c *Catalog) putReplica(r schema.Replica) {
 	s := c.shardOf(r.Dataset)
-	s.apply(func(st *shardState) {
-		if _, ok := st.replicas[r.ID]; !ok {
-			st.replicasByDataset[r.Dataset] = append(st.replicasByDataset[r.Dataset], r.ID)
-		}
-		st.replicas[r.ID] = r
-		st.reindexMaterialized(r.Dataset)
-	})
+	if _, ok := s.replicas[r.ID]; !ok {
+		s.replicasByDataset[r.Dataset] = append(s.replicasByDataset[r.Dataset], r.ID)
+	}
+	s.replicas[r.ID] = r
+	s.reindexMaterialized(r.Dataset)
+	s.ver++
 	s.noteJournal(c, jReplica, r.ID, false)
 }
 
@@ -294,7 +292,8 @@ func (c *Catalog) dropReplica(id string) (schema.Replica, bool) {
 		if !ok {
 			continue
 		}
-		s.apply(func(st *shardState) { st.dropReplica(id) })
+		s.dropReplica(id)
+		s.ver++
 		s.noteJournal(c, jReplica, id, true)
 		return r, true
 	}

@@ -76,7 +76,6 @@ type journalEntry struct {
 // shard's delta floor.
 func (s *cshard) noteJournal(c *Catalog, k journalKind, id string, del bool) {
 	seq := c.jseq.Add(1)
-	s.lastSeq = seq // stamped into the published epoch at the next swap
 	s.journal = append(s.journal, journalEntry{seq: seq, kind: k, id: id, del: del})
 	if w := s.jwindow; len(s.journal) >= 2*w {
 		s.trimmed = s.journal[len(s.journal)-w-1].seq
@@ -263,7 +262,7 @@ func (c *Catalog) ChangesSince(since, instance uint64) Delta {
 	}
 	if full {
 		d.Full = true
-		d.Export = c.exportAllLocked()
+		d.Export = c.exportLocked()
 		return d
 	}
 

@@ -37,7 +37,7 @@ var (
 	// gauges/counters are labeled by shard index and resolved once per
 	// shard at construction, so the hot paths stay one atomic op.
 	metricShardLockWait = obs.Default.Histogram("vdc_catalog_shard_lock_wait_seconds",
-		"Time a mutation spends acquiring its shard write-lock set (contention indicator).", obs.TimeBuckets)
+		"Time a mutation spends acquiring its shard write-lock set, including waiting for open Views on those shards to close (contention indicator).", obs.TimeBuckets)
 	metricShardObjects = obs.Default.GaugeVec("vdc_catalog_shard_objects",
 		"Objects homed on each catalog shard (balance indicator).", "shard")
 	metricShardJournal = obs.Default.GaugeVec("vdc_catalog_shard_journal_entries",
@@ -63,18 +63,6 @@ var (
 	// canonical signature — the paper's "computation already performed".
 	dedupHits = obs.Default.Counter("vdc_catalog_derivation_dedup_total",
 		"Derivation registrations that matched an existing canonical signature.")
-
-	// metricEpochSwaps counts shard epoch publications: the atomic
-	// pointer flips that expose a new immutable snapshot to the lock-free
-	// read path (published.go). The ratio of this to vdc_catalog_ops_total
-	// is the copy-on-write amortization factor group commit buys.
-	metricEpochSwaps = obs.Default.Counter("vdc_catalog_epoch_swaps_total",
-		"Shard read-epoch publications (atomic snapshot swaps).")
-	// metricPublishWait records, for each publication that found readers
-	// still pinning the epoch it retired, how long the publisher waited
-	// (holding the shard lock) for them to drain.
-	metricPublishWait = obs.Default.Histogram("vdc_catalog_publish_wait_seconds",
-		"Time a publication waited for readers of the epoch it retired to drain (only publications that waited).", obs.TimeBuckets)
 )
 
 // WALBatchStats reports the cumulative group-commit batch count and the

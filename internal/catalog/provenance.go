@@ -15,9 +15,8 @@ import (
 //
 // A traversal hops shards: producerOf/consumersOf live on each
 // dataset's home shard, inputsOf/outputsOf on each derivation's. Every
-// entry point walks an epoch View (view.go) — the published snapshots,
-// read with zero lock acquisitions — and routes each map access to the
-// owning shard's state.
+// entry point walks a View (view.go) — one snapshot under every shard's
+// read lock — and routes each map access to the owning shard's state.
 
 // Producer returns the derivation registered as producing the dataset,
 // or ErrNotFound for primary data.
@@ -273,9 +272,9 @@ func (c *Catalog) Lineage(dataset string) (LineageReport, error) {
 // prune the traversal: their ancestors need not run. A dataset that is
 // unmaterialized, underived and not primary input data is an error.
 //
-// The predicate runs while the plan pins v, so it must read the catalog
+// The predicate runs while the plan holds v, so it must read the catalog
 // through v only — a locked Catalog method would deadlock against a
-// concurrent publication (published.go).
+// writer waiting for v (see Catalog.View).
 func (c *Catalog) MaterializationPlan(target string, materialized func(v *View, dataset string) bool) ([]schema.Derivation, error) {
 	v := c.View()
 	defer v.Close()

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chimera/internal/obs"
@@ -46,8 +45,15 @@ import (
 // impossible, and gives ordered-snapshot consistency: a reader holding
 // all read locks can never observe a mutation M2 without also observing
 // every mutation that happened-before M2 (see docs/PERF.md, "Catalog
-// sharding"). View, Export, query and provenance take no shard lock at
-// all: they pin each shard's published epoch (published.go).
+// sharding"). A View (view.go) is exactly that ordered snapshot: it
+// holds every shard's read lock until it is closed.
+//
+// Each shard keeps one copy of its object state, and every mutation
+// applies to it once, under the shard's write lock. A writer therefore
+// waits for the Views open on its shards to close, and a View opened
+// while a writer waits queues behind it (Go's RWMutex admits no new
+// reader past a waiting writer) — which is why no goroutine may take a
+// shard lock while it holds an open View.
 //
 // Shards=1 degenerates to exactly the pre-sharding catalog — one lock,
 // one WAL, one journal — and is kept as the equivalence oracle:
@@ -57,32 +63,71 @@ import (
 // MaxShards bounds the shard count; shard sets are uint64 bitmasks.
 const MaxShards = 64
 
-// cshard is one catalog shard: the write side of the object state
-// (embedded shardState, guarded by mu), the published read epoch
-// (published.go), the change journal, and the WAL.
+// shardState is a shard's object state: everything a read needs,
+// nothing a read mutates.
+type shardState struct {
+	datasets        map[string]schema.Dataset
+	transformations map[string]schema.Transformation // key: canonical ref (homed by base)
+	derivations     map[string]schema.Derivation     // key: ID
+	invocations     map[string]schema.Invocation     // homed by iv.Derivation
+	replicas        map[string]schema.Replica        // homed by r.Dataset
+	compat          []schema.CompatibilityAssertion  // shard 0 only
+
+	// Provenance indexes (keys homed on this shard).
+	producerOf  map[string]string   // dataset -> producing derivation ID
+	consumersOf map[string][]string // dataset -> derivation IDs reading it
+	outputsOf   map[string][]string // derivation ID -> output dataset names
+	inputsOf    map[string][]string // derivation ID -> input dataset names
+
+	// Secondary indexes.
+	replicasByDataset map[string][]string // dataset -> replica IDs
+	invocationsByDV   map[string][]string // derivation ID -> invocation IDs
+	versionsOf        map[string][]string // "ns::name" -> versions
+
+	// Discovery indexes (index.go), maintained incrementally by the
+	// put*/drop* helpers every mutation path funnels through.
+	idx indexes
+}
+
+func newShardState() shardState {
+	return shardState{
+		datasets:          make(map[string]schema.Dataset),
+		transformations:   make(map[string]schema.Transformation),
+		derivations:       make(map[string]schema.Derivation),
+		invocations:       make(map[string]schema.Invocation),
+		replicas:          make(map[string]schema.Replica),
+		producerOf:        make(map[string]string),
+		consumersOf:       make(map[string][]string),
+		outputsOf:         make(map[string][]string),
+		inputsOf:          make(map[string][]string),
+		replicasByDataset: make(map[string][]string),
+		invocationsByDV:   make(map[string][]string),
+		versionsOf:        make(map[string][]string),
+		idx:               newIndexes(),
+	}
+}
+
+// objectCount is the state's total object population across the five
+// classes.
+func (st *shardState) objectCount() int {
+	return len(st.datasets) + len(st.transformations) + len(st.derivations) +
+		len(st.invocations) + len(st.replicas)
+}
+
+// cshard is one catalog shard: its object state (embedded shardState,
+// guarded by mu), the change journal, and the WAL.
 type cshard struct {
 	mu sync.RWMutex
 
-	// The write side. Embedding keeps every mutation and locked read
-	// addressing fields directly (s.datasets, s.idx, ...); publication
-	// re-points this at the caught-up retired side.
-	*shardState
+	// Embedding keeps every mutation and read addressing fields directly
+	// (s.datasets, s.idx, ...).
+	shardState
 
-	// pub is the published read epoch: the immutable counterpart of the
-	// write side, read lock-free via acquire/release (published.go).
-	pub atomic.Pointer[publishedEpoch]
-
-	// ops is the log of mutation closures applied to the write side
-	// since the last publication, replayed onto the retired state when
-	// it is recycled as the write side, then cleared. Guarded by mu.
-	ops []func(*shardState)
-
-	// ver counts every applied mutation closure on this shard (journaled
-	// or not); lastSeq is the catalog-wide sequence of the shard's last
-	// journal entry. Both are stamped into the epoch at publication.
-	// Guarded by mu.
-	ver     uint64
-	lastSeq uint64
+	// ver counts every mutation applied to this shard, journaled or not
+	// (cross-shard adjacency updates write no journal entry): it is the
+	// per-shard component of View.EpochKey, the query cache's
+	// invalidation key. Guarded by mu.
+	ver uint64
 
 	// Change journal (journal.go): the bounded tail of this shard's
 	// mutations. Entries carry the catalog-wide sequence they were
@@ -115,7 +160,6 @@ func newCShard(index, window int) *cshard {
 		gObjects:   metricShardObjects.With(label),
 		gJournal:   metricShardJournal.With(label),
 	}
-	s.pub.Store(&publishedEpoch{state: newShardState(), drained: make(chan struct{}, 1)})
 	return s
 }
 
@@ -185,7 +229,8 @@ func (c *Catalog) allSet() shardSet {
 
 // lockSet write-locks every shard in set, in ascending index order (the
 // one global order that makes multi-shard acquisition deadlock-free),
-// and reports how long acquisition took.
+// and reports how long acquisition took — including any wait for open
+// Views on those shards to close.
 func (c *Catalog) lockSet(set shardSet) {
 	start := time.Now()
 	for m := uint64(set); m != 0; m &= m - 1 {
@@ -202,20 +247,18 @@ func (c *Catalog) unlockSet(set shardSet) {
 }
 
 // rlockAll takes every shard's read lock in ascending order: the
-// ordered snapshot underpinning ChangesSince and the administrative
-// probes. The hot scatter-gather paths (View, query,
-// Export, provenance) no longer come here — they read published epochs
-// lock-free (published.go).
+// ordered snapshot underpinning View, ChangesSince and the
+// administrative probes.
 func (c *Catalog) rlockAll() {
 	for _, s := range c.shards {
-		s.rlock()
+		s.mu.RLock()
 	}
 }
 
 // runlockAll releases the read locks taken by rlockAll.
 func (c *Catalog) runlockAll() {
 	for _, s := range c.shards {
-		s.runlock()
+		s.mu.RUnlock()
 	}
 }
 

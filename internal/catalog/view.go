@@ -8,55 +8,36 @@ import (
 	"chimera/internal/schema"
 )
 
-// View is a consistent read-only snapshot of the catalog. It pins each
-// shard's published epoch (published.go) with a refcount — zero lock
-// acquisitions, immutable state — so everything observed through it
-// reflects one published snapshot per shard, no matter how many
-// mutations race with the reader.
+// View is a consistent read-only snapshot of the catalog. It holds every
+// shard's read lock, taken in ascending shard order, until Close: no
+// mutation applies while it is open, and since multi-shard writers lock
+// in the same order, it never observes a mutation without every
+// mutation that happened-before it.
 //
-// Views are per-shard consistent: each shard's state is one atomic
-// publication, but two shards may expose publications from slightly
-// different moments. Every mutation is published before it is
-// acknowledged, so a view opened after a mutation returns contains it;
-// at a quiescent point a view observes exactly the write side's state
-// (CheckPublished and the equivalence storm in published_test.go).
+// A View reads the catalog's one copy of state, so it sees a mutation
+// as soon as the mutation is applied, while its fsync may still be in
+// flight — as the locked point reads (Dataset, Materialized, ...) and
+// ChangesSince do. Every acknowledged mutation is in the next View.
 //
 // Rules: a View is not safe for use after Close; maps and slices
-// returned by View methods are the snapshot's own storage — read-only.
-type View struct {
-	c      *Catalog
-	states []*shardState
-	// eps holds the pinned epochs (states[i] is eps[i].state).
-	eps []*publishedEpoch
-}
+// returned by View methods are the catalog's own storage — read-only,
+// and valid only until Close.
+type View struct{ c *Catalog }
 
-// View opens a lock-free snapshot of the published epochs. Callers must
-// Close it, and until then must not take a shard lock — call a locked
-// Catalog method such as Dataset, Materialized or Transformation — or
-// mutate the catalog: a publication waiting for this view's pins holds
-// the shard lock, so either would deadlock. Read through the View
+// View opens a snapshot. Callers must Close it, and until then must not
+// take a shard lock (call a locked Catalog method such as Dataset,
+// Materialized or Transformation), mutate the catalog, or open a second
+// View. A writer waiting for this View blocks every new read lock on
+// its shards — Go's RWMutex admits no reader past a waiting writer — so
+// any of these deadlocks once a writer arrives. Read through the View
 // instead.
 func (c *Catalog) View() *View {
-	n := len(c.shards)
-	v := &View{
-		c:      c,
-		states: make([]*shardState, n),
-		eps:    make([]*publishedEpoch, n),
-	}
-	for i, s := range c.shards {
-		e := s.acquire()
-		v.eps[i] = e
-		v.states[i] = e.state
-	}
-	return v
+	c.rlockAll()
+	return &View{c: c}
 }
 
-// Close releases the snapshot's epoch pins.
-func (v *View) Close() {
-	for _, e := range v.eps {
-		e.release()
-	}
-}
+// Close releases the snapshot's read locks.
+func (v *View) Close() { v.c.runlockAll() }
 
 // EpochKey renders the snapshot's identity — journal instance plus the
 // per-shard mutation-version vector — as a compact string. Two views
@@ -66,8 +47,8 @@ func (v *View) Close() {
 func (v *View) EpochKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d", v.c.jinstance)
-	for _, e := range v.eps {
-		fmt.Fprintf(&b, ".%d", e.ver)
+	for _, s := range v.c.shards {
+		fmt.Fprintf(&b, ".%d", s.ver)
 	}
 	return b.String()
 }
@@ -76,16 +57,12 @@ func (v *View) EpochKey() string {
 // outlives the view.
 func (v *View) Types() *dtype.Registry { return v.c.types }
 
-// state returns the snapshot state of the shard homing name.
-func (v *View) state(name string) *shardState {
-	return v.states[HomeShard(name, len(v.states))]
-}
+// state returns the state of the shard homing name.
+func (v *View) state(name string) *shardState { return &v.c.shardOf(name).shardState }
 
-// stateTR returns the snapshot state of the shard homing a
-// transformation reference.
-func (v *View) stateTR(ref string) *shardState {
-	return v.states[HomeShard(trHome(ref), len(v.states))]
-}
+// stateTR returns the state of the shard homing a transformation
+// reference.
+func (v *View) stateTR(ref string) *shardState { return &v.c.shardOfTR(ref).shardState }
 
 // --- object access -----------------------------------------------------
 
@@ -111,7 +88,7 @@ func (v *View) Derivation(id string) (schema.Derivation, bool) {
 // RangeDatasets calls fn for every dataset, in map (unspecified) order,
 // until fn returns false.
 func (v *View) RangeDatasets(fn func(schema.Dataset) bool) {
-	for _, st := range v.states {
+	for _, st := range v.c.shards {
 		for _, ds := range st.datasets {
 			if !fn(ds) {
 				return
@@ -125,7 +102,7 @@ func (v *View) RangeDatasets(fn func(schema.Dataset) bool) {
 // a caller that can decide on the name alone pays Dataset only for the
 // names it accepts.
 func (v *View) RangeDatasetNames(fn func(name string) bool) {
-	for _, st := range v.states {
+	for _, st := range v.c.shards {
 		for name := range st.datasets {
 			if !fn(name) {
 				return
@@ -137,7 +114,7 @@ func (v *View) RangeDatasetNames(fn func(name string) bool) {
 // RangeTransformationRefs calls fn for every canonical transformation
 // ref, in map order, until fn returns false.
 func (v *View) RangeTransformationRefs(fn func(ref string) bool) {
-	for _, st := range v.states {
+	for _, st := range v.c.shards {
 		for ref := range st.transformations {
 			if !fn(ref) {
 				return
@@ -149,7 +126,7 @@ func (v *View) RangeTransformationRefs(fn func(ref string) bool) {
 // RangeTransformations calls fn for every transformation, in map order,
 // until fn returns false.
 func (v *View) RangeTransformations(fn func(schema.Transformation) bool) {
-	for _, st := range v.states {
+	for _, st := range v.c.shards {
 		for _, tr := range st.transformations {
 			if !fn(tr) {
 				return
@@ -161,7 +138,7 @@ func (v *View) RangeTransformations(fn func(schema.Transformation) bool) {
 // RangeDerivations calls fn for every derivation, in map order, until
 // fn returns false.
 func (v *View) RangeDerivations(fn func(schema.Derivation) bool) {
-	for _, st := range v.states {
+	for _, st := range v.c.shards {
 		for _, dv := range st.derivations {
 			if !fn(dv) {
 				return
@@ -271,8 +248,8 @@ func (p IndexParts) Each(fn func(id string)) {
 
 // gather collects the non-empty set pick selects on each shard.
 func (v *View) gather(pick func(*indexes) IndexSet) IndexParts {
-	parts := make([]IndexSet, 0, len(v.states))
-	for _, st := range v.states {
+	parts := make([]IndexSet, 0, len(v.c.shards))
+	for _, st := range v.c.shards {
 		if set := pick(&st.idx); len(set) > 0 {
 			parts = append(parts, set)
 		}
@@ -300,7 +277,7 @@ func (v *View) DerivationsByAttr(key, value string) IndexParts {
 // shard and conforming exact type.
 func (v *View) DatasetsByType(t dtype.Type) IndexParts {
 	var parts []IndexSet
-	for _, st := range v.states {
+	for _, st := range v.c.shards {
 		for exact, set := range st.idx.dsByType {
 			if v.c.types.Conforms(exact, t) {
 				parts = append(parts, set)

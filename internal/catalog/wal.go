@@ -213,9 +213,6 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 		c.Close()
 		return nil, err
 	}
-	// Expose the restored state to the lock-free read path: one epoch
-	// publication per shard covering the whole replay.
-	c.publishAll()
 	return c, nil
 }
 
@@ -358,7 +355,7 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		if err := json.Unmarshal(rec.Data, &t); err != nil {
 			return err
 		}
-		c.shards[0].apply(func(*shardState) {}) // ver bump: conformance answers change
+		c.shards[0].ver++ // conformance answers change
 		c.shards[0].noteJournal(c, jTypes, "", false)
 		return c.types.Register(dtype.Dimension(t.Dim), t.Name, t.Parent)
 	case opDataset:
@@ -413,7 +410,8 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		if err := json.Unmarshal(rec.Data, &a); err != nil {
 			return err
 		}
-		c.shards[0].apply(func(st *shardState) { st.compat = append(st.compat, a) })
+		c.shards[0].compat = append(c.shards[0].compat, a)
+		c.shards[0].ver++
 		c.shards[0].noteJournal(c, jCompat, "", false)
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
@@ -433,22 +431,17 @@ type Export struct {
 	Compat          []schema.CompatibilityAssertion `json:"compat,omitempty"`
 }
 
-// Export captures the catalog's full state: the per-shard published
-// epochs, merged with a deterministic sort, so the result is identical
-// no matter how the objects were distributed. The read is lock-free
-// (see published.go); a caller that needs the ordered write-side
-// snapshot instead — Snapshot() does, under all write locks — uses
-// exportAllLocked.
+// Export captures the catalog's full state under every shard's read
+// lock, merged with a deterministic sort, so the result is identical no
+// matter how the objects were distributed.
 func (c *Catalog) Export() Export {
-	v := c.View()
-	defer v.Close()
-	return v.Export()
+	c.rlockAll()
+	defer c.runlockAll()
+	return c.exportLocked()
 }
 
 // Export serializes the view's full state.
-func (v *View) Export() Export {
-	return exportStates(v.c.types.Clone(), v.states)
-}
+func (v *View) Export() Export { return v.c.exportLocked() }
 
 // Sort orders every object slice by its identity, the canonical order
 // Export() itself produces. Callers assembling an Export by hand (e.g.
@@ -472,7 +465,7 @@ func (c *Catalog) applyExport(exp Export) error {
 		if err := c.types.Merge(exp.Types); err != nil {
 			return err
 		}
-		c.shards[0].apply(func(*shardState) {}) // ver bump: conformance answers change
+		c.shards[0].ver++ // conformance answers change
 		c.shards[0].noteJournal(c, jTypes, "", false)
 	}
 	for _, ds := range exp.Datasets {
@@ -497,7 +490,8 @@ func (c *Catalog) applyExport(exp Export) error {
 		}
 	}
 	if len(exp.Compat) > 0 {
-		c.shards[0].apply(func(st *shardState) { st.compat = append(st.compat, exp.Compat...) })
+		c.shards[0].compat = append(c.shards[0].compat, exp.Compat...)
+		c.shards[0].ver++
 		c.shards[0].noteJournal(c, jCompat, "", false)
 	}
 	return nil
@@ -510,7 +504,7 @@ func (c *Catalog) applyExport(exp Export) error {
 func (c *Catalog) mergeTypes(reg *dtype.Registry) {
 	_ = c.mutate(shardSet(0).with(0), func() error {
 		_ = c.types.Merge(reg)
-		c.shards[0].apply(func(*shardState) {}) // ver bump: conformance answers change
+		c.shards[0].ver++ // conformance answers change
 		c.shards[0].noteJournal(c, jTypes, "", false)
 		return nil
 	})
@@ -639,7 +633,7 @@ func (c *Catalog) Snapshot() error {
 	}
 	opSnapshot.Inc()
 	defer metricSnapshot.ObserveSince(time.Now())
-	exp := c.exportAllLocked()
+	exp := c.exportLocked()
 	if err := c.writeSnapshotLocked(&exp); err != nil {
 		return err
 	}
@@ -662,21 +656,11 @@ func (c *Catalog) Snapshot() error {
 	return nil
 }
 
-// exportAllLocked merges every shard's write-side state into one sorted
-// Export. Callers hold every shard's lock (read or write).
-func (c *Catalog) exportAllLocked() Export {
-	states := make([]*shardState, len(c.shards))
-	for i, s := range c.shards {
-		states[i] = s.shardState
-	}
-	return exportStates(c.types.Clone(), states)
-}
-
-// exportStates merges shard states into one sorted Export; the shared
-// body of the locked (write-side) and epoch (published-side) exports.
-func exportStates(types *dtype.Registry, states []*shardState) Export {
-	exp := Export{Types: types}
-	for _, st := range states {
+// exportLocked merges every shard's state into one sorted Export.
+// Callers hold every shard's lock (read or write).
+func (c *Catalog) exportLocked() Export {
+	exp := Export{Types: c.types.Clone()}
+	for _, st := range c.shards {
 		for _, ds := range st.datasets {
 			exp.Datasets = append(exp.Datasets, ds)
 		}
@@ -693,7 +677,7 @@ func exportStates(types *dtype.Registry, states []*shardState) Export {
 			exp.Replicas = append(exp.Replicas, r)
 		}
 	}
-	exp.Compat = append([]schema.CompatibilityAssertion(nil), states[0].compat...)
+	exp.Compat = append([]schema.CompatibilityAssertion(nil), c.shards[0].compat...)
 	sortExport(&exp)
 	return exp
 }

@@ -263,10 +263,11 @@ func TestMaterializeFailurePropagates(t *testing.T) {
 }
 
 // TestMaterializationPlanUnderConcurrentWriters is the deadlock
-// regression for the pinned-View callback: planning runs its
-// materialized predicate while it pins the catalog's published epochs,
-// and a publication waiting for that pin holds the shard lock. The
-// planner's real callbacks (materializedOrLocal, Estimate's predicate)
+// regression for the View callback: planning runs its materialized
+// predicate while it holds the catalog's View (every shard's read
+// lock), and a writer waiting for that View blocks every new read lock
+// on its shards. The planner's real callbacks (materializedOrLocal,
+// Estimate's predicate)
 // must therefore read through the View; one that called a locked
 // Catalog method would hang here against 8 concurrent writers on a
 // 4-shard durable catalog.
@@ -339,7 +340,7 @@ func TestMaterializationPlanUnderConcurrentWriters(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		// Not closing the catalog: a deadlocked one would hang Close too.
-		t.Fatal("planning against concurrent writers did not finish: a materialized callback blocked on a shard lock while its View was pinned")
+		t.Fatal("planning against concurrent writers did not finish: a materialized callback blocked on a shard lock while its View was open")
 	}
 	if err := cat.Close(); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func dedupWorld(t *testing.T) (*catalog.Catalog, schema.Derivation, schema.Deriv
 
 // TestDedupSkipsExecutedDerivation: with DedupExecuted on, a node whose
 // derivation already has a recorded invocation completes from the
-// published epoch — no dispatch, no new invocation — while its
+// catalog — no dispatch, no new invocation — while its
 // never-run successor is unlocked and executes normally.
 func TestDedupSkipsExecutedDerivation(t *testing.T) {
 	c, d1, d2 := dedupWorld(t)

@@ -58,8 +58,8 @@ var (
 	gaugeInflight = obs.Default.Gauge("vdc_executor_inflight",
 		"Nodes dispatched but not yet terminally done or failed.")
 
-	// metricDedupHits counts nodes satisfied from the catalog's published
-	// epoch instead of dispatched: the derivation already had a recorded
+	// metricDedupHits counts nodes satisfied from the catalog instead of
+	// dispatched: the derivation already had a recorded
 	// invocation — the paper's "has this computation already been
 	// performed?" answered before the executor pays for a placement.
 	metricDedupHits = obs.Default.Counter("vdc_executor_dedup_hits_total",
@@ -127,7 +127,7 @@ type Event struct {
 	// Kind is "dispatch" (first attempt), "redispatch" (a retry
 	// attempt entering the driver), "done", "retry" (decision to retry
 	// after a failure), "fail", or "dedup" (node satisfied from the
-	// catalog's published epoch without dispatching).
+	// catalog's recorded invocations without dispatching).
 	Kind string
 	Node string
 	// Attempt is the zero-based attempt number the event refers to;
@@ -157,13 +157,14 @@ type Executor struct {
 	// root span) on the driver's timeline for Chrome-trace export.
 	Trace *obs.Tracer
 	// DedupExecuted, with Catalog set, answers "has this derivation
-	// already run?" from the catalog's published epoch before paying for
-	// a placement: a node whose derivation already has a recorded
-	// invocation completes instantly (no Assign, no driver dispatch, no
-	// new invocation record) and unlocks its successors. The check is
-	// lock-free and bounded-stale — a miss can only cost a redundant
-	// re-execution, exactly what an executor without the flag always
-	// does, never a false skip of never-run work. Off by default: runs
+	// already run?" from the catalog (Catalog.HasInvocations) before
+	// paying for a placement: a node whose derivation already has a
+	// recorded invocation completes instantly (no Assign, no driver
+	// dispatch, no new invocation record) and unlocks its successors.
+	// The probe sees every invocation the catalog has applied; a miss
+	// costs a redundant re-execution, exactly what an executor without
+	// the flag always does, never a false skip of never-run work. Off by
+	// default: runs
 	// that *want* re-execution (fresh epochs, benchmarking) keep the old
 	// behaviour.
 	DedupExecuted bool
@@ -336,9 +337,9 @@ func (e *Executor) unlockSuccsLocked(n *dag.Node) {
 
 // startLocked dispatches one attempt. Callers hold e.mu.
 func (e *Executor) startLocked(n *dag.Node, attempt int) {
-	if attempt == 0 && e.DedupExecuted && e.Catalog != nil && e.Catalog.ExecutedPublished(n.ID) {
-		// Duplicate-derivation fast path: the published epoch already
-		// records an invocation of this derivation, so the computation has
+	if attempt == 0 && e.DedupExecuted && e.Catalog != nil && e.Catalog.HasInvocations(n.ID) {
+		// Duplicate-derivation fast path: the catalog already records an
+		// invocation of this derivation, so the computation has
 		// been performed — complete the node without a placement.
 		e.dispatched[n.ID] = true
 		e.done[n.ID] = true

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"chimera/internal/catalog"
 	"chimera/internal/schema"
 )
 
@@ -189,23 +188,5 @@ func TestExplainReportsCachePlacement(t *testing.T) {
 	}
 	if info.Epoch == wantEpoch {
 		t.Fatal("epoch vector did not move on mutation")
-	}
-}
-
-// TestRunAcquiresNoShardLocks: the satellite lock-freedom assertion at
-// the query layer — Run (cached or not) takes zero shard read locks.
-func TestRunAcquiresNoShardLocks(t *testing.T) {
-	resetCache(t)
-	c := fixture(t)
-	e := mustParse(t, "consumes(raw1)")
-
-	before := catalog.LockReadAcquisitions()
-	for i := 0; i < 3; i++ { // miss then hits: both paths lock-free
-		if _, err := Run(c, KDerivation, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := catalog.LockReadAcquisitions() - before; got != 0 {
-		t.Fatalf("query.Run acquired %d shard read locks, want 0", got)
 	}
 }

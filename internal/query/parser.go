@@ -96,6 +96,35 @@ func isWordChar(c byte) bool {
 		unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
+// quote renders s as a string literal in qlex's syntax: a backslash
+// takes the next byte literally, so escaping '"' and '\' is enough and
+// every other byte — invalid UTF-8 included — stands for itself. (Go's
+// %q would write escapes such as \xae, which qlex reads back as xae.)
+func quote(s string) string {
+	var b strings.Builder
+	b.Grow(len(s) + 2)
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' || s[i] == '\\' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(s[i])
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
+// renderValue renders s where the grammar reads a value: bare when the
+// parser reads it back as exactly s (raw07, sdss::brgSearch:1.0),
+// quoted otherwise ("y z").
+func renderValue(s string) string {
+	p := &qparser{toks: qlex(s)}
+	if v, err := p.value(); err == nil && p.eof() && v == s {
+		return s
+	}
+	return quote(s)
+}
+
 type qparser struct {
 	toks []qtok
 	pos  int
@@ -329,6 +358,12 @@ func (p *qparser) parseTypeExpr() (dtype.Type, error) {
 		if i == len(dtype.Dimensions())-1 || !p.accept(":") {
 			break
 		}
+	}
+	// typePred renders t through Type.String, which dtype.ParseType reads
+	// back; a component that round trip cannot carry (";", "*",
+	// surrounding white space) would not identify the query.
+	if u, err := dtype.ParseType(t.String()); err != nil || u != t {
+		return dtype.Type{}, fmt.Errorf("query: bad type component in %q", t.String())
 	}
 	return t, nil
 }

@@ -410,8 +410,8 @@ func (p *queryPlan) acceptKey(id string) bool {
 	return true
 }
 
-// run evaluates e against an epoch view (zero shard-lock
-// acquisitions), consulted through the result cache.
+// run evaluates e against a catalog View (every shard's read lock, held
+// for the run), consulted through the result cache.
 func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
 	if kind != KDataset && kind != KTransformation && kind != KDerivation {
 		return Results{}, fmt.Errorf("query: invalid kind %d", int(kind))
@@ -598,7 +598,7 @@ type ExplainInfo struct {
 }
 
 // ExplainQuery plans a query and reports the plan together with its
-// cache placement at the current published epochs.
+// cache placement at the current epoch vector.
 func ExplainQuery(c *catalog.Catalog, kind Kind, e Expr) (ExplainInfo, error) {
 	if kind != KDataset && kind != KTransformation && kind != KDerivation {
 		return ExplainInfo{}, fmt.Errorf("query: invalid kind %d", int(kind))

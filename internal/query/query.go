@@ -248,7 +248,7 @@ func newStrCmp(op cmpOp, val string) (strCmp, error) {
 	return c, nil
 }
 
-func (c strCmp) String() string { return fmt.Sprintf("%s %q", c.op, c.val) }
+func (c strCmp) String() string { return c.op.String() + " " + quote(c.val) }
 
 func (c strCmp) test(s string) bool {
 	switch c.op {
@@ -329,7 +329,7 @@ func (p typePred) eval(ctx *evalCtx, o object) (bool, error) {
 	}
 }
 
-func (p typePred) String() string { return fmt.Sprintf("%s <= %q", p.field, p.t) }
+func (p typePred) String() string { return p.field + " <= " + quote(p.t.String()) }
 
 // flagPred tests boolean object properties.
 type flagPred struct{ flag string }
@@ -375,7 +375,7 @@ func (p trPred) eval(_ *evalCtx, o object) (bool, error) {
 	return v2 == "" && ns1 == ns2 && n1 == n2, nil
 }
 
-func (p trPred) String() string { return fmt.Sprintf("tr = %s", p.ref) }
+func (p trPred) String() string { return "tr = " + renderValue(p.ref) }
 
 // relPred tests derivation relationships.
 type relPred struct {
@@ -413,7 +413,7 @@ func (p relPred) eval(ctx *evalCtx, o object) (bool, error) {
 	return false, fmt.Errorf("query: unknown relationship %q", p.rel)
 }
 
-func (p relPred) String() string { return fmt.Sprintf("%s(%s)", p.rel, p.ds) }
+func (p relPred) String() string { return p.rel + "(" + renderValue(p.ds) + ")" }
 
 // truePred matches everything ("*").
 type truePred struct{}

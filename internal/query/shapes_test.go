@@ -44,7 +44,7 @@ func cavesCatalog(tb testing.TB, shards, chains int) *catalog.Catalog {
 	return c
 }
 
-// evalUncached plans and executes e on a fresh epoch view, as a cache
+// evalUncached plans and executes e on a fresh View, as a cache
 // miss in Run does.
 func evalUncached(tb testing.TB, c *catalog.Catalog, kind Kind, e Expr) Results {
 	v := c.View()

@@ -113,7 +113,6 @@ func (s *Server) routes() {
 			"shard_cursors": s.Cat.ShardJournalStates(),
 			"indexes":       s.Cat.IndexStats(),
 			"stats":         s.Cat.Stats(),
-			"epochs":        s.Cat.EpochStats(),
 			"query_cache":   query.CacheStats(),
 			"slow_requests": s.slow.snapshot(),
 			"goroutines":    runtime.NumGoroutine(),
