@@ -7,9 +7,8 @@
 // Operational endpoints: GET /metrics exposes process metrics (runtime
 // gauges included) in Prometheus text format; GET /healthz reports
 // liveness plus catalog stats; GET /debug/vdc reports the journal
-// cursor (with its per-shard floors under -shards > 1), index
-// cardinalities and the slowest recent requests with
-// their trace IDs; /debug/loglevel reads and sets per-subsystem log
+// cursor and its delta floor, index cardinalities and the slowest
+// recent requests with their trace IDs; /debug/loglevel reads and sets per-subsystem log
 // levels at runtime. With -trace, GET /debug/trace dumps the in-memory
 // span buffer in Chrome trace-event format (load it in Perfetto); with
 // -pprof, the net/http/pprof profiles are mounted at /debug/pprof/.
@@ -18,14 +17,13 @@
 //
 // Durability is a group-commit WAL: mutations batch their log writes
 // and (with -sync) share one fsync per batch, written by the first
-// waiting writer (docs/PERF.md, "Write path"). With -shards N the
-// catalog is partitioned into N lock/WAL/journal shards for multi-core
-// ingest (docs/PERF.md, "Catalog sharding"); the count is fixed at
-// directory creation and the on-disk count wins on reopen. The
-// snapshot codec is chosen by -snapshot-format (json/v1 default,
-// binary/v1 for compact mmap-loaded snapshots; docs/PERF.md, "Binary
-// catalog format") and is pinned the same way: the recorded format
-// wins on reopen.
+// waiting writer (docs/PERF.md, "Write path"). The catalog keeps one
+// lock, one log and one journal (docs/PERF.md, "One lock, one log"); a
+// directory written by the former sharded catalog is converted to that
+// layout on first open. The snapshot codec is chosen by
+// -snapshot-format (json/v1 default, binary/v1 for compact mmap-loaded
+// snapshots; docs/PERF.md, "Binary catalog format") and is pinned in
+// the directory: the recorded format wins on reopen.
 //
 // With -federate, vdcd also hosts a federated index over the listed
 // member catalogs and crawls them incrementally every -crawl-every;
@@ -80,8 +78,8 @@ func main() {
 	name := flag.String("name", "vdc", "catalog authority name")
 	readonly := flag.Bool("readonly", false, "reject mutations")
 	syncWAL := flag.Bool("sync", false, "fsync the write-ahead log before acknowledging mutations (one fsync per commit batch)")
-	shards := flag.Int("shards", 1, "catalog shard count (1..64): independent lock/WAL/journal partitions for multi-core ingest; fixed at directory creation, the on-disk count wins on reopen")
-	snapshotFormat := flag.String("snapshot-format", "", "snapshot codec (json/v1 or binary/v1); empty keeps the directory's recorded format (json/v1 for new directories), and like -shards the recorded format wins on reopen")
+	flag.Int("shards", 1, "Deprecated: ignored; the catalog has one lock")
+	snapshotFormat := flag.String("snapshot-format", "", "snapshot codec (json/v1 or binary/v1); empty keeps the directory's recorded format (json/v1 for new directories), and the recorded format wins on reopen")
 	snapshotEvery := flag.Duration("snapshot-every", 10*time.Minute, "WAL compaction interval (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for in-flight requests")
 	logLevel := flag.String("log-level", "info", "log level spec: a default level optionally followed by subsys=level overrides, e.g. \"info,wal=debug,http=warn\" (also settable at runtime via /debug/loglevel)")
@@ -104,7 +102,6 @@ func main() {
 
 	cat, err := catalog.Open(*dir, dtype.StandardRegistry(), catalog.Options{
 		Sync:           *syncWAL,
-		Shards:         *shards,
 		SnapshotFormat: *snapshotFormat,
 	})
 	if err != nil {
@@ -248,7 +245,6 @@ func main() {
 	st := cat.Stats()
 	logger.Info("serving catalog", "name", *name, "addr", *addr,
 		"datasets", st.Datasets, "derivations", st.Derivations,
-		"shards", cat.Shards(),
 		"trace", *traceOn, "pprof", *pprofOn, "federate", *federate != "")
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -10,10 +10,8 @@
 // the queries the paper motivates: lineage reports, invalidation sets,
 // duplicate-derivation detection, and materialization planning input.
 //
-// Storage is partitioned into shards (shard.go) so concurrent writers
-// on different objects proceed on different cores; New builds the
-// single-shard catalog, NewSharded and Options.Shards the partitioned
-// one. Durability is per-shard write-ahead logging with snapshot
+// State lives under one lock with one write-ahead log and one change
+// journal (state.go). Durability is write-ahead logging with snapshot
 // compaction; see wal.go.
 package catalog
 
@@ -21,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"chimera/internal/dtype"
@@ -48,61 +47,80 @@ var (
 	ErrDurability = errors.New("catalog: durability failure")
 )
 
-// errRetryShards is the internal sentinel an optimistic multi-shard
-// mutation returns when the shard set it locked turns out not to cover
-// the shards it needs (the state it peeked at before locking changed);
-// the caller recomputes the set and retries. Never escapes the package.
-var errRetryShards = errors.New("catalog: shard set stale")
-
 // Catalog is an in-memory VDC with optional write-ahead durability.
-// It is safe for concurrent use. State is partitioned across shards
-// (shard.go); the type registry is shared (it has its own lock).
+// It is safe for concurrent use: one RWMutex guards the object state,
+// the journal and the WAL handle (state.go); the type registry has its
+// own lock.
 type Catalog struct {
-	types  *dtype.Registry
-	shards []*cshard
+	types *dtype.Registry
 
-	// Change-journal identity (journal.go): jseq is the catalog-wide
-	// mutation sequence, advanced atomically by whichever shard records
-	// a mutation; jinstance invalidates sequences across instances.
+	mu sync.RWMutex
+
+	// Embedding keeps every mutation and read addressing fields directly
+	// (c.datasets, c.idx, ...). Guarded by mu.
+	catalogState
+
+	// ver counts every mutation applied, journaled or not: it is
+	// View.EpochKey's version, the query cache's invalidation key.
+	// Guarded by mu.
+	ver uint64
+
+	// Change journal (journal.go): the bounded tail of the catalog's
+	// mutations, seq-ascending. trimmed is the highest sequence ever
+	// dropped from it: a delta request `since` is serviceable iff
+	// since >= trimmed. Guarded by mu.
+	journal []journalEntry
+	trimmed uint64
+	jwindow int
+
+	// jseq is the mutation sequence (advanced under mu, read without
+	// it by Seq); jinstance invalidates sequences across instances.
 	jseq      atomic.Uint64
 	jinstance uint64
+
+	wal *wal // nil for purely in-memory catalogs; guarded by mu
+
+	// pendingSeq is the group-commit sequence of the last WAL record the
+	// current mutation enqueued; mutateAsync collects it and waits on it
+	// after releasing the lock. Guarded by mu; always 0 between
+	// mutations.
+	pendingSeq uint64
 
 	dir        string // catalog directory; "" for in-memory catalogs
 	snapFormat string // pinned snapshot codec name; "" for in-memory catalogs
 }
 
-// New returns an empty in-memory catalog with a single shard, using
-// the given type registry (nil for a fresh empty registry).
-func New(types *dtype.Registry) *Catalog { return NewSharded(types, 1) }
-
-// NewSharded returns an empty in-memory catalog partitioned into
-// shards (clamped to [1, MaxShards]). More shards let more concurrent
-// writers proceed without contending; Shards()==1 behaves exactly like
-// the unsharded catalog and is the equivalence oracle for the rest.
-func NewSharded(types *dtype.Registry, shards int) *Catalog {
+// New returns an empty in-memory catalog using the given type registry
+// (nil for a fresh empty registry).
+func New(types *dtype.Registry) *Catalog {
 	if types == nil {
 		types = dtype.NewRegistry()
 	}
-	n := normalizeShards(shards)
-	c := &Catalog{types: types, jinstance: newJournalInstance(), shards: make([]*cshard, n)}
-	for i := range c.shards {
-		c.shards[i] = newCShard(i, DefaultJournalWindow)
+	return &Catalog{
+		types:        types,
+		catalogState: newCatalogState(),
+		jwindow:      DefaultJournalWindow,
+		jinstance:    newJournalInstance(),
 	}
-	return c
 }
+
+// NewSharded returns New(types).
+//
+// Deprecated: ignored; the catalog has one lock.
+func NewSharded(types *dtype.Registry, shards int) *Catalog { return New(types) }
 
 // Types returns the catalog's dataset-type registry.
 func (c *Catalog) Types() *dtype.Registry { return c.types }
 
-// mutate runs fn with every shard in set write-locked, then — if fn
-// enqueued WAL records on the shards' group committers — blocks
-// *outside* the locks until the batches holding them are durable. A
-// mutation therefore never returns success before its records are
-// written (and fsynced when Options.Sync is set), yet the fsync happens
-// off-lock so concurrent writers share it instead of serializing on
-// it. In-memory catalogs return as soon as fn does.
-func (c *Catalog) mutate(set shardSet, fn func() error) error {
-	wait, err := c.mutateAsync(set, fn)
+// mutate runs fn under the write lock, then — if fn enqueued WAL
+// records on the group committer — blocks *outside* the lock until the
+// batch holding them is durable. A mutation therefore never returns
+// success before its records are written (and fsynced when
+// Options.Sync is set), yet the fsync happens off-lock so concurrent
+// writers share it instead of serializing on it. In-memory catalogs
+// return as soon as fn does.
+func (c *Catalog) mutate(fn func() error) error {
+	wait, err := c.mutateAsync(fn)
 	if err != nil {
 		return err
 	}
@@ -112,76 +130,53 @@ func (c *Catalog) mutate(set shardSet, fn func() error) error {
 	return nil
 }
 
-// walWait is one shard's durability obligation from a mutation.
-type walWait struct {
-	com *committer
-	seq uint64
-}
-
-// mutateAsync runs fn with the shard set write-locked and, instead of
-// blocking for durability, returns a wait function the caller invokes
-// (off any lock, possibly from another goroutine) to block until every
-// batch holding fn's WAL records is durable. A nil wait means the
-// mutation needs no waiting (in-memory catalog, or nothing logged).
-// This is the primitive behind the executor's off-lock recording pipeline:
-// applies stay ordered under the shard locks while many durability
-// waits stay in flight at once, which is what lets the group
-// committers batch them.
-func (c *Catalog) mutateAsync(set shardSet, fn func() error) (wait func() error, err error) {
-	c.lockSet(set)
+// mutateAsync runs fn under the write lock and, instead of blocking
+// for durability, returns a wait function the caller invokes (off any
+// lock, possibly from another goroutine) to block until the batch
+// holding fn's WAL records is durable. A nil wait means the mutation
+// needs no waiting (in-memory catalog, or nothing logged). This is the
+// primitive behind the executor's off-lock recording pipeline: applies
+// stay ordered under the lock while many durability waits stay in
+// flight at once, which is what lets the group committer batch them.
+func (c *Catalog) mutateAsync(fn func() error) (wait func() error, err error) {
+	c.lock()
 	err = fn()
-	var w0 walWait
-	var more []walWait
-	for i, s := range c.shards {
-		// logOp set pendingSeq under this same lock hold, so the WAL it
-		// enqueued on is still attached.
-		if !set.has(i) || s.pendingSeq == 0 {
-			continue
-		}
-		if w0.com == nil {
-			w0 = walWait{s.wal.com, s.pendingSeq}
-		} else {
-			more = append(more, walWait{s.wal.com, s.pendingSeq})
-		}
-		s.pendingSeq = 0
+	// logOp set pendingSeq under this same lock hold, so the WAL it
+	// enqueued on is still attached.
+	seq := c.pendingSeq
+	var com *committer
+	if seq != 0 {
+		com = c.wal.com
+		c.pendingSeq = 0
 	}
-	c.unlockSet(set)
+	c.mu.Unlock()
 	if err != nil {
 		// The operation failed after possibly enqueueing records (the
 		// seed's partial-log semantics); its error wins either way.
 		return nil, err
 	}
-	if w0.com == nil {
+	if com == nil {
 		return nil, nil
 	}
-	return func() error {
-		first := w0.com.wait(w0.seq)
-		for _, w := range more {
-			if e := w.com.wait(w.seq); e != nil && first == nil {
-				first = e
-			}
-		}
-		return first
-	}, nil
+	return func() error { return com.wait(seq) }, nil
 }
 
 // DefineType registers a dataset type in the catalog's registry and
-// logs it for durability. Registry state and its journal/WAL records
-// live on shard 0.
+// logs it for durability.
 func (c *Catalog) DefineType(d dtype.Dimension, name, parent string) (err error) {
 	opDefineType.Inc()
 	defer func() { err = countErr("define_type", err) }()
-	return c.mutate(shardSet(0).with(0), func() error {
+	return c.mutate(func() error {
 		if err := c.types.Register(d, name, parent); err != nil {
 			return err
 		}
-		// The registry is shared (own lock), not part of shard state, but
-		// a definition changes type-conformance answers — advance shard
-		// 0's mutation version so every cached query result keyed on the
-		// old vector invalidates.
-		c.shards[0].ver++
-		c.shards[0].noteJournal(c, jTypes, "", false)
-		return c.shards[0].logOp(opType, typeRecord{Dim: int(d), Name: name, Parent: parent})
+		// The registry is not part of the locked state (it has its own
+		// lock), but a definition changes type-conformance answers —
+		// advance the mutation version so every cached query result
+		// keyed on the old one invalidates.
+		c.ver++
+		c.noteJournal(jTypes, "", false)
+		return c.logOp(opType, typeRecord{Dim: int(d), Name: name, Parent: parent})
 	})
 }
 
@@ -195,30 +190,23 @@ func (c *Catalog) AddDataset(ds schema.Dataset) (err error) {
 	if err := ds.Validate(); err != nil {
 		return err
 	}
-	set := c.keySet(ds.Name)
-	if ds.CreatedBy != "" {
-		// The cited producer derivation lives on its own shard; lock it
-		// too so the existence check is stable.
-		set = set.with(c.shardIndex(ds.CreatedBy))
-	}
-	return c.mutate(set, func() error {
-		s := c.shardOf(ds.Name)
+	return c.mutate(func() error {
 		if err := c.types.CheckType(ds.Type); err != nil {
 			return fmt.Errorf("%w: dataset %q: %v", ErrType, ds.Name, err)
 		}
-		if old, ok := s.datasets[ds.Name]; ok {
+		if old, ok := c.datasets[ds.Name]; ok {
 			if equalJSON(old, ds) {
 				return nil
 			}
 			return fmt.Errorf("%w: dataset %q", ErrExists, ds.Name)
 		}
 		if ds.CreatedBy != "" {
-			if _, ok := c.shardOf(ds.CreatedBy).derivations[ds.CreatedBy]; !ok {
+			if _, ok := c.derivations[ds.CreatedBy]; !ok {
 				return fmt.Errorf("%w: dataset %q cites unknown derivation %q", ErrNotFound, ds.Name, ds.CreatedBy)
 			}
 		}
 		c.putDataset(ds)
-		return s.logOp(opDataset, ds)
+		return c.logOp(opDataset, ds)
 	})
 }
 
@@ -230,9 +218,8 @@ func (c *Catalog) UpdateDataset(ds schema.Dataset) (err error) {
 	if err := ds.Validate(); err != nil {
 		return err
 	}
-	return c.mutate(c.keySet(ds.Name), func() error {
-		s := c.shardOf(ds.Name)
-		old, ok := s.datasets[ds.Name]
+	return c.mutate(func() error {
+		old, ok := c.datasets[ds.Name]
 		if !ok {
 			return fmt.Errorf("%w: dataset %q", ErrNotFound, ds.Name)
 		}
@@ -240,7 +227,7 @@ func (c *Catalog) UpdateDataset(ds schema.Dataset) (err error) {
 			return fmt.Errorf("%w: dataset %q epoch moved backwards (%d -> %d)", ErrConflict, ds.Name, old.Epoch, ds.Epoch)
 		}
 		c.putDataset(ds)
-		return s.logOp(opDataset, ds)
+		return c.logOp(opDataset, ds)
 	})
 }
 
@@ -249,29 +236,27 @@ func (c *Catalog) UpdateDataset(ds schema.Dataset) (err error) {
 // stale. When restampReplicas is true the dataset's existing replicas
 // are re-stamped to the new epoch — the caller asserts the physical
 // copies were corrected in place; when false they become stale and the
-// dataset must be re-materialized. A dataset's replicas are homed on
-// its shard, so the whole operation is single-shard.
+// dataset must be re-materialized.
 func (c *Catalog) BumpEpoch(name string, restampReplicas bool) (_ int, err error) {
 	opBumpEpoch.Inc()
 	defer func() { err = countErr("bump_epoch", err) }()
 	epoch := 0
-	err = c.mutate(c.keySet(name), func() error {
-		s := c.shardOf(name)
-		ds, ok := s.datasets[name]
+	err = c.mutate(func() error {
+		ds, ok := c.datasets[name]
 		if !ok {
 			return fmt.Errorf("%w: dataset %q", ErrNotFound, name)
 		}
 		ds.Epoch++
 		c.putDataset(ds)
-		if err := s.logOp(opDataset, ds); err != nil {
+		if err := c.logOp(opDataset, ds); err != nil {
 			return err
 		}
 		if restampReplicas {
-			for _, id := range s.replicasByDataset[name] {
-				r := s.replicas[id]
+			for _, id := range c.replicasByDataset[name] {
+				r := c.replicas[id]
 				r.Epoch = ds.Epoch
 				c.putReplica(r)
-				if err := s.logOp(opReplica, r); err != nil {
+				if err := c.logOp(opReplica, r); err != nil {
 					return err
 				}
 			}
@@ -287,10 +272,9 @@ func (c *Catalog) BumpEpoch(name string, restampReplicas bool) (_ int, err error
 
 // Dataset returns the dataset with the given logical name.
 func (c *Catalog) Dataset(name string) (schema.Dataset, error) {
-	s := c.shardOf(name)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ds, ok := s.datasets[name]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ds, ok := c.datasets[name]
 	if !ok {
 		return schema.Dataset{}, fmt.Errorf("%w: dataset %q", ErrNotFound, name)
 	}
@@ -299,13 +283,11 @@ func (c *Catalog) Dataset(name string) (schema.Dataset, error) {
 
 // Datasets returns all datasets, sorted by name.
 func (c *Catalog) Datasets() []schema.Dataset {
-	c.rlockAll()
-	defer c.runlockAll()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	var out []schema.Dataset
-	for _, st := range c.shards {
-		for _, ds := range st.datasets {
-			out = append(out, ds)
-		}
+	for _, ds := range c.datasets {
+		out = append(out, ds)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -314,9 +296,7 @@ func (c *Catalog) Datasets() []schema.Dataset {
 // --- Transformations --------------------------------------------------
 
 // AddTransformation registers a transformation under its canonical
-// reference. Identical re-registration is a no-op. All versions of one
-// ns::name are homed on one shard (see trHome), so registration and
-// versionless resolution are single-shard.
+// reference. Identical re-registration is a no-op.
 func (c *Catalog) AddTransformation(tr schema.Transformation) (err error) {
 	opAddTR.Inc()
 	defer func() { err = countErr("add_transformation", err) }()
@@ -324,8 +304,7 @@ func (c *Catalog) AddTransformation(tr schema.Transformation) (err error) {
 		return err
 	}
 	ref := tr.Ref()
-	return c.mutate(c.keySet(trHome(ref)), func() error {
-		s := c.shardOfTR(ref)
+	return c.mutate(func() error {
 		for _, f := range tr.Args {
 			for _, t := range f.Types {
 				if err := c.types.CheckType(t); err != nil {
@@ -333,14 +312,14 @@ func (c *Catalog) AddTransformation(tr schema.Transformation) (err error) {
 				}
 			}
 		}
-		if old, ok := s.transformations[ref]; ok {
+		if old, ok := c.transformations[ref]; ok {
 			if equalJSON(old, tr) {
 				return nil
 			}
 			return fmt.Errorf("%w: transformation %q", ErrExists, ref)
 		}
 		c.putTransformation(tr)
-		return s.logOp(opTransformation, tr)
+		return c.logOp(opTransformation, tr)
 	})
 }
 
@@ -349,16 +328,14 @@ func (c *Catalog) AddTransformation(tr schema.Transformation) (err error) {
 // otherwise to the single registered version (it is ambiguous, and an
 // error, if several versions exist).
 func (c *Catalog) Transformation(ref string) (schema.Transformation, error) {
-	s := c.shardOfTR(ref)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.transformationLocked(ref)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.transformationLocked(ref)
 }
 
-// transformationLocked resolves a reference against one shard's state.
-// Callers hold s.mu; every version of the ref's base is homed here.
-func (s *cshard) transformationLocked(ref string) (schema.Transformation, error) {
-	if tr, ok := s.transformations[ref]; ok {
+// transformationLocked resolves a reference. Callers hold c.mu.
+func (c *Catalog) transformationLocked(ref string) (schema.Transformation, error) {
+	if tr, ok := c.transformations[ref]; ok {
 		return tr, nil
 	}
 	ns, name, ver, err := schema.ParseTRRef(ref)
@@ -367,7 +344,7 @@ func (s *cshard) transformationLocked(ref string) (schema.Transformation, error)
 	}
 	if ver == "" {
 		base := schema.FormatTRRef(ns, name, "")
-		versions := s.versionsOf[base]
+		versions := c.versionsOf[base]
 		var nonEmpty []string
 		for _, v := range versions {
 			if v != "" {
@@ -375,7 +352,7 @@ func (s *cshard) transformationLocked(ref string) (schema.Transformation, error)
 			}
 		}
 		if len(nonEmpty) == 1 {
-			return s.transformations[schema.FormatTRRef(ns, name, nonEmpty[0])], nil
+			return c.transformations[schema.FormatTRRef(ns, name, nonEmpty[0])], nil
 		}
 		if len(nonEmpty) > 1 {
 			return schema.Transformation{}, fmt.Errorf("%w: transformation %q is ambiguous among versions %v", ErrNotFound, ref, nonEmpty)
@@ -387,10 +364,9 @@ func (s *cshard) transformationLocked(ref string) (schema.Transformation, error)
 // Versions lists the registered versions of a transformation name.
 func (c *Catalog) Versions(namespace, name string) []string {
 	base := schema.FormatTRRef(namespace, name, "")
-	s := c.shardOfTR(base)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vs := append([]string(nil), s.versionsOf[base]...)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	vs := append([]string(nil), c.versionsOf[base]...)
 	sort.Strings(vs)
 	return vs
 }
@@ -406,24 +382,22 @@ func (c *Catalog) Resolver() schema.Resolver {
 // --- Compatibility assertions ------------------------------------------
 
 // AssertCompatibility records a version-compatibility assertion.
-// Assertions live on shard 0.
 func (c *Catalog) AssertCompatibility(a schema.CompatibilityAssertion) (err error) {
 	opAssertCompat.Inc()
 	defer func() { err = countErr("assert_compat", err) }()
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	return c.mutate(shardSet(0).with(0), func() error {
-		s := c.shards[0]
-		for _, old := range s.compat {
+	return c.mutate(func() error {
+		for _, old := range c.compat {
 			if old == a {
 				return nil
 			}
 		}
-		s.compat = append(s.compat, a)
-		s.ver++
-		s.noteJournal(c, jCompat, "", false)
-		return s.logOp(opCompat, a)
+		c.compat = append(c.compat, a)
+		c.ver++
+		c.noteJournal(jCompat, "", false)
+		return c.logOp(opCompat, a)
 	})
 }
 
@@ -435,13 +409,12 @@ func (c *Catalog) Compatible(namespace, name, v1, v2 string) bool {
 	if v1 == v2 {
 		return true
 	}
-	s := c.shards[0]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	// Collect equivalence edges and veto pairs for this transformation.
 	adj := make(map[string][]string)
 	veto := make(map[[2]string]bool)
-	for _, a := range s.compat {
+	for _, a := range c.compat {
 		if a.Namespace != namespace || a.Name != name {
 			continue
 		}
@@ -492,14 +465,6 @@ func (c *Catalog) Compatible(namespace, name, v1, v2 string) bool {
 //     derivation.
 //   - Type checking: every bound dataset with a declared type must
 //     conform to the formal's type union.
-//
-// A derivation spans shards: its own record and secondary indexes live
-// on the ID's shard, the transformation on its base's shard, and each
-// input/output dataset's registration and provenance adjacency on that
-// dataset's shard. The lock set is computed optimistically from a
-// pre-lock resolution of the transformation (whose formals determine
-// the bound datasets), then re-verified under the locks; a stale set
-// recomputes and retries.
 func (c *Catalog) AddDerivation(dv schema.Derivation) (_ schema.Derivation, err error) {
 	opAddDV.Inc()
 	defer func() {
@@ -516,141 +481,103 @@ func (c *Catalog) AddDerivation(dv schema.Derivation) (_ schema.Derivation, err 
 		return schema.Derivation{}, err
 	}
 	var stored schema.Derivation
-	for {
-		// Optimistic peek: resolve the transformation to learn which
-		// datasets the derivation binds (params plus formal defaults),
-		// hence which shards the mutation must lock. Resolution failure
-		// here still locks {ID, TR} so the duplicate check and the
-		// authoritative under-lock resolution behave as before.
-		set := shardSet(0).with(c.shardIndex(dv.ID)).with(c.shardIndex(trHome(dv.TR)))
-		if tr, terr := c.Transformation(dv.TR); terr == nil {
-			for _, name := range dv.Inputs(tr) {
-				set = set.with(c.shardIndex(name))
-			}
-			for _, name := range dv.Outputs(tr) {
-				set = set.with(c.shardIndex(name))
-			}
+	err = c.mutate(func() error {
+		if existing, ok := c.derivations[dv.ID]; ok {
+			stored = existing
+			return ErrDuplicate
 		}
-		err = c.mutate(set, func() error {
-			home := c.shardOf(dv.ID)
-			if existing, ok := home.derivations[dv.ID]; ok {
-				stored = existing
-				return ErrDuplicate
-			}
-			tr, err := c.shardOfTR(dv.TR).transformationLocked(dv.TR)
-			if err != nil {
-				return err
-			}
-			if err := dv.CheckBinding(tr); err != nil {
-				return err
-			}
+		tr, err := c.transformationLocked(dv.TR)
+		if err != nil {
+			return err
+		}
+		if err := dv.CheckBinding(tr); err != nil {
+			return err
+		}
 
-			inputs := dv.Inputs(tr)
-			outputs := dv.Outputs(tr)
+		inputs := dv.Inputs(tr)
+		outputs := dv.Outputs(tr)
 
-			// The authoritative resolution may bind different datasets
-			// than the peek did (the transformation or its defaults
-			// changed, or the peek failed); retry with the right shards
-			// if any fall outside the locked set.
-			needed := shardSet(0)
-			for _, name := range inputs {
-				needed = needed.with(c.shardIndex(name))
+		// Type conformance for bound datasets that exist with a type.
+		for _, f := range tr.Args {
+			if !f.IsDataset() || len(f.Types) == 0 {
+				continue
 			}
-			for _, name := range outputs {
-				needed = needed.with(c.shardIndex(name))
+			a, ok := dv.Params[f.Name]
+			if !ok && f.Default != nil {
+				a = *f.Default
 			}
-			if !set.contains(needed) {
-				return errRetryShards
-			}
-
-			// Type conformance for bound datasets that exist with a type.
-			for _, f := range tr.Args {
-				if !f.IsDataset() || len(f.Types) == 0 {
-					continue
-				}
-				a, ok := dv.Params[f.Name]
-				if !ok && f.Default != nil {
-					a = *f.Default
-				}
-				for _, name := range a.Datasets() {
-					if ds, ok := c.shardOf(name).datasets[name]; ok && !ds.Type.IsUniversal() {
-						if !f.Accepts(c.types, ds.Type) {
-							return fmt.Errorf("%w: dataset %q (%s) does not conform to formal %q of %s",
-								ErrType, name, ds.Type, f.Name, tr.Ref())
-						}
+			for _, name := range a.Datasets() {
+				if ds, ok := c.datasets[name]; ok && !ds.Type.IsUniversal() {
+					if !f.Accepts(c.types, ds.Type) {
+						return fmt.Errorf("%w: dataset %q (%s) does not conform to formal %q of %s",
+							ErrType, name, ds.Type, f.Name, tr.Ref())
 					}
 				}
 			}
+		}
 
-			// A dataset has at most one producer, and cannot be both input and
-			// output of one derivation. Validate fully before mutating so a
-			// failed add leaves no partial state (or WAL records) behind.
-			inputSet := make(map[string]bool, len(inputs))
-			for _, in := range inputs {
-				inputSet[in] = true
+		// A dataset has at most one producer, and cannot be both input and
+		// output of one derivation. Validate fully before mutating so a
+		// failed add leaves no partial state (or WAL records) behind.
+		inputSet := make(map[string]bool, len(inputs))
+		for _, in := range inputs {
+			inputSet[in] = true
+		}
+		for _, out := range outputs {
+			if prod, ok := c.producerOf[out]; ok && prod != dv.ID {
+				return fmt.Errorf("%w: dataset %q already produced by derivation %s", ErrConflict, out, prod)
 			}
-			for _, out := range outputs {
-				if prod, ok := c.shardOf(out).producerOf[out]; ok && prod != dv.ID {
-					return fmt.Errorf("%w: dataset %q already produced by derivation %s", ErrConflict, out, prod)
-				}
-				if inputSet[out] {
-					return fmt.Errorf("%w: dataset %q is both input and output of one derivation", ErrConflict, out)
-				}
+			if inputSet[out] {
+				return fmt.Errorf("%w: dataset %q is both input and output of one derivation", ErrConflict, out)
 			}
+		}
 
-			// Auto-register datasets, each on (and logged to) its own shard.
-			for _, in := range inputs {
-				ss := c.shardOf(in)
-				if _, ok := ss.datasets[in]; !ok {
-					ds := schema.Dataset{Name: in}
+		// Auto-register datasets.
+		for _, in := range inputs {
+			if _, ok := c.datasets[in]; !ok {
+				ds := schema.Dataset{Name: in}
+				c.putDataset(ds)
+				if err := c.logOp(opDataset, ds); err != nil {
+					return err
+				}
+			}
+		}
+		for _, out := range outputs {
+			if ds, ok := c.datasets[out]; ok {
+				if ds.CreatedBy == "" {
+					ds.CreatedBy = dv.ID
 					c.putDataset(ds)
-					if err := ss.logOp(opDataset, ds); err != nil {
+					if err := c.logOp(opDataset, ds); err != nil {
 						return err
 					}
 				}
-			}
-			for _, out := range outputs {
-				ss := c.shardOf(out)
-				if ds, ok := ss.datasets[out]; ok {
-					if ds.CreatedBy == "" {
-						ds.CreatedBy = dv.ID
-						c.putDataset(ds)
-						if err := ss.logOp(opDataset, ds); err != nil {
-							return err
-						}
-					}
-				} else {
-					ds := schema.Dataset{Name: out, CreatedBy: dv.ID}
-					c.putDataset(ds)
-					if err := ss.logOp(opDataset, ds); err != nil {
-						return err
-					}
+			} else {
+				ds := schema.Dataset{Name: out, CreatedBy: dv.ID}
+				c.putDataset(ds)
+				if err := c.logOp(opDataset, ds); err != nil {
+					return err
 				}
 			}
+		}
 
-			c.indexDerivation(dv, tr)
-			if err := home.logOp(opDerivation, dv); err != nil {
-				return err
-			}
-			stored = dv
-			return nil
-		})
-		if errors.Is(err, errRetryShards) {
-			continue
+		c.indexDerivation(dv, tr)
+		if err := c.logOp(opDerivation, dv); err != nil {
+			return err
 		}
-		if err != nil && !errors.Is(err, ErrDuplicate) {
-			return schema.Derivation{}, err
-		}
-		return stored, err
+		stored = dv
+		return nil
+	})
+	if err != nil && !errors.Is(err, ErrDuplicate) {
+		return schema.Derivation{}, err
 	}
+	return stored, err
 }
 
 // Derivation returns the derivation with the given ID.
 func (c *Catalog) Derivation(id string) (schema.Derivation, error) {
-	s := c.shardOf(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	dv, ok := s.derivations[id]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	dv, ok := c.derivations[id]
 	if !ok {
 		return schema.Derivation{}, fmt.Errorf("%w: derivation %q", ErrNotFound, id)
 	}
@@ -662,10 +589,9 @@ func (c *Catalog) Derivation(id string) (schema.Derivation, error) {
 // computation been performed previously?" in O(1).
 func (c *Catalog) FindDerivation(dv schema.Derivation) (schema.Derivation, bool) {
 	sig := dv.Signature()
-	s := c.shardOf(sig)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	found, ok := s.derivations[sig]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	found, ok := c.derivations[sig]
 	return found, ok
 }
 
@@ -698,13 +624,11 @@ func (c *Catalog) FindEquivalentDerivation(dv schema.Derivation) (schema.Derivat
 
 // Derivations returns all derivations sorted by ID.
 func (c *Catalog) Derivations() []schema.Derivation {
-	c.rlockAll()
-	defer c.runlockAll()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	var out []schema.Derivation
-	for _, st := range c.shards {
-		for _, dv := range st.derivations {
-			out = append(out, dv)
-		}
+	for _, dv := range c.derivations {
+		out = append(out, dv)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -724,29 +648,26 @@ func (c *Catalog) AddInvocation(iv schema.Invocation) error {
 	return nil
 }
 
-// AddInvocationAsync applies the invocation under its shard lock and
+// AddInvocationAsync applies the invocation under the write lock and
 // returns without waiting for durability; the returned wait function
 // blocks until the record's WAL batch is durable (ErrDurability on
 // failure). wait is nil when there is nothing to wait for. Callers that
-// need the synchronous contract use AddInvocation. Invocations are
-// homed with their derivation, so the hot recording path is
-// single-shard.
+// need the synchronous contract use AddInvocation.
 func (c *Catalog) AddInvocationAsync(iv schema.Invocation) (wait func() error, err error) {
 	opAddIV.Inc()
 	defer func() { err = countErr("add_invocation", err) }()
 	if err := iv.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := c.mutateAsync(c.keySet(iv.Derivation), func() error {
-		s := c.shardOf(iv.Derivation)
-		if _, ok := s.derivations[iv.Derivation]; !ok {
+	w, err := c.mutateAsync(func() error {
+		if _, ok := c.derivations[iv.Derivation]; !ok {
 			return fmt.Errorf("%w: invocation %q cites unknown derivation %q", ErrNotFound, iv.ID, iv.Derivation)
 		}
-		if _, ok := s.invocations[iv.ID]; ok {
+		if _, ok := c.invocations[iv.ID]; ok {
 			return fmt.Errorf("%w: invocation %q", ErrExists, iv.ID)
 		}
 		c.putInvocation(iv)
-		return s.logOp(opInvocation, iv)
+		return c.logOp(opInvocation, iv)
 	})
 	if err != nil || w == nil {
 		return nil, err
@@ -754,16 +675,12 @@ func (c *Catalog) AddInvocationAsync(iv schema.Invocation) (wait func() error, e
 	return func() error { return countErr("add_invocation", w()) }, nil
 }
 
-// Invocation returns the invocation with the given ID. Invocations are
-// homed by their derivation, so a by-ID lookup probes every shard
-// (one map lookup each).
+// Invocation returns the invocation with the given ID.
 func (c *Catalog) Invocation(id string) (schema.Invocation, error) {
-	c.rlockAll()
-	defer c.runlockAll()
-	for _, s := range c.shards {
-		if iv, ok := s.invocations[id]; ok {
-			return iv, nil
-		}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if iv, ok := c.invocations[id]; ok {
+		return iv, nil
 	}
 	return schema.Invocation{}, fmt.Errorf("%w: invocation %q", ErrNotFound, id)
 }
@@ -772,30 +689,26 @@ func (c *Catalog) Invocation(id string) (schema.Invocation, error) {
 // invocation, without copying them — the cheap emptiness test the
 // query layer's `executed` flag wants.
 func (c *Catalog) HasInvocations(derivation string) bool {
-	s := c.shardOf(derivation)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.idx.executed.Has(derivation)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.idx.executed.Has(derivation)
 }
 
 // InvocationCount returns the number of invocations recorded for a
 // derivation.
 func (c *Catalog) InvocationCount(derivation string) int {
-	s := c.shardOf(derivation)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.invocationsByDV[derivation])
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.invocationsByDV[derivation])
 }
 
 // Invocations returns all invocations sorted by ID.
 func (c *Catalog) Invocations() []schema.Invocation {
-	c.rlockAll()
-	defer c.runlockAll()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	var out []schema.Invocation
-	for _, st := range c.shards {
-		for _, iv := range st.invocations {
-			out = append(out, iv)
-		}
+	for _, iv := range c.invocations {
+		out = append(out, iv)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -803,7 +716,8 @@ func (c *Catalog) Invocations() []schema.Invocation {
 
 // --- Replicas ----------------------------------------------------------
 
-// AddReplica registers a physical replica of a known dataset.
+// AddReplica registers a physical replica of a known dataset. Replica
+// IDs are unique across the catalog, whatever dataset they cite.
 func (c *Catalog) AddReplica(r schema.Replica) error {
 	wait, err := c.AddReplicaAsync(r)
 	if err != nil {
@@ -815,25 +729,23 @@ func (c *Catalog) AddReplica(r schema.Replica) error {
 	return nil
 }
 
-// AddReplicaAsync applies the replica under its shard lock and returns
-// without waiting for durability, like AddInvocationAsync. Replicas
-// are homed with their dataset, so registration is single-shard.
+// AddReplicaAsync applies the replica under the write lock and returns
+// without waiting for durability, like AddInvocationAsync.
 func (c *Catalog) AddReplicaAsync(r schema.Replica) (wait func() error, err error) {
 	opAddReplica.Inc()
 	defer func() { err = countErr("add_replica", err) }()
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := c.mutateAsync(c.keySet(r.Dataset), func() error {
-		s := c.shardOf(r.Dataset)
-		if _, ok := s.datasets[r.Dataset]; !ok {
+	w, err := c.mutateAsync(func() error {
+		if _, ok := c.datasets[r.Dataset]; !ok {
 			return fmt.Errorf("%w: replica %q cites unknown dataset %q", ErrNotFound, r.ID, r.Dataset)
 		}
-		if _, ok := s.replicas[r.ID]; ok {
+		if _, ok := c.replicas[r.ID]; ok {
 			return fmt.Errorf("%w: replica %q", ErrExists, r.ID)
 		}
 		c.putReplica(r)
-		return s.logOp(opReplica, r)
+		return c.logOp(opReplica, r)
 	})
 	if err != nil || w == nil {
 		return nil, err
@@ -842,30 +754,26 @@ func (c *Catalog) AddReplicaAsync(r schema.Replica) (wait func() error, err erro
 }
 
 // RemoveReplica deletes a replica record (e.g. when a planner reclaims
-// storage). Replicas are homed by dataset, which a bare ID does not
-// reveal, so removal locks every shard; it is the rare administrative
-// path, not the ingest path.
+// storage).
 func (c *Catalog) RemoveReplica(id string) (err error) {
 	opRmReplica.Inc()
 	defer func() { err = countErr("remove_replica", err) }()
-	return c.mutate(c.allSet(), func() error {
-		r, ok := c.dropReplica(id)
-		if !ok {
+	return c.mutate(func() error {
+		if !c.dropReplica(id) {
 			return fmt.Errorf("%w: replica %q", ErrNotFound, id)
 		}
-		return c.shardOf(r.Dataset).logOp(opRemoveReplica, r.ID)
+		return c.logOp(opRemoveReplica, id)
 	})
 }
 
 // ReplicasOf lists the replicas of a dataset, in registration order.
 func (c *Catalog) ReplicasOf(dataset string) []schema.Replica {
-	s := c.shardOf(dataset)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := s.replicasByDataset[dataset]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ids := c.replicasByDataset[dataset]
 	out := make([]schema.Replica, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, s.replicas[id])
+		out = append(out, c.replicas[id])
 	}
 	return out
 }
@@ -873,12 +781,11 @@ func (c *Catalog) ReplicasOf(dataset string) []schema.Replica {
 // Materialized reports whether a dataset has at least one replica at
 // its current epoch.
 func (c *Catalog) Materialized(dataset string) bool {
-	s := c.shardOf(dataset)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	// The flag set is maintained by every mutation path (index.go), so
 	// membership is the answer — no replica scan.
-	return s.idx.materialized.Has(dataset)
+	return c.idx.materialized.Has(dataset)
 }
 
 // Stats summarizes catalog contents.
@@ -888,17 +795,15 @@ type Stats struct {
 
 // Stats returns object counts.
 func (c *Catalog) Stats() Stats {
-	c.rlockAll()
-	defer c.runlockAll()
-	var st Stats
-	for _, ss := range c.shards {
-		st.Datasets += len(ss.datasets)
-		st.Transformations += len(ss.transformations)
-		st.Derivations += len(ss.derivations)
-		st.Invocations += len(ss.invocations)
-		st.Replicas += len(ss.replicas)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return Stats{
+		Datasets:        len(c.datasets),
+		Transformations: len(c.transformations),
+		Derivations:     len(c.derivations),
+		Invocations:     len(c.invocations),
+		Replicas:        len(c.replicas),
 	}
-	return st
 }
 
 // equalJSON compares two values by canonical encoding.

@@ -660,3 +660,32 @@ func refDir(dir, name string) schema.Actual {
 }
 
 func ptrActual(a schema.Actual) *schema.Actual { return &a }
+
+// TestReplicaIDUniqueAcrossDatasets: a replica ID names one replica in
+// the whole catalog, whatever dataset it cites. (Under the former
+// sharded layout, ds.old and ds.new homed on different shards and each
+// shard checked only its own replicas.)
+func TestReplicaIDUniqueAcrossDatasets(t *testing.T) {
+	c := NewSharded(nil, 4)
+	for _, name := range []string{"ds.old", "ds.new"} {
+		if err := c.AddDataset(schema.Dataset{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AddReplica(schema.Replica{ID: "r1", Dataset: "ds.old", Site: "a", PFN: "/a/r1"}); err != nil {
+		t.Fatal(err)
+	}
+	err := c.AddReplica(schema.Replica{ID: "r1", Dataset: "ds.new", Site: "b", PFN: "/b/r1"})
+	if !errors.Is(err, ErrExists) {
+		t.Fatalf("second AddReplica(r1) = %v, want ErrExists", err)
+	}
+	n := 0
+	for _, r := range c.Export().Replicas {
+		if r.ID == "r1" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("export holds %d replicas r1, want 1", n)
+	}
+}

@@ -7,13 +7,11 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"chimera/internal/obs"
 )
 
 // Group commit. Mutations validate and apply to the in-memory maps
-// under the shard write lock, encode one record per logged operation
-// into the shard log's pending buffer, and then wait for durability
+// under the catalog write lock, encode one record per logged operation
+// into the log's pending buffer, and then wait for durability
 // *outside* the lock (see Catalog.mutate). Batches are waiter-led: the
 // waiter that finds records pending and no commit in flight writes the
 // whole queue as one batch — a single write(2) of the concatenated
@@ -51,11 +49,6 @@ type committer struct {
 	durable    uint64 // sequence of the last record written (and fsynced)
 	committing bool   // a batch write is in flight
 	err        error  // sticky: first write/fsync failure poisons the WAL
-
-	// Per-shard batch counters (nil until setShardMetrics): the ratio
-	// records/batches is this shard WAL's batch occupancy.
-	shardBatches *obs.Counter
-	shardRecords *obs.Counter
 }
 
 func newCommitter(f *os.File, fsync bool) *committer {
@@ -63,15 +56,6 @@ func newCommitter(f *os.File, fsync bool) *committer {
 	w.did = sync.NewCond(&w.mu)
 	w.enc = json.NewEncoder(&w.scratch)
 	return w
-}
-
-// setShardMetrics wires the committer to its shard's per-WAL batch
-// counters. Called once, before the committer sees traffic.
-func (w *committer) setShardMetrics(label string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.shardBatches = metricShardBatches.With(label)
-	w.shardRecords = metricShardBatchRecords.With(label)
 }
 
 // enqueue encodes one record into the pending batch and returns its
@@ -146,10 +130,6 @@ func (w *committer) commitLocked() {
 
 	metricWALBatchRecords.Observe(float64(n))
 	metricWALBatchBytes.Observe(float64(len(buf)))
-	if w.shardBatches != nil {
-		w.shardBatches.Inc()
-		w.shardRecords.Add(uint64(n))
-	}
 	var err error
 	if _, werr := w.f.Write(buf); werr != nil {
 		err = fmt.Errorf("%w: wal append: %v", ErrDurability, werr)

@@ -17,7 +17,7 @@ import (
 // file (written and fsynced). Each iteration snapshots the raw WAL
 // bytes immediately after the ack — a simulated power cut — and
 // replays them into a fresh catalog, which must contain the mutation.
-// The concurrent phase puts 8 writers on the one shard log, so most
+// The concurrent phase puts 8 writers on the one log, so most
 // acks come from batches another waiter led.
 func TestGroupCommitDurableAfterAck(t *testing.T) {
 	dir := t.TempDir()
@@ -154,7 +154,7 @@ func TestInlineStickyFailure(t *testing.T) {
 	if err := c.AddDataset(schema.Dataset{Name: "ok"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.shards[0].wal.f.Close(); err != nil { // writes will now fail
+	if err := c.wal.f.Close(); err != nil { // writes will now fail
 		t.Fatal(err)
 	}
 	if err := c.AddDataset(schema.Dataset{Name: "broken"}); !errors.Is(err, ErrDurability) {

@@ -15,7 +15,7 @@ import (
 )
 
 // TestCommitSyncFailurePoisons fails a batch's fsync rather than its
-// write: a writable /dev/null dup3'd onto the shard log's descriptor
+// write: a writable /dev/null dup3'd onto the log's descriptor
 // accepts the write(2) and rejects the fsync with EINVAL. Two replica
 // registrations enqueue into one batch before either waits, so one wait
 // leads the batch and the other follows it; both must get
@@ -36,7 +36,7 @@ func TestCommitSyncFailurePoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer null.Close()
-	if err := syscall.Dup3(int(null.Fd()), int(c.shards[0].wal.f.Fd()), 0); err != nil {
+	if err := syscall.Dup3(int(null.Fd()), int(c.wal.f.Fd()), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,17 +75,17 @@ func TestCommitSyncFailurePoisons(t *testing.T) {
 	}
 }
 
-// TestOpenClosesLogsOnFailure makes the second shard's log impossible
-// to create (a symlink into a missing directory) and checks that the
-// failed Open leaves no descriptor open on the first shard's log.
+// TestOpenClosesLogsOnFailure makes the log impossible to create (a
+// symlink into a missing directory) and checks that the failed Open
+// leaves no descriptor open in the directory.
 func TestOpenClosesLogsOnFailure(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.Symlink(filepath.Join(dir, "missing", "wal"), walPath(dir, 1, 2)); err != nil {
+	if err := os.Symlink(filepath.Join(dir, "missing", "wal"), filepath.Join(dir, walFile)); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := Open(dir, nil, Options{Shards: 2}); err == nil {
+	if c, err := Open(dir, nil, Options{}); err == nil {
 		c.Close()
-		t.Fatal("Open succeeded with an uncreatable shard log")
+		t.Fatal("Open succeeded with an uncreatable log")
 	}
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {

@@ -5,25 +5,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"chimera/internal/schema"
 )
 
-// replayLog replays one shard log's bytes into a fresh in-memory
-// catalog, the way Open replays each log on disk.
+// replayLog replays a log's bytes into a fresh in-memory catalog, the
+// way Open replays the log on disk.
 func replayLog(log []byte) (*Catalog, error) {
 	c := New(nil)
-	var deferred []schema.Derivation
-	if err := c.replay(bytes.NewReader(log), &deferred); err != nil {
-		return nil, err
-	}
-	if err := c.replayDeferred(deferred); err != nil {
+	if err := c.replay(bytes.NewReader(log), nil); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// FuzzReplay feeds arbitrary bytes to WAL replay as a shard log: replay
+// FuzzReplay feeds arbitrary bytes to WAL replay as the log: replay
 // must fail or succeed, never panic, and whatever it accepts must leave
 // the secondary indexes equal to a rebuild from the primary maps. Run
 // `go test -fuzz FuzzReplay ./internal/catalog` for a longer campaign;

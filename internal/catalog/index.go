@@ -9,21 +9,17 @@ import (
 )
 
 // Secondary indexes for the discovery path. Every index is maintained
-// incrementally under its shard's write lock by the put*/drop* helpers
+// incrementally under the catalog write lock by the put*/drop* helpers
 // below, which are the single funnel for all mutation paths — public
 // mutators, WAL replay (apply), and snapshot load (applyExport) — so
 // the indexes can never drift from the primary maps regardless of how
 // state arrives. CheckIndexes verifies exactly that by rebuilding from
 // scratch and comparing.
 //
-// Each shard owns the index entries for the objects homed on it, and
-// every index is keyed by its object's home name (dataset indexes by
-// dataset name, derivation indexes by derivation ID), so maintaining
-// an entry never needs a lock the mutation does not already hold. The
-// read side is Catalog.View (view.go): queries resolve candidate sets
-// from these indexes — each shard's set as one part of an IndexParts,
-// never merged — and iterate one consistent snapshot instead of copying
-// and sorting the whole catalog per query.
+// The read side is Catalog.View (view.go): queries resolve candidate
+// sets from these indexes — shared, never copied — and iterate one
+// consistent snapshot instead of copying and sorting the whole catalog
+// per query.
 
 // IndexSet is a set of object identifiers (dataset names, canonical
 // transformation refs, or derivation IDs, depending on the index).
@@ -60,8 +56,7 @@ type indexes struct {
 
 	// Transformation-ref -> derivation IDs: by the exact TR string the
 	// derivation cites, and by the versionless "ns::name" base so
-	// `tr = ns::name` finds derivations citing any version. Keyed by
-	// the derivation (the TR may be homed elsewhere).
+	// `tr = ns::name` finds derivations citing any version.
 	dvByTR     map[string]IndexSet
 	dvByTRBase map[string]IndexSet
 
@@ -129,39 +124,32 @@ func attrIndexRemove(idx map[string]map[string]IndexSet, attrs schema.Attributes
 
 // --- mutation funnel ---------------------------------------------------
 //
-// Each put*/drop* is split in two: a Catalog-level wrapper that routes
-// to the home shard, applies the edit, advances the shard's mutation
-// version (cshard.ver) and journals; and a shardState-level method
-// holding the actual map/index edits.
+// Each put*/drop* applies one edit to the maps and indexes, advances the
+// mutation version (Catalog.ver) and journals it. Callers hold the write
+// lock (or own the catalog exclusively, as during Open).
 
 // putDataset installs or replaces a dataset record and all its index
-// entries on the dataset's home shard. Callers hold that shard's write
-// lock.
+// entries.
 func (c *Catalog) putDataset(ds schema.Dataset) {
-	s := c.shardOf(ds.Name)
-	s.putDataset(ds)
-	s.ver++
-	s.noteJournal(c, jDataset, ds.Name, false)
-}
-
-func (st *shardState) putDataset(ds schema.Dataset) {
-	if old, ok := st.datasets[ds.Name]; ok {
-		attrIndexRemove(st.idx.dsAttr, old.Attrs, old.Name)
+	if old, ok := c.datasets[ds.Name]; ok {
+		attrIndexRemove(c.idx.dsAttr, old.Attrs, old.Name)
 		if old.Type != ds.Type {
-			setRemoveTyped(st.idx.dsByType, old.Type, old.Name)
+			setRemoveTyped(c.idx.dsByType, old.Type, old.Name)
 		}
 		if old.CreatedBy != "" && ds.CreatedBy == "" {
-			delete(st.idx.derived, old.Name)
+			delete(c.idx.derived, old.Name)
 		}
 	}
-	st.datasets[ds.Name] = ds
-	attrIndexAdd(st.idx.dsAttr, ds.Attrs, ds.Name)
-	setAddTyped(st.idx.dsByType, ds.Type, ds.Name)
+	c.datasets[ds.Name] = ds
+	attrIndexAdd(c.idx.dsAttr, ds.Attrs, ds.Name)
+	setAddTyped(c.idx.dsByType, ds.Type, ds.Name)
 	if ds.CreatedBy != "" {
-		st.idx.derived[ds.Name] = struct{}{}
+		c.idx.derived[ds.Name] = struct{}{}
 	}
 	// An epoch change can flip materialization either way.
-	st.reindexMaterialized(ds.Name)
+	c.reindexMaterialized(ds.Name)
+	c.ver++
+	c.noteJournal(jDataset, ds.Name, false)
 }
 
 func setAddTyped(m map[dtype.Type]IndexSet, t dtype.Type, id string) {
@@ -182,131 +170,86 @@ func setRemoveTyped(m map[dtype.Type]IndexSet, t dtype.Type, id string) {
 	}
 }
 
-// putTransformation installs a transformation on its base's home
-// shard, maintaining the version and attribute indexes. Callers hold
-// that shard's write lock.
+// putTransformation installs a transformation, maintaining the version
+// and attribute indexes.
 func (c *Catalog) putTransformation(tr schema.Transformation) {
 	ref := tr.Ref()
-	s := c.shardOfTR(ref)
-	s.putTransformation(tr)
-	s.ver++
-	s.noteJournal(c, jTransformation, ref, false)
-}
-
-func (st *shardState) putTransformation(tr schema.Transformation) {
-	ref := tr.Ref()
-	if old, ok := st.transformations[ref]; ok {
-		attrIndexRemove(st.idx.trAttr, old.Attrs, ref)
+	if old, ok := c.transformations[ref]; ok {
+		attrIndexRemove(c.idx.trAttr, old.Attrs, ref)
 	} else {
 		base := schema.FormatTRRef(tr.Namespace, tr.Name, "")
-		st.versionsOf[base] = append(st.versionsOf[base], tr.Version)
+		c.versionsOf[base] = append(c.versionsOf[base], tr.Version)
 	}
-	st.transformations[ref] = tr
-	attrIndexAdd(st.idx.trAttr, tr.Attrs, ref)
+	c.transformations[ref] = tr
+	attrIndexAdd(c.idx.trAttr, tr.Attrs, ref)
+	c.ver++
+	c.noteJournal(jTransformation, ref, false)
 }
 
 // indexDerivation installs a derivation with its provenance and
-// secondary indexes. The record and derivation-keyed indexes land on
-// the ID's home shard; each input/output dataset's adjacency entry
-// lands on that dataset's shard. Callers hold the write locks of the
-// ID's shard and of every input/output dataset's shard. No-op if the
-// ID exists.
+// secondary indexes. No-op if the ID exists.
 func (c *Catalog) indexDerivation(dv schema.Derivation, tr schema.Transformation) {
-	home := c.shardOf(dv.ID)
-	if _, ok := home.derivations[dv.ID]; ok {
+	if _, ok := c.derivations[dv.ID]; ok {
 		return
 	}
 	inputs := dv.Inputs(tr)
 	outputs := dv.Outputs(tr)
-	home.indexDerivationHome(dv, inputs, outputs)
-	home.ver++
-	// Adjacency entries land on each dataset's own shard and write no
-	// journal entry there, which is exactly why the mutation version
-	// (cshard.ver) and not the journal cursor keys cache invalidation.
+	c.derivations[dv.ID] = dv
+	c.inputsOf[dv.ID] = inputs
+	c.outputsOf[dv.ID] = outputs
 	for _, in := range inputs {
-		s := c.shardOf(in)
-		s.consumersOf[in] = append(s.consumersOf[in], dv.ID)
-		s.ver++
+		c.consumersOf[in] = append(c.consumersOf[in], dv.ID)
 	}
 	for _, out := range outputs {
-		s := c.shardOf(out)
-		s.producerOf[out] = dv.ID
-		s.ver++
+		c.producerOf[out] = dv.ID
 	}
-	home.noteJournal(c, jDerivation, dv.ID, false)
-}
-
-// indexDerivationHome installs the derivation record and the
-// derivation-keyed indexes on the ID's home shard state.
-func (st *shardState) indexDerivationHome(dv schema.Derivation, inputs, outputs []string) {
-	st.derivations[dv.ID] = dv
-	st.inputsOf[dv.ID] = inputs
-	st.outputsOf[dv.ID] = outputs
-	attrIndexAdd(st.idx.dvAttr, dv.Attrs, dv.ID)
-	setAdd(st.idx.dvByTR, dv.TR, dv.ID)
+	attrIndexAdd(c.idx.dvAttr, dv.Attrs, dv.ID)
+	setAdd(c.idx.dvByTR, dv.TR, dv.ID)
 	if ns, name, _, err := schema.ParseTRRef(dv.TR); err == nil {
-		setAdd(st.idx.dvByTRBase, schema.FormatTRRef(ns, name, ""), dv.ID)
+		setAdd(c.idx.dvByTRBase, schema.FormatTRRef(ns, name, ""), dv.ID)
 	}
 	name := dv.Name
 	if name == "" {
 		name = dv.ID
 	}
-	setAdd(st.idx.dvByName, name, dv.ID)
+	setAdd(c.idx.dvByName, name, dv.ID)
+	c.ver++
+	c.noteJournal(jDerivation, dv.ID, false)
 }
 
-// putInvocation installs an invocation on its derivation's home shard.
-// Callers hold that shard's write lock. No-op if the ID exists.
+// putInvocation installs an invocation. No-op if the ID exists.
 func (c *Catalog) putInvocation(iv schema.Invocation) {
-	s := c.shardOf(iv.Derivation)
-	if _, ok := s.invocations[iv.ID]; ok {
+	if _, ok := c.invocations[iv.ID]; ok {
 		return
 	}
-	s.invocations[iv.ID] = iv
-	s.invocationsByDV[iv.Derivation] = append(s.invocationsByDV[iv.Derivation], iv.ID)
-	s.idx.executed[iv.Derivation] = struct{}{}
-	s.ver++
-	s.noteJournal(c, jInvocation, iv.ID, false)
+	c.invocations[iv.ID] = iv
+	c.invocationsByDV[iv.Derivation] = append(c.invocationsByDV[iv.Derivation], iv.ID)
+	c.idx.executed[iv.Derivation] = struct{}{}
+	c.ver++
+	c.noteJournal(jInvocation, iv.ID, false)
 }
 
 // putReplica installs a new replica or updates an existing one in place
-// (epoch re-stamp) on its dataset's home shard, keeping the
-// materialized set current. Callers hold that shard's write lock.
+// (epoch re-stamp), keeping the materialized set current. A replica
+// moving to another dataset must be dropped first (upsertReplica).
 func (c *Catalog) putReplica(r schema.Replica) {
-	s := c.shardOf(r.Dataset)
-	if _, ok := s.replicas[r.ID]; !ok {
-		s.replicasByDataset[r.Dataset] = append(s.replicasByDataset[r.Dataset], r.ID)
+	if _, ok := c.replicas[r.ID]; !ok {
+		c.replicasByDataset[r.Dataset] = append(c.replicasByDataset[r.Dataset], r.ID)
 	}
-	s.replicas[r.ID] = r
-	s.reindexMaterialized(r.Dataset)
-	s.ver++
-	s.noteJournal(c, jReplica, r.ID, false)
+	c.replicas[r.ID] = r
+	c.reindexMaterialized(r.Dataset)
+	c.ver++
+	c.noteJournal(jReplica, r.ID, false)
 }
 
-// dropReplica removes a replica record, if present. A bare ID does not
-// reveal the home shard, so the lookup probes every shard; callers
-// hold every shard's write lock (or own the catalog exclusively, as
-// during replay).
-func (c *Catalog) dropReplica(id string) (schema.Replica, bool) {
-	for _, s := range c.shards {
-		r, ok := s.replicas[id]
-		if !ok {
-			continue
-		}
-		s.dropReplica(id)
-		s.ver++
-		s.noteJournal(c, jReplica, id, true)
-		return r, true
-	}
-	return schema.Replica{}, false
-}
-
-func (st *shardState) dropReplica(id string) {
-	r, ok := st.replicas[id]
+// dropReplica removes a replica record and reports whether it existed.
+func (c *Catalog) dropReplica(id string) bool {
+	r, ok := c.replicas[id]
 	if !ok {
-		return
+		return false
 	}
-	delete(st.replicas, id)
-	ids := st.replicasByDataset[r.Dataset]
+	delete(c.replicas, id)
+	ids := c.replicasByDataset[r.Dataset]
 	for i, x := range ids {
 		if x == id {
 			ids = append(ids[:i:i], ids[i+1:]...)
@@ -314,70 +257,67 @@ func (st *shardState) dropReplica(id string) {
 		}
 	}
 	if len(ids) == 0 {
-		delete(st.replicasByDataset, r.Dataset)
+		delete(c.replicasByDataset, r.Dataset)
 	} else {
-		st.replicasByDataset[r.Dataset] = ids
+		c.replicasByDataset[r.Dataset] = ids
 	}
-	st.reindexMaterialized(r.Dataset)
+	c.reindexMaterialized(r.Dataset)
+	c.ver++
+	c.noteJournal(jReplica, id, true)
+	return true
 }
 
 // reindexMaterialized recomputes one dataset's membership in the
-// materialized set from its replicas and current epoch. The dataset,
-// its replicas, and the flag entry all live on this state's shard.
-func (st *shardState) reindexMaterialized(name string) {
-	ds, ok := st.datasets[name]
+// materialized set from its replicas and current epoch.
+func (c *Catalog) reindexMaterialized(name string) {
+	ds, ok := c.datasets[name]
 	if !ok {
-		delete(st.idx.materialized, name)
+		delete(c.idx.materialized, name)
 		return
 	}
-	for _, id := range st.replicasByDataset[name] {
-		if st.replicas[id].Epoch == ds.Epoch {
-			st.idx.materialized[name] = struct{}{}
+	for _, id := range c.replicasByDataset[name] {
+		if c.replicas[id].Epoch == ds.Epoch {
+			c.idx.materialized[name] = struct{}{}
 			return
 		}
 	}
-	delete(st.idx.materialized, name)
+	delete(c.idx.materialized, name)
 }
 
 // --- verification ------------------------------------------------------
 
 // CheckIndexes rebuilds every secondary index from the primary maps and
-// compares with the incrementally maintained state, shard by shard. It
-// returns nil when they agree; tests call it after WAL replay, imports,
-// and mutation storms to prove the funnel covers every path.
+// compares with the incrementally maintained state. It returns nil when
+// they agree; tests call it after WAL replay, imports, and mutation
+// storms to prove the funnel covers every path.
 func (c *Catalog) CheckIndexes() error {
-	c.rlockAll()
-	defer c.runlockAll()
-	for i, s := range c.shards {
-		want := s.rebuildIndexesLocked()
-		for _, f := range []struct {
-			name      string
-			got, want any
-		}{
-			{"dsAttr", s.idx.dsAttr, want.dsAttr},
-			{"trAttr", s.idx.trAttr, want.trAttr},
-			{"dvAttr", s.idx.dvAttr, want.dvAttr},
-			{"dsByType", s.idx.dsByType, want.dsByType},
-			{"derived", s.idx.derived, want.derived},
-			{"materialized", s.idx.materialized, want.materialized},
-			{"executed", s.idx.executed, want.executed},
-			{"dvByTR", s.idx.dvByTR, want.dvByTR},
-			{"dvByTRBase", s.idx.dvByTRBase, want.dvByTRBase},
-			{"dvByName", s.idx.dvByName, want.dvByName},
-		} {
-			if !reflect.DeepEqual(f.got, f.want) {
-				return fmt.Errorf("catalog: shard %d index %q diverged from rebuild:\n got: %v\nwant: %v", i, f.name, f.got, f.want)
-			}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	want := c.rebuildIndexesLocked()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"dsAttr", c.idx.dsAttr, want.dsAttr},
+		{"trAttr", c.idx.trAttr, want.trAttr},
+		{"dvAttr", c.idx.dvAttr, want.dvAttr},
+		{"dsByType", c.idx.dsByType, want.dsByType},
+		{"derived", c.idx.derived, want.derived},
+		{"materialized", c.idx.materialized, want.materialized},
+		{"executed", c.idx.executed, want.executed},
+		{"dvByTR", c.idx.dvByTR, want.dvByTR},
+		{"dvByTRBase", c.idx.dvByTRBase, want.dvByTRBase},
+		{"dvByName", c.idx.dvByName, want.dvByName},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			return fmt.Errorf("catalog: index %q diverged from rebuild:\n got: %v\nwant: %v", f.name, f.got, f.want)
 		}
 	}
 	return nil
 }
 
-// rebuildIndexesLocked computes one shard's secondary indexes from
-// scratch. Every index entry's source objects are homed on the same
-// shard as the entry (invocations live with their derivation, replicas
-// with their dataset), so the rebuild is shard-local.
-func (st *shardState) rebuildIndexesLocked() indexes {
+// rebuildIndexesLocked computes the secondary indexes from scratch.
+func (st *catalogState) rebuildIndexesLocked() indexes {
 	idx := newIndexes()
 	for name, ds := range st.datasets {
 		attrIndexAdd(idx.dsAttr, ds.Attrs, name)
@@ -414,14 +354,13 @@ func (st *shardState) rebuildIndexesLocked() indexes {
 }
 
 // IndexStats reports the cardinality of every secondary index: the
-// number of distinct keys per keyed index and members per flag set,
-// summed across shards. It feeds the /debug/vdc introspection
-// endpoint, where a surprising cardinality (an attribute key
-// exploding, a flag set empty) is often the first visible symptom of a
-// misbehaving ingest.
+// number of distinct keys per keyed index and members per flag set. It
+// feeds the /debug/vdc introspection endpoint, where a surprising
+// cardinality (an attribute key exploding, a flag set empty) is often
+// the first visible symptom of a misbehaving ingest.
 func (c *Catalog) IndexStats() map[string]int {
-	c.rlockAll()
-	defer c.runlockAll()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	attrKeys := func(m map[string]map[string]IndexSet) int {
 		n := 0
 		for _, vals := range m {
@@ -429,19 +368,17 @@ func (c *Catalog) IndexStats() map[string]int {
 		}
 		return n
 	}
-	out := make(map[string]int, 11)
-	for _, s := range c.shards {
-		out["dataset_attr_keys"] += len(s.idx.dsAttr)
-		out["dataset_attr_values"] += attrKeys(s.idx.dsAttr)
-		out["transformation_attr_keys"] += len(s.idx.trAttr)
-		out["derivation_attr_keys"] += len(s.idx.dvAttr)
-		out["dataset_types"] += len(s.idx.dsByType)
-		out["derived"] += len(s.idx.derived)
-		out["materialized"] += len(s.idx.materialized)
-		out["executed"] += len(s.idx.executed)
-		out["derivations_by_tr"] += len(s.idx.dvByTR)
-		out["derivations_by_tr_base"] += len(s.idx.dvByTRBase)
-		out["derivations_by_name"] += len(s.idx.dvByName)
+	return map[string]int{
+		"dataset_attr_keys":        len(c.idx.dsAttr),
+		"dataset_attr_values":      attrKeys(c.idx.dsAttr),
+		"transformation_attr_keys": len(c.idx.trAttr),
+		"derivation_attr_keys":     len(c.idx.dvAttr),
+		"dataset_types":            len(c.idx.dsByType),
+		"derived":                  len(c.idx.derived),
+		"materialized":             len(c.idx.materialized),
+		"executed":                 len(c.idx.executed),
+		"derivations_by_tr":        len(c.idx.dvByTR),
+		"derivations_by_tr_base":   len(c.idx.dvByTRBase),
+		"derivations_by_name":      len(c.idx.dvByName),
 	}
-	return out
 }

@@ -151,6 +151,44 @@ func TestChangesSinceWindowOverflow(t *testing.T) {
 	}
 }
 
+// TestJournalWindowFloor: trimming past a caller's cursor degrades that
+// caller to a full export — never a silently incomplete delta — while a
+// cursor at the floor JournalState reports gets a true delta of exactly
+// the retained tail, and a current cursor an empty one.
+func TestJournalWindowFloor(t *testing.T) {
+	c := New(nil)
+	c.SetJournalWindow(8)
+	if err := c.AddDataset(jds("base")); err != nil {
+		t.Fatal(err)
+	}
+	since, inst := c.Seq(), c.Instance()
+	for i := 0; i < 200; i++ {
+		if err := c.AddDataset(jds(fmt.Sprintf("flood%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.JournalState()
+	if st.Floor <= since || st.Floor >= st.Seq {
+		t.Fatalf("floor %d not in (%d, %d): window not enforced", st.Floor, since, st.Seq)
+	}
+	if st.Entries < 8 || st.Entries >= 16 || int(st.Seq-st.Floor) != st.Entries {
+		t.Fatalf("journal state %+v: want 8..15 entries, all above the floor", st)
+	}
+	if d := c.ChangesSince(since, inst); !d.Full {
+		t.Fatal("cursor behind the floor must get a full export")
+	}
+	if d := c.ChangesSince(st.Floor-1, inst); !d.Full {
+		t.Fatal("cursor just below the floor must get a full export")
+	}
+	d := c.ChangesSince(st.Floor, inst)
+	if d.Full || len(d.Export.Datasets) != st.Entries {
+		t.Fatalf("cursor at the floor: full=%v, %d datasets; want a delta of %d", d.Full, len(d.Export.Datasets), st.Entries)
+	}
+	if got := c.ChangesSince(c.Seq(), inst); !got.Empty() {
+		t.Fatal("current cursor must get an empty delta")
+	}
+}
+
 // TestDeltaFollowerConvergence replays a mutation history through
 // deltas and checks the follower converges to the leader's export.
 func TestDeltaFollowerConvergence(t *testing.T) {
@@ -240,7 +278,8 @@ func TestReopenedCatalogGetsFreshInstance(t *testing.T) {
 // on a source catalog, shipped as ChangesSince deltas and folded into a
 // target one sync at a time, leaves the target byte-identical to one
 // ImportTolerant of the source's export at that point — after every
-// sync, for single-shard and sharded targets, with nothing skipped.
+// sync, with nothing skipped. (NewSharded ignores the shards=N count;
+// the axis goes with it.)
 func TestApplyDeltaMatchesImport(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for seed := int64(1); seed <= 8; seed++ {

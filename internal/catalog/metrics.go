@@ -17,7 +17,7 @@ var (
 		"Catalog mutations that returned an error, by operation.", "op")
 
 	metricWALAppend = obs.Default.Histogram("vdc_wal_append_seconds",
-		"Latency of encoding one WAL record into its shard log's pending group-commit batch.", obs.TimeBuckets)
+		"Latency of encoding one WAL record into the pending group-commit batch.", obs.TimeBuckets)
 
 	// Group-commit series; see docs/PERF.md.
 	metricWALBatchRecords = obs.Default.Histogram("vdc_wal_batch_records",
@@ -33,19 +33,8 @@ var (
 	metricJournalEntries = obs.Default.Gauge("vdc_journal_entries",
 		"Change-journal entries currently retained (most recently mutated catalog).")
 
-	// Sharding series; see docs/PERF.md, "Catalog sharding". Per-shard
-	// gauges/counters are labeled by shard index and resolved once per
-	// shard at construction, so the hot paths stay one atomic op.
-	metricShardLockWait = obs.Default.Histogram("vdc_catalog_shard_lock_wait_seconds",
-		"Time a mutation spends acquiring its shard write-lock set, including waiting for open Views on those shards to close (contention indicator).", obs.TimeBuckets)
-	metricShardObjects = obs.Default.GaugeVec("vdc_catalog_shard_objects",
-		"Objects homed on each catalog shard (balance indicator).", "shard")
-	metricShardJournal = obs.Default.GaugeVec("vdc_catalog_shard_journal_entries",
-		"Change-journal entries retained per shard; a shard at its window forces lagging crawlers to full exports.", "shard")
-	metricShardBatches = obs.Default.CounterVec("vdc_wal_shard_batches_total",
-		"Group-commit batches written per shard WAL.", "shard")
-	metricShardBatchRecords = obs.Default.CounterVec("vdc_wal_shard_batch_records_total",
-		"Records carried by each shard WAL's group-commit batches; the per-shard ratio is that WAL's batch occupancy.", "shard")
+	metricLockWait = obs.Default.Histogram("vdc_catalog_shard_lock_wait_seconds",
+		"Time a mutation spends acquiring the catalog write lock, including waiting for open Views to close (contention indicator).", obs.TimeBuckets)
 
 	opDefineType   = metricOps.With("define_type")
 	opAddDataset   = metricOps.With("add_dataset")

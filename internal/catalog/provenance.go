@@ -13,21 +13,19 @@ import (
 // from a dataset to its producing derivation and from a derivation to
 // its input datasets; downward (descendant) edges are the inverses.
 //
-// A traversal hops shards: producerOf/consumersOf live on each
-// dataset's home shard, inputsOf/outputsOf on each derivation's. Every
-// entry point walks a View (view.go) — one snapshot under every shard's
-// read lock — and routes each map access to the owning shard's state.
+// Every entry point walks a View (view.go): one snapshot under the
+// catalog's read lock.
 
 // Producer returns the derivation registered as producing the dataset,
 // or ErrNotFound for primary data.
 func (c *Catalog) Producer(dataset string) (schema.Derivation, error) {
 	v := c.View()
 	defer v.Close()
-	id, ok := v.state(dataset).producerOf[dataset]
+	id, ok := v.c.producerOf[dataset]
 	if !ok {
 		return schema.Derivation{}, fmt.Errorf("%w: no producer for dataset %q", ErrNotFound, dataset)
 	}
-	return v.state(id).derivations[id], nil
+	return v.c.derivations[id], nil
 }
 
 // DerivationIO returns the input and output dataset names of a
@@ -35,11 +33,10 @@ func (c *Catalog) Producer(dataset string) (schema.Derivation, error) {
 func (c *Catalog) DerivationIO(id string) (inputs, outputs []string, err error) {
 	v := c.View()
 	defer v.Close()
-	st := v.state(id)
-	if _, ok := st.derivations[id]; !ok {
+	if _, ok := v.c.derivations[id]; !ok {
 		return nil, nil, fmt.Errorf("%w: derivation %q", ErrNotFound, id)
 	}
-	return append([]string(nil), st.inputsOf[id]...), append([]string(nil), st.outputsOf[id]...), nil
+	return append([]string(nil), v.c.inputsOf[id]...), append([]string(nil), v.c.outputsOf[id]...), nil
 }
 
 // Closure identifies a set of datasets and derivations reached by a
@@ -61,19 +58,19 @@ func (c *Catalog) Ancestors(dataset string) (Closure, error) {
 }
 
 func (v *View) ancestors(dataset string) (Closure, error) {
-	if _, ok := v.state(dataset).datasets[dataset]; !ok {
+	if _, ok := v.c.datasets[dataset]; !ok {
 		return Closure{}, fmt.Errorf("%w: dataset %q", ErrNotFound, dataset)
 	}
 	seenDS := make(map[string]bool)
 	seenDV := make(map[string]bool)
 	var walk func(ds string)
 	walk = func(ds string) {
-		dvID, ok := v.state(ds).producerOf[ds]
+		dvID, ok := v.c.producerOf[ds]
 		if !ok || seenDV[dvID] {
 			return
 		}
 		seenDV[dvID] = true
-		for _, in := range v.state(dvID).inputsOf[dvID] {
+		for _, in := range v.c.inputsOf[dvID] {
 			if !seenDS[in] {
 				seenDS[in] = true
 				walk(in)
@@ -94,19 +91,19 @@ func (c *Catalog) Descendants(dataset string) (Closure, error) {
 }
 
 func (v *View) descendants(dataset string) (Closure, error) {
-	if _, ok := v.state(dataset).datasets[dataset]; !ok {
+	if _, ok := v.c.datasets[dataset]; !ok {
 		return Closure{}, fmt.Errorf("%w: dataset %q", ErrNotFound, dataset)
 	}
 	seenDS := make(map[string]bool)
 	seenDV := make(map[string]bool)
 	var walk func(ds string)
 	walk = func(ds string) {
-		for _, dvID := range v.state(ds).consumersOf[ds] {
+		for _, dvID := range v.c.consumersOf[ds] {
 			if seenDV[dvID] {
 				continue
 			}
 			seenDV[dvID] = true
-			for _, out := range v.state(dvID).outputsOf[dvID] {
+			for _, out := range v.c.outputsOf[dvID] {
 				if !seenDS[out] {
 					seenDS[out] = true
 					walk(out)
@@ -207,11 +204,11 @@ func (r LineageReport) DOT() string {
 func (c *Catalog) Lineage(dataset string) (LineageReport, error) {
 	v := c.View()
 	defer v.Close()
-	if _, ok := v.state(dataset).datasets[dataset]; !ok {
+	if _, ok := v.c.datasets[dataset]; !ok {
 		return LineageReport{}, fmt.Errorf("%w: dataset %q", ErrNotFound, dataset)
 	}
 	rep := LineageReport{Dataset: dataset}
-	if _, ok := v.state(dataset).producerOf[dataset]; !ok {
+	if _, ok := v.c.producerOf[dataset]; !ok {
 		rep.Primary = true
 		rep.PrimarySources = []string{dataset}
 		return rep, nil
@@ -227,7 +224,7 @@ func (c *Catalog) Lineage(dataset string) (LineageReport, error) {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		dvID, ok := v.state(cur.ds).producerOf[cur.ds]
+		dvID, ok := v.c.producerOf[cur.ds]
 		if !ok {
 			primaries[cur.ds] = true
 			continue
@@ -236,22 +233,19 @@ func (c *Catalog) Lineage(dataset string) (LineageReport, error) {
 			continue
 		}
 		seenDV[dvID] = true
-		// The derivation, its IO adjacency, and its invocations are all
-		// homed on one shard.
-		ss := v.state(dvID)
-		dv := ss.derivations[dvID]
+		dv := v.c.derivations[dvID]
 		step := LineageStep{
 			Derivation: dv,
 			TR:         dv.TR,
-			Inputs:     append([]string(nil), ss.inputsOf[dvID]...),
-			Outputs:    append([]string(nil), ss.outputsOf[dvID]...),
+			Inputs:     append([]string(nil), v.c.inputsOf[dvID]...),
+			Outputs:    append([]string(nil), v.c.outputsOf[dvID]...),
 			Depth:      cur.depth + 1,
 		}
-		for _, ivID := range ss.invocationsByDV[dvID] {
-			step.Invocations = append(step.Invocations, ss.invocations[ivID])
+		for _, ivID := range v.c.invocationsByDV[dvID] {
+			step.Invocations = append(step.Invocations, v.c.invocations[ivID])
 		}
 		rep.Steps = append(rep.Steps, step)
-		for _, in := range ss.inputsOf[dvID] {
+		for _, in := range v.c.inputsOf[dvID] {
 			if !seenDS[in] {
 				seenDS[in] = true
 				queue = append(queue, qe{in, cur.depth + 1})
@@ -278,7 +272,7 @@ func (c *Catalog) Lineage(dataset string) (LineageReport, error) {
 func (c *Catalog) MaterializationPlan(target string, materialized func(v *View, dataset string) bool) ([]schema.Derivation, error) {
 	v := c.View()
 	defer v.Close()
-	if _, ok := v.state(target).datasets[target]; !ok {
+	if _, ok := v.c.datasets[target]; !ok {
 		return nil, fmt.Errorf("%w: dataset %q", ErrNotFound, target)
 	}
 	if materialized == nil {
@@ -292,7 +286,7 @@ func (c *Catalog) MaterializationPlan(target string, materialized func(v *View, 
 		if materialized(v, ds) {
 			return nil
 		}
-		dvID, ok := v.state(ds).producerOf[ds]
+		dvID, ok := v.c.producerOf[ds]
 		if !ok {
 			return fmt.Errorf("%w: dataset %q is needed%s but is neither materialized nor derivable", ErrNotFound, ds, forWhom)
 		}
@@ -303,14 +297,14 @@ func (c *Catalog) MaterializationPlan(target string, materialized func(v *View, 
 			return fmt.Errorf("%w: derivation cycle at dataset %q", ErrConflict, ds)
 		}
 		visiting[dvID] = true
-		for _, in := range v.state(dvID).inputsOf[dvID] {
+		for _, in := range v.c.inputsOf[dvID] {
 			if err := need(in, fmt.Sprintf(" by derivation %s", dvID)); err != nil {
 				return err
 			}
 		}
 		visiting[dvID] = false
 		done[dvID] = true
-		order = append(order, v.state(dvID).derivations[dvID])
+		order = append(order, v.c.derivations[dvID])
 		return nil
 	}
 	if err := need(target, ""); err != nil {

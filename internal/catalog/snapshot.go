@@ -11,12 +11,12 @@ import (
 )
 
 // Snapshot format selection. The codec name recorded in
-// catalog-meta.json pins what Snapshot() writes, the same way the meta
-// pins the shard count: the recorded value wins on reopen. The read
-// side is self-describing — it loads whichever snapshot file exists
-// (snapshot.bin via the binary codec, snapshot.json via JSON), so a
-// directory survives the transition in either direction: the first
-// Snapshot() under a new pin writes the new file and removes the old.
+// catalog-meta.json pins what Snapshot() writes: the recorded value
+// wins on reopen. The read side is self-describing — it loads
+// whichever snapshot file exists (snapshot.bin via the binary codec,
+// snapshot.json via JSON), so a directory survives the transition in
+// either direction: the first Snapshot() under a new pin writes the new
+// file and removes the old.
 
 const binSnapshotFile = "snapshot.bin"
 
@@ -104,8 +104,8 @@ func DeltaFromCodec(cd *codec.Delta) Delta {
 }
 
 // writeMeta persists catalog-meta.json and fsyncs both the file and
-// its directory: the meta pins shard routing and snapshot format, and
-// a crash that loses it (or tears it) after WAL records exist would
+// its directory: the meta pins the layout and snapshot format, and a
+// crash that loses it (or tears it) after WAL records exist would
 // reopen the directory under the wrong layout.
 func writeMeta(dir string, meta catalogMeta) error {
 	data, err := json.Marshal(meta)
@@ -187,7 +187,7 @@ func (c *Catalog) loadSnapshot(dir string) error {
 // writeSnapshotLocked encodes the export under the pinned format and
 // atomically replaces the snapshot, removing the other format's file
 // so the directory never holds two divergent snapshots. Callers hold
-// every shard's write lock.
+// the write lock (or own the catalog exclusively, as during Open).
 func (c *Catalog) writeSnapshotLocked(exp *Export) error {
 	cdc, err := codec.Lookup(c.snapFormat)
 	if err != nil {

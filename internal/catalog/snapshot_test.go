@@ -55,7 +55,7 @@ func TestSnapshotFormatsEquivalent(t *testing.T) {
 		exports := map[string]Export{}
 		for _, format := range []string{codec.JSONName, codec.BinaryName} {
 			dir := t.TempDir()
-			c, err := Open(dir, nil, Options{SnapshotFormat: format, Shards: 2})
+			c, err := Open(dir, nil, Options{SnapshotFormat: format})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestBinarySnapshotFilesAndPinning(t *testing.T) {
 		t.Fatalf("meta pins %q, want %q", m.SnapshotFormat, codec.BinaryName)
 	}
 
-	// Reopen requesting JSON: the recorded pin wins, like Shards.
+	// Reopen requesting JSON: the recorded pin wins.
 	re, err := Open(dir, nil, Options{SnapshotFormat: codec.JSONName})
 	if err != nil {
 		t.Fatal(err)

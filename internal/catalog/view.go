@@ -1,18 +1,15 @@
 package catalog
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
 
-// View is a consistent read-only snapshot of the catalog. It holds every
-// shard's read lock, taken in ascending shard order, until Close: no
-// mutation applies while it is open, and since multi-shard writers lock
-// in the same order, it never observes a mutation without every
-// mutation that happened-before it.
+// View is a consistent read-only snapshot of the catalog. It holds the
+// catalog's read lock until Close, so no mutation applies while it is
+// open.
 //
 // A View reads the catalog's one copy of state, so it sees a mutation
 // as soon as the mutation is applied, while its fsync may still be in
@@ -25,74 +22,59 @@ import (
 type View struct{ c *Catalog }
 
 // View opens a snapshot. Callers must Close it, and until then must not
-// take a shard lock (call a locked Catalog method such as Dataset,
+// take the catalog lock (call a locked Catalog method such as Dataset,
 // Materialized or Transformation), mutate the catalog, or open a second
-// View. A writer waiting for this View blocks every new read lock on
-// its shards — Go's RWMutex admits no reader past a waiting writer — so
-// any of these deadlocks once a writer arrives. Read through the View
-// instead.
+// View. A writer waiting for this View blocks every new read lock —
+// Go's RWMutex admits no reader past a waiting writer — so any of these
+// deadlocks once a writer arrives. Read through the View instead.
 func (c *Catalog) View() *View {
-	c.rlockAll()
+	c.mu.RLock()
 	return &View{c: c}
 }
 
-// Close releases the snapshot's read locks.
-func (v *View) Close() { v.c.runlockAll() }
+// Close releases the snapshot's read lock.
+func (v *View) Close() { v.c.mu.RUnlock() }
 
 // EpochKey renders the snapshot's identity — journal instance plus the
-// per-shard mutation-version vector — as a compact string. Two views
-// with equal keys observed identical state (versions advance on every
-// mutation, including non-journaled adjacency updates), which is what
-// makes the key safe to cache query results under.
+// mutation version — as a compact string. Two views with equal keys
+// observed identical state (the version advances on every mutation,
+// including type definitions), which is what makes the key safe to
+// cache query results under.
 func (v *View) EpochKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", v.c.jinstance)
-	for _, s := range v.c.shards {
-		fmt.Fprintf(&b, ".%d", s.ver)
-	}
-	return b.String()
+	return strconv.FormatUint(v.c.jinstance, 10) + "." + strconv.FormatUint(v.c.ver, 10)
 }
 
 // Types returns the type registry. The registry has its own lock and
 // outlives the view.
 func (v *View) Types() *dtype.Registry { return v.c.types }
 
-// state returns the state of the shard homing name.
-func (v *View) state(name string) *shardState { return &v.c.shardOf(name).shardState }
-
-// stateTR returns the state of the shard homing a transformation
-// reference.
-func (v *View) stateTR(ref string) *shardState { return &v.c.shardOfTR(ref).shardState }
-
 // --- object access -----------------------------------------------------
 
 // Dataset looks up a dataset by name.
 func (v *View) Dataset(name string) (schema.Dataset, bool) {
-	ds, ok := v.state(name).datasets[name]
+	ds, ok := v.c.datasets[name]
 	return ds, ok
 }
 
 // Transformation looks up a transformation by exact canonical ref (no
 // versionless resolution).
 func (v *View) Transformation(ref string) (schema.Transformation, bool) {
-	tr, ok := v.stateTR(ref).transformations[ref]
+	tr, ok := v.c.transformations[ref]
 	return tr, ok
 }
 
 // Derivation looks up a derivation by ID.
 func (v *View) Derivation(id string) (schema.Derivation, bool) {
-	dv, ok := v.state(id).derivations[id]
+	dv, ok := v.c.derivations[id]
 	return dv, ok
 }
 
 // RangeDatasets calls fn for every dataset, in map (unspecified) order,
 // until fn returns false.
 func (v *View) RangeDatasets(fn func(schema.Dataset) bool) {
-	for _, st := range v.c.shards {
-		for _, ds := range st.datasets {
-			if !fn(ds) {
-				return
-			}
+	for _, ds := range v.c.datasets {
+		if !fn(ds) {
+			return
 		}
 	}
 }
@@ -102,11 +84,9 @@ func (v *View) RangeDatasets(fn func(schema.Dataset) bool) {
 // a caller that can decide on the name alone pays Dataset only for the
 // names it accepts.
 func (v *View) RangeDatasetNames(fn func(name string) bool) {
-	for _, st := range v.c.shards {
-		for name := range st.datasets {
-			if !fn(name) {
-				return
-			}
+	for name := range v.c.datasets {
+		if !fn(name) {
+			return
 		}
 	}
 }
@@ -114,11 +94,9 @@ func (v *View) RangeDatasetNames(fn func(name string) bool) {
 // RangeTransformationRefs calls fn for every canonical transformation
 // ref, in map order, until fn returns false.
 func (v *View) RangeTransformationRefs(fn func(ref string) bool) {
-	for _, st := range v.c.shards {
-		for ref := range st.transformations {
-			if !fn(ref) {
-				return
-			}
+	for ref := range v.c.transformations {
+		if !fn(ref) {
+			return
 		}
 	}
 }
@@ -126,11 +104,9 @@ func (v *View) RangeTransformationRefs(fn func(ref string) bool) {
 // RangeTransformations calls fn for every transformation, in map order,
 // until fn returns false.
 func (v *View) RangeTransformations(fn func(schema.Transformation) bool) {
-	for _, st := range v.c.shards {
-		for _, tr := range st.transformations {
-			if !fn(tr) {
-				return
-			}
+	for _, tr := range v.c.transformations {
+		if !fn(tr) {
+			return
 		}
 	}
 }
@@ -138,11 +114,9 @@ func (v *View) RangeTransformations(fn func(schema.Transformation) bool) {
 // RangeDerivations calls fn for every derivation, in map order, until
 // fn returns false.
 func (v *View) RangeDerivations(fn func(schema.Derivation) bool) {
-	for _, st := range v.c.shards {
-		for _, dv := range st.derivations {
-			if !fn(dv) {
-				return
-			}
+	for _, dv := range v.c.derivations {
+		if !fn(dv) {
+			return
 		}
 	}
 }
@@ -150,26 +124,26 @@ func (v *View) RangeDerivations(fn func(schema.Derivation) bool) {
 // --- per-object predicates --------------------------------------------
 
 // Materialized reports whether the dataset has a current-epoch replica
-// (O(1) from the home shard's flag set).
+// (O(1) from the flag set).
 func (v *View) Materialized(dataset string) bool {
-	return v.state(dataset).idx.materialized.Has(dataset)
+	return v.c.idx.materialized.Has(dataset)
 }
 
 // HasInvocations reports whether the derivation has recorded at least
 // one invocation, without copying them.
 func (v *View) HasInvocations(id string) bool {
-	return v.state(id).idx.executed.Has(id)
+	return v.c.idx.executed.Has(id)
 }
 
 // InvocationCount returns the number of recorded invocations of a
 // derivation.
 func (v *View) InvocationCount(id string) int {
-	return len(v.state(id).invocationsByDV[id])
+	return len(v.c.invocationsByDV[id])
 }
 
 // Consumes reports whether the derivation reads the dataset.
 func (v *View) Consumes(id, dataset string) bool {
-	for _, in := range v.state(id).inputsOf[id] {
+	for _, in := range v.c.inputsOf[id] {
 		if in == dataset {
 			return true
 		}
@@ -179,7 +153,7 @@ func (v *View) Consumes(id, dataset string) bool {
 
 // Produces reports whether the derivation produces the dataset.
 func (v *View) Produces(id, dataset string) bool {
-	return v.state(dataset).producerOf[dataset] == id
+	return v.c.producerOf[dataset] == id
 }
 
 // Ancestors computes the upward provenance closure of a dataset within
@@ -196,12 +170,11 @@ func (v *View) Descendants(dataset string) (Closure, error) {
 
 // --- index access (candidate sets for the query planner) ---------------
 
-// IndexParts is a candidate set held as the snapshot's own index sets,
-// one part per shard (and per exact type, for DatasetsByType) that has
-// members. The parts are never merged or copied, so obtaining a set
-// costs the shard count, not the set's size. Parts are disjoint: every
-// object is indexed on its home shard only, under one key per index.
-// The zero value is the empty set. Like every View result, an
+// IndexParts is a candidate set held as the snapshot's own index sets:
+// one part, or one per conforming exact type for DatasetsByType. The
+// parts are never merged or copied, so obtaining a set costs nothing
+// per member. Parts are disjoint: every object is indexed under one key
+// per index. The zero value is the empty set. Like every View result, an
 // IndexParts is read-only and valid until the View is closed.
 type IndexParts struct{ parts []IndexSet }
 
@@ -246,42 +219,37 @@ func (p IndexParts) Each(fn func(id string)) {
 	}
 }
 
-// gather collects the non-empty set pick selects on each shard.
-func (v *View) gather(pick func(*indexes) IndexSet) IndexParts {
-	parts := make([]IndexSet, 0, len(v.c.shards))
-	for _, st := range v.c.shards {
-		if set := pick(&st.idx); len(set) > 0 {
-			parts = append(parts, set)
-		}
+// partsOf wraps one index set, omitting it when empty.
+func partsOf(set IndexSet) IndexParts {
+	if len(set) == 0 {
+		return IndexParts{}
 	}
-	return IndexParts{parts: parts}
+	return IndexParts{parts: []IndexSet{set}}
 }
 
 // DatasetsByAttr returns the datasets carrying attribute key=value.
 func (v *View) DatasetsByAttr(key, value string) IndexParts {
-	return v.gather(func(ix *indexes) IndexSet { return ix.dsAttr[key][value] })
+	return partsOf(v.c.idx.dsAttr[key][value])
 }
 
 // TransformationsByAttr returns the transformations carrying key=value.
 func (v *View) TransformationsByAttr(key, value string) IndexParts {
-	return v.gather(func(ix *indexes) IndexSet { return ix.trAttr[key][value] })
+	return partsOf(v.c.idx.trAttr[key][value])
 }
 
 // DerivationsByAttr returns the derivations carrying key=value.
 func (v *View) DerivationsByAttr(key, value string) IndexParts {
-	return v.gather(func(ix *indexes) IndexSet { return ix.dvAttr[key][value] })
+	return partsOf(v.c.idx.dvAttr[key][value])
 }
 
 // DatasetsByType returns the datasets whose exact declared type
 // conforms to t (subtype closure via the live registry): one part per
-// shard and conforming exact type.
+// conforming exact type.
 func (v *View) DatasetsByType(t dtype.Type) IndexParts {
 	var parts []IndexSet
-	for _, st := range v.c.shards {
-		for exact, set := range st.idx.dsByType {
-			if v.c.types.Conforms(exact, t) {
-				parts = append(parts, set)
-			}
+	for exact, set := range v.c.idx.dsByType {
+		if v.c.types.Conforms(exact, t) {
+			parts = append(parts, set)
 		}
 	}
 	return IndexParts{parts: parts}
@@ -289,57 +257,55 @@ func (v *View) DatasetsByType(t dtype.Type) IndexParts {
 
 // DerivedDatasets returns the datasets with a producing derivation.
 func (v *View) DerivedDatasets() IndexParts {
-	return v.gather(func(ix *indexes) IndexSet { return ix.derived })
+	return partsOf(v.c.idx.derived)
 }
 
 // MaterializedDatasets returns the datasets with a current-epoch
 // replica.
 func (v *View) MaterializedDatasets() IndexParts {
-	return v.gather(func(ix *indexes) IndexSet { return ix.materialized })
+	return partsOf(v.c.idx.materialized)
 }
 
 // ExecutedDerivations returns the derivations with >=1 invocation.
 func (v *View) ExecutedDerivations() IndexParts {
-	return v.gather(func(ix *indexes) IndexSet { return ix.executed })
+	return partsOf(v.c.idx.executed)
 }
 
 // DerivationsByTR returns the derivations citing the transformation
 // reference: any version of ns::name when ref is versionless, exact
-// matches otherwise. Both index families live on the derivation's home
-// shard, so the sweep spans all shards. A versionless ref reads the
-// base family alone: a derivation citing ref verbatim parses to the same
-// ns::name and so is already filed under that base (putDerivation), and
-// the parts stay disjoint.
+// matches otherwise. A versionless ref reads the base family alone: a
+// derivation citing ref verbatim parses to the same ns::name and so is
+// already filed under that base (indexDerivation).
 func (v *View) DerivationsByTR(ref string) IndexParts {
 	ns, name, ver, err := schema.ParseTRRef(ref)
 	if err != nil || ver != "" {
-		return v.gather(func(ix *indexes) IndexSet { return ix.dvByTR[ref] })
+		return partsOf(v.c.idx.dvByTR[ref])
 	}
 	baseRef := schema.FormatTRRef(ns, name, "")
-	return v.gather(func(ix *indexes) IndexSet { return ix.dvByTRBase[baseRef] })
+	return partsOf(v.c.idx.dvByTRBase[baseRef])
 }
 
 // DerivationsByName returns the derivations whose display name (Name,
 // or ID when unnamed) equals name.
 func (v *View) DerivationsByName(name string) IndexParts {
-	return v.gather(func(ix *indexes) IndexSet { return ix.dvByName[name] })
+	return partsOf(v.c.idx.dvByName[name])
 }
 
 // HasTransformation reports whether the exact canonical ref is
 // registered.
 func (v *View) HasTransformation(ref string) bool {
-	_, ok := v.stateTR(ref).transformations[ref]
+	_, ok := v.c.transformations[ref]
 	return ok
 }
 
 // ConsumersOf returns the IDs of derivations reading the dataset (the
 // snapshot's own slice — read-only).
 func (v *View) ConsumersOf(dataset string) []string {
-	return v.state(dataset).consumersOf[dataset]
+	return v.c.consumersOf[dataset]
 }
 
 // ProducerOf returns the ID of the derivation producing the dataset,
 // or "" for primary data.
 func (v *View) ProducerOf(dataset string) string {
-	return v.state(dataset).producerOf[dataset]
+	return v.c.producerOf[dataset]
 }

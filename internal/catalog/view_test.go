@@ -11,12 +11,11 @@ import (
 	"chimera/internal/schema"
 )
 
-// Each shard keeps one copy of its state, so every read path — a View,
+// The catalog keeps one copy of its state, so every read path — a View,
 // the locked point reads, Export — must observe the same state at every
 // moment. The tests here check that through randomized histories, a
-// concurrent mutation storm (run under -race in CI), crash-replay of
-// the shard WALs, and both the 1-shard and 8-shard layouts; plus the
-// acknowledgement guarantee: an acknowledged mutation is in the next
+// concurrent mutation storm (run under -race in CI) and crash-replay of
+// the WAL; plus the acknowledgement guarantee: an acknowledged mutation is in the next
 // View.
 
 // requireReadPathsAgree asserts that a View and the locked point reads
@@ -111,8 +110,8 @@ func TestOneCopyReadPathsAgree(t *testing.T) {
 
 // TestEpochMatchesLockedOracleRandomized replays randomized histories
 // serially and requires a View and the locked point reads to agree at
-// every checkpoint, on both the 1-shard degenerate layout and an
-// 8-shard catalog.
+// every checkpoint. The shards=N subtests name the histories they seed
+// (NewSharded ignores the count).
 func TestEpochMatchesLockedOracleRandomized(t *testing.T) {
 	for _, n := range []int{1, 8} {
 		for seed := int64(0); seed < 3; seed++ {
@@ -132,14 +131,14 @@ func TestEpochMatchesLockedOracleRandomized(t *testing.T) {
 	}
 }
 
-// TestEpochEquivalenceStorm is the -race storm: 8 writers mutate an
-// 8-shard catalog with disjoint commuting histories while 4 readers
+// TestEpochEquivalenceStorm is the -race storm: 8 writers mutate the
+// catalog with disjoint commuting histories while 4 readers
 // loop View + full Export, so writers keep waiting for open Views and
 // new Views keep queueing behind waiting writers. A View's epoch key
 // must not move while it is open; at barriers between history segments
 // (writers quiescent, readers still running) a View and the locked
 // reads must agree; and the final state must match a serial replay on
-// the 1-shard oracle.
+// a fresh catalog.
 func TestEpochEquivalenceStorm(t *testing.T) {
 	const writers, segments = 8, 4
 	histories := make([][][]mutation, writers)
@@ -156,7 +155,7 @@ func TestEpochEquivalenceStorm(t *testing.T) {
 		}
 	}
 
-	c := NewSharded(dtype.StandardRegistry(), 8)
+	c := New(dtype.StandardRegistry())
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	defer readers.Wait()
@@ -220,7 +219,7 @@ func TestEpochEquivalenceStorm(t *testing.T) {
 // pre-crash state, and its read paths must agree.
 func TestEpochCrashReplayPublishes(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, dtype.StandardRegistry(), Options{Shards: 8})
+	c, err := Open(dir, dtype.StandardRegistry(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +239,9 @@ func TestEpochCrashReplayPublishes(t *testing.T) {
 }
 
 // TestAckedWriteVisibleToNextView pins the acknowledgement guarantee:
-// while a reader holds a View for ~50 ms, two mutations on the same
-// shard wait for it to close and return only once applied, so a View
-// opened right after the second returns contains both.
+// while a reader holds a View for ~50 ms, two mutations wait for it to
+// close and return only once applied, so a View opened right after the
+// second returns contains both.
 func TestAckedWriteVisibleToNextView(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {

@@ -8,23 +8,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
 
-// Durability: every mutation appends one JSON-lines record to its home
-// shard's WAL in the catalog directory (wal.jsonl for a single-shard
-// catalog, wal-<i>.jsonl per shard otherwise); Snapshot() compacts the
-// full merged state into snapshot.json and truncates every log. Open
-// replays snapshot + logs, so a crash between append and response
-// loses at most the in-flight operation. catalog-meta.json pins the
-// shard count a directory was created with — the on-disk count always
-// wins over Options.Shards on reopen, because each record must replay
-// against the same routing that wrote it.
+// Durability: every mutation appends JSON-lines records to wal.jsonl in
+// the catalog directory; Snapshot() compacts the full state into the
+// snapshot file and truncates the log. Open replays snapshot + log, so
+// a crash between append and response loses at most the in-flight
+// operation. catalog-meta.json pins the snapshot format.
 
 type opKind string
 
@@ -71,22 +67,16 @@ const (
 
 // catalogMeta pins on-disk layout facts that must survive reopen.
 type catalogMeta struct {
-	Shards int `json:"shards"`
+	// Shards is the shard count a directory written by the former
+	// sharded catalog records; 0 or 1 means the one-log layout, more
+	// means Open must convert the directory (legacy.go). New metas omit
+	// it.
+	Shards int `json:"shards,omitempty"`
 	// SnapshotFormat is the codec name Snapshot() writes with
 	// (codec.JSONName or codec.BinaryName). Empty in metas written
 	// before the codec registry existed; resolved to the requested
 	// format (and re-recorded) on first reopen.
 	SnapshotFormat string `json:"snapshot_format,omitempty"`
-}
-
-// walPath returns shard i's log path under the n-shard layout. A
-// single-shard catalog keeps the pre-sharding name so existing
-// directories reopen unchanged.
-func walPath(dir string, i, n int) string {
-	if n == 1 {
-		return filepath.Join(dir, walFile)
-	}
-	return filepath.Join(dir, "wal-"+strconv.Itoa(i)+".jsonl")
 }
 
 // Options configure a durable catalog.
@@ -96,23 +86,19 @@ type Options struct {
 	// concurrent mutations share one fsync per batch.
 	Sync bool
 
-	// Shards partitions the catalog (clamped to [1, MaxShards]): each
-	// shard owns its own lock, WAL file, change journal, and secondary
-	// indexes, so concurrent writers on different objects proceed in
-	// parallel. 0 means 1. The count is fixed at directory creation
-	// (recorded in catalog-meta.json) and the recorded count wins on
-	// reopen; a directory holding pre-sharding state without a meta
-	// file reopens single-shard.
+	// Shards is ignored.
+	//
+	// Deprecated: ignored; the catalog has one lock.
 	Shards int
 
 	// SnapshotFormat names the codec Snapshot() persists with:
-	// codec.JSONName (the default when empty) or codec.BinaryName. Like
-	// Shards it is pinned in catalog-meta.json once recorded, and the
-	// recorded value wins on reopen; metas from before the codec
-	// registry adopt the requested format on their first reopen. The
-	// read path is self-describing (it loads whichever snapshot file
-	// exists), so repinning via a fresh directory converts state on the
-	// next Snapshot().
+	// codec.JSONName (the default when empty) or codec.BinaryName. It is
+	// pinned in catalog-meta.json once recorded, and the recorded value
+	// wins on reopen; metas from before the codec registry adopt the
+	// requested format on their first reopen. The read path is
+	// self-describing (it loads whichever snapshot file exists), so
+	// repinning via a fresh directory converts state on the next
+	// Snapshot().
 	SnapshotFormat string
 }
 
@@ -124,45 +110,51 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: open: %w", err)
 	}
 
-	// Resolve the layout pins: the directory's recorded shard count and
-	// snapshot format win, a pre-sharding directory (data but no meta)
-	// is single-shard, and a fresh directory records what was requested.
+	// Resolve the layout pins: the directory's recorded snapshot format
+	// wins, and a fresh (or pre-meta) directory records what was
+	// requested.
 	format, err := normalizeSnapshotFormat(opts.SnapshotFormat)
 	if err != nil {
 		return nil, err
 	}
-	shards := normalizeShards(opts.Shards)
+	legacyShards := 0
 	metaPath := filepath.Join(dir, metaFile)
 	if data, err := os.ReadFile(metaPath); err == nil {
 		var meta catalogMeta
 		if err := json.Unmarshal(data, &meta); err != nil {
 			return nil, fmt.Errorf("catalog: meta %s: %w", metaPath, err)
 		}
-		shards = normalizeShards(meta.Shards)
+		if meta.Shards < 0 || meta.Shards > maxLegacyShards {
+			return nil, fmt.Errorf("catalog: meta %s: shard count %d outside [0, %d]", metaPath, meta.Shards, maxLegacyShards)
+		}
+		if meta.Shards > 1 {
+			legacyShards = meta.Shards
+		}
 		if meta.SnapshotFormat != "" {
 			if format, err = normalizeSnapshotFormat(meta.SnapshotFormat); err != nil {
 				return nil, err
 			}
-		} else {
-			// Pre-codec meta: adopt the requested format and pin it.
-			if err := writeMeta(dir, catalogMeta{Shards: shards, SnapshotFormat: format}); err != nil {
+		} else if legacyShards == 0 {
+			// Pre-codec meta: adopt the requested format and pin it. (A
+			// legacy conversion rewrites the meta anyway.)
+			meta.SnapshotFormat = format
+			if err := writeMeta(dir, meta); err != nil {
 				return nil, err
 			}
 		}
 	} else if errors.Is(err, os.ErrNotExist) {
-		if _, serr := os.Stat(filepath.Join(dir, walFile)); serr == nil {
-			shards = 1
-		} else if _, serr := os.Stat(filepath.Join(dir, snapshotFile)); serr == nil {
-			shards = 1
-		}
-		if err := writeMeta(dir, catalogMeta{Shards: shards, SnapshotFormat: format}); err != nil {
+		if err := writeMeta(dir, catalogMeta{SnapshotFormat: format}); err != nil {
 			return nil, err
 		}
 	} else {
 		return nil, fmt.Errorf("catalog: meta: %w", err)
 	}
 
-	c := NewSharded(dtype.NewRegistry(), shards)
+	if err := checkShardLogs(dir, legacyShards); err != nil {
+		return nil, err
+	}
+
+	c := New(dtype.NewRegistry())
 	c.dir = dir
 	c.snapFormat = format
 	if seed != nil {
@@ -174,41 +166,28 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	if err := c.loadSnapshot(dir); err != nil {
 		return nil, err
 	}
-
-	// Replay every shard's log. A record replays against the shard
-	// layout that wrote it (meta pins the count), so each object lands
-	// back on its home shard; only derivations can reference state in
-	// *another* shard's log (their transformation), so unresolvable
-	// ones are deferred until every log is in.
-	var deferred []schema.Derivation
-	for i := range c.shards {
-		path := walPath(dir, i, shards)
-		if f, err := os.Open(path); err == nil {
-			err = c.replay(f, &deferred)
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("catalog: wal: %w", err)
+	logPath := filepath.Join(dir, walFile)
+	if legacyShards > 0 {
+		if err := c.convertLegacy(legacyShards); err != nil {
+			return nil, err
 		}
-	}
-	if err := c.replayDeferred(deferred); err != nil {
-		return nil, err
-	}
-
-	for i, s := range c.shards {
-		f, err := os.OpenFile(walPath(dir, i, shards), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	} else if f, err := os.Open(logPath); err == nil {
+		err = c.replay(f, nil)
+		f.Close()
 		if err != nil {
-			c.Close() // the logs already opened
-			return nil, fmt.Errorf("catalog: wal: %w", err)
+			return nil, err
 		}
-		com := newCommitter(f, opts.Sync)
-		com.setShardMetrics(strconv.Itoa(i))
-		s.wal = &wal{f: f, com: com}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("catalog: wal: %w", err)
 	}
-	// The logs may have just been created; writeMeta's directory sync
-	// came before them.
+
+	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: wal: %w", err)
+	}
+	c.wal = &wal{f: f, com: newCommitter(f, opts.Sync)}
+	// The log may have just been created; writeMeta's directory sync
+	// came before it.
 	if err := syncDir(dir); err != nil {
 		c.Close()
 		return nil, err
@@ -216,72 +195,59 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	return c, nil
 }
 
-// Close flushes every shard's group committer (returning the first
-// sticky failure), makes the logs durable, and closes them. The catalog
-// remains usable in memory but further mutations are not persisted.
+// Close flushes the group committer (returning its sticky failure, if
+// any), makes the log durable, and closes it. The catalog remains usable
+// in memory but further mutations are not persisted.
 func (c *Catalog) Close() error {
-	set := c.allSet()
-	c.lockSet(set)
-	defer c.unlockSet(set)
-	var firstErr error
-	for _, s := range c.shards {
-		if s.wal == nil {
-			continue
-		}
-		w := s.wal
-		s.wal = nil
-		if err := w.com.flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if w.com.fsync && firstErr == nil {
-			// A clean shutdown must be as durable as every acknowledged
-			// mutation: fsync before the descriptor goes away.
-			if err := w.f.Sync(); err != nil {
-				firstErr = fmt.Errorf("catalog: wal close sync: %w", err)
-			}
-		}
-		if err := w.f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// DurabilityErr reports the first shard WAL's sticky failure, if any:
-// non-nil once a WAL write or fsync has failed, after which every
-// further mutation on that shard is rejected. In-memory catalogs
-// always return nil.
-func (c *Catalog) DurabilityErr() error {
-	for _, s := range c.shards {
-		s.mu.RLock()
-		var err error
-		if s.wal != nil {
-			err = s.wal.com.failure()
-		}
-		s.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// logOp records one operation in the shard's WAL. Callers hold s.mu.
-// The record is only enqueued here; Catalog.mutate waits for its batch
-// off-lock.
-func (s *cshard) logOp(op opKind, v any) error {
-	if s.wal == nil {
+	c.lock()
+	defer c.mu.Unlock()
+	w := c.wal
+	if w == nil {
 		return nil
 	}
-	seq, err := s.wal.com.enqueue(op, v)
+	c.wal = nil
+	err := w.com.flush()
+	if w.com.fsync && err == nil {
+		// A clean shutdown must be as durable as every acknowledged
+		// mutation: fsync before the descriptor goes away.
+		if serr := w.f.Sync(); serr != nil {
+			err = fmt.Errorf("catalog: wal close sync: %w", serr)
+		}
+	}
+	if cerr := w.f.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// DurabilityErr reports the WAL's sticky failure, if any: non-nil once a
+// WAL write or fsync has failed, after which every further mutation is
+// rejected. In-memory catalogs always return nil.
+func (c *Catalog) DurabilityErr() error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.wal == nil {
+		return nil
+	}
+	return c.wal.com.failure()
+}
+
+// logOp records one operation in the WAL. Callers hold the write lock.
+// The record is only enqueued here; Catalog.mutate waits for its batch
+// off-lock.
+func (c *Catalog) logOp(op opKind, v any) error {
+	if c.wal == nil {
+		return nil
+	}
+	seq, err := c.wal.com.enqueue(op, v)
 	if err != nil {
 		return err
 	}
-	s.pendingSeq = seq
+	c.pendingSeq = seq
 	return nil
 }
 
-// replay applies one shard log's records to the in-memory state. Only
+// replay applies one log's records to the in-memory state. Only
 // a truncated *final* line (torn write during a crash) is tolerated; a
 // corrupt record followed by further records means the log itself is
 // damaged, and silently dropping the tail would lose acknowledged
@@ -315,39 +281,11 @@ func (c *Catalog) replay(r io.Reader, deferred *[]schema.Derivation) error {
 	return sc.Err()
 }
 
-// replayDeferred retries derivations whose transformations lived in a
-// shard log that had not been replayed yet when they were first seen.
-// Rounds repeat until a round makes no progress; whatever remains
-// cites a transformation that exists in no log, which is real
-// corruption, not ordering.
-func (c *Catalog) replayDeferred(deferred []schema.Derivation) error {
-	for len(deferred) > 0 {
-		var still []schema.Derivation
-		var firstErr error
-		for _, dv := range deferred {
-			tr, err := c.shardOfTR(dv.TR).transformationLocked(dv.TR)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("catalog: replay: derivation %s: %w", dv.ID, err)
-				}
-				still = append(still, dv)
-				continue
-			}
-			c.indexDerivation(dv, tr)
-		}
-		if len(still) == len(deferred) {
-			return firstErr
-		}
-		deferred = still
-	}
-	return nil
-}
-
 // apply replays one record directly onto the maps and indexes, without
 // re-validation (records were validated before being logged) and
-// without re-logging. Routing mirrors the original mutation: each
-// record was logged to its object's home shard, and the put helpers
-// route it back there.
+// without re-logging. A nil deferred makes a derivation whose
+// transformation is unknown an error; a legacy conversion passes a
+// list to collect such derivations instead (legacy.go).
 func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 	switch rec.Op {
 	case opType:
@@ -355,8 +293,8 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		if err := json.Unmarshal(rec.Data, &t); err != nil {
 			return err
 		}
-		c.shards[0].ver++ // conformance answers change
-		c.shards[0].noteJournal(c, jTypes, "", false)
+		c.ver++ // conformance answers change
+		c.noteJournal(jTypes, "", false)
 		return c.types.Register(dtype.Dimension(t.Dim), t.Name, t.Parent)
 	case opDataset:
 		var ds schema.Dataset
@@ -375,11 +313,11 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		if err := json.Unmarshal(rec.Data, &dv); err != nil {
 			return err
 		}
-		tr, err := c.shardOfTR(dv.TR).transformationLocked(dv.TR)
+		tr, err := c.transformationLocked(dv.TR)
 		if err != nil {
 			if deferred != nil {
-				// The transformation may live in a log not yet replayed;
-				// retry after all shards are in (replayDeferred).
+				// The transformation may live in a legacy log not yet
+				// replayed; retry after all are in (replayDeferred).
 				*deferred = append(*deferred, dv)
 				return nil
 			}
@@ -410,9 +348,14 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		if err := json.Unmarshal(rec.Data, &a); err != nil {
 			return err
 		}
-		c.shards[0].compat = append(c.shards[0].compat, a)
-		c.shards[0].ver++
-		c.shards[0].noteJournal(c, jCompat, "", false)
+		// A log replayed over a snapshot that already holds the
+		// assertion (a crash between a snapshot's rename and the log's
+		// truncation) must not add it twice.
+		if !slices.Contains(c.compat, a) {
+			c.compat = append(c.compat, a)
+			c.ver++
+			c.noteJournal(jCompat, "", false)
+		}
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
@@ -431,12 +374,11 @@ type Export struct {
 	Compat          []schema.CompatibilityAssertion `json:"compat,omitempty"`
 }
 
-// Export captures the catalog's full state under every shard's read
-// lock, merged with a deterministic sort, so the result is identical no
-// matter how the objects were distributed.
+// Export captures the catalog's full state under the read lock, in a
+// deterministic order.
 func (c *Catalog) Export() Export {
-	c.rlockAll()
-	defer c.runlockAll()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.exportLocked()
 }
 
@@ -445,7 +387,7 @@ func (v *View) Export() Export { return v.c.exportLocked() }
 
 // Sort orders every object slice by its identity, the canonical order
 // Export() itself produces. Callers assembling an Export by hand (e.g.
-// a federation shard reconstructing member state from deltas) use it so
+// a federation index reconstructing member state from deltas) use it so
 // downstream merges stay deterministic.
 func (exp *Export) Sort() { sortExport(exp) }
 
@@ -458,15 +400,14 @@ func sortExport(exp *Export) {
 }
 
 // applyExport loads an export into an empty catalog. Transformations
-// land before derivations, so cross-shard references resolve without
-// deferral.
+// land before derivations, so every reference resolves.
 func (c *Catalog) applyExport(exp Export) error {
 	if exp.Types != nil {
 		if err := c.types.Merge(exp.Types); err != nil {
 			return err
 		}
-		c.shards[0].ver++ // conformance answers change
-		c.shards[0].noteJournal(c, jTypes, "", false)
+		c.ver++ // conformance answers change
+		c.noteJournal(jTypes, "", false)
 	}
 	for _, ds := range exp.Datasets {
 		c.putDataset(ds)
@@ -475,7 +416,7 @@ func (c *Catalog) applyExport(exp Export) error {
 		c.putTransformation(tr)
 	}
 	for _, dv := range exp.Derivations {
-		tr, err := c.shardOfTR(dv.TR).transformationLocked(dv.TR)
+		tr, err := c.transformationLocked(dv.TR)
 		if err != nil {
 			return fmt.Errorf("catalog: import derivation %s: %w", dv.ID, err)
 		}
@@ -485,14 +426,14 @@ func (c *Catalog) applyExport(exp Export) error {
 		c.putInvocation(iv)
 	}
 	for _, r := range exp.Replicas {
-		if _, ok := c.shardOf(r.Dataset).replicas[r.ID]; !ok {
+		if _, ok := c.replicas[r.ID]; !ok {
 			c.putReplica(r)
 		}
 	}
 	if len(exp.Compat) > 0 {
-		c.shards[0].compat = append(c.shards[0].compat, exp.Compat...)
-		c.shards[0].ver++
-		c.shards[0].noteJournal(c, jCompat, "", false)
+		c.compat = append(c.compat, exp.Compat...)
+		c.ver++
+		c.noteJournal(jCompat, "", false)
 	}
 	return nil
 }
@@ -502,10 +443,10 @@ func (c *Catalog) applyExport(exp Export) error {
 // It runs under the mutation lock so the journal (and concurrent readers
 // of the registry) see a consistent update.
 func (c *Catalog) mergeTypes(reg *dtype.Registry) {
-	_ = c.mutate(shardSet(0).with(0), func() error {
+	_ = c.mutate(func() error {
 		_ = c.types.Merge(reg)
-		c.shards[0].ver++ // conformance answers change
-		c.shards[0].noteJournal(c, jTypes, "", false)
+		c.ver++ // conformance answers change
+		c.noteJournal(jTypes, "", false)
 		return nil
 	})
 }
@@ -620,15 +561,13 @@ func (c *Catalog) Import(exp Export) error {
 	return nil
 }
 
-// Snapshot compacts the durable state: the full merged catalog is
-// written to snapshot.json and every shard's WAL truncated, all under
-// every shard's write lock so the snapshot is one consistent cut
-// across shards. No-op for in-memory catalogs.
+// Snapshot compacts the durable state: the full catalog is written to
+// the snapshot file and the WAL truncated, under the write lock so the
+// snapshot is one consistent cut. No-op for in-memory catalogs.
 func (c *Catalog) Snapshot() error {
-	set := c.allSet()
-	c.lockSet(set)
-	defer c.unlockSet(set)
-	if c.shards[0].wal == nil {
+	c.lock()
+	defer c.mu.Unlock()
+	if c.wal == nil {
 		return nil
 	}
 	opSnapshot.Inc()
@@ -637,47 +576,38 @@ func (c *Catalog) Snapshot() error {
 	if err := c.writeSnapshotLocked(&exp); err != nil {
 		return err
 	}
-	// Flush each committer (every shard lock is held, so no queue can
-	// grow), then truncate the logs now that the snapshot covers them.
-	for _, s := range c.shards {
-		if s.wal == nil {
-			continue
-		}
-		if err := s.wal.com.flush(); err != nil {
-			return err
-		}
-		if err := s.wal.f.Truncate(0); err != nil {
-			return err
-		}
-		if _, err := s.wal.f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
+	// Flush the committer (the lock is held, so the queue cannot grow),
+	// then truncate the log now that the snapshot covers it.
+	if err := c.wal.com.flush(); err != nil {
+		return err
 	}
-	return nil
+	if err := c.wal.f.Truncate(0); err != nil {
+		return err
+	}
+	_, err := c.wal.f.Seek(0, io.SeekStart)
+	return err
 }
 
-// exportLocked merges every shard's state into one sorted Export.
-// Callers hold every shard's lock (read or write).
+// exportLocked copies the state into one sorted Export. Callers hold the
+// lock (read or write).
 func (c *Catalog) exportLocked() Export {
 	exp := Export{Types: c.types.Clone()}
-	for _, st := range c.shards {
-		for _, ds := range st.datasets {
-			exp.Datasets = append(exp.Datasets, ds)
-		}
-		for _, tr := range st.transformations {
-			exp.Transformations = append(exp.Transformations, tr)
-		}
-		for _, dv := range st.derivations {
-			exp.Derivations = append(exp.Derivations, dv)
-		}
-		for _, iv := range st.invocations {
-			exp.Invocations = append(exp.Invocations, iv)
-		}
-		for _, r := range st.replicas {
-			exp.Replicas = append(exp.Replicas, r)
-		}
+	for _, ds := range c.datasets {
+		exp.Datasets = append(exp.Datasets, ds)
 	}
-	exp.Compat = append([]schema.CompatibilityAssertion(nil), c.shards[0].compat...)
+	for _, tr := range c.transformations {
+		exp.Transformations = append(exp.Transformations, tr)
+	}
+	for _, dv := range c.derivations {
+		exp.Derivations = append(exp.Derivations, dv)
+	}
+	for _, iv := range c.invocations {
+		exp.Invocations = append(exp.Invocations, iv)
+	}
+	for _, r := range c.replicas {
+		exp.Replicas = append(exp.Replicas, r)
+	}
+	exp.Compat = append([]schema.CompatibilityAssertion(nil), c.compat...)
 	sortExport(&exp)
 	return exp
 }

@@ -132,34 +132,29 @@ func TestSnapshotCompaction(t *testing.T) {
 	requireSameState(t, c, c2)
 }
 
-// logBytes sums the sizes of an n-shard directory's logs.
-func logBytes(t *testing.T, dir string, n int) int64 {
+// logBytes reports the size of a directory's log.
+func logBytes(t *testing.T, dir string) int64 {
 	t.Helper()
-	var total int64
-	for i := 0; i < n; i++ {
-		fi, err := os.Stat(walPath(dir, i, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
+	fi, err := os.Stat(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return total
+	return fi.Size()
 }
 
 // TestSnapshotSyncsDirBeforeTruncate checks the order a crash-safe
 // Snapshot needs: the directory sync that makes the new snapshot's
-// rename durable runs while the logs still hold every record, so a
+// rename durable runs while the log still holds every record, so a
 // crash can lose the truncation but never the rename.
 func TestSnapshotSyncsDirBeforeTruncate(t *testing.T) {
-	const shards = 2
 	dir := t.TempDir()
-	c, err := Open(dir, nil, Options{Sync: true, Shards: shards})
+	c, err := Open(dir, nil, Options{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	populate(t, c)
-	logged := logBytes(t, dir, shards)
+	logged := logBytes(t, dir)
 
 	syncs := 0
 	prev := syncDir
@@ -169,8 +164,8 @@ func TestSnapshotSyncsDirBeforeTruncate(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(d, snapshotFile)); err != nil {
 			t.Errorf("directory synced before the snapshot was renamed into place: %v", err)
 		}
-		if got := logBytes(t, d, shards); got != logged {
-			t.Errorf("logs hold %d bytes at the directory sync, want all %d", got, logged)
+		if got := logBytes(t, d); got != logged {
+			t.Errorf("log holds %d bytes at the directory sync, want all %d", got, logged)
 		}
 		return prev(d)
 	}
@@ -180,36 +175,30 @@ func TestSnapshotSyncsDirBeforeTruncate(t *testing.T) {
 	if syncs != 1 {
 		t.Fatalf("Snapshot synced the directory %d times, want 1", syncs)
 	}
-	if got := logBytes(t, dir, shards); got != 0 {
-		t.Fatalf("logs not truncated: %d bytes", got)
+	if got := logBytes(t, dir); got != 0 {
+		t.Fatalf("log not truncated: %d bytes", got)
 	}
 }
 
 // TestOpenSyncsDirAfterCreatingLogs: a fresh directory's last directory
-// sync in Open must come after every shard log exists, or the logs'
-// entries are not durable.
+// sync in Open must come after the log exists, or its entry is not
+// durable.
 func TestOpenSyncsDirAfterCreatingLogs(t *testing.T) {
-	const shards = 4
-	var sawLogs []bool
+	var sawLog []bool
 	prev := syncDir
 	t.Cleanup(func() { syncDir = prev })
 	syncDir = func(d string) error {
-		all := true
-		for i := 0; i < shards; i++ {
-			if _, err := os.Stat(walPath(d, i, shards)); err != nil {
-				all = false
-			}
-		}
-		sawLogs = append(sawLogs, all)
+		_, err := os.Stat(filepath.Join(d, walFile))
+		sawLog = append(sawLog, err == nil)
 		return prev(d)
 	}
-	c, err := Open(t.TempDir(), nil, Options{Shards: shards})
+	c, err := Open(t.TempDir(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if n := len(sawLogs); n == 0 || !sawLogs[n-1] {
-		t.Fatalf("directory syncs saw every log: %v; the last must", sawLogs)
+	if n := len(sawLog); n == 0 || !sawLog[n-1] {
+		t.Fatalf("directory syncs saw the log: %v; the last must", sawLog)
 	}
 }
 
@@ -405,4 +394,50 @@ func TestCrashConsistencyManyOps(t *testing.T) {
 		t.Errorf("derivations after replay: %d", c2.Stats().Derivations)
 	}
 	requireSameState(t, c, c2)
+}
+
+// TestCrashReplayRehomedReplica: a replica removed and registered again
+// under another dataset must reopen, after a crash, where it was last
+// acknowledged. (Replaying per-shard logs one after another re-added
+// the new record before the old shard's removal deleted it.)
+func TestCrashReplayRehomedReplica(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, nil, Options{Sync: true, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ds.old", "ds.new"} {
+		if err := c.AddDataset(schema.Dataset{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AddReplica(schema.Replica{ID: "r1", Dataset: "ds.old", Site: "a", PFN: "/a/r1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveReplica("r1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddReplica(schema.Replica{ID: "r1", Dataset: "ds.new", Site: "b", PFN: "/b/r1"}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: reopen without Close.
+	c2, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if got := c2.ReplicasOf("ds.new"); len(got) != 1 || got[0].ID != "r1" {
+		t.Fatalf("ReplicasOf(ds.new) = %v, want [r1]", got)
+	}
+	if got := c2.ReplicasOf("ds.old"); len(got) != 0 {
+		t.Fatalf("ReplicasOf(ds.old) = %v, want none", got)
+	}
+	if !c2.Materialized("ds.new") || c2.Materialized("ds.old") {
+		t.Fatalf("Materialized: ds.new=%v ds.old=%v, want true/false", c2.Materialized("ds.new"), c2.Materialized("ds.old"))
+	}
+	if err := c2.CheckIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 }

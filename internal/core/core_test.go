@@ -270,11 +270,11 @@ func TestMaterializeFailurePropagates(t *testing.T) {
 // Estimate's predicate)
 // must therefore read through the View; one that called a locked
 // Catalog method would hang here against 8 concurrent writers on a
-// 4-shard durable catalog.
+// durable catalog.
 func TestMaterializationPlanUnderConcurrentWriters(t *testing.T) {
 	const chain, writers, perWriter = 12, 8, 150
 	dir := t.TempDir()
-	cat, err := catalog.Open(filepath.Join(dir, "cat"), nil, catalog.Options{Shards: 4})
+	cat, err := catalog.Open(filepath.Join(dir, "cat"), nil, catalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

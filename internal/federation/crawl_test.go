@@ -594,21 +594,12 @@ func TestFoldDegradesToRebuild(t *testing.T) {
 	}
 }
 
-// siteSharded is site() with an 8-shard member catalog: the member's
-// journal is per-shard and its exports are scatter-gather merges.
-func siteSharded(t *testing.T, name string) (*catalog.Catalog, *vds.Client) {
-	t.Helper()
-	cat := catalog.NewSharded(nil, 8)
-	hs := httptest.NewServer(vds.NewServer(name, cat))
-	t.Cleanup(hs.Close)
-	return cat, vds.NewClient(hs.URL)
-}
-
 // TestDeltaCrawlShardedMembersMixedOverflow drives a 16-member
-// federation where every member catalog is sharded, concurrent writers
-// mutate the members during the burst, and half the members run a tiny
-// journal window. After a big burst those members' per-shard journals
-// have trimmed past the crawler's cursor — their next delta degrades to
+// federation where concurrent writers mutate the members during the
+// burst and half the members run a tiny journal window. (Its name
+// predates the one-lock catalog, when every member was sharded.) After
+// a big burst those members' journals have trimmed past the crawler's
+// cursor — their next delta degrades to
 // a full-export fallback — while the quiet members still serve true
 // deltas. The merged incremental crawl must match the fullCrawl oracle
 // exactly in either regime.
@@ -618,11 +609,11 @@ func TestDeltaCrawlShardedMembersMixedOverflow(t *testing.T) {
 	cats := make([]*catalog.Catalog, nMembers)
 	for i := 0; i < nMembers; i++ {
 		name := fmt.Sprintf("m%d", i)
-		cat, client := siteSharded(t, name)
+		cat, client, _ := site(t, name)
 		cats[i] = cat
 		if i%2 == 0 {
-			// Overflow candidates: any burst larger than ~2x4 entries on
-			// one shard trims past a crawler that last saw the pre-burst
+			// Overflow candidates: any burst larger than ~2x4 entries
+			// trims past a crawler that last saw the pre-burst
 			// sequence.
 			cat.SetJournalWindow(4)
 		}

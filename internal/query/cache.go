@@ -14,12 +14,11 @@ import (
 )
 
 // Query result cache. Results are cached under the *normalized
-// predicate plus the view's epoch vector* (catalog.View.EpochKey): the
-// per-shard mutation versions advance on every applied closure, so a
+// predicate plus the view's epoch key* (catalog.View.EpochKey): the
+// catalog's mutation version advances on every applied closure, so a
 // key can never serve stale results — any mutation anywhere in the
-// catalog (including non-journaled adjacency updates and type
-// registrations) moves at least one shard's version and the next run
-// of the same query misses to a fresh execution. Invalidation is
+// catalog (type registrations included) moves the version and the
+// next run of the same query misses to a fresh execution. Invalidation is
 // therefore free: old entries are never wrong, merely unreachable, and
 // the LRU bound reclaims them.
 //

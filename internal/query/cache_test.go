@@ -68,7 +68,7 @@ func TestCacheHitServesIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnMutation: any catalog mutation moves a shard's
+// TestCacheInvalidationOnMutation: any catalog mutation moves the
 // epoch version, so the same query misses and observes the new state —
 // entries can go stale but can never be served stale.
 func TestCacheInvalidationOnMutation(t *testing.T) {

@@ -18,8 +18,8 @@ import (
 //
 //   - *indexed* conjuncts, whose exact matching set the catalog's
 //     secondary indexes hold. The view hands each set out as its own
-//     per-shard parts (catalog.IndexParts), never merged or copied; the
-//     planner iterates the smallest and probes the others.
+//     parts (catalog.IndexParts), never merged or copied; the planner
+//     iterates the smallest and probes the others.
 //   - *key tests*, decided on the candidate's identifier before the object
 //     is loaded: `name ~ p` and `name != v` on datasets and transformations
 //     (whose name is the map key), and the unmaterialized half of `virtual`.
@@ -410,7 +410,7 @@ func (p *queryPlan) acceptKey(id string) bool {
 	return true
 }
 
-// run evaluates e against a catalog View (every shard's read lock, held
+// run evaluates e against a catalog View (the catalog's read lock, held
 // for the run), consulted through the result cache.
 func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
 	if kind != KDataset && kind != KTransformation && kind != KDerivation {
@@ -424,7 +424,7 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Result
 	defer v.Close()
 
 	// Cache lookup. The view is acquired *first* and the key derived
-	// from its own epoch vector, so a hit is exactly a prior execution
+	// from its own epoch key, so a hit is exactly a prior execution
 	// against byte-identical state.
 	useCache := planCache.enabled()
 	var key string
@@ -586,19 +586,19 @@ func Explain(c *catalog.Catalog, kind Kind, e Expr) (string, error) {
 
 // ExplainInfo is Explain plus the cache placement of the query: whether
 // a run right now would be answered from the result cache, and the
-// epoch vector (journal instance + per-shard mutation versions) that
-// placement was validated against. vds surfaces it via ?explain=1.
+// epoch key (journal instance + mutation version) that placement was
+// validated against. vds surfaces it via ?explain=1.
 type ExplainInfo struct {
 	Plan string `json:"plan"`
 	// Cached reports whether a cached result exists for this exact
-	// predicate at the current epoch vector.
+	// predicate at the current epoch key.
 	Cached bool `json:"cached"`
-	// Epoch is the view's epoch vector the cache probe keyed on.
+	// Epoch is the view's epoch key the cache probe keyed on.
 	Epoch string `json:"epoch"`
 }
 
 // ExplainQuery plans a query and reports the plan together with its
-// cache placement at the current epoch vector.
+// cache placement at the current epoch key.
 func ExplainQuery(c *catalog.Catalog, kind Kind, e Expr) (ExplainInfo, error) {
 	if kind != KDataset && kind != KTransformation && kind != KDerivation {
 		return ExplainInfo{}, fmt.Errorf("query: invalid kind %d", int(kind))

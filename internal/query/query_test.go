@@ -18,9 +18,9 @@ import (
 //	clusters = bcgSearch(brg1, brg2)   [executed]
 func fixture(t testing.TB) *catalog.Catalog { return fixtureShards(t, 1) }
 
-// shardCounts are the catalogs every query fixture runs on: one shard,
-// where a candidate set is a single live index set, and the four the
-// daemon ships with, where it is per-shard parts.
+// shardCounts name the subtests every query fixture runs under. The
+// catalog has one lock and NewSharded ignores the count; the subtests
+// keep their names until NewSharded is deleted.
 var shardCounts = []int{1, 4}
 
 // eachShardCount runs fn as one subtest per shard count.

@@ -12,9 +12,9 @@ import (
 // discover_wide workload queries (benchmark/gen.go): per chain one
 // tagged raw dataset and three derived stages, names
 // caves.raw.NNNN / caves.sJ.NNNN.
-func cavesCatalog(tb testing.TB, shards, chains int) *catalog.Catalog {
+func cavesCatalog(tb testing.TB, chains int) *catalog.Catalog {
 	tb.Helper()
-	c := catalog.NewSharded(nil, shards)
+	c := catalog.New(nil)
 	for j := 0; j < 3; j++ {
 		if err := c.AddTransformation(schema.Transformation{
 			Namespace: "caves", Name: fmt.Sprintf("stage%d", j), Kind: schema.Simple, Exec: "/cms/caves/stage",
@@ -57,15 +57,14 @@ func evalUncached(tb testing.TB, c *catalog.Catalog, kind Kind, e Expr) Results 
 }
 
 // TestPointQueryAllocsIndependentOfCatalogSize guards the answer-bound
-// property on the shard count the daemon ships with: `name = X and
-// derived` probes the derived flag set's per-shard parts, so a ten times
-// larger catalog must not cost one allocation more. (Merging the parts
+// property: `name = X and derived` probes the derived flag set, so a ten
+// times larger catalog must not cost one allocation more. (Merging the parts
 // into one set, as the planner once did, allocates with the catalog.)
 func TestPointQueryAllocsIndependentOfCatalogSize(t *testing.T) {
 	e := mustParse(t, `name = caves.s2.0007 and derived`)
 	var allocs []float64
 	for _, chains := range []int{250, 2500} { // 1k and 10k datasets
-		c := cavesCatalog(t, 4, chains)
+		c := cavesCatalog(t, chains)
 		if res := evalUncached(t, c, KDataset, e); len(res.Datasets) != 1 {
 			t.Fatalf("%d chains: got %d rows, want 1", chains, len(res.Datasets))
 		}
@@ -77,10 +76,10 @@ func TestPointQueryAllocsIndependentOfCatalogSize(t *testing.T) {
 }
 
 // BenchmarkDiscoverShapes times one uncached execution of each predicate
-// shape of the discover_wide workload on a 4-shard, 70k-object base.
+// shape of the discover_wide workload on a 70k-object base.
 func BenchmarkDiscoverShapes(b *testing.B) {
 	const chains = 10000
-	c := cavesCatalog(b, 4, chains)
+	c := cavesCatalog(b, chains)
 	shapes := []struct {
 		name string
 		kind Kind

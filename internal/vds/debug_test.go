@@ -109,6 +109,7 @@ func TestDebugVDC(t *testing.T) {
 		Name    string `json:"name"`
 		Journal struct {
 			Seq     uint64  `json:"seq"`
+			Floor   *uint64 `json:"floor"`
 			Window  int     `json:"window"`
 			Entries int     `json:"entries"`
 			Occ     float64 `json:"occupancy"`
@@ -125,7 +126,7 @@ func TestDebugVDC(t *testing.T) {
 	if info.Name != "debug.test" {
 		t.Errorf("name = %q", info.Name)
 	}
-	if info.Journal.Seq == 0 || info.Journal.Entries == 0 || info.Journal.Window == 0 {
+	if info.Journal.Seq == 0 || info.Journal.Floor == nil || info.Journal.Entries == 0 || info.Journal.Window == 0 {
 		t.Errorf("journal cursor empty: %+v", info.Journal)
 	}
 	if info.Indexes["dataset_attr_keys"] != 1 || info.Indexes["dataset_attr_values"] != 1 {

@@ -110,7 +110,6 @@ func (s *Server) routes() {
 		info := map[string]any{
 			"name":          s.Name,
 			"journal":       s.Cat.JournalState(),
-			"shard_cursors": s.Cat.ShardJournalStates(),
 			"indexes":       s.Cat.IndexStats(),
 			"stats":         s.Cat.Stats(),
 			"query_cache":   query.CacheStats(),
