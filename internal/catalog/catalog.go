@@ -60,11 +60,6 @@ type Catalog struct {
 	// (c.datasets, c.idx, ...). Guarded by mu.
 	catalogState
 
-	// ver counts every mutation applied, journaled or not: it is
-	// View.EpochKey's version, the query cache's invalidation key.
-	// Guarded by mu.
-	ver uint64
-
 	// Change journal (journal.go): the bounded tail of the catalog's
 	// mutations, seq-ascending. trimmed is the highest sequence ever
 	// dropped from it: a delta request `since` is serviceable iff
@@ -74,9 +69,15 @@ type Catalog struct {
 	jwindow int
 
 	// jseq is the mutation sequence (advanced under mu, read without
-	// it by Seq); jinstance invalidates sequences across instances.
+	// it by Seq): every state change draws the next value, so it is
+	// View.EpochKey's version and the query cache's invalidation key.
+	// jinstance invalidates sequences across instances.
 	jseq      atomic.Uint64
 	jinstance uint64
+
+	// memo is View.Memo's one slot. Views install it concurrently
+	// under the read lock, hence atomic.
+	memo atomic.Pointer[memoSlot]
 
 	wal *wal // nil for purely in-memory catalogs; guarded by mu
 
@@ -172,9 +173,8 @@ func (c *Catalog) DefineType(d dtype.Dimension, name, parent string) (err error)
 		}
 		// The registry is not part of the locked state (it has its own
 		// lock), but a definition changes type-conformance answers —
-		// advance the mutation version so every cached query result
-		// keyed on the old one invalidates.
-		c.ver++
+		// advance the sequence so every cached query result built on
+		// the old one invalidates.
 		c.noteJournal(jTypes, "", false)
 		return c.logOp(opType, typeRecord{Dim: int(d), Name: name, Parent: parent})
 	})
@@ -395,7 +395,6 @@ func (c *Catalog) AssertCompatibility(a schema.CompatibilityAssertion) (err erro
 			}
 		}
 		c.compat = append(c.compat, a)
-		c.ver++
 		c.noteJournal(jCompat, "", false)
 		return c.logOp(opCompat, a)
 	})

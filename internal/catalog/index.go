@@ -124,9 +124,9 @@ func attrIndexRemove(idx map[string]map[string]IndexSet, attrs schema.Attributes
 
 // --- mutation funnel ---------------------------------------------------
 //
-// Each put*/drop* applies one edit to the maps and indexes, advances the
-// mutation version (Catalog.ver) and journals it. Callers hold the write
-// lock (or own the catalog exclusively, as during Open).
+// Each put*/drop* applies one edit to the maps and indexes and journals
+// it, which advances the mutation sequence (Catalog.jseq). Callers hold
+// the write lock (or own the catalog exclusively, as during Open).
 
 // putDataset installs or replaces a dataset record and all its index
 // entries.
@@ -148,7 +148,6 @@ func (c *Catalog) putDataset(ds schema.Dataset) {
 	}
 	// An epoch change can flip materialization either way.
 	c.reindexMaterialized(ds.Name)
-	c.ver++
 	c.noteJournal(jDataset, ds.Name, false)
 }
 
@@ -182,7 +181,6 @@ func (c *Catalog) putTransformation(tr schema.Transformation) {
 	}
 	c.transformations[ref] = tr
 	attrIndexAdd(c.idx.trAttr, tr.Attrs, ref)
-	c.ver++
 	c.noteJournal(jTransformation, ref, false)
 }
 
@@ -213,7 +211,6 @@ func (c *Catalog) indexDerivation(dv schema.Derivation, tr schema.Transformation
 		name = dv.ID
 	}
 	setAdd(c.idx.dvByName, name, dv.ID)
-	c.ver++
 	c.noteJournal(jDerivation, dv.ID, false)
 }
 
@@ -225,7 +222,6 @@ func (c *Catalog) putInvocation(iv schema.Invocation) {
 	c.invocations[iv.ID] = iv
 	c.invocationsByDV[iv.Derivation] = append(c.invocationsByDV[iv.Derivation], iv.ID)
 	c.idx.executed[iv.Derivation] = struct{}{}
-	c.ver++
 	c.noteJournal(jInvocation, iv.ID, false)
 }
 
@@ -238,7 +234,6 @@ func (c *Catalog) putReplica(r schema.Replica) {
 	}
 	c.replicas[r.ID] = r
 	c.reindexMaterialized(r.Dataset)
-	c.ver++
 	c.noteJournal(jReplica, r.ID, false)
 }
 
@@ -262,7 +257,6 @@ func (c *Catalog) dropReplica(id string) bool {
 		c.replicasByDataset[r.Dataset] = ids
 	}
 	c.reindexMaterialized(r.Dataset)
-	c.ver++
 	c.noteJournal(jReplica, id, true)
 	return true
 }

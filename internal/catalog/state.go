@@ -10,9 +10,9 @@ import (
 // (catalogState, embedded in Catalog) under one RWMutex. Every mutation
 // applies to that state once, under the write lock, appends its records
 // to the one WAL (wal.jsonl) and its entries to the one change journal,
-// and advances the one mutation version (Catalog.ver) the query cache
-// keys on. The fsync happens after the lock is released (commit.go), so
-// concurrent writers share it.
+// whose sequence (Catalog.jseq) is the one mutation version the query
+// cache keys on. The fsync happens after the lock is released
+// (commit.go), so concurrent writers share it.
 //
 // A View (view.go) holds the read lock until it is closed. A writer
 // therefore waits for the Views open when it arrives, and a View opened

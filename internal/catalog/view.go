@@ -35,13 +35,39 @@ func (c *Catalog) View() *View {
 // Close releases the snapshot's read lock.
 func (v *View) Close() { v.c.mu.RUnlock() }
 
-// EpochKey renders the snapshot's identity — journal instance plus the
-// mutation version — as a compact string. Two views with equal keys
-// observed identical state (the version advances on every mutation,
-// including type definitions), which is what makes the key safe to
-// cache query results under.
+// EpochKey renders the snapshot's identity — the journal cursor
+// (instance, seq) — as "instance.seq". Two views with equal keys
+// observed identical state: every mutation, type definitions included,
+// draws the next sequence.
 func (v *View) EpochKey() string {
-	return strconv.FormatUint(v.c.jinstance, 10) + "." + strconv.FormatUint(v.c.ver, 10)
+	return strconv.FormatUint(v.c.jinstance, 10) + "." + strconv.FormatUint(v.c.jseq.Load(), 10)
+}
+
+// memoSlot is the value View.Memo holds, tagged with the sequence it
+// was built for.
+type memoSlot struct {
+	seq uint64
+	val any
+}
+
+// Memo returns the catalog's memoized value for the snapshot's state,
+// installing fresh() in its place when the slot was built for another
+// sequence (or never). The sequence advances only under the write lock,
+// so while the View is open the value belongs to exactly the state the
+// View reads, and the first Memo after a mutation drops the old one.
+// The catalog never looks inside; the query result cache is its user.
+func (v *View) Memo(fresh func() any) any {
+	seq := v.c.jseq.Load()
+	for {
+		old := v.c.memo.Load()
+		if old != nil && old.seq == seq {
+			return old.val
+		}
+		m := &memoSlot{seq: seq, val: fresh()}
+		if v.c.memo.CompareAndSwap(old, m) {
+			return m.val
+		}
+	}
 }
 
 // Types returns the type registry. The registry has its own lock and

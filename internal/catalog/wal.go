@@ -293,8 +293,7 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		if err := json.Unmarshal(rec.Data, &t); err != nil {
 			return err
 		}
-		c.ver++ // conformance answers change
-		c.noteJournal(jTypes, "", false)
+		c.noteJournal(jTypes, "", false) // conformance answers change
 		return c.types.Register(dtype.Dimension(t.Dim), t.Name, t.Parent)
 	case opDataset:
 		var ds schema.Dataset
@@ -353,7 +352,6 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		// truncation) must not add it twice.
 		if !slices.Contains(c.compat, a) {
 			c.compat = append(c.compat, a)
-			c.ver++
 			c.noteJournal(jCompat, "", false)
 		}
 	default:
@@ -406,8 +404,7 @@ func (c *Catalog) applyExport(exp Export) error {
 		if err := c.types.Merge(exp.Types); err != nil {
 			return err
 		}
-		c.ver++ // conformance answers change
-		c.noteJournal(jTypes, "", false)
+		c.noteJournal(jTypes, "", false) // conformance answers change
 	}
 	for _, ds := range exp.Datasets {
 		c.putDataset(ds)
@@ -432,7 +429,6 @@ func (c *Catalog) applyExport(exp Export) error {
 	}
 	if len(exp.Compat) > 0 {
 		c.compat = append(c.compat, exp.Compat...)
-		c.ver++
 		c.noteJournal(jCompat, "", false)
 	}
 	return nil
@@ -445,8 +441,7 @@ func (c *Catalog) applyExport(exp Export) error {
 func (c *Catalog) mergeTypes(reg *dtype.Registry) {
 	_ = c.mutate(func() error {
 		_ = c.types.Merge(reg)
-		c.ver++ // conformance answers change
-		c.noteJournal(jTypes, "", false)
+		c.noteJournal(jTypes, "", false) // conformance answers change
 		return nil
 	})
 }

@@ -2,9 +2,7 @@ package query
 
 import (
 	"container/list"
-	"hash/fnv"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,177 +11,116 @@ import (
 	"chimera/internal/schema"
 )
 
-// Query result cache. Results are cached under the *normalized
-// predicate plus the view's epoch key* (catalog.View.EpochKey): the
-// catalog's mutation version advances on every applied closure, so a
-// key can never serve stale results — any mutation anywhere in the
-// catalog (type registrations included) moves the version and the
-// next run of the same query misses to a fresh execution. Invalidation is
-// therefore free: old entries are never wrong, merely unreachable, and
-// the LRU bound reclaims them.
+// Query result cache. Each catalog holds one resultCache in its
+// View.Memo slot, built for the catalog's current journal sequence, so
+// an entry is keyed on the object kind and canonical predicate alone:
+// a hit is a prior run of the same query against identical state. The
+// first query after a mutation installs a fresh cache and the old one,
+// whose entries nothing could hit again, becomes garbage — invalidation
+// costs nothing and holds no memory.
 //
-// The cache is sharded to keep the hot analyst path from serializing
-// on one mutex; each shard is an independent LRU over its slice of the
-// key space.
+// Within one version the cache is an LRU bounded by
+// SetPlanCacheCapacity. Recency order earns its list: evicting an
+// arbitrary entry instead loses discover_wide a sixth of its hits
+// (docs/PERF.md).
 
-const cacheShardCount = 8
-
-// DefaultPlanCacheCapacity bounds the total cached results unless
+// DefaultPlanCacheCapacity bounds each catalog's cached results unless
 // SetPlanCacheCapacity overrides it.
 const DefaultPlanCacheCapacity = 1024
 
 var (
 	metricPlanCacheHits = obs.Default.Counter("vdc_query_plan_cache_hits_total",
-		"Query runs answered from the plan/result cache (predicate + epoch vector match).")
+		"Query runs answered from the plan/result cache (same predicate at the same catalog version).")
 	metricPlanCacheMisses = obs.Default.Counter("vdc_query_plan_cache_misses_total",
-		"Query runs that executed because no cache entry matched the predicate at the current epoch.")
+		"Query runs that executed because no cache entry matched the predicate at the current catalog version.")
 	metricPlanCacheEvictions = obs.Default.Counter("vdc_query_plan_cache_evictions_total",
-		"Cache entries evicted by the LRU bound (stale-epoch entries age out here).")
+		"Cache entries evicted by the per-catalog LRU bound (entries of an older catalog version are dropped whole and not counted).")
 
 	queryRunsCached = metricQueryRuns.With("cached")
 	querySecsCached = metricQuerySeconds.With("cached")
 )
+
+// planCacheCap is the per-catalog entry bound; 0 disables the cache.
+var planCacheCap atomic.Int64
+
+func init() { planCacheCap.Store(DefaultPlanCacheCapacity) }
 
 type cacheEntry struct {
 	key string
 	res Results
 }
 
-type cacheShard struct {
+// resultCache is one catalog version's LRU of query results.
+type resultCache struct {
 	mu sync.Mutex
 	ll *list.List               // front = most recently used
 	m  map[string]*list.Element // key -> element holding *cacheEntry
 }
 
-type resultCache struct {
-	shards   [cacheShardCount]cacheShard
-	perShard atomic.Int64 // capacity per shard; <= 0 disables the cache
+func newResultCache() any {
+	return &resultCache{ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-var planCache = newResultCache(DefaultPlanCacheCapacity)
-
-func newResultCache(total int) *resultCache {
-	c := &resultCache{}
-	for i := range c.shards {
-		c.shards[i].ll = list.New()
-		c.shards[i].m = make(map[string]*list.Element)
-	}
-	c.setCapacity(total)
-	return c
-}
-
-func (c *resultCache) setCapacity(total int) {
-	if total <= 0 {
-		c.perShard.Store(0)
-		for i := range c.shards {
-			s := &c.shards[i]
-			s.mu.Lock()
-			s.ll.Init()
-			s.m = make(map[string]*list.Element)
-			s.mu.Unlock()
-		}
-		return
-	}
-	per := (total + cacheShardCount - 1) / cacheShardCount
-	c.perShard.Store(int64(per))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for s.ll.Len() > per {
-			c.evictOldest(s)
-		}
-		s.mu.Unlock()
-	}
-}
-
-func (c *resultCache) enabled() bool { return c.perShard.Load() > 0 }
-
-func (c *resultCache) shardOf(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShardCount]
-}
+// cacheOf returns the result cache of v's catalog at v's state.
+func cacheOf(v *catalog.View) *resultCache { return v.Memo(newResultCache).(*resultCache) }
 
 // get returns a defensive copy of the cached results for key, if any.
 func (c *resultCache) get(key string) (Results, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	el, ok := s.m[key]
+	c.mu.Lock()
+	el, ok := c.m[key]
 	if !ok {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return Results{}, false
 	}
-	s.ll.MoveToFront(el)
+	c.ll.MoveToFront(el)
 	res := el.Value.(*cacheEntry).res
-	s.mu.Unlock()
+	c.mu.Unlock()
 	return cloneResults(res), true
 }
 
 // has reports whether key is cached, without touching recency
 // (Explain's probe must not distort the LRU).
 func (c *resultCache) has(key string) bool {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	_, ok := s.m[key]
-	s.mu.Unlock()
+	c.mu.Lock()
+	_, ok := c.m[key]
+	c.mu.Unlock()
 	return ok
 }
 
 func (c *resultCache) put(key string, res Results) {
-	per := int(c.perShard.Load())
-	if per <= 0 {
+	capacity := int(planCacheCap.Load())
+	if capacity <= 0 {
 		return
 	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if el, ok := s.m[key]; ok {
-		// A concurrent run of the same query at the same epoch raced us
-		// here; both executed against identical snapshots, so the values
-		// are interchangeable.
-		s.ll.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		// A concurrent run of the same query raced us here; both
+		// executed against identical state, so the values are
+		// interchangeable.
+		c.ll.MoveToFront(el)
 		el.Value.(*cacheEntry).res = res
-		s.mu.Unlock()
 		return
 	}
-	s.m[key] = s.ll.PushFront(&cacheEntry{key: key, res: res})
-	for s.ll.Len() > per {
-		c.evictOldest(s)
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	for c.ll.Len() > capacity {
+		el := c.ll.Back()
+		c.ll.Remove(el)
+		delete(c.m, el.Value.(*cacheEntry).key)
+		metricPlanCacheEvictions.Inc()
 	}
-	s.mu.Unlock()
-}
-
-// evictOldest drops the least-recently-used entry. Callers hold s.mu.
-func (c *resultCache) evictOldest(s *cacheShard) {
-	el := s.ll.Back()
-	if el == nil {
-		return
-	}
-	s.ll.Remove(el)
-	delete(s.m, el.Value.(*cacheEntry).key)
-	metricPlanCacheEvictions.Inc()
 }
 
 func (c *resultCache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
-// cacheKey is the cache identity of one query: object kind, the
-// expression's canonical rendering, and the snapshot's epoch vector.
-func cacheKey(kind Kind, e Expr, v *catalog.View) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(int(kind)))
-	b.WriteByte('|')
-	b.WriteString(e.String())
-	b.WriteByte('|')
-	b.WriteString(v.EpochKey())
-	return b.String()
+// cacheKey is the cache identity of one query within a catalog
+// version: object kind and the expression's canonical rendering.
+func cacheKey(kind Kind, e Expr) string {
+	return strconv.Itoa(int(kind)) + "|" + e.String()
 }
 
 // cloneResults shallow-copies the result slices so cached storage is
@@ -196,28 +133,39 @@ func cloneResults(r Results) Results {
 	}
 }
 
-// SetPlanCacheCapacity bounds the total cached query results across the
-// process; n <= 0 disables and clears the cache. The default is
-// DefaultPlanCacheCapacity.
-func SetPlanCacheCapacity(n int) { planCache.setCapacity(n) }
+// SetPlanCacheCapacity bounds the cached query results each catalog
+// holds; n <= 0 disables the cache, so runs neither read nor fill it.
+// The default is DefaultPlanCacheCapacity. A cache over a lowered bound
+// shrinks at its next insertion, and every cache is dropped whole at
+// its catalog's next mutation.
+func SetPlanCacheCapacity(n int) { planCacheCap.Store(int64(max(n, 0))) }
 
-// CacheInfo is the cache readout /debug/vdc reports.
+func cacheEnabled() bool { return planCacheCap.Load() > 0 }
+
+// CacheInfo is the process-wide cache readout: the per-catalog bound
+// and cumulative counters over every catalog.
 type CacheInfo struct {
 	Capacity  int    `json:"capacity"`
-	Size      int    `json:"size"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 }
 
-// CacheStats reports the plan/result cache's occupancy and cumulative
+// CacheStats reports the per-catalog capacity and the cumulative
 // hit/miss/eviction counters.
 func CacheStats() CacheInfo {
 	return CacheInfo{
-		Capacity:  int(planCache.perShard.Load()) * cacheShardCount,
-		Size:      planCache.len(),
+		Capacity:  int(planCacheCap.Load()),
 		Hits:      metricPlanCacheHits.Value(),
 		Misses:    metricPlanCacheMisses.Value(),
 		Evictions: metricPlanCacheEvictions.Value(),
 	}
+}
+
+// CacheSize reports how many query results c's cache holds at c's
+// current version.
+func CacheSize(c *catalog.Catalog) int {
+	v := c.View()
+	defer v.Close()
+	return cacheOf(v).len()
 }

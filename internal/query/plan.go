@@ -423,14 +423,14 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Result
 	v := c.View()
 	defer v.Close()
 
-	// Cache lookup. The view is acquired *first* and the key derived
-	// from its own epoch key, so a hit is exactly a prior execution
-	// against byte-identical state.
-	useCache := planCache.enabled()
+	// Cache lookup. The view is acquired *first* and the cache taken
+	// from it, so a hit is exactly a prior execution against identical
+	// state.
+	var cache *resultCache
 	var key string
-	if useCache {
-		key = cacheKey(kind, e, v)
-		if res, ok := planCache.get(key); ok {
+	if cacheEnabled() {
+		cache, key = cacheOf(v), cacheKey(kind, e)
+		if res, ok := cache.get(key); ok {
 			metricPlanCacheHits.Inc()
 			span.SetAttr("path", "cached")
 			queryRunsCached.Inc()
@@ -445,8 +445,8 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Result
 		span.SetError(err)
 		return Results{}, err
 	}
-	if useCache {
-		planCache.put(key, cloneResults(res))
+	if cache != nil {
+		cache.put(key, cloneResults(res))
 	}
 	if p.scan {
 		span.SetAttr("path", "scan")
@@ -586,19 +586,20 @@ func Explain(c *catalog.Catalog, kind Kind, e Expr) (string, error) {
 
 // ExplainInfo is Explain plus the cache placement of the query: whether
 // a run right now would be answered from the result cache, and the
-// epoch key (journal instance + mutation version) that placement was
+// catalog version (journal instance + sequence) that placement was
 // validated against. vds surfaces it via ?explain=1.
 type ExplainInfo struct {
 	Plan string `json:"plan"`
 	// Cached reports whether a cached result exists for this exact
-	// predicate at the current epoch key.
+	// predicate at the catalog's current version.
 	Cached bool `json:"cached"`
-	// Epoch is the view's epoch key the cache probe keyed on.
+	// Epoch is that version, the view's journal cursor
+	// "instance.seq" (/debug/vdc's journal reports the same pair).
 	Epoch string `json:"epoch"`
 }
 
 // ExplainQuery plans a query and reports the plan together with its
-// cache placement at the current epoch key.
+// cache placement at the catalog's current version.
 func ExplainQuery(c *catalog.Catalog, kind Kind, e Expr) (ExplainInfo, error) {
 	if kind != KDataset && kind != KTransformation && kind != KDerivation {
 		return ExplainInfo{}, fmt.Errorf("query: invalid kind %d", int(kind))
@@ -611,8 +612,8 @@ func ExplainQuery(c *catalog.Catalog, kind Kind, e Expr) (ExplainInfo, error) {
 		return ExplainInfo{}, err
 	}
 	info := ExplainInfo{Plan: p.String(), Epoch: v.EpochKey()}
-	if planCache.enabled() {
-		info.Cached = planCache.has(cacheKey(kind, e, v))
+	if cacheEnabled() {
+		info.Cached = cacheOf(v).has(cacheKey(kind, e))
 	}
 	return info, nil
 }

@@ -83,7 +83,8 @@ func TestSlowRing(t *testing.T) {
 }
 
 // TestDebugVDC exercises the introspection endpoint: journal cursor,
-// index cardinalities, slow requests, and the OnDebug hook.
+// index cardinalities, slow requests, the query cache size and the
+// OnDebug hook.
 func TestDebugVDC(t *testing.T) {
 	cat := catalog.New(nil)
 	if err := cat.AddDataset(schema.Dataset{Name: "d1", Attrs: schema.Attributes{"owner": "ivan"}}); err != nil {
@@ -140,6 +141,37 @@ func TestDebugVDC(t *testing.T) {
 	}
 	if info.Extra != "hook" {
 		t.Error("OnDebug hook not applied")
+	}
+
+	// query_cache.size counts the served catalog's entries at its
+	// current version: a search caches one, a mutation drops it.
+	cacheSize := func() int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vdc", nil))
+		var info struct {
+			QueryCache struct {
+				Size *int `json:"size"`
+			} `json:"query_cache"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || info.QueryCache.Size == nil {
+			t.Fatalf("query_cache.size missing (%v): %s", err, rec.Body.String())
+		}
+		return *info.QueryCache.Size
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/datasets?query=attr.owner+%3D+ivan", nil))
+	if rec.Code != 200 {
+		t.Fatalf("search: %d %s", rec.Code, rec.Body.String())
+	}
+	if got := cacheSize(); got != 1 {
+		t.Errorf("query_cache.size after one search = %d, want 1", got)
+	}
+	if err := cat.AddDataset(schema.Dataset{Name: "d2"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cacheSize(); got != 0 {
+		t.Errorf("query_cache.size after a mutation = %d, want 0", got)
 	}
 }
 

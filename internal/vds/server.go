@@ -72,6 +72,13 @@ type PutDerivationResponse struct {
 	Reused bool `json:"reused"`
 }
 
+// cacheInfo is /debug/vdc's query_cache: the process-wide counters plus
+// the served catalog's entry count at its current version.
+type cacheInfo struct {
+	query.CacheInfo
+	Size int `json:"size"`
+}
+
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
@@ -112,7 +119,7 @@ func (s *Server) routes() {
 			"journal":       s.Cat.JournalState(),
 			"indexes":       s.Cat.IndexStats(),
 			"stats":         s.Cat.Stats(),
-			"query_cache":   query.CacheStats(),
+			"query_cache":   cacheInfo{query.CacheStats(), query.CacheSize(s.Cat)},
 			"slow_requests": s.slow.snapshot(),
 			"goroutines":    runtime.NumGoroutine(),
 		}
@@ -330,8 +337,9 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, kind query.Kind)
 	}
 	// ?explain=1 returns the planner's EXPLAIN string instead of
 	// executing the query, plus the result cache's placement: whether a
-	// run right now would be served from the cache, and the epoch vector
-	// that placement was validated against.
+	// run right now would be served from the cache, and the catalog
+	// version (the journal cursor "instance.seq") that placement was
+	// validated against.
 	if r.URL.Query().Get("explain") != "" {
 		info, err := query.ExplainQuery(s.Cat, kind, e)
 		if err != nil {
