@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"chimera/internal/codec"
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
@@ -176,7 +177,7 @@ func (c *Catalog) DefineType(d dtype.Dimension, name, parent string) (err error)
 		// advance the sequence so every cached query result built on
 		// the old one invalidates.
 		c.noteJournal(jTypes, "", false)
-		return c.logOp(opType, typeRecord{Dim: int(d), Name: name, Parent: parent})
+		return c.logOp(opType, codec.TypeDef{Dim: int(d), Name: name, Parent: parent})
 	})
 }
 

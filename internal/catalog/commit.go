@@ -1,8 +1,6 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -10,16 +8,17 @@ import (
 )
 
 // Group commit. Mutations validate and apply to the in-memory maps
-// under the catalog write lock, encode one record per logged operation
-// into the log's pending buffer, and then wait for durability
-// *outside* the lock (see Catalog.mutate). Batches are waiter-led: the
-// waiter that finds records pending and no commit in flight writes the
-// whole queue as one batch — a single write(2) of the concatenated
-// records and, with Options.Sync, a single fsync shared by every waiter
-// in the batch. Records that arrive while that I/O is in flight
-// accumulate into the next batch, which the next waiter to wake writes.
-// One slow fsync therefore amortizes across however many writers
-// arrived behind it instead of serializing the catalog.
+// under the catalog write lock, encode one binary/v1 frame per logged
+// operation straight into the log's pending buffer (frame.go), and
+// then wait for durability *outside* the lock (see Catalog.mutate).
+// Batches are waiter-led: the waiter that finds records pending and no
+// commit in flight writes the whole queue as one batch — a single
+// write(2) of the concatenated frames and, with Options.Sync, a single
+// fsync shared by every waiter in the batch. Records that arrive while
+// that I/O is in flight accumulate into the next batch, which the next
+// waiter to wake writes. One slow fsync therefore amortizes across
+// however many writers arrived behind it instead of serializing the
+// catalog.
 //
 // A batch is written when its first waiter asks, never on a timer or a
 // size target, and there is no background goroutine: every record a
@@ -36,13 +35,11 @@ type committer struct {
 	mu  sync.Mutex
 	did *sync.Cond // broadcast when durability advances or the WAL fails
 
-	// pending accumulates encoded records (newline-terminated) for the
-	// next batch; spare is the previous batch's buffer, reused to avoid
-	// reallocating on every swap.
+	// pending accumulates encoded frames for the next batch; spare is
+	// the previous batch's buffer, reused to avoid reallocating on every
+	// swap.
 	pending []byte
 	spare   []byte
-	scratch bytes.Buffer // per-record encode buffer, reused
-	enc     *json.Encoder
 
 	count      int    // records in pending
 	nextSeq    uint64 // sequence of the last enqueued record
@@ -54,11 +51,10 @@ type committer struct {
 func newCommitter(f *os.File, fsync bool) *committer {
 	w := &committer{f: f, fsync: fsync}
 	w.did = sync.NewCond(&w.mu)
-	w.enc = json.NewEncoder(&w.scratch)
 	return w
 }
 
-// enqueue encodes one record into the pending batch and returns its
+// enqueue encodes one frame into the pending batch and returns its
 // sequence number for a later wait. Callers hold the catalog write
 // lock, so records land in the WAL in exactly the order the in-memory
 // mutations were applied.
@@ -69,11 +65,11 @@ func (w *committer) enqueue(op opKind, v any) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.scratch.Reset()
-	if err := w.enc.Encode(walEnvelope{Op: op, Data: v}); err != nil {
+	buf, err := appendFrame(w.pending, op, v)
+	if err != nil {
 		return 0, fmt.Errorf("catalog: wal encode: %w", err)
 	}
-	w.pending = append(w.pending, w.scratch.Bytes()...)
+	w.pending = buf
 	w.count++
 	w.nextSeq++
 	metricWALQueueDepth.Set(float64(w.count))

@@ -16,9 +16,10 @@ import (
 // a mutation returns success, the record must already be in the WAL
 // file (written and fsynced). Each iteration snapshots the raw WAL
 // bytes immediately after the ack — a simulated power cut — and
-// replays them into a fresh catalog, which must contain the mutation.
-// The concurrent phase puts 8 writers on the one log, so most
-// acks come from batches another waiter led.
+// replays them into a fresh catalog, which must contain the mutation;
+// the same records written as a legacy wal.jsonl must convert to a
+// catalog that contains it too. The concurrent phase puts 8 writers on
+// the one log, so most acks come from batches another waiter led.
 func TestGroupCommitDurableAfterAck(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, nil, Options{Sync: true})
@@ -36,17 +37,27 @@ func TestGroupCommitDurableAfterAck(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		crashDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(crashDir, walFile), img, 0o644); err != nil {
-			return err
+		var recs []logRecord
+		if _, err := readFrames(img, func(op opKind, v any) error {
+			recs = append(recs, logRecord{op, v})
+			return nil
+		}); err != nil {
+			return fmt.Errorf("crash image: %w", err)
 		}
-		c2, err := Open(crashDir, nil, Options{})
-		if err != nil {
-			return fmt.Errorf("reopen crash image: %w", err)
-		}
-		defer c2.Close()
-		if _, err := c2.Derivation(id); err != nil {
-			return fmt.Errorf("acked derivation missing from crash image: %w", err)
+		for name, log := range map[string][]byte{walFile: img, legacyWALFile: jsonLog(t, recs)} {
+			crashDir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(crashDir, name), log, 0o644); err != nil {
+				return err
+			}
+			c2, err := Open(crashDir, nil, Options{})
+			if err != nil {
+				return fmt.Errorf("reopen %s crash image: %w", name, err)
+			}
+			_, err = c2.Derivation(id)
+			c2.Close()
+			if err != nil {
+				return fmt.Errorf("acked derivation missing from %s crash image: %w", name, err)
+			}
 		}
 		return nil
 	}
@@ -120,7 +131,7 @@ func TestCommitterStickyFailure(t *testing.T) {
 	f.Close() // writes will now fail
 	com := newCommitter(f, true)
 
-	seq, err := com.enqueue(opDataset, map[string]string{"name": "x"})
+	seq, err := com.enqueue(opDataset, schema.Dataset{Name: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +140,7 @@ func TestCommitterStickyFailure(t *testing.T) {
 	} else if !errors.Is(err, ErrDurability) {
 		t.Fatalf("want ErrDurability, got %v", err)
 	}
-	if _, err := com.enqueue(opDataset, map[string]string{"name": "y"}); err == nil {
+	if _, err := com.enqueue(opDataset, schema.Dataset{Name: "y"}); err == nil {
 		t.Fatal("enqueue after WAL failure must fail fast")
 	}
 	if com.failure() == nil {
@@ -257,4 +268,26 @@ func TestConcurrentDurableMutationStress(t *testing.T) {
 	}
 	defer c2.Close()
 	requireSameState(t, c, c2)
+}
+
+// BenchmarkAppendFrame is the per-record encode cost a mutation pays
+// under the catalog write lock: one invocation record framed into a
+// reused pending buffer.
+func BenchmarkAppendFrame(b *testing.B) {
+	iv := schema.Invocation{
+		ID: "iv-000123-0", Derivation: "dv-5f0c2a9e41b7d3c8a6e2f1b0c9d8e7f6", Site: "site-07", Host: "host-0713",
+		Start: time.Unix(1_000_000, 0).UTC(), End: time.Unix(1_000_042, 0).UTC(), OS: "linux", Arch: "x86_64",
+		BytesIn: 1 << 30, BytesOut: 1 << 29,
+		UsedReplicas:     map[string]string{"lfn://chain-000123/step-0": "rep-000123-0"},
+		ProducedReplicas: map[string]string{"lfn://chain-000123/step-1": "rep-000123-1"},
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = appendFrame(buf[:0], opInvocation, iv); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(buf)))
 }

@@ -2,19 +2,42 @@ package catalog
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
-// replayLog replays a log's bytes into a fresh in-memory catalog, the
-// way Open replays the log on disk.
+// replayLog replays a binary log's bytes into a fresh in-memory
+// catalog, the way Open replays the log on disk.
 func replayLog(log []byte) (*Catalog, error) {
 	c := New(nil)
-	if err := c.replay(bytes.NewReader(log), nil); err != nil {
+	if _, err := c.replay(log); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// replayJSONLog replays a JSON-lines log's bytes into a fresh
+// in-memory catalog, the way a legacy conversion replays wal.jsonl.
+func replayJSONLog(log []byte) (*Catalog, error) {
+	c := New(nil)
+	if err := replayJSONL(bytes.NewReader(log), func(op opKind, v any) error { return c.apply(op, v, nil) }); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// frameEnds returns the offset just past each frame of a valid log.
+func frameEnds(t testing.TB, log []byte) []int {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(log); {
+		_, end, err := frameAt(log, off)
+		if err != nil {
+			t.Fatalf("frame at byte %d: %v", off, err)
+		}
+		ends = append(ends, end)
+		off = end
+	}
+	return ends
 }
 
 // FuzzReplay feeds arbitrary bytes to WAL replay as the log: replay
@@ -22,22 +45,42 @@ func replayLog(log []byte) (*Catalog, error) {
 // the secondary indexes equal to a rebuild from the primary maps. Run
 // `go test -fuzz FuzzReplay ./internal/catalog` for a longer campaign;
 // `go test` exercises the seeds: a valid multi-op log, that log torn at
-// every byte of its last record, and a mid-file bit flip followed by
-// valid records (which must be rejected, not skipped).
+// every byte of its last frame, and the log with one byte of its
+// second frame flipped, at each byte in turn — a corrupt frame
+// followed by valid ones, which must be rejected, not skipped.
 func FuzzReplay(f *testing.F) {
-	dir := f.TempDir()
-	c, err := Open(dir, nil, Options{})
-	if err != nil {
-		f.Fatal(err)
+	valid := readLog(f, populatedDir(f, false, nil))
+	ends := frameEnds(f, valid)
+	f.Add(valid)
+	for i := ends[len(ends)-2]; i < len(valid); i++ {
+		f.Add(valid[:i])
 	}
-	populate(f, c)
-	if err := c.Close(); err != nil {
-		f.Fatal(err)
+	for i := ends[0]; i < ends[1]; i++ {
+		flipped := bytes.Clone(valid)
+		flipped[i] ^= 0x01
+		if _, err := replayLog(flipped); err == nil {
+			f.Fatalf("a frame corrupt at byte %d, followed by valid ones, replayed without error", i)
+		}
+		f.Add(flipped)
 	}
-	valid, err := os.ReadFile(filepath.Join(dir, walFile))
-	if err != nil {
-		f.Fatal(err)
-	}
+
+	f.Fuzz(func(t *testing.T, log []byte) {
+		c, err := replayLog(log)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if err := c.CheckIndexes(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzReplayJSONL is FuzzReplay for the legacy JSON-lines reader a
+// conversion replays wal.jsonl with. Its seeds are the same history as
+// JSON lines, that log torn at every byte of its last line, and a
+// mid-file bit flip followed by valid lines (which must be rejected).
+func FuzzReplayJSONL(f *testing.F) {
+	valid := jsonLog(f, logRecords(f, populatedDir(f, false, nil)))
 	f.Add(valid)
 	last := bytes.LastIndexByte(valid[:len(valid)-1], '\n') + 1
 	for i := last; i < len(valid); i++ {
@@ -45,13 +88,13 @@ func FuzzReplay(f *testing.F) {
 	}
 	flipped := bytes.Clone(valid)
 	flipped[bytes.IndexByte(valid, '\n')+1] ^= 0x01 // the second record's '{'
-	if _, err := replayLog(flipped); err == nil {
+	if _, err := replayJSONLog(flipped); err == nil {
 		f.Fatal("a corrupt mid-file record followed by valid ones replayed without error")
 	}
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, log []byte) {
-		c, err := replayLog(log)
+		c, err := replayJSONLog(log)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

@@ -1,33 +1,42 @@
 package catalog
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
+	"chimera/internal/codec"
 	"chimera/internal/schema"
 )
 
-// Legacy sharded directories. The catalog was once partitioned into N
-// shards (N <= 64), each with its own log wal-<i>.jsonl, and
-// catalog-meta.json recorded N. Open converts such a directory once:
+// Legacy JSON-lines logs. Before the log spoke binary/v1 every record
+// was one JSON line, {"op": …, "data": …}, in wal.jsonl; the catalog
+// was once also partitioned into N shards (N <= 64), each with its own
+// log wal-<i>.jsonl, and catalog-meta.json recorded N. Open converts
+// such a directory once:
 //
-//  1. replay the snapshot, then wal-0 … wal-(N-1) in index order;
+//  1. replay the snapshot, then wal-0 … wal-(N-1) in index order, then
+//     wal.jsonl;
 //  2. write a snapshot in the pinned format and fsync the directory;
-//  3. remove the per-shard logs, rewrite the meta without a shard
+//  3. remove the JSON-lines logs, rewrite the meta without a shard
 //     count, and fsync again.
 //
-// A crash at any step redoes the conversion on the next Open: until the
-// meta is rewritten it still records N, and replaying the surviving
-// logs over the new snapshot reaches the same state, as replaying a log
-// over a snapshot that already covers it always does (Snapshot renames
-// before it truncates). The per-shard logs carry no global order, so a
-// directory whose logs hold a replica removed and re-registered under a
-// dataset on another shard converts to what the sharded catalog itself
-// reopened to.
+// A crash at any step redoes the conversion on the next Open: until
+// the logs are removed (and, for a sharded directory, the meta
+// rewritten) they are still there, and replaying them over the new
+// snapshot reaches the same state, as replaying a log over a snapshot
+// that already covers it always does (Snapshot renames before it
+// truncates). The per-shard logs carry no global order, so a directory
+// whose logs hold a replica removed and re-registered under a dataset
+// on another shard converts to what the sharded catalog itself
+// reopened to. The JSON line reader lives on only for this conversion.
 
 // maxLegacyShards is the largest shard count the sharded catalog could
 // record; a meta outside [0, maxLegacyShards] is corrupt.
@@ -55,23 +64,39 @@ func checkShardLogs(dir string, shards int) error {
 	return nil
 }
 
-// convertLegacy folds a legacy N-shard directory into the one-log
-// layout (steps 1–3 above). The snapshot, if any, is already loaded.
+// convertLegacy folds a directory's JSON-lines logs into the snapshot
+// (steps 1–3 above); shards is the meta's shard count, 0 for the
+// one-log layout. The snapshot, if any, is already loaded.
 func (c *Catalog) convertLegacy(shards int) error {
-	var deferred []schema.Derivation
+	var logs []string
 	for i := 0; i < shards; i++ {
-		f, err := os.Open(legacyWALPath(c.dir, i))
+		logs = append(logs, legacyWALPath(c.dir, i))
+	}
+	logs = append(logs, filepath.Join(c.dir, legacyWALFile))
+	var deferred []schema.Derivation
+	found := false
+	for _, path := range logs {
+		f, err := os.Open(path)
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
 		if err != nil {
 			return fmt.Errorf("catalog: wal: %w", err)
 		}
-		err = c.replay(f, &deferred)
+		found = true
+		err = replayJSONL(f, func(op opKind, v any) error { return c.apply(op, v, &deferred) })
 		f.Close()
 		if err != nil {
 			return err
 		}
+	}
+	if !found && shards == 0 {
+		return nil
+	}
+	// Records in both formats have no order between them: only a binary
+	// reopened by an older one leaves both.
+	if fi, err := os.Stat(filepath.Join(c.dir, walFile)); err == nil && fi.Size() > 0 {
+		return fmt.Errorf("catalog: %s holds both JSON-lines and binary logs", c.dir)
 	}
 	if err := c.replayDeferred(deferred); err != nil {
 		return err
@@ -80,12 +105,86 @@ func (c *Catalog) convertLegacy(shards int) error {
 	if err := c.writeSnapshotLocked(&exp); err != nil {
 		return err
 	}
-	for i := 0; i < shards; i++ {
-		if err := os.Remove(legacyWALPath(c.dir, i)); err != nil && !errors.Is(err, os.ErrNotExist) {
+	for _, path := range logs {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("catalog: wal: %w", err)
 		}
 	}
 	return writeMeta(c.dir, catalogMeta{SnapshotFormat: c.snapFormat})
+}
+
+// legacyRecord is one JSON line of a legacy log.
+type legacyRecord struct {
+	Op   string          `json:"op"`
+	Data json.RawMessage `json:"data"`
+}
+
+// legacyOps maps a legacy record's op name to its kind and the decoder
+// of its data.
+var legacyOps = map[string]struct {
+	op     opKind
+	decode func(data []byte) (any, error)
+}{
+	"type":           {opType, unmarshalAs[codec.TypeDef]},
+	"dataset":        {opDataset, unmarshalAs[schema.Dataset]},
+	"transformation": {opTransformation, unmarshalAs[schema.Transformation]},
+	"derivation":     {opDerivation, unmarshalAs[schema.Derivation]},
+	"invocation":     {opInvocation, unmarshalAs[schema.Invocation]},
+	"replica":        {opReplica, unmarshalAs[schema.Replica]},
+	"remove-replica": {opRemoveReplica, unmarshalAs[string]},
+	"compat":         {opCompat, unmarshalAs[schema.CompatibilityAssertion]},
+}
+
+func unmarshalAs[T any](data []byte) (any, error) {
+	var v T
+	err := json.Unmarshal(data, &v)
+	return v, err
+}
+
+// replayJSONL hands each record of a JSON-lines log to fn, in order.
+// Lines may be of any length. Only a truncated *final* line (torn
+// write during a crash) is tolerated: a line that does not parse,
+// followed by further non-empty lines, means the log is damaged.
+func replayJSONL(r io.Reader, fn func(op opKind, v any) error) error {
+	br := bufio.NewReaderSize(r, 64*1024)
+	var bad error
+	lineNo, badLine := 0, 0
+	for {
+		line, err := br.ReadBytes('\n')
+		if len(line) == 0 && err == io.EOF {
+			return nil // a bad final line is a torn tail: never acked
+		}
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("catalog: replay: %w", err)
+		}
+		lineNo++
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+		if len(line) == 0 {
+			continue
+		}
+		if bad != nil {
+			return fmt.Errorf("catalog: replay: corrupt record at line %d (%v) followed by %d more line(s)", badLine, bad, lineNo-badLine)
+		}
+		var rec legacyRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			bad, badLine = err, lineNo
+		} else if err := applyLegacy(rec, fn); err != nil {
+			return fmt.Errorf("catalog: replay: %w", err)
+		}
+	}
+}
+
+// applyLegacy decodes one legacy record's data and hands it to fn.
+func applyLegacy(rec legacyRecord, fn func(op opKind, v any) error) error {
+	kind, ok := legacyOps[rec.Op]
+	if !ok {
+		return fmt.Errorf("unknown op %q", rec.Op)
+	}
+	v, err := kind.decode(rec.Data)
+	if err != nil {
+		return err
+	}
+	return fn(kind.op, v)
 }
 
 // replayDeferred retries derivations whose transformations lived in a

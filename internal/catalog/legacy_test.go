@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -10,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
+	"chimera/internal/codec"
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
@@ -26,48 +27,78 @@ import (
 // one-log history by routing each record to the shard the sharded
 // catalog homed it on.
 
+// logRecord is one decoded log record.
+type logRecord struct {
+	op opKind
+	v  any
+}
+
+// logRecords decodes a directory's binary log.
+func logRecords(t testing.TB, dir string) []logRecord {
+	t.Helper()
+	var recs []logRecord
+	if _, err := readFrames(readLog(t, dir), func(op opKind, v any) error {
+		recs = append(recs, logRecord{op, v})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// jsonLine encodes a record as the JSON-lines log wrote it.
+func jsonLine(t testing.TB, r logRecord) []byte {
+	t.Helper()
+	for name, kind := range legacyOps {
+		if kind.op != r.op {
+			continue
+		}
+		data, err := json.Marshal(r.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(legacyRecord{Op: name, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(line, '\n')
+	}
+	t.Fatalf("unknown op %d", r.op)
+	return nil
+}
+
+// jsonLog encodes records as a JSON-lines log.
+func jsonLog(t testing.TB, recs []logRecord) []byte {
+	var log []byte
+	for _, r := range recs {
+		log = append(log, jsonLine(t, r)...)
+	}
+	return log
+}
+
 // legacyHome is the shard an N-shard catalog logged a record on:
 // FNV-1a of the object's home name (a replica's dataset, an
 // invocation's derivation, a transformation's versionless base; types
 // and compat on shard 0). replicaDS remembers each replica's dataset,
 // which homes its removal.
-func legacyHome(t *testing.T, rec walRecord, replicaDS map[string]string, n int) int {
-	t.Helper()
+func legacyHome(r logRecord, replicaDS map[string]string, n int) int {
 	var name string
-	var err error
-	switch rec.Op {
-	case opType, opCompat:
+	switch v := r.v.(type) {
+	case codec.TypeDef, schema.CompatibilityAssertion:
 		return 0
-	case opDataset:
-		var ds schema.Dataset
-		err = json.Unmarshal(rec.Data, &ds)
-		name = ds.Name
-	case opTransformation:
-		var tr schema.Transformation
-		err = json.Unmarshal(rec.Data, &tr)
-		name = schema.FormatTRRef(tr.Namespace, tr.Name, "")
-	case opDerivation:
-		var dv schema.Derivation
-		err = json.Unmarshal(rec.Data, &dv)
-		name = dv.ID
-	case opInvocation:
-		var iv schema.Invocation
-		err = json.Unmarshal(rec.Data, &iv)
-		name = iv.Derivation
-	case opReplica:
-		var r schema.Replica
-		err = json.Unmarshal(rec.Data, &r)
-		name = r.Dataset
-		replicaDS[r.ID] = r.Dataset
-	case opRemoveReplica:
-		var id string
-		err = json.Unmarshal(rec.Data, &id)
-		name = replicaDS[id]
-	default:
-		t.Fatalf("unknown op %q", rec.Op)
-	}
-	if err != nil {
-		t.Fatal(err)
+	case schema.Dataset:
+		name = v.Name
+	case schema.Transformation:
+		name = schema.FormatTRRef(v.Namespace, v.Name, "")
+	case schema.Derivation:
+		name = v.ID
+	case schema.Invocation:
+		name = v.Derivation
+	case schema.Replica:
+		name = v.Dataset
+		replicaDS[v.ID] = v.Dataset
+	case string:
+		name = replicaDS[v]
 	}
 	h := fnv.New32a()
 	h.Write([]byte(name))
@@ -81,21 +112,11 @@ func splitLegacy(t *testing.T, src, dst string, n int) {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(src, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	logs := make([][]byte, n)
 	replicaDS := make(map[string]string)
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 1<<24)
-	for sc.Scan() {
-		var rec walRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatal(err)
-		}
-		i := legacyHome(t, rec, replicaDS, n)
-		logs[i] = append(append(logs[i], sc.Bytes()...), '\n')
+	for _, r := range logRecords(t, src) {
+		i := legacyHome(r, replicaDS, n)
+		logs[i] = append(logs[i], jsonLine(t, r)...)
 	}
 	for i, log := range logs {
 		if err := os.WriteFile(legacyWALPath(dst, i), log, 0o644); err != nil {
@@ -108,8 +129,9 @@ func splitLegacy(t *testing.T, src, dst string, n int) {
 	}
 }
 
-// requireConverted checks a converted directory's layout: the one log,
-// a snapshot, a meta without a shard count, and no per-shard log.
+// requireConverted checks a converted directory's layout: the one
+// binary log, a JSON snapshot (every legacy directory here pins
+// json/v1), a meta without a shard count, and no JSON-lines log.
 func requireConverted(t *testing.T, dir string) {
 	t.Helper()
 	for _, name := range []string{walFile, snapshotFile} {
@@ -117,7 +139,7 @@ func requireConverted(t *testing.T, dir string) {
 			t.Errorf("converted directory lacks %s: %v", name, err)
 		}
 	}
-	if logs, _ := filepath.Glob(filepath.Join(dir, "wal-*.jsonl")); len(logs) > 0 {
+	if logs, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(logs) > 0 {
 		t.Errorf("converted directory still holds %v", logs)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, metaFile))
@@ -234,8 +256,14 @@ func TestShardLegacyDirSingleShard(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, metaFile)); err != nil {
+	log := jsonLog(t, logRecords(t, dir))
+	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), log, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range []string{metaFile, walFile} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c2, err := Open(dir, nil, Options{Shards: 8})
 	if err != nil {
@@ -243,15 +271,15 @@ func TestShardLegacyDirSingleShard(t *testing.T) {
 	}
 	defer c2.Close()
 	requireSameState(t, c, c2)
-	if logs, _ := filepath.Glob(filepath.Join(dir, "wal-*.jsonl")); len(logs) > 0 {
-		t.Errorf("reopen created per-shard logs %v", logs)
+	if logs, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(logs) > 0 {
+		t.Errorf("reopen left or created JSON-lines logs %v", logs)
 	}
 }
 
-// copyFixture copies testdata/sharded4's catalog files into dir.
-func copyFixture(t testing.TB, dir string) {
+// copyFixture copies a testdata directory's catalog files into dir.
+func copyFixture(t testing.TB, fixture, dir string) {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join("testdata", "sharded4", "*"))
+	names, err := filepath.Glob(filepath.Join("testdata", fixture, "*"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("fixture: %v %v", names, err)
 	}
@@ -266,10 +294,10 @@ func copyFixture(t testing.TB, dir string) {
 	}
 }
 
-// fixtureWant returns the fixture's canonical export bytes.
-func fixtureWant(t testing.TB) []byte {
+// fixtureWant returns a fixture's canonical export bytes.
+func fixtureWant(t testing.TB, fixture string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "sharded4-want.json"))
+	data, err := os.ReadFile(filepath.Join("testdata", fixture+"-want.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +316,7 @@ func requireExport(t testing.TB, c *Catalog, want []byte) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("export differs from the sharded catalog's:\n got: %s\nwant: %s", got, want)
+		t.Fatalf("export differs from the one the legacy catalog reopened:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -299,9 +327,9 @@ func requireExport(t testing.TB, c *Catalog, want []byte) {
 // removal by putting the original logs and meta back beside the new
 // snapshot.
 func TestLegacyShardedFixture(t *testing.T) {
-	want := fixtureWant(t)
+	want := fixtureWant(t, "sharded4")
 	dir := t.TempDir()
-	copyFixture(t, dir)
+	copyFixture(t, "sharded4", dir)
 
 	open := func(stage string) {
 		t.Helper()
@@ -320,7 +348,7 @@ func TestLegacyShardedFixture(t *testing.T) {
 	}
 	open("conversion")
 	open("reopen")
-	copyFixture(t, dir)
+	copyFixture(t, "sharded4", dir)
 	open("crash before the logs were removed")
 }
 
@@ -346,7 +374,7 @@ func TestOpenMetaShardCountBounds(t *testing.T) {
 // missing some log's records. Run `go test -fuzz FuzzOpenMeta
 // ./internal/catalog` for a longer campaign.
 func FuzzOpenMeta(f *testing.F) {
-	want := fixtureWant(f)
+	want := fixtureWant(f, "sharded4")
 	for _, seed := range []string{
 		`{"shards":4,"snapshot_format":"json/v1"}`,
 		`{"shards":4,"snapshot_format":"binary/v1"}`,
@@ -366,7 +394,7 @@ func FuzzOpenMeta(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, meta []byte) {
 		dir := t.TempDir()
-		copyFixture(t, dir)
+		copyFixture(t, "sharded4", dir)
 		if err := os.WriteFile(filepath.Join(dir, metaFile), meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -377,4 +405,134 @@ func FuzzOpenMeta(f *testing.F) {
 		defer c.Close()
 		requireExport(t, c, want)
 	})
+}
+
+// TestLegacyJSONLFixture converts testdata/jsonl1 — a directory the
+// JSON-lines catalog wrote: a JSON snapshot, then every op kind in
+// wal.jsonl — and reopens it: both must reach exactly the export that
+// catalog reopened it to (testdata/jsonl1-want.json).
+func TestLegacyJSONLFixture(t *testing.T) {
+	want := fixtureWant(t, "jsonl1")
+	dir := t.TempDir()
+	copyFixture(t, "jsonl1", dir)
+	for _, stage := range []string{"conversion", "reopen"} {
+		c, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		requireExport(t, c, want)
+		if err := c.CheckIndexes(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		requireConverted(t, dir)
+	}
+}
+
+// TestLegacyJSONLConversionCrash crashes the conversion of testdata/
+// jsonl1 after each of its steps — at every directory sync Open makes,
+// once the sync is done — and reopens: every reopen must reach the
+// fixture's state, with no record applied twice.
+func TestLegacyJSONLConversionCrash(t *testing.T) {
+	want := fixtureWant(t, "jsonl1")
+	prev := syncDir
+	t.Cleanup(func() { syncDir = prev })
+	for crashAt := 1; ; crashAt++ {
+		dir := t.TempDir()
+		copyFixture(t, "jsonl1", dir)
+		syncs := 0
+		syncDir = func(d string) error {
+			if err := prev(d); err != nil {
+				return err
+			}
+			if syncs++; syncs == crashAt {
+				return fmt.Errorf("crash after directory sync %d", syncs)
+			}
+			return nil
+		}
+		c, err := Open(dir, nil, Options{})
+		syncDir = prev
+		if err == nil {
+			// Open made fewer syncs than crashAt: every step is covered.
+			c.Close()
+			if crashAt < 4 {
+				t.Fatalf("conversion made only %d directory syncs", syncs)
+			}
+			return
+		}
+		for _, stage := range []string{"reopen", "second reopen"} {
+			c, err := Open(dir, nil, Options{})
+			if err != nil {
+				t.Fatalf("crash after sync %d, %s: %v", crashAt, stage, err)
+			}
+			requireExport(t, c, want)
+			if err := c.CheckIndexes(); err != nil {
+				t.Fatalf("crash after sync %d, %s: %v", crashAt, stage, err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireConverted(t, dir)
+		}
+	}
+}
+
+// TestLegacyLargeLineConverts: a wal.jsonl whose line is longer than
+// the 16 MiB the JSON-lines reader once capped lines at — a 3 MiB
+// attribute of '<', escaped to 18 MiB — converts instead of leaving the
+// directory unopenable.
+func TestLegacyLargeLineConverts(t *testing.T) {
+	dir := t.TempDir()
+	big := strings.Repeat("<", 3<<20)
+	log := jsonLog(t, []logRecord{
+		{opDataset, schema.Dataset{Name: "big", Attrs: schema.Attributes{"blob": big}}},
+		{opDataset, schema.Dataset{Name: "after"}},
+	})
+	if len(log) <= 16<<20 {
+		t.Fatalf("log is %d bytes; the test needs a line past 16 MiB", len(log))
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"snapshot_format":"json/v1"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"conversion", "reopen"} {
+		c, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		ds, err := c.Dataset("big")
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if ds.Attrs["blob"] != big {
+			t.Fatalf("%s: attribute is %d bytes, want %d", stage, len(ds.Attrs["blob"]), len(big))
+		}
+		if _, err := c.Dataset("after"); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		requireConverted(t, dir)
+	}
+}
+
+// TestOpenRefusesTwoLogs: records in wal.jsonl and a non-empty wal.bin
+// have no order between them — a directory only holds both after a
+// binary that writes JSON lines reopened one written in frames — so
+// Open refuses it rather than guess.
+func TestOpenRefusesTwoLogs(t *testing.T) {
+	dir := populatedDir(t, false, nil)
+	line := jsonLine(t, logRecord{opDataset, schema.Dataset{Name: "later"}})
+	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Open(dir, nil, Options{}); err == nil {
+		c.Close()
+		t.Fatal("Open replayed a JSON-lines and a binary log together")
+	}
 }

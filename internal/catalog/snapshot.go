@@ -20,11 +20,11 @@ import (
 
 const binSnapshotFile = "snapshot.bin"
 
-// normalizeSnapshotFormat resolves "" to the JSON codec and validates
-// the name against the registry.
+// normalizeSnapshotFormat resolves "" to the binary codec and
+// validates the name against the registry.
 func normalizeSnapshotFormat(name string) (string, error) {
 	if name == "" {
-		return codec.JSONName, nil
+		return codec.BinaryName, nil
 	}
 	if _, err := codec.Lookup(name); err != nil {
 		return "", fmt.Errorf("catalog: snapshot format: %w", err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"chimera/internal/codec"
@@ -144,7 +145,7 @@ func TestBinarySnapshotFilesAndPinning(t *testing.T) {
 // the requested snapshot format on reopen and re-records it.
 func TestLegacyMetaAdoptsFormat(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, nil, Options{})
+	c, err := Open(dir, nil, Options{SnapshotFormat: codec.JSONName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +190,43 @@ func TestLegacyMetaAdoptsFormat(t *testing.T) {
 	defer final.Close()
 	if _, err := final.Dataset("raw"); err != nil {
 		t.Fatalf("converted catalog lost state: %v", err)
+	}
+}
+
+// TestNewDirectoryIsBinary: a new directory opened with no format pins
+// binary/v1, so it is binary end to end — log and snapshot.
+func TestNewDirectoryIsBinary(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, c)
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddDataset(schema.Dataset{Name: "after"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.snapFormat != codec.BinaryName {
+		t.Fatalf("new directory pins %q, want %q", c.snapFormat, codec.BinaryName)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{metaFile, binSnapshotFile, walFile}; !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
+	}
+	if recs := logRecords(t, dir); len(recs) != 1 || recs[0].op != opDataset {
+		t.Fatalf("log after the snapshot holds %v, want the one dataset", recs)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // One lock, one log, one journal. The catalog keeps its object state
 // (catalogState, embedded in Catalog) under one RWMutex. Every mutation
 // applies to that state once, under the write lock, appends its records
-// to the one WAL (wal.jsonl) and its entries to the one change journal,
+// to the one WAL (wal.bin, binary/v1 frames) and its entries to the one
+// change journal,
 // whose sequence (Catalog.jseq) is the one mutation version the query
 // cache keys on. The fsync happens after the lock is released
 // (commit.go), so concurrent writers share it.
@@ -20,8 +21,9 @@ import (
 // reader past a waiting writer) — which is why no goroutine may take the
 // catalog lock while it holds an open View.
 //
-// Directories written by the former sharded catalog (one wal-<i>.jsonl
-// per shard) are converted to this layout once, on Open (legacy.go).
+// Directories whose log is still JSON lines — wal.jsonl, or one
+// wal-<i>.jsonl per shard from the former sharded catalog — are
+// converted to this layout once, on Open (legacy.go).
 
 // catalogState is the catalog's object state: everything a read needs,
 // nothing a read mutates.

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,47 +11,33 @@ import (
 	"sort"
 	"time"
 
+	"chimera/internal/codec"
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
 
-// Durability: every mutation appends JSON-lines records to wal.jsonl in
-// the catalog directory; Snapshot() compacts the full state into the
-// snapshot file and truncates the log. Open replays snapshot + log, so
-// a crash between append and response loses at most the in-flight
-// operation. catalog-meta.json pins the snapshot format.
+// Durability: every mutation appends one binary/v1 frame per logged
+// operation to wal.bin in the catalog directory (frame.go); Snapshot()
+// compacts the full state into the snapshot file and truncates the
+// log. Open replays snapshot + log, so a crash between append and
+// response loses at most the in-flight operation. catalog-meta.json
+// pins the snapshot format. Directories whose log is still JSON lines
+// (wal.jsonl, or a sharded directory's wal-<i>.jsonl) are converted
+// once, on Open (legacy.go).
 
-type opKind string
+// opKind is the kind of one logged operation: a binary/v1 record kind.
+type opKind = codec.RecordKind
 
 const (
-	opType           opKind = "type"
-	opDataset        opKind = "dataset"
-	opTransformation opKind = "transformation"
-	opDerivation     opKind = "derivation"
-	opInvocation     opKind = "invocation"
-	opReplica        opKind = "replica"
-	opRemoveReplica  opKind = "remove-replica"
-	opCompat         opKind = "compat"
+	opType           = codec.RecType
+	opDataset        = codec.RecDataset
+	opTransformation = codec.RecTransformation
+	opDerivation     = codec.RecDerivation
+	opInvocation     = codec.RecInvocation
+	opReplica        = codec.RecReplica
+	opRemoveReplica  = codec.RecRemoveReplica
+	opCompat         = codec.RecCompat
 )
-
-type walRecord struct {
-	Op   opKind          `json:"op"`
-	Data json.RawMessage `json:"data"`
-}
-
-// walEnvelope is the write-side shape of walRecord: Data holds the
-// value itself so a record encodes in one pass instead of marshal +
-// re-marshal through a RawMessage.
-type walEnvelope struct {
-	Op   opKind `json:"op"`
-	Data any    `json:"data"`
-}
-
-type typeRecord struct {
-	Dim    int    `json:"dim"`
-	Name   string `json:"name"`
-	Parent string `json:"parent,omitempty"`
-}
 
 type wal struct {
 	f   *os.File
@@ -60,9 +45,10 @@ type wal struct {
 }
 
 const (
-	walFile      = "wal.jsonl"
-	snapshotFile = "snapshot.json"
-	metaFile     = "catalog-meta.json"
+	walFile       = "wal.bin"
+	legacyWALFile = "wal.jsonl"
+	snapshotFile  = "snapshot.json"
+	metaFile      = "catalog-meta.json"
 )
 
 // catalogMeta pins on-disk layout facts that must survive reopen.
@@ -92,7 +78,7 @@ type Options struct {
 	Shards int
 
 	// SnapshotFormat names the codec Snapshot() persists with:
-	// codec.JSONName (the default when empty) or codec.BinaryName. It is
+	// codec.BinaryName (the default when empty) or codec.JSONName. It is
 	// pinned in catalog-meta.json once recorded, and the recorded value
 	// wins on reopen; metas from before the codec registry adopt the
 	// requested format on their first reopen. The read path is
@@ -166,14 +152,15 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	if err := c.loadSnapshot(dir); err != nil {
 		return nil, err
 	}
+	if err := c.convertLegacy(legacyShards); err != nil {
+		return nil, err
+	}
 	logPath := filepath.Join(dir, walFile)
-	if legacyShards > 0 {
-		if err := c.convertLegacy(legacyShards); err != nil {
-			return nil, err
-		}
-	} else if f, err := os.Open(logPath); err == nil {
-		err = c.replay(f, nil)
-		f.Close()
+	whole, torn := 0, false
+	if data, done, err := mapFile(logPath); err == nil {
+		whole, err = c.replay(data)
+		torn = whole < len(data)
+		done() // decoded records own their memory
 		if err != nil {
 			return nil, err
 		}
@@ -186,6 +173,17 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: wal: %w", err)
 	}
 	c.wal = &wal{f: f, com: newCommitter(f, opts.Sync)}
+	if torn {
+		// Cut the torn tail off: a frame appended behind it would read
+		// as log damage on the next replay.
+		if err := f.Truncate(int64(whole)); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("catalog: wal: torn tail: %w", err)
+		}
+	}
 	// The log may have just been created; writeMeta's directory sync
 	// came before it.
 	if err := syncDir(dir); err != nil {
@@ -247,71 +245,33 @@ func (c *Catalog) logOp(op opKind, v any) error {
 	return nil
 }
 
-// replay applies one log's records to the in-memory state. Only
-// a truncated *final* line (torn write during a crash) is tolerated; a
-// corrupt record followed by further records means the log itself is
-// damaged, and silently dropping the tail would lose acknowledged
-// state.
-func (c *Catalog) replay(r io.Reader, deferred *[]schema.Derivation) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			badLine := lineNo
-			for sc.Scan() {
-				lineNo++
-				if len(sc.Bytes()) != 0 {
-					return fmt.Errorf("catalog: replay: corrupt record at line %d (%v) followed by %d more line(s)", badLine, err, lineNo-badLine)
-				}
-			}
-			// Torn tail record: ignore it, the write was never acked.
-			return sc.Err()
-		}
-		if err := c.apply(rec, deferred); err != nil {
-			return fmt.Errorf("catalog: replay: %w", err)
-		}
-	}
-	return sc.Err()
+// replay applies a binary log's records to the in-memory state and
+// returns where its last whole frame ends. Only a torn *final* frame is
+// tolerated; a frame that fails its checks with further records after
+// it means the log itself is damaged, and silently dropping the tail
+// would lose acknowledged state (frame.go).
+func (c *Catalog) replay(data []byte) (int, error) {
+	return readFrames(data, func(op opKind, v any) error { return c.apply(op, v, nil) })
 }
 
 // apply replays one record directly onto the maps and indexes, without
 // re-validation (records were validated before being logged) and
-// without re-logging. A nil deferred makes a derivation whose
-// transformation is unknown an error; a legacy conversion passes a
-// list to collect such derivations instead (legacy.go).
-func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
-	switch rec.Op {
+// without re-logging. v is the value op carries (codec.RecordKind). A
+// nil deferred makes a derivation whose transformation is unknown an
+// error; a legacy conversion passes a list to collect such derivations
+// instead (legacy.go).
+func (c *Catalog) apply(op opKind, v any, deferred *[]schema.Derivation) error {
+	switch op {
 	case opType:
-		var t typeRecord
-		if err := json.Unmarshal(rec.Data, &t); err != nil {
-			return err
-		}
+		t := v.(codec.TypeDef)
 		c.noteJournal(jTypes, "", false) // conformance answers change
 		return c.types.Register(dtype.Dimension(t.Dim), t.Name, t.Parent)
 	case opDataset:
-		var ds schema.Dataset
-		if err := json.Unmarshal(rec.Data, &ds); err != nil {
-			return err
-		}
-		c.putDataset(ds)
+		c.putDataset(v.(schema.Dataset))
 	case opTransformation:
-		var tr schema.Transformation
-		if err := json.Unmarshal(rec.Data, &tr); err != nil {
-			return err
-		}
-		c.putTransformation(tr)
+		c.putTransformation(v.(schema.Transformation))
 	case opDerivation:
-		var dv schema.Derivation
-		if err := json.Unmarshal(rec.Data, &dv); err != nil {
-			return err
-		}
+		dv := v.(schema.Derivation)
 		tr, err := c.transformationLocked(dv.TR)
 		if err != nil {
 			if deferred != nil {
@@ -324,29 +284,14 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 		}
 		c.indexDerivation(dv, tr)
 	case opInvocation:
-		var iv schema.Invocation
-		if err := json.Unmarshal(rec.Data, &iv); err != nil {
-			return err
-		}
-		c.putInvocation(iv)
+		c.putInvocation(v.(schema.Invocation))
 	case opReplica:
-		var r schema.Replica
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
 		// A re-logged replica (e.g. epoch re-stamp) updates in place.
-		c.putReplica(r)
+		c.putReplica(v.(schema.Replica))
 	case opRemoveReplica:
-		var id string
-		if err := json.Unmarshal(rec.Data, &id); err != nil {
-			return err
-		}
-		c.dropReplica(id)
+		c.dropReplica(v.(string))
 	case opCompat:
-		var a schema.CompatibilityAssertion
-		if err := json.Unmarshal(rec.Data, &a); err != nil {
-			return err
-		}
+		a := v.(schema.CompatibilityAssertion)
 		// A log replayed over a snapshot that already holds the
 		// assertion (a crash between a snapshot's rename and the log's
 		// truncation) must not add it twice.
@@ -355,7 +300,7 @@ func (c *Catalog) apply(rec walRecord, deferred *[]schema.Derivation) error {
 			c.noteJournal(jCompat, "", false)
 		}
 	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
+		return fmt.Errorf("unknown op %d", op)
 	}
 	return nil
 }

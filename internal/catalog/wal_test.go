@@ -1,11 +1,15 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,7 +165,7 @@ func TestSnapshotSyncsDirBeforeTruncate(t *testing.T) {
 	t.Cleanup(func() { syncDir = prev })
 	syncDir = func(d string) error {
 		syncs++
-		if _, err := os.Stat(filepath.Join(d, snapshotFile)); err != nil {
+		if _, err := os.Stat(filepath.Join(d, binSnapshotFile)); err != nil {
 			t.Errorf("directory synced before the snapshot was renamed into place: %v", err)
 		}
 		if got := logBytes(t, d); got != logged {
@@ -202,86 +206,232 @@ func TestOpenSyncsDirAfterCreatingLogs(t *testing.T) {
 	}
 }
 
-func TestTornTailTolerated(t *testing.T) {
+// readLog returns a directory's binary log.
+func readLog(t testing.TB, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// frameOf encodes one record as a log frame.
+func frameOf(t testing.TB, op opKind, v any) []byte {
+	t.Helper()
+	frame, err := appendFrame(nil, op, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// populatedDir returns a directory holding populate's history in its
+// log, with tail appended to the log; jsonl writes the history and
+// tail as the legacy wal.jsonl instead, which Open converts.
+func populatedDir(t testing.TB, jsonl bool, tail []byte) string {
+	t.Helper()
 	dir := t.TempDir()
 	c, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	populate(t, c)
-	c.Close()
-
-	// Simulate a torn final write.
-	walPath := filepath.Join(dir, walFile)
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"op":"dataset","data":{"name":"torn`)
-	f.Close()
+	log, name := readLog(t, dir), walFile
+	if jsonl {
+		log, name = jsonLog(t, logRecords(t, dir)), legacyWALFile
+		if err := os.Remove(filepath.Join(dir, walFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), append(log, tail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
 
-	c2, err := Open(dir, nil, Options{})
+// requireTornTailDropped opens dir, whose log ends in a torn record
+// for dataset "torn": the record is ignored, the ones before it are
+// kept, and a mutation acknowledged after the reopen survives the next.
+func requireTornTailDropped(t *testing.T, dir string) {
+	t.Helper()
+	c, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
-	defer c2.Close()
-	if _, err := c2.Dataset("torn"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Dataset("torn"); !errors.Is(err, ErrNotFound) {
 		t.Error("torn record applied")
 	}
-	if _, err := c2.Dataset("raw"); err != nil {
+	if _, err := c.Dataset("raw"); err != nil {
 		t.Error("earlier records lost")
 	}
-}
-
-func TestCorruptMidFileRecordRejected(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, nil, Options{})
-	if err != nil {
+	if err := c.AddDataset(schema.Dataset{Name: "after"}); err != nil {
 		t.Fatal(err)
 	}
-	populate(t, c)
-	c.Close()
-
-	// Corrupt a record that is *followed* by a valid one: that is log
-	// damage, not a torn tail, and silently stopping there would drop
-	// acknowledged state.
-	walPath := filepath.Join(dir, walFile)
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString("{\"op\":\"dataset\",\"data\":{\"name\":\"torn\n")
-	f.WriteString("{\"op\":\"dataset\",\"data\":{\"name\":\"after\"}}\n")
-	f.Close()
-
-	if _, err := Open(dir, nil, Options{}); err == nil {
-		t.Fatal("corrupt mid-file record silently tolerated")
-	}
-}
-
-func TestTornTailAfterBlankLinesTolerated(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, c)
-	c.Close()
-
-	walPath := filepath.Join(dir, walFile)
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A torn record trailed only by empty lines is still a torn tail.
-	f.WriteString("{\"op\":\"dataset\",\"data\":{\"name\":\"torn\n\n")
-	f.Close()
-
 	c2, err := Open(dir, nil, Options{})
 	if err != nil {
-		t.Fatalf("torn tail with trailing blank line should be tolerated: %v", err)
+		t.Fatalf("reopen after appending behind a torn tail: %v", err)
 	}
-	c2.Close()
+	defer c2.Close()
+	requireSameState(t, c, c2)
+}
+
+// TestTornTailTolerated cuts a final frame at every byte, length
+// prefix included: each is a torn write, ignored on reopen and cut off
+// before the next append.
+func TestTornTailTolerated(t *testing.T) {
+	frame := frameOf(t, opDataset, schema.Dataset{Name: "torn", Size: 1})
+	for cut := 1; cut < len(frame); cut++ {
+		requireTornTailDropped(t, populatedDir(t, false, frame[:cut]))
+	}
+	t.Run("jsonl", func(t *testing.T) {
+		requireTornTailDropped(t, populatedDir(t, true, []byte(`{"op":"dataset","data":{"name":"torn`)))
+	})
+}
+
+// TestCorruptMidFileRecordRejected: a damaged record *followed* by a
+// valid one is log damage, not a torn tail, and silently stopping
+// there would drop acknowledged state.
+func TestCorruptMidFileRecordRejected(t *testing.T) {
+	bad := frameOf(t, opDataset, schema.Dataset{Name: "torn"})
+	bad[len(bad)-6] ^= 0x20 // in the record, past the length
+	after := frameOf(t, opDataset, schema.Dataset{Name: "after"})
+	if c, err := Open(populatedDir(t, false, append(bad, after...)), nil, Options{}); err == nil {
+		c.Close()
+		t.Fatal("corrupt mid-file frame silently tolerated")
+	}
+	t.Run("jsonl", func(t *testing.T) {
+		tail := "{\"op\":\"dataset\",\"data\":{\"name\":\"torn\n" +
+			"{\"op\":\"dataset\",\"data\":{\"name\":\"after\"}}\n"
+		if c, err := Open(populatedDir(t, true, []byte(tail)), nil, Options{}); err == nil {
+			c.Close()
+			t.Fatal("corrupt mid-file record silently tolerated")
+		}
+	})
+}
+
+// TestTornTailAfterBlankLinesTolerated: a torn record trailed only by
+// filler — zero bytes the file system allocated but the crash never
+// wrote, or a JSON-lines log's empty lines — is still a torn tail.
+func TestTornTailAfterBlankLinesTolerated(t *testing.T) {
+	frame := frameOf(t, opDataset, schema.Dataset{Name: "torn", Size: 1})
+	tail := append(frame[:len(frame)/2:len(frame)/2], make([]byte, 64)...)
+	requireTornTailDropped(t, populatedDir(t, false, tail))
+	t.Run("jsonl", func(t *testing.T) {
+		requireTornTailDropped(t, populatedDir(t, true, []byte("{\"op\":\"dataset\",\"data\":{\"name\":\"torn\n\n")))
+	})
+}
+
+// TestWALBitFlipRejected flips, one at a time, every bit of every
+// record but the last, length prefixes included, in a log of datasets
+// with large sizes and attributes. Replay must fail each time: never
+// succeed with a wrong value, and never stop early as though the log
+// ended there.
+func TestWALBitFlipRejected(t *testing.T) {
+	dir := t.TempDir()
+	add := func(i int, size int64) {
+		c, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.AddDataset(schema.Dataset{
+			Name: fmt.Sprintf("ds-%d", i), Size: size,
+			Attrs: schema.Attributes{"run": strconv.Itoa(i), "blob": strings.Repeat("x", 300*i)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, size := range []int64{1039830001, 7, 1 << 40} {
+		add(i, size)
+	}
+	covered := len(readLog(t, dir))
+	add(3, 1039830001)
+	log := readLog(t, dir)
+	if _, err := replayLog(log); err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*covered; bit++ {
+		flipped := bytes.Clone(log)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if c, err := replayLog(flipped); err == nil {
+			t.Fatalf("bit %d of byte %d flipped: replay succeeded with %d datasets", bit%8, bit/8, c.Stats().Datasets)
+		}
+	}
+}
+
+// TestFrameLengthFlipCaught flips each bit of a frame's length and
+// check byte, for every length a 1–3 byte uvarint holds and for
+// lengths just past the 4-byte boundary, in a log that continues past
+// the frame: the frame must fail — never pass, and never read as one
+// that runs past the end of the log (a torn tail).
+func TestFrameLengthFlipCaught(t *testing.T) {
+	const k4 = 1 << 21
+	buf := make([]byte, frameHdrMax+k4+64+frameCRCLen+1)
+	check := func(n int) {
+		var hdr [frameHdrMax]byte
+		k := binary.PutUvarint(hdr[:], uint64(n))
+		hdr[k] = frameHdr(uint64(n), k)
+		data := buf[:k+1+n+frameCRCLen+1] // one byte of the next frame
+		clear(data)
+		data[k+1] = byte(opDataset)
+		data[len(data)-1] = 0xff
+		for bit := 0; bit < 8*(k+1); bit++ {
+			copy(data, hdr[:k+1])
+			data[bit/8] ^= 1 << (bit % 8)
+			if _, _, err := frameAt(data, 0); err == nil || errors.Is(err, errFrameCut) {
+				t.Fatalf("n=%d, bit %d of byte %d flipped: %v", n, bit%8, bit/8, err)
+			}
+		}
+	}
+	for n := 1; n < 1<<16; n++ {
+		check(n)
+	}
+	for n := k4 - 8; n < k4+64; n++ {
+		check(n)
+	}
+}
+
+// TestLargeRecordReopens: an acknowledged record of any size the frame
+// limit admits must reopen. A 3 MiB attribute of '<' is 18 MiB as an
+// escaped JSON line — past the line cap the JSON-lines reader once had.
+func TestLargeRecordReopens(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, nil, Options{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Repeat("<", 3<<20)
+	if err := c.AddDataset(schema.Dataset{Name: "big", Attrs: schema.Attributes{"blob": big}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddDataset(schema.Dataset{Name: "after"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer c2.Close()
+	ds, err := c2.Dataset("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Attrs["blob"] != big {
+		t.Fatalf("attribute reopened as %d bytes, want %d", len(ds.Attrs["blob"]), len(big))
+	}
+	if _, err := c2.Dataset("after"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestOpenWithSeedRegistry(t *testing.T) {

@@ -112,9 +112,10 @@ const maxActualDepth = 32
 // allocation set per goroutine instead of rebuilding multi-megabyte
 // buffers (and flate state) per call.
 type encState struct {
-	buf  []byte
-	strs []string          // intern table in first-use order
-	syms map[string]uint64 // string -> index into strs
+	buf    []byte
+	strs   []string          // intern table in first-use order
+	syms   map[string]uint64 // string -> index into strs
+	inline bool              // write symbols as inline strings (log records)
 
 	deflate bool          // compress sections (delta frames)
 	cbuf    bytes.Buffer  // per-section compression scratch
@@ -153,8 +154,13 @@ func (e *encState) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// sym writes the intern-table symbol for s, adding it on first use.
+// sym writes the intern-table symbol for s, adding it on first use —
+// or, in a log record, which has no table, s itself.
 func (e *encState) sym(s string) {
+	if e.inline {
+		e.str(s)
+		return
+	}
 	id, ok := e.syms[s]
 	if !ok {
 		id = uint64(len(e.strs))
@@ -611,6 +617,7 @@ type binReader struct {
 	frame    byte
 	sections map[byte]section
 	strs     []string
+	inline   bool // symbols are inline strings (log records)
 
 	// Delta header fields (frameDelta only).
 	instance, since, seq uint64
@@ -775,6 +782,9 @@ func (r *binReader) records(kind byte) int {
 // the reader's table — itself copied out of the input — so repeated
 // keys and names across millions of records cost one allocation each.
 func (r *binReader) sym(d *dec) (string, error) {
+	if r.inline {
+		return d.str()
+	}
 	id, err := d.uvarint()
 	if err != nil {
 		return "", err
@@ -923,288 +933,214 @@ func (d *dec) next() (dec, error) {
 	return dec{data: b}, nil
 }
 
-func (r *binReader) datasets() ([]schema.Dataset, error) {
-	d, ok, err := r.section(secDatasets)
+// decodeSection decodes every length-prefixed record of one section
+// with one; an absent section is empty.
+func decodeSection[T any](r *binReader, kind byte, one func(*dec) (T, error)) ([]T, error) {
+	d, ok, err := r.section(kind)
+	if err != nil || !ok {
+		return nil, err
+	}
+	cnt, err := d.count(uint64(r.records(kind)), 1)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, nil
-	}
-	cnt, err := d.count(uint64(r.records(secDatasets)), 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]schema.Dataset, 0, cnt)
+	out := make([]T, 0, cnt)
 	for d.remaining() > 0 {
 		rec, err := d.next()
 		if err != nil {
 			return nil, err
 		}
-		var ds schema.Dataset
-		if ds.Name, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if ds.Type.Content, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		if ds.Type.Format, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		if ds.Type.Encoding, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		dn, err := rec.uvarint()
+		v, err := one(&rec)
 		if err != nil {
 			return nil, err
 		}
-		if dn > 0 {
-			raw, err := rec.take(dn)
-			if err != nil {
-				return nil, err
-			}
-			desc, err := schema.UnmarshalDescriptor(raw)
-			if err != nil {
-				return nil, corrupt("descriptor: %v", err)
-			}
-			ds.Descriptor = desc
-		}
-		if ds.CreatedBy, err = rec.str(); err != nil {
-			return nil, err
-		}
-		epoch, err := rec.varint()
-		if err != nil {
-			return nil, err
-		}
-		ds.Epoch = int(epoch)
-		if ds.Size, err = rec.varint(); err != nil {
-			return nil, err
-		}
-		if ds.Attrs, err = r.attrs(&rec); err != nil {
-			return nil, err
-		}
-		out = append(out, ds)
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-func (r *binReader) replicas() ([]schema.Replica, error) {
-	d, ok, err := r.section(secReplicas)
+func (r *binReader) dataset(rec *dec) (schema.Dataset, error) {
+	var ds schema.Dataset
+	var err error
+	if ds.Name, err = rec.str(); err != nil {
+		return ds, err
+	}
+	if ds.Type.Content, err = r.sym(rec); err != nil {
+		return ds, err
+	}
+	if ds.Type.Format, err = r.sym(rec); err != nil {
+		return ds, err
+	}
+	if ds.Type.Encoding, err = r.sym(rec); err != nil {
+		return ds, err
+	}
+	dn, err := rec.uvarint()
 	if err != nil {
-		return nil, err
+		return ds, err
 	}
-	if !ok {
-		return nil, nil
+	if dn > 0 {
+		raw, err := rec.take(dn)
+		if err != nil {
+			return ds, err
+		}
+		desc, err := schema.UnmarshalDescriptor(raw)
+		if err != nil {
+			return ds, corrupt("descriptor: %v", err)
+		}
+		ds.Descriptor = desc
 	}
-	cnt, err := d.count(uint64(r.records(secReplicas)), 1)
+	if ds.CreatedBy, err = rec.str(); err != nil {
+		return ds, err
+	}
+	epoch, err := rec.varint()
 	if err != nil {
-		return nil, err
+		return ds, err
 	}
-	out := make([]schema.Replica, 0, cnt)
-	for d.remaining() > 0 {
-		rec, err := d.next()
-		if err != nil {
-			return nil, err
-		}
-		var rep schema.Replica
-		if rep.ID, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if rep.Dataset, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if rep.Site, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		if rep.PFN, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if rep.Size, err = rec.varint(); err != nil {
-			return nil, err
-		}
-		epoch, err := rec.varint()
-		if err != nil {
-			return nil, err
-		}
-		rep.Epoch = int(epoch)
-		if rep.ProducedBy, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if rep.Attrs, err = r.attrs(&rec); err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
+	ds.Epoch = int(epoch)
+	if ds.Size, err = rec.varint(); err != nil {
+		return ds, err
 	}
-	return out, nil
+	ds.Attrs, err = r.attrs(rec)
+	return ds, err
 }
 
-func (r *binReader) derivations() ([]schema.Derivation, error) {
-	d, ok, err := r.section(secDerivations)
+func (r *binReader) replica(rec *dec) (schema.Replica, error) {
+	var rep schema.Replica
+	var err error
+	if rep.ID, err = rec.str(); err != nil {
+		return rep, err
+	}
+	if rep.Dataset, err = rec.str(); err != nil {
+		return rep, err
+	}
+	if rep.Site, err = r.sym(rec); err != nil {
+		return rep, err
+	}
+	if rep.PFN, err = rec.str(); err != nil {
+		return rep, err
+	}
+	if rep.Size, err = rec.varint(); err != nil {
+		return rep, err
+	}
+	epoch, err := rec.varint()
 	if err != nil {
-		return nil, err
+		return rep, err
 	}
-	if !ok {
-		return nil, nil
+	rep.Epoch = int(epoch)
+	if rep.ProducedBy, err = rec.str(); err != nil {
+		return rep, err
 	}
-	cnt, err := d.count(uint64(r.records(secDerivations)), 1)
+	rep.Attrs, err = r.attrs(rec)
+	return rep, err
+}
+
+func (r *binReader) derivation(rec *dec) (schema.Derivation, error) {
+	var dv schema.Derivation
+	var err error
+	if dv.ID, err = rec.str(); err != nil {
+		return dv, err
+	}
+	if dv.Name, err = rec.str(); err != nil {
+		return dv, err
+	}
+	if dv.TR, err = r.sym(rec); err != nil {
+		return dv, err
+	}
+	present, err := rec.byte()
 	if err != nil {
-		return nil, err
+		return dv, err
 	}
-	out := make([]schema.Derivation, 0, cnt)
-	for d.remaining() > 0 {
-		rec, err := d.next()
+	if present != 0 {
+		n, err := rec.uvarint()
 		if err != nil {
-			return nil, err
+			return dv, err
 		}
-		var dv schema.Derivation
-		if dv.ID, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if dv.Name, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if dv.TR, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		present, err := rec.byte()
+		pcnt, err := rec.count(n, 2)
 		if err != nil {
-			return nil, err
+			return dv, err
 		}
-		if present != 0 {
-			n, err := rec.uvarint()
+		dv.Params = make(map[string]schema.Actual, pcnt)
+		for i := 0; i < pcnt; i++ {
+			k, err := rec.str()
 			if err != nil {
-				return nil, err
+				return dv, err
 			}
-			pcnt, err := rec.count(n, 2)
+			a, err := r.actual(rec, 0)
 			if err != nil {
-				return nil, err
+				return dv, err
 			}
-			dv.Params = make(map[string]schema.Actual, pcnt)
-			for i := 0; i < pcnt; i++ {
-				k, err := rec.str()
-				if err != nil {
-					return nil, err
-				}
-				a, err := r.actual(&rec, 0)
-				if err != nil {
-					return nil, err
-				}
-				dv.Params[k] = a
-			}
+			dv.Params[k] = a
 		}
-		if dv.Env, err = r.symmap(&rec); err != nil {
-			return nil, err
-		}
-		if dv.Parent, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if dv.Attrs, err = r.attrs(&rec); err != nil {
-			return nil, err
-		}
-		out = append(out, dv)
 	}
-	return out, nil
+	if dv.Env, err = r.symmap(rec); err != nil {
+		return dv, err
+	}
+	if dv.Parent, err = rec.str(); err != nil {
+		return dv, err
+	}
+	dv.Attrs, err = r.attrs(rec)
+	return dv, err
 }
 
-func (r *binReader) invocations() ([]schema.Invocation, error) {
-	d, ok, err := r.section(secInvocations)
+func (r *binReader) invocation(rec *dec) (schema.Invocation, error) {
+	var iv schema.Invocation
+	var err error
+	if iv.ID, err = rec.str(); err != nil {
+		return iv, err
+	}
+	if iv.Derivation, err = rec.str(); err != nil {
+		return iv, err
+	}
+	if iv.Site, err = r.sym(rec); err != nil {
+		return iv, err
+	}
+	if iv.Host, err = r.sym(rec); err != nil {
+		return iv, err
+	}
+	if iv.Start, err = r.timeb(rec); err != nil {
+		return iv, err
+	}
+	if iv.End, err = r.timeb(rec); err != nil {
+		return iv, err
+	}
+	ec, err := rec.varint()
 	if err != nil {
-		return nil, err
+		return iv, err
 	}
-	if !ok {
-		return nil, nil
+	iv.ExitCode = int(ec)
+	if iv.OS, err = r.sym(rec); err != nil {
+		return iv, err
 	}
-	cnt, err := d.count(uint64(r.records(secInvocations)), 1)
-	if err != nil {
-		return nil, err
+	if iv.Arch, err = r.sym(rec); err != nil {
+		return iv, err
 	}
-	out := make([]schema.Invocation, 0, cnt)
-	for d.remaining() > 0 {
-		rec, err := d.next()
-		if err != nil {
-			return nil, err
-		}
-		var iv schema.Invocation
-		if iv.ID, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if iv.Derivation, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if iv.Site, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		if iv.Host, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		if iv.Start, err = r.timeb(&rec); err != nil {
-			return nil, err
-		}
-		if iv.End, err = r.timeb(&rec); err != nil {
-			return nil, err
-		}
-		ec, err := rec.varint()
-		if err != nil {
-			return nil, err
-		}
-		iv.ExitCode = int(ec)
-		if iv.OS, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		if iv.Arch, err = r.sym(&rec); err != nil {
-			return nil, err
-		}
-		if iv.Env, err = r.symmap(&rec); err != nil {
-			return nil, err
-		}
-		if iv.BytesIn, err = rec.varint(); err != nil {
-			return nil, err
-		}
-		if iv.BytesOut, err = rec.varint(); err != nil {
-			return nil, err
-		}
-		if iv.UsedReplicas, err = r.strmap(&rec); err != nil {
-			return nil, err
-		}
-		if iv.ProducedReplicas, err = r.strmap(&rec); err != nil {
-			return nil, err
-		}
-		if iv.Attrs, err = r.attrs(&rec); err != nil {
-			return nil, err
-		}
-		out = append(out, iv)
+	if iv.Env, err = r.symmap(rec); err != nil {
+		return iv, err
 	}
-	return out, nil
+	if iv.BytesIn, err = rec.varint(); err != nil {
+		return iv, err
+	}
+	if iv.BytesOut, err = rec.varint(); err != nil {
+		return iv, err
+	}
+	if iv.UsedReplicas, err = r.strmap(rec); err != nil {
+		return iv, err
+	}
+	if iv.ProducedReplicas, err = r.strmap(rec); err != nil {
+		return iv, err
+	}
+	iv.Attrs, err = r.attrs(rec)
+	return iv, err
 }
 
-func (r *binReader) tombstones() ([]Tombstone, error) {
-	d, ok, err := r.section(secTombstones)
-	if err != nil {
-		return nil, err
+func tombstone(rec *dec) (Tombstone, error) {
+	var t Tombstone
+	var err error
+	if t.Kind, err = rec.str(); err != nil {
+		return t, err
 	}
-	if !ok {
-		return nil, nil
-	}
-	cnt, err := d.count(uint64(r.records(secTombstones)), 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Tombstone, 0, cnt)
-	for d.remaining() > 0 {
-		rec, err := d.next()
-		if err != nil {
-			return nil, err
-		}
-		var t Tombstone
-		if t.Kind, err = rec.str(); err != nil {
-			return nil, err
-		}
-		if t.ID, err = rec.str(); err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	t.ID, err = rec.str()
+	return t, err
 }
 
 // decodeJSONSection unmarshals a JSON-blob section into v.
@@ -1235,16 +1171,16 @@ func (r *binReader) payload() (*Payload, error) {
 	if _, err = r.decodeJSONSection(secCompat, &p.Compat); err != nil {
 		return nil, err
 	}
-	if p.Datasets, err = r.datasets(); err != nil {
+	if p.Datasets, err = decodeSection(r, secDatasets, r.dataset); err != nil {
 		return nil, err
 	}
-	if p.Derivations, err = r.derivations(); err != nil {
+	if p.Derivations, err = decodeSection(r, secDerivations, r.derivation); err != nil {
 		return nil, err
 	}
-	if p.Invocations, err = r.invocations(); err != nil {
+	if p.Invocations, err = decodeSection(r, secInvocations, r.invocation); err != nil {
 		return nil, err
 	}
-	if p.Replicas, err = r.replicas(); err != nil {
+	if p.Replicas, err = decodeSection(r, secReplicas, r.replica); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -1272,7 +1208,7 @@ func (binaryCodec) DecodeDelta(data []byte) (*Delta, error) {
 		return nil, err
 	}
 	d := &Delta{Instance: r.instance, Since: r.since, Seq: r.seq, Full: r.full, Payload: *p}
-	if d.Tombstones, err = r.tombstones(); err != nil {
+	if d.Tombstones, err = decodeSection(r, secTombstones, tombstone); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -9,7 +9,9 @@
 // Two codecs ship today: "json/v1", the line-for-line equivalent of
 // the original encoding/json surfaces, and "binary/v1", a compact
 // length-prefixed format with varint framing, string interning and an
-// on-disk offset index (binary.go). The containers here (Payload,
+// on-disk offset index (binary.go). binary/v1 also encodes the
+// catalog's write-ahead log, one standalone record per operation in
+// the snapshot's record layout (record.go). The containers here (Payload,
 // Delta) deliberately mirror catalog.Export and catalog.Delta
 // field-for-field so conversion is slice reuse, not copying; codec
 // sits below catalog in the import graph so both catalog snapshots and
