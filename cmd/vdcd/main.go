@@ -21,10 +21,11 @@
 // path"). The catalog keeps one lock, one log and one journal
 // (docs/PERF.md, "One lock, one log"); a directory written with a
 // JSON-lines log, or by the former sharded catalog, is converted to
-// that layout on first open. The snapshot codec is chosen by
-// -snapshot-format (binary/v1 default, compact and mmap-loaded;
-// json/v1 stays selectable; docs/PERF.md, "Binary catalog format") and
-// is pinned in the directory: the recorded format wins on reopen.
+// that layout on first open. Snapshots are binary/v1 with a CRC-32C
+// trailer, compact and mmap-loaded (docs/PERF.md, "Binary catalog
+// format"), so a directory holds two self-describing files, wal.bin and
+// snapshot.bin; one written with a JSON snapshot or a
+// catalog-meta.json is converted the same way.
 //
 // With -federate, vdcd also hosts a federated index over the listed
 // member catalogs and crawls them incrementally every -crawl-every;
@@ -80,7 +81,7 @@ func main() {
 	readonly := flag.Bool("readonly", false, "reject mutations")
 	syncWAL := flag.Bool("sync", false, "fsync the write-ahead log before acknowledging mutations (one fsync per commit batch)")
 	flag.Int("shards", 1, "Deprecated: ignored; the catalog has one lock")
-	snapshotFormat := flag.String("snapshot-format", "", "snapshot codec (binary/v1 or json/v1); empty keeps the directory's recorded format (binary/v1 for new directories), and the recorded format wins on reopen")
+	snapshotFormat := flag.String("snapshot-format", "", "Deprecated: snapshots are always binary/v1; accepts only \"\" or binary/v1")
 	snapshotEvery := flag.Duration("snapshot-every", 10*time.Minute, "WAL compaction interval (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for in-flight requests")
 	logLevel := flag.String("log-level", "info", "log level spec: a default level optionally followed by subsys=level overrides, e.g. \"info,wal=debug,http=warn\" (also settable at runtime via /debug/loglevel)")

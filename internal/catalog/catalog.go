@@ -88,8 +88,7 @@ type Catalog struct {
 	// mutations.
 	pendingSeq uint64
 
-	dir        string // catalog directory; "" for in-memory catalogs
-	snapFormat string // pinned snapshot codec name; "" for in-memory catalogs
+	dir string // catalog directory; "" for in-memory catalogs
 }
 
 // New returns an empty in-memory catalog using the given type registry

@@ -16,31 +16,99 @@ import (
 	"chimera/internal/schema"
 )
 
-// Legacy JSON-lines logs. Before the log spoke binary/v1 every record
-// was one JSON line, {"op": …, "data": …}, in wal.jsonl; the catalog
-// was once also partitioned into N shards (N <= 64), each with its own
-// log wal-<i>.jsonl, and catalog-meta.json recorded N. Open converts
+// Legacy directories. Before the log spoke binary/v1 every record was
+// one JSON line, {"op": …, "data": …}, in wal.jsonl; the catalog was
+// once also partitioned into N shards (N <= 64), each with its own log
+// wal-<i>.jsonl; and catalog-meta.json recorded N and pinned the
+// snapshot format, json/v1 (snapshot.json) or binary/v1. Open reads
 // such a directory once:
 //
-//  1. replay the snapshot, then wal-0 … wal-(N-1) in index order, then
+//  1. read the meta, if there is one, and refuse a shard count or
+//     snapshot format this build cannot have written;
+//  2. replay the snapshot, then wal-0 … wal-(N-1) in index order, then
 //     wal.jsonl;
-//  2. write a snapshot in the pinned format and fsync the directory;
-//  3. remove the JSON-lines logs, rewrite the meta without a shard
-//     count, and fsync again.
+//  3. if there were logs, write snapshot.bin, remove snapshot.json and
+//     the logs, and fsync the directory after each step;
+//  4. remove the meta and fsync again.
 //
 // A crash at any step redoes the conversion on the next Open: until
-// the logs are removed (and, for a sharded directory, the meta
-// rewritten) they are still there, and replaying them over the new
-// snapshot reaches the same state, as replaying a log over a snapshot
-// that already covers it always does (Snapshot renames before it
+// the logs are removed (and, for a sharded directory, the meta after
+// them) they are still there, and replaying them over the new snapshot
+// reaches the same state, as replaying a log over a snapshot that
+// already covers it always does (Snapshot renames before it
 // truncates). The per-shard logs carry no global order, so a directory
 // whose logs hold a replica removed and re-registered under a dataset
 // on another shard converts to what the sharded catalog itself
-// reopened to. The JSON line reader lives on only for this conversion.
+// reopened to. A json/v1 directory without logs keeps its
+// snapshot.json until its next Snapshot(). The JSON readers live on
+// only for these directories.
+
+const (
+	legacyWALFile      = "wal.jsonl"
+	legacySnapshotFile = "snapshot.json"
+	legacyMetaFile     = "catalog-meta.json"
+)
+
+// legacyMeta is catalog-meta.json.
+type legacyMeta struct {
+	// Shards is the shard count the sharded catalog recorded; 0 or 1
+	// means one log.
+	Shards int `json:"shards,omitempty"`
+	// SnapshotFormat is the codec name the snapshot was pinned to;
+	// empty in metas written before the codec registry existed.
+	SnapshotFormat string `json:"snapshot_format,omitempty"`
+}
 
 // maxLegacyShards is the largest shard count the sharded catalog could
 // record; a meta outside [0, maxLegacyShards] is corrupt.
 const maxLegacyShards = 64
+
+// readLegacyMeta reads dir's meta (step 1). It reports whether there
+// is one and the shard count to convert from: 0 for one log.
+func readLegacyMeta(dir string) (shards int, found bool, err error) {
+	path := filepath.Join(dir, legacyMetaFile)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, fmt.Errorf("catalog: meta: %w", err)
+	}
+	var meta legacyMeta
+	if err := json.Unmarshal(data, &meta); err != nil {
+		return 0, false, fmt.Errorf("catalog: meta %s: %w", path, err)
+	}
+	if meta.Shards < 0 || meta.Shards > maxLegacyShards {
+		return 0, false, fmt.Errorf("catalog: meta %s: shard count %d outside [0, %d]", path, meta.Shards, maxLegacyShards)
+	}
+	if meta.SnapshotFormat != "" {
+		if _, err := codec.Lookup(meta.SnapshotFormat); err != nil {
+			return 0, false, fmt.Errorf("catalog: meta %s: snapshot format: %w", path, err)
+		}
+	}
+	if meta.Shards > 1 {
+		shards = meta.Shards
+	}
+	return shards, true, nil
+}
+
+// loadJSONSnapshot restores a json/v1 snapshot.json, if the directory
+// holds one.
+func (c *Catalog) loadJSONSnapshot() error {
+	path := filepath.Join(c.dir, legacySnapshotFile)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("catalog: snapshot: %w", err)
+	}
+	var exp Export
+	if err := json.Unmarshal(data, &exp); err != nil {
+		return fmt.Errorf("catalog: snapshot %s: %w", path, err)
+	}
+	return c.applyExport(exp)
+}
 
 func legacyWALPath(dir string, i int) string {
 	return filepath.Join(dir, "wal-"+strconv.Itoa(i)+".jsonl")
@@ -65,9 +133,10 @@ func checkShardLogs(dir string, shards int) error {
 }
 
 // convertLegacy folds a directory's JSON-lines logs into the snapshot
-// (steps 1–3 above); shards is the meta's shard count, 0 for the
-// one-log layout. The snapshot, if any, is already loaded.
-func (c *Catalog) convertLegacy(shards int) error {
+// and then removes its meta, if it had one (steps 2–4 above); shards
+// is the meta's shard count, 0 for the one-log layout. The snapshot,
+// if any, is already loaded.
+func (c *Catalog) convertLegacy(shards int, meta bool) error {
 	var logs []string
 	for i := 0; i < shards; i++ {
 		logs = append(logs, legacyWALPath(c.dir, i))
@@ -90,27 +159,37 @@ func (c *Catalog) convertLegacy(shards int) error {
 			return err
 		}
 	}
-	if !found && shards == 0 {
-		return nil
-	}
-	// Records in both formats have no order between them: only a binary
-	// reopened by an older one leaves both.
-	if fi, err := os.Stat(filepath.Join(c.dir, walFile)); err == nil && fi.Size() > 0 {
-		return fmt.Errorf("catalog: %s holds both JSON-lines and binary logs", c.dir)
-	}
-	if err := c.replayDeferred(deferred); err != nil {
-		return err
-	}
-	exp := c.exportLocked()
-	if err := c.writeSnapshotLocked(&exp); err != nil {
-		return err
-	}
-	for _, path := range logs {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("catalog: wal: %w", err)
+	if found {
+		// Records in both formats have no order between them: only a
+		// binary reopened by an older one leaves both.
+		if fi, err := os.Stat(filepath.Join(c.dir, walFile)); err == nil && fi.Size() > 0 {
+			return fmt.Errorf("catalog: %s holds both JSON-lines and binary logs", c.dir)
+		}
+		if err := c.replayDeferred(deferred); err != nil {
+			return err
+		}
+		exp := c.exportLocked()
+		if err := c.writeSnapshotLocked(&exp); err != nil {
+			return err
+		}
+		for _, path := range logs {
+			if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return fmt.Errorf("catalog: wal: %w", err)
+			}
+		}
+		if err := syncDir(c.dir); err != nil {
+			return err
 		}
 	}
-	return writeMeta(c.dir, catalogMeta{SnapshotFormat: c.snapFormat})
+	if !meta {
+		return nil
+	}
+	// Only now: a sharded directory's logs are unreadable without the
+	// shard count the meta records.
+	if err := os.Remove(filepath.Join(c.dir, legacyMetaFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("catalog: meta: %w", err)
+	}
+	return syncDir(c.dir)
 }
 
 // legacyRecord is one JSON line of a legacy log.

@@ -124,34 +124,8 @@ func splitLegacy(t *testing.T, src, dst string, n int) {
 		}
 	}
 	meta := fmt.Sprintf(`{"shards":%d,"snapshot_format":"json/v1"}`, n)
-	if err := os.WriteFile(filepath.Join(dst, metaFile), []byte(meta), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dst, legacyMetaFile), []byte(meta), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// requireConverted checks a converted directory's layout: the one
-// binary log, a JSON snapshot (every legacy directory here pins
-// json/v1), a meta without a shard count, and no JSON-lines log.
-func requireConverted(t *testing.T, dir string) {
-	t.Helper()
-	for _, name := range []string{walFile, snapshotFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("converted directory lacks %s: %v", name, err)
-		}
-	}
-	if logs, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(logs) > 0 {
-		t.Errorf("converted directory still holds %v", logs)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta map[string]any
-	if err := json.Unmarshal(data, &meta); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := meta["shards"]; ok {
-		t.Errorf("converted meta still records a shard count: %s", data)
 	}
 }
 
@@ -185,7 +159,7 @@ func TestShardEquivalenceRandomized(t *testing.T) {
 				if err := got.CheckIndexes(); err != nil {
 					t.Fatal(err)
 				}
-				requireConverted(t, legacy)
+				requireFiles(t, legacy, snapshotFile, walFile)
 			})
 		}
 	}
@@ -260,10 +234,8 @@ func TestShardLegacyDirSingleShard(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{metaFile, walFile} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(filepath.Join(dir, walFile)); err != nil {
+		t.Fatal(err)
 	}
 	c2, err := Open(dir, nil, Options{Shards: 8})
 	if err != nil {
@@ -311,11 +283,7 @@ func fixtureWant(t testing.TB, fixture string) []byte {
 // requireExport checks c's canonical export against want.
 func requireExport(t testing.TB, c *Catalog, want []byte) {
 	t.Helper()
-	got, err := schema.CanonicalBytes(c.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got := canonical(t, c); got != string(want) {
 		t.Fatalf("export differs from the one the legacy catalog reopened:\n got: %s\nwant: %s", got, want)
 	}
 }
@@ -344,7 +312,7 @@ func TestLegacyShardedFixture(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		requireConverted(t, dir)
+		requireFiles(t, dir, snapshotFile, walFile)
 	}
 	open("conversion")
 	open("reopen")
@@ -358,7 +326,7 @@ func TestOpenMetaShardCountBounds(t *testing.T) {
 	for _, n := range []int{-1, 65, 1 << 40} {
 		dir := t.TempDir()
 		meta := `{"shards":` + strconv.Itoa(n) + `}`
-		if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(meta), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, legacyMetaFile), []byte(meta), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if c, err := Open(dir, nil, Options{}); err == nil {
@@ -395,7 +363,7 @@ func FuzzOpenMeta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, meta []byte) {
 		dir := t.TempDir()
 		copyFixture(t, "sharded4", dir)
-		if err := os.WriteFile(filepath.Join(dir, metaFile), meta, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, legacyMetaFile), meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		c, err := Open(dir, nil, Options{})
@@ -427,18 +395,20 @@ func TestLegacyJSONLFixture(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		requireConverted(t, dir)
+		requireFiles(t, dir, snapshotFile, walFile)
 	}
 }
 
 // TestLegacyJSONLConversionCrash crashes the conversion of testdata/
 // jsonl1 after each of its steps — at every directory sync Open makes,
 // once the sync is done — and reopens: every reopen must reach the
-// fixture's state, with no record applied twice.
+// fixture's state, with no record applied twice. The last crash point
+// of the conversion is between the logs' removal and the meta's.
 func TestLegacyJSONLConversionCrash(t *testing.T) {
 	want := fixtureWant(t, "jsonl1")
 	prev := syncDir
 	t.Cleanup(func() { syncDir = prev })
+	metaLast := false
 	for crashAt := 1; ; crashAt++ {
 		dir := t.TempDir()
 		copyFixture(t, "jsonl1", dir)
@@ -457,11 +427,14 @@ func TestLegacyJSONLConversionCrash(t *testing.T) {
 		if err == nil {
 			// Open made fewer syncs than crashAt: every step is covered.
 			c.Close()
-			if crashAt < 4 {
-				t.Fatalf("conversion made only %d directory syncs", syncs)
+			if crashAt <= 4 || !metaLast {
+				t.Fatalf("conversion made only %d directory syncs; a crash with the logs gone and the meta left: %v", syncs, metaLast)
 			}
 			return
 		}
+		_, logErr := os.Stat(filepath.Join(dir, legacyWALFile))
+		_, metaErr := os.Stat(filepath.Join(dir, legacyMetaFile))
+		metaLast = metaLast || os.IsNotExist(logErr) && metaErr == nil
 		for _, stage := range []string{"reopen", "second reopen"} {
 			c, err := Open(dir, nil, Options{})
 			if err != nil {
@@ -474,7 +447,7 @@ func TestLegacyJSONLConversionCrash(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			requireConverted(t, dir)
+			requireFiles(t, dir, snapshotFile, walFile)
 		}
 	}
 }
@@ -496,7 +469,7 @@ func TestLegacyLargeLineConverts(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"snapshot_format":"json/v1"}`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, legacyMetaFile), []byte(`{"snapshot_format":"json/v1"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, stage := range []string{"conversion", "reopen"} {
@@ -517,7 +490,7 @@ func TestLegacyLargeLineConverts(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		requireConverted(t, dir)
+		requireFiles(t, dir, snapshotFile, walFile)
 	}
 }
 

@@ -2,35 +2,38 @@ package catalog
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"chimera/internal/codec"
 )
 
-// Snapshot format selection. The codec name recorded in
-// catalog-meta.json pins what Snapshot() writes: the recorded value
-// wins on reopen. The read side is self-describing — it loads
-// whichever snapshot file exists (snapshot.bin via the binary codec,
-// snapshot.json via JSON), so a directory survives the transition in
-// either direction: the first Snapshot() under a new pin writes the new
-// file and removes the old.
+// The snapshot. snapshot.bin holds the state as of the last
+// Snapshot(): a binary/v1 snapshot followed by an 8-byte trailer that
+// checks it the way a frame checks a log record (frame.go):
+//
+//	codec bytes | crc32c(codec bytes), 4 bytes little-endian | "VDGC"
+//
+// The codec bytes end in the codec's own magic, "VDGE", two bits away
+// from "VDGC": a flipped bit in the trailer's magic leaves a file that
+// ends in neither, which the codec refuses, and a flipped bit anywhere
+// else fails the CRC. A file without the trailer, written before it
+// existed, is handed to the codec unchecked. Directories still holding
+// a JSON snapshot.json load it once (legacy.go); the next Snapshot()
+// replaces it.
 
-const binSnapshotFile = "snapshot.bin"
+const (
+	snapshotFile   = "snapshot.bin"
+	snapMagic      = "VDGC"
+	snapTrailerLen = frameCRCLen + len(snapMagic)
+)
 
-// normalizeSnapshotFormat resolves "" to the binary codec and
-// validates the name against the registry.
-func normalizeSnapshotFormat(name string) (string, error) {
-	if name == "" {
-		return codec.BinaryName, nil
-	}
-	if _, err := codec.Lookup(name); err != nil {
-		return "", fmt.Errorf("catalog: snapshot format: %w", err)
-	}
-	return name, nil
-}
+// snapCodec encodes and decodes snapshot.bin.
+var snapCodec, _ = codec.Lookup(codec.BinaryName)
 
 // CodecPayload reinterprets an Export as the codec-neutral container
 // (shared by the vds server and client wire paths).
@@ -103,34 +106,6 @@ func DeltaFromCodec(cd *codec.Delta) Delta {
 	return d
 }
 
-// writeMeta persists catalog-meta.json and fsyncs both the file and
-// its directory: the meta pins the layout and snapshot format, and a
-// crash that loses it (or tears it) after WAL records exist would
-// reopen the directory under the wrong layout.
-func writeMeta(dir string, meta catalogMeta) error {
-	data, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("catalog: meta encode: %w", err)
-	}
-	path := filepath.Join(dir, metaFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("catalog: meta: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: meta write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: meta sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("catalog: meta close: %w", err)
-	}
-	return syncDir(dir)
-}
-
 // syncDir fsyncs a directory so a just-created (or renamed) entry
 // survives a crash. A variable so tests can observe the state each
 // directory sync makes durable.
@@ -146,67 +121,62 @@ var syncDir = func(dir string) error {
 	return nil
 }
 
-// loadSnapshot restores whichever snapshot file the directory holds.
-// The binary file is memory-mapped and decoded lazily section by
-// section (codec.DecodeSnapshot copies everything it keeps), then
-// unmapped before returning — cold-start I/O streams straight out of
-// the page cache with no intermediate heap copy of the file.
-func (c *Catalog) loadSnapshot(dir string) error {
-	binPath := filepath.Join(dir, binSnapshotFile)
-	if data, done, err := mapFile(binPath); err == nil {
-		bin, lerr := codec.Lookup(codec.BinaryName)
-		if lerr != nil {
-			done()
-			return lerr
-		}
-		p, derr := bin.DecodeSnapshot(data)
-		done() // decoded values own their memory; unmap immediately
-		if derr != nil {
-			return fmt.Errorf("catalog: snapshot %s: %w", binPath, derr)
-		}
-		return c.applyExport(payloadExport(p))
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("catalog: snapshot: %w", err)
-	}
-
-	snapPath := filepath.Join(dir, snapshotFile)
-	data, err := os.ReadFile(snapPath)
-	if os.IsNotExist(err) {
-		return nil
+// loadSnapshot restores the directory's snapshot, if it has one. The
+// file is memory-mapped and decoded lazily section by section
+// (codec.DecodeSnapshot copies everything it keeps), then unmapped
+// before returning — cold-start I/O streams straight out of the page
+// cache with no intermediate heap copy of the file.
+func (c *Catalog) loadSnapshot() error {
+	path := filepath.Join(c.dir, snapshotFile)
+	data, done, err := mapFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return c.loadJSONSnapshot()
 	}
 	if err != nil {
 		return fmt.Errorf("catalog: snapshot: %w", err)
 	}
-	var exp Export
-	if err := json.Unmarshal(data, &exp); err != nil {
-		return fmt.Errorf("catalog: snapshot %s: %w", snapPath, err)
+	body, err := snapshotBody(data)
+	var p *codec.Payload
+	if err == nil {
+		p, err = snapCodec.DecodeSnapshot(body)
 	}
-	return c.applyExport(exp)
+	done() // decoded values own their memory; unmap immediately
+	if err != nil {
+		return fmt.Errorf("catalog: snapshot %s: %w", path, err)
+	}
+	return c.applyExport(payloadExport(p))
 }
 
-// writeSnapshotLocked encodes the export under the pinned format and
-// atomically replaces the snapshot, removing the other format's file
-// so the directory never holds two divergent snapshots. Callers hold
-// the write lock (or own the catalog exclusively, as during Open).
+// snapshotBody checks a snapshot file's trailer and returns the codec
+// bytes it covers; a file without one is returned whole.
+func snapshotBody(data []byte) ([]byte, error) {
+	n := len(data) - snapTrailerLen
+	if n < 0 || string(data[n+frameCRCLen:]) != snapMagic {
+		return data, nil
+	}
+	if crc32.Checksum(data[:n], castagnoli) != binary.LittleEndian.Uint32(data[n:]) {
+		return nil, errFrameCRC
+	}
+	return data[:n], nil
+}
+
+// writeSnapshotLocked atomically replaces the snapshot with exp and
+// removes a legacy snapshot.json, so the directory never holds two
+// divergent snapshots. Callers hold the write lock (or own the catalog
+// exclusively, as during Open).
 func (c *Catalog) writeSnapshotLocked(exp *Export) error {
-	cdc, err := codec.Lookup(c.snapFormat)
-	if err != nil {
-		return err
-	}
-	target, stale := snapshotFile, binSnapshotFile
-	if c.snapFormat != codec.JSONName {
-		target, stale = binSnapshotFile, snapshotFile
-	}
 	var buf bytes.Buffer
-	if err := cdc.EncodeSnapshot(&buf, exportPayload(exp)); err != nil {
+	if err := snapCodec.EncodeSnapshot(&buf, exportPayload(exp)); err != nil {
 		return err
 	}
-	tmp := filepath.Join(c.dir, target+".tmp")
+	data := binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.Checksum(buf.Bytes(), castagnoli))
+	data = append(data, snapMagic...)
+	tmp := filepath.Join(c.dir, snapshotFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}
@@ -217,10 +187,10 @@ func (c *Catalog) writeSnapshotLocked(exp *Export) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(c.dir, target)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(c.dir, snapshotFile)); err != nil {
 		return err
 	}
-	if err := os.Remove(filepath.Join(c.dir, stale)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(filepath.Join(c.dir, legacySnapshotFile)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	// The rename must be durable before Snapshot truncates the logs: a

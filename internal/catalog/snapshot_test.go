@@ -1,12 +1,14 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"chimera/internal/codec"
@@ -16,7 +18,7 @@ import (
 
 // randomCatalog drives a seeded object mix through the public mutation
 // API — the randomized source for the cross-codec snapshot oracle.
-func randomCatalog(t *testing.T, c *Catalog, rng *rand.Rand, n int) {
+func randomCatalog(t testing.TB, c *Catalog, rng *rand.Rand, n int) {
 	t.Helper()
 	if err := c.AddTransformation(twoArg("t")); err != nil {
 		t.Fatal(err)
@@ -48,42 +50,95 @@ func randomCatalog(t *testing.T, c *Catalog, rng *rand.Rand, n int) {
 	}
 }
 
-// TestSnapshotFormatsEquivalent is the catalog-level round-trip
-// oracle: the same randomized catalog snapshotted under each codec
-// must reopen to identical exports.
+// writeJSONSnapshot writes exp as the snapshot.json a json/v1 directory
+// holds, beside a meta pinning json/v1, the way the JSON snapshot
+// writer left them.
+func writeJSONSnapshot(t testing.TB, dir string, exp Export, meta string) {
+	t.Helper()
+	jsonCodec, err := codec.Lookup(codec.JSONName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := jsonCodec.EncodeSnapshot(&buf, exp.CodecPayload()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacySnapshotFile), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyMetaFile), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireFiles checks that dir holds exactly the named files.
+func requireFiles(t testing.TB, dir string, want ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
+	}
+}
+
+// canonical returns c's canonical export bytes.
+func canonical(t testing.TB, c *Catalog) string {
+	t.Helper()
+	b, err := schema.CanonicalBytes(c.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestSnapshotFormatsEquivalent: a json/v1 directory — a meta pinning
+// json/v1 beside a snapshot.json — reopens to the randomized catalog it
+// was written from, and its next Snapshot leaves only snapshot.bin and
+// wal.bin, which reopen to the same export.
 func TestSnapshotFormatsEquivalent(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		exports := map[string]Export{}
-		for _, format := range []string{codec.JSONName, codec.BinaryName} {
-			dir := t.TempDir()
-			c, err := Open(dir, nil, Options{SnapshotFormat: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			randomCatalog(t, c, rand.New(rand.NewSource(seed)), 25)
-			if err := c.Snapshot(); err != nil {
-				t.Fatalf("%s: snapshot: %v", format, err)
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			re, err := Open(dir, nil, Options{})
-			if err != nil {
-				t.Fatalf("%s: reopen: %v", format, err)
-			}
-			exports[format] = re.Export()
-			if err := re.Close(); err != nil {
-				t.Fatal(err)
-			}
+		src := New(nil)
+		randomCatalog(t, src, rand.New(rand.NewSource(seed)), 25)
+		want := canonical(t, src)
+		dir := t.TempDir()
+		writeJSONSnapshot(t, dir, src.Export(), `{"snapshot_format":"json/v1"}`)
+		c, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: open: %v", seed, err)
 		}
-		ja, _ := schema.CanonicalBytes(exports[codec.JSONName])
-		jb, _ := schema.CanonicalBytes(exports[codec.BinaryName])
-		if string(ja) != string(jb) {
-			t.Fatalf("seed %d: exports differ across snapshot formats", seed)
+		if canonical(t, c) != want {
+			t.Fatalf("seed %d: the JSON snapshot reopened to a different export", seed)
+		}
+		if err := c.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		requireFiles(t, dir, snapshotFile, walFile)
+		re, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: reopen: %v", seed, err)
+		}
+		if canonical(t, re) != want {
+			t.Fatalf("seed %d: the binary snapshot reopened to a different export", seed)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
+// TestBinarySnapshotFilesAndPinning: the deprecated SnapshotFormat
+// option accepts binary/v1, the directory holds no meta, and the state
+// survives reopen.
 func TestBinarySnapshotFilesAndPinning(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, nil, Options{SnapshotFormat: codec.BinaryName})
@@ -91,97 +146,49 @@ func TestBinarySnapshotFilesAndPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	populate(t, c)
+	want := canonical(t, c)
 	if err := c.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, binSnapshotFile)); err != nil {
-		t.Fatalf("binary snapshot missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("JSON snapshot should be absent, stat err=%v", err)
-	}
-	meta, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m catalogMeta
-	if err := json.Unmarshal(meta, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.SnapshotFormat != codec.BinaryName {
-		t.Fatalf("meta pins %q, want %q", m.SnapshotFormat, codec.BinaryName)
-	}
-
-	// Reopen requesting JSON: the recorded pin wins.
-	re, err := Open(dir, nil, Options{SnapshotFormat: codec.JSONName})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := schema.CanonicalBytes(re.Export())
-	if re.snapFormat != codec.BinaryName {
-		t.Fatalf("reopen format %q, want pinned %q", re.snapFormat, codec.BinaryName)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := Open(dir, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, _ := schema.CanonicalBytes(c2.Export())
-	if string(orig) != string(after) {
-		t.Fatal("state changed across binary snapshot reopen")
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
+	requireFiles(t, dir, snapshotFile, walFile)
+	for _, stage := range []string{"reopen", "second reopen"} {
+		re, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canonical(t, re) != want {
+			t.Fatalf("%s: state changed across binary snapshot reopen", stage)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestLegacyMetaAdoptsFormat: a pre-codec meta (shards only) adopts
-// the requested snapshot format on reopen and re-records it.
+// TestLegacyMetaAdoptsFormat: a directory with a pre-codec meta (shards
+// only) and a JSON snapshot loads; Open removes the meta, and the next
+// Snapshot converts the snapshot to binary.
 func TestLegacyMetaAdoptsFormat(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, nil, Options{SnapshotFormat: codec.JSONName})
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, c)
-	if err := c.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the meta as a pre-codec catalog would have left it.
-	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"shards":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	src := New(nil)
+	populate(t, src)
+	writeJSONSnapshot(t, dir, src.Export(), `{"shards":1}`)
 
-	re, err := Open(dir, nil, Options{SnapshotFormat: codec.BinaryName})
+	re, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.snapFormat != codec.BinaryName {
-		t.Fatalf("adopted format %q, want %q", re.snapFormat, codec.BinaryName)
-	}
-	// The legacy JSON snapshot must still load (self-describing read),
-	// and the next Snapshot converts the directory.
+	requireFiles(t, dir, legacySnapshotFile, walFile)
 	if err := re.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, binSnapshotFile)); err != nil {
-		t.Fatalf("converted binary snapshot missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("stale JSON snapshot not removed, stat err=%v", err)
-	}
+	requireFiles(t, dir, snapshotFile, walFile)
 
 	final, err := Open(dir, nil, Options{})
 	if err != nil {
@@ -193,8 +200,8 @@ func TestLegacyMetaAdoptsFormat(t *testing.T) {
 	}
 }
 
-// TestNewDirectoryIsBinary: a new directory opened with no format pins
-// binary/v1, so it is binary end to end — log and snapshot.
+// TestNewDirectoryIsBinary: a new directory is binary end to end — log
+// and snapshot — and holds nothing else.
 func TestNewDirectoryIsBinary(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, nil, Options{})
@@ -211,28 +218,100 @@ func TestNewDirectoryIsBinary(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.snapFormat != codec.BinaryName {
-		t.Fatalf("new directory pins %q, want %q", c.snapFormat, codec.BinaryName)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if want := []string{metaFile, binSnapshotFile, walFile}; !slices.Equal(names, want) {
-		t.Fatalf("directory holds %v, want %v", names, want)
-	}
+	requireFiles(t, dir, snapshotFile, walFile)
 	if recs := logRecords(t, dir); len(recs) != 1 || recs[0].op != opDataset {
 		t.Fatalf("log after the snapshot holds %v, want the one dataset", recs)
 	}
 }
 
+// TestUnknownSnapshotFormatRejected: the deprecated option accepts only
+// binary/v1, and a meta naming a codec this build lacks is refused.
 func TestUnknownSnapshotFormatRejected(t *testing.T) {
-	if _, err := Open(t.TempDir(), nil, Options{SnapshotFormat: "binary/v9"}); err == nil {
-		t.Fatal("unknown snapshot format accepted")
+	for _, format := range []string{"binary/v9", codec.JSONName} {
+		_, err := Open(t.TempDir(), nil, Options{SnapshotFormat: format})
+		if err == nil || !strings.Contains(err.Error(), "binary/v1 is the only snapshot format") {
+			t.Fatalf("SnapshotFormat %q: Open returned %v", format, err)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, legacyMetaFile), []byte(`{"snapshot_format":"binary/v9"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Open(dir, nil, Options{}); err == nil {
+		c.Close()
+		t.Fatal("a meta naming an unknown snapshot format was accepted")
+	}
+}
+
+// snapshotDir writes a multi-object catalog's snapshot.bin (and an
+// empty wal.bin) into a new directory and returns the directory and
+// the catalog's canonical export.
+func snapshotDir(t testing.TB) (dir, want string) {
+	t.Helper()
+	dir = t.TempDir()
+	c, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomCatalog(t, c, rand.New(rand.NewSource(1)), 3)
+	want = canonical(t, c)
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, want
+}
+
+// TestSnapshotBitFlipRejected flips, one at a time, every bit of a
+// multi-object snapshot.bin: each reopen must fail or reach exactly the
+// original export — never a different catalog.
+func TestSnapshotBitFlipRejected(t *testing.T) {
+	dir, want := snapshotDir(t)
+	path := filepath.Join(dir, snapshotFile)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*len(snap); bit++ {
+		flipped := bytes.Clone(snap)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir, nil, Options{})
+		if err != nil {
+			continue
+		}
+		got := canonical(t, c)
+		c.Close()
+		if got != want {
+			t.Fatalf("bit %d of byte %d (of %d) flipped: reopened to a different export", bit%8, bit/8, len(snap))
+		}
+	}
+}
+
+// TestUntrailedSnapshotLoads: a snapshot.bin without the checksum
+// trailer, as the binary snapshot writer left it before the trailer
+// existed, still loads.
+func TestUntrailedSnapshotLoads(t *testing.T) {
+	dir, want := snapshotDir(t)
+	path := filepath.Join(dir, snapshotFile)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, snap[:len(snap)-snapTrailerLen], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if canonical(t, c) != want {
+		t.Fatal("the untrailed snapshot reopened to a different export")
 	}
 }
 

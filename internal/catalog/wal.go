@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,10 +19,11 @@ import (
 // operation to wal.bin in the catalog directory (frame.go); Snapshot()
 // compacts the full state into the snapshot file and truncates the
 // log. Open replays snapshot + log, so a crash between append and
-// response loses at most the in-flight operation. catalog-meta.json
-// pins the snapshot format. Directories whose log is still JSON lines
-// (wal.jsonl, or a sharded directory's wal-<i>.jsonl) are converted
-// once, on Open (legacy.go).
+// response loses at most the in-flight operation. The directory holds
+// nothing else: both files are self-describing. Directories written
+// before that — a JSON-lines log (wal.jsonl, or a sharded directory's
+// wal-<i>.jsonl), a JSON snapshot, a catalog-meta.json — are read
+// once, on Open, and converted (legacy.go).
 
 // opKind is the kind of one logged operation: a binary/v1 record kind.
 type opKind = codec.RecordKind
@@ -44,26 +44,7 @@ type wal struct {
 	com *committer // group-commit engine: the one write path
 }
 
-const (
-	walFile       = "wal.bin"
-	legacyWALFile = "wal.jsonl"
-	snapshotFile  = "snapshot.json"
-	metaFile      = "catalog-meta.json"
-)
-
-// catalogMeta pins on-disk layout facts that must survive reopen.
-type catalogMeta struct {
-	// Shards is the shard count a directory written by the former
-	// sharded catalog records; 0 or 1 means the one-log layout, more
-	// means Open must convert the directory (legacy.go). New metas omit
-	// it.
-	Shards int `json:"shards,omitempty"`
-	// SnapshotFormat is the codec name Snapshot() writes with
-	// (codec.JSONName or codec.BinaryName). Empty in metas written
-	// before the codec registry existed; resolved to the requested
-	// format (and re-recorded) on first reopen.
-	SnapshotFormat string `json:"snapshot_format,omitempty"`
-}
+const walFile = "wal.bin"
 
 // Options configure a durable catalog.
 type Options struct {
@@ -77,14 +58,10 @@ type Options struct {
 	// Deprecated: ignored; the catalog has one lock.
 	Shards int
 
-	// SnapshotFormat names the codec Snapshot() persists with:
-	// codec.BinaryName (the default when empty) or codec.JSONName. It is
-	// pinned in catalog-meta.json once recorded, and the recorded value
-	// wins on reopen; metas from before the codec registry adopt the
-	// requested format on their first reopen. The read path is
-	// self-describing (it loads whichever snapshot file exists), so
-	// repinning via a fresh directory converts state on the next
-	// Snapshot().
+	// SnapshotFormat must be "" or codec.BinaryName, the only snapshot
+	// format; any other value makes Open fail.
+	//
+	// Deprecated: snapshots are always binary/v1.
 	SnapshotFormat string
 }
 
@@ -96,63 +73,29 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: open: %w", err)
 	}
 
-	// Resolve the layout pins: the directory's recorded snapshot format
-	// wins, and a fresh (or pre-meta) directory records what was
-	// requested.
-	format, err := normalizeSnapshotFormat(opts.SnapshotFormat)
+	if f := opts.SnapshotFormat; f != "" && f != codec.BinaryName {
+		return nil, fmt.Errorf("catalog: snapshot format %q: %s is the only snapshot format", f, codec.BinaryName)
+	}
+	legacyShards, meta, err := readLegacyMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	legacyShards := 0
-	metaPath := filepath.Join(dir, metaFile)
-	if data, err := os.ReadFile(metaPath); err == nil {
-		var meta catalogMeta
-		if err := json.Unmarshal(data, &meta); err != nil {
-			return nil, fmt.Errorf("catalog: meta %s: %w", metaPath, err)
-		}
-		if meta.Shards < 0 || meta.Shards > maxLegacyShards {
-			return nil, fmt.Errorf("catalog: meta %s: shard count %d outside [0, %d]", metaPath, meta.Shards, maxLegacyShards)
-		}
-		if meta.Shards > 1 {
-			legacyShards = meta.Shards
-		}
-		if meta.SnapshotFormat != "" {
-			if format, err = normalizeSnapshotFormat(meta.SnapshotFormat); err != nil {
-				return nil, err
-			}
-		} else if legacyShards == 0 {
-			// Pre-codec meta: adopt the requested format and pin it. (A
-			// legacy conversion rewrites the meta anyway.)
-			meta.SnapshotFormat = format
-			if err := writeMeta(dir, meta); err != nil {
-				return nil, err
-			}
-		}
-	} else if errors.Is(err, os.ErrNotExist) {
-		if err := writeMeta(dir, catalogMeta{SnapshotFormat: format}); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("catalog: meta: %w", err)
-	}
-
 	if err := checkShardLogs(dir, legacyShards); err != nil {
 		return nil, err
 	}
 
 	c := New(dtype.NewRegistry())
 	c.dir = dir
-	c.snapFormat = format
 	if seed != nil {
 		if err := c.types.Merge(seed); err != nil {
 			return nil, err
 		}
 	}
 
-	if err := c.loadSnapshot(dir); err != nil {
+	if err := c.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if err := c.convertLegacy(legacyShards); err != nil {
+	if err := c.convertLegacy(legacyShards, meta); err != nil {
 		return nil, err
 	}
 	logPath := filepath.Join(dir, walFile)
@@ -184,8 +127,7 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 			return nil, fmt.Errorf("catalog: wal: torn tail: %w", err)
 		}
 	}
-	// The log may have just been created; writeMeta's directory sync
-	// came before it.
+	// The log may have just been created.
 	if err := syncDir(dir); err != nil {
 		c.Close()
 		return nil, err

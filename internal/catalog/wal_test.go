@@ -165,7 +165,7 @@ func TestSnapshotSyncsDirBeforeTruncate(t *testing.T) {
 	t.Cleanup(func() { syncDir = prev })
 	syncDir = func(d string) error {
 		syncs++
-		if _, err := os.Stat(filepath.Join(d, binSnapshotFile)); err != nil {
+		if _, err := os.Stat(filepath.Join(d, snapshotFile)); err != nil {
 			t.Errorf("directory synced before the snapshot was renamed into place: %v", err)
 		}
 		if got := logBytes(t, d); got != logged {

@@ -1213,10 +1213,3 @@ func (binaryCodec) DecodeDelta(data []byte) (*Delta, error) {
 	}
 	return d, nil
 }
-
-// AppendSnapshot encodes p with the binary codec into buf (reused when
-// capacity allows) and returns the encoded bytes. It exists for the
-// benchmark harness; production paths go through the Codec interface.
-func AppendSnapshot(buf *bytes.Buffer, p *Payload) error {
-	return binaryCodec{}.EncodeSnapshot(buf, p)
-}

@@ -1,17 +1,16 @@
 // Package codec implements pluggable catalog serialization formats
 // behind a runtime registry, in the spirit of dvid's datatype-format
-// registry: persistence and wire surfaces name the codec they were
-// written with, and readers resolve that name against whatever codecs
-// the binary has compiled in. Unknown names fail loudly, listing what
-// is registered — a catalog directory or export stream is never
-// guessed at.
+// registry: callers name the codec they want, and the registry resolves
+// that name against whatever codecs the binary has compiled in.
+// Unknown names fail loudly, listing what is registered.
 //
 // Two codecs ship today: "json/v1", the line-for-line equivalent of
 // the original encoding/json surfaces, and "binary/v1", a compact
 // length-prefixed format with varint framing, string interning and an
-// on-disk offset index (binary.go). binary/v1 also encodes the
-// catalog's write-ahead log, one standalone record per operation in
-// the snapshot's record layout (record.go). The containers here (Payload,
+// on-disk offset index (binary.go). binary/v1 is the catalog's one
+// on-disk format: its snapshot, and its write-ahead log, one
+// standalone record per operation in the snapshot's record layout
+// (record.go); json/v1 remains a wire format. The containers here (Payload,
 // Delta) deliberately mirror catalog.Export and catalog.Delta
 // field-for-field so conversion is slice reuse, not copying; codec
 // sits below catalog in the import graph so both catalog snapshots and
@@ -79,8 +78,7 @@ type Delta struct {
 // the snapshot read path hands DecodeSnapshot a memory-mapped file and
 // unmaps it as soon as the call returns.
 type Codec interface {
-	// Name is the registry name, recorded in catalog-meta.json and
-	// used to resolve the codec on reopen.
+	// Name is the registry name Lookup resolves.
 	Name() string
 	// ContentType is the HTTP content type of encoded bodies.
 	ContentType() string
@@ -102,8 +100,8 @@ var (
 )
 
 // Register adds a codec under its Name. Registering the same name
-// twice panics: two codecs claiming one name would make recorded
-// format pins ambiguous.
+// twice panics: two codecs claiming one name would make Lookup
+// ambiguous.
 func Register(c Codec) {
 	regMu.Lock()
 	defer regMu.Unlock()

@@ -1,3 +1,7 @@
+// Package replica scores replica popularity: exponentially decayed
+// access counts per (dataset, site), the signal the planner's dynamic
+// replication and eviction policies act on. Where replicas are is
+// recorded by the catalog's Replica objects.
 package replica
 
 import (
