@@ -198,7 +198,6 @@ func main() {
 				os.Exit(2)
 			}
 			cl := vds.NewClient(strings.TrimSpace(url))
-			cl.Binary = true // JSON-only members negotiate down
 			cl.MaxResponseBytes = *maxExportBytes
 			ix.AddMember(strings.TrimSpace(authority), cl)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"chimera/internal/codec"
 	"chimera/internal/schema"
 )
 
@@ -140,46 +141,13 @@ func (c *Catalog) SetJournalWindow(n int) {
 	c.trimJournal(n)
 }
 
-// Tombstone records a deletion inside a delta export. The only
-// removable object class today is the replica.
-type Tombstone struct {
-	Kind string `json:"kind"`
-	ID   string `json:"id"`
-}
+// Tombstone records a deletion inside a delta export.
+type Tombstone = codec.Tombstone
 
-// Delta is an incremental export: the current value of every object
-// mutated after Since, plus tombstones for objects that no longer
-// exist. Full marks a degraded response carrying the complete catalog
-// (the caller was behind the journal window, ahead of the
-// sequence, at sequence zero, or synced against a different instance).
-// Export.Types and Export.Compat are nil unless the registry or the
-// assertion list changed.
-type Delta struct {
-	// Instance identifies the catalog the sequence numbers belong to.
-	Instance uint64 `json:"instance"`
-	// Since echoes the request's sequence.
-	Since uint64 `json:"since"`
-	// Seq is the catalog sequence this delta brings the caller up to.
-	Seq uint64 `json:"seq"`
-	// Full marks Export as the complete catalog state.
-	Full       bool        `json:"full,omitempty"`
-	Export     Export      `json:"export"`
-	Tombstones []Tombstone `json:"tombstones,omitempty"`
-}
-
-// Empty reports whether the delta carries no changes at all — the
-// "unchanged member" fast path of a federation crawl.
-func (d Delta) Empty() bool {
-	return !d.Full &&
-		len(d.Export.Datasets) == 0 &&
-		len(d.Export.Transformations) == 0 &&
-		len(d.Export.Derivations) == 0 &&
-		len(d.Export.Invocations) == 0 &&
-		len(d.Export.Replicas) == 0 &&
-		len(d.Export.Compat) == 0 &&
-		d.Export.Types == nil &&
-		len(d.Tombstones) == 0
-}
+// Delta is an incremental export: the objects mutated after a sync
+// cursor, plus tombstones for objects that no longer exist
+// (codec.Delta).
+type Delta = codec.Delta
 
 // ChangesSince returns the mutations after sequence since, observed by
 // a caller that last synced instance, under the catalog's read lock:
@@ -266,7 +234,7 @@ func (c *Catalog) ChangesSince(since, instance uint64) Delta {
 	if compat {
 		d.Export.Compat = append([]schema.CompatibilityAssertion(nil), c.compat...)
 	}
-	sortExport(&d.Export)
+	d.Export.Sort()
 	sort.Slice(d.Tombstones, func(i, j int) bool { return d.Tombstones[i].ID < d.Tombstones[j].ID })
 	return d
 }

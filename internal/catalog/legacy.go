@@ -55,7 +55,7 @@ type legacyMeta struct {
 	// means one log.
 	Shards int `json:"shards,omitempty"`
 	// SnapshotFormat is the codec name the snapshot was pinned to;
-	// empty in metas written before the codec registry existed.
+	// empty in metas written before the format was pinned.
 	SnapshotFormat string `json:"snapshot_format,omitempty"`
 }
 
@@ -81,10 +81,10 @@ func readLegacyMeta(dir string) (shards int, found bool, err error) {
 	if meta.Shards < 0 || meta.Shards > maxLegacyShards {
 		return 0, false, fmt.Errorf("catalog: meta %s: shard count %d outside [0, %d]", path, meta.Shards, maxLegacyShards)
 	}
-	if meta.SnapshotFormat != "" {
-		if _, err := codec.Lookup(meta.SnapshotFormat); err != nil {
-			return 0, false, fmt.Errorf("catalog: meta %s: snapshot format: %w", path, err)
-		}
+	switch meta.SnapshotFormat {
+	case "", codec.JSONName, codec.BinaryName:
+	default:
+		return 0, false, fmt.Errorf("catalog: meta %s: snapshot format %q is neither %s nor %s", path, meta.SnapshotFormat, codec.JSONName, codec.BinaryName)
 	}
 	if meta.Shards > 1 {
 		shards = meta.Shards

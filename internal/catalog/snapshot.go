@@ -32,80 +32,6 @@ const (
 	snapTrailerLen = frameCRCLen + len(snapMagic)
 )
 
-// snapCodec encodes and decodes snapshot.bin.
-var snapCodec, _ = codec.Lookup(codec.BinaryName)
-
-// CodecPayload reinterprets an Export as the codec-neutral container
-// (shared by the vds server and client wire paths).
-func (exp *Export) CodecPayload() *codec.Payload { return exportPayload(exp) }
-
-// ExportFromCodec is the inverse of CodecPayload.
-func ExportFromCodec(p *codec.Payload) Export { return payloadExport(p) }
-
-// exportPayload reinterprets an Export as the codec-neutral container.
-// The two structs are field-for-field identical, so this moves slice
-// headers, not records.
-func exportPayload(exp *Export) *codec.Payload {
-	return &codec.Payload{
-		Types:           exp.Types,
-		Datasets:        exp.Datasets,
-		Transformations: exp.Transformations,
-		Derivations:     exp.Derivations,
-		Invocations:     exp.Invocations,
-		Replicas:        exp.Replicas,
-		Compat:          exp.Compat,
-	}
-}
-
-func payloadExport(p *codec.Payload) Export {
-	return Export{
-		Types:           p.Types,
-		Datasets:        p.Datasets,
-		Transformations: p.Transformations,
-		Derivations:     p.Derivations,
-		Invocations:     p.Invocations,
-		Replicas:        p.Replicas,
-		Compat:          p.Compat,
-	}
-}
-
-// CodecDelta reinterprets a journal delta as the codec-neutral wire
-// container (shared by the vds server and client).
-func (d *Delta) CodecDelta() *codec.Delta {
-	cd := &codec.Delta{
-		Instance: d.Instance,
-		Since:    d.Since,
-		Seq:      d.Seq,
-		Full:     d.Full,
-		Payload:  *exportPayload(&d.Export),
-	}
-	if len(d.Tombstones) > 0 {
-		cd.Tombstones = make([]codec.Tombstone, len(d.Tombstones))
-		for i, t := range d.Tombstones {
-			cd.Tombstones[i] = codec.Tombstone(t)
-		}
-	}
-	return cd
-}
-
-// DeltaFromCodec is the inverse of CodecDelta.
-func DeltaFromCodec(cd *codec.Delta) Delta {
-	d := Delta{
-		Instance: cd.Instance,
-		Since:    cd.Since,
-		Seq:      cd.Seq,
-		Full:     cd.Full,
-		Export:   payloadExport(&cd.Payload),
-	}
-	if len(cd.Tombstones) > 0 {
-		d.Tombstones = make([]Tombstone, len(cd.Tombstones))
-		for i, t := range cd.Tombstones {
-			d.Tombstones[i] = Tombstone(t)
-		}
-	}
-	return d
-}
-
 // syncDir fsyncs a directory so a just-created (or renamed) entry
 // survives a crash. A variable so tests can observe the state each
 // directory sync makes durable.
@@ -136,15 +62,15 @@ func (c *Catalog) loadSnapshot() error {
 		return fmt.Errorf("catalog: snapshot: %w", err)
 	}
 	body, err := snapshotBody(data)
-	var p *codec.Payload
+	var exp *Export
 	if err == nil {
-		p, err = snapCodec.DecodeSnapshot(body)
+		exp, err = codec.DecodeSnapshot(body)
 	}
 	done() // decoded values own their memory; unmap immediately
 	if err != nil {
 		return fmt.Errorf("catalog: snapshot %s: %w", path, err)
 	}
-	return c.applyExport(payloadExport(p))
+	return c.applyExport(*exp)
 }
 
 // snapshotBody checks a snapshot file's trailer and returns the codec
@@ -166,7 +92,7 @@ func snapshotBody(data []byte) ([]byte, error) {
 // exclusively, as during Open).
 func (c *Catalog) writeSnapshotLocked(exp *Export) error {
 	var buf bytes.Buffer
-	if err := snapCodec.EncodeSnapshot(&buf, exportPayload(exp)); err != nil {
+	if err := codec.EncodeSnapshot(&buf, exp); err != nil {
 		return err
 	}
 	data := binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.Checksum(buf.Bytes(), castagnoli))

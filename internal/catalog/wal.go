@@ -248,16 +248,8 @@ func (c *Catalog) apply(op opKind, v any, deferred *[]schema.Derivation) error {
 }
 
 // Export is the full-state serialization used for snapshots and for
-// shipping catalog contents between services.
-type Export struct {
-	Types           *dtype.Registry                 `json:"types"`
-	Datasets        []schema.Dataset                `json:"datasets,omitempty"`
-	Transformations []schema.Transformation         `json:"transformations,omitempty"`
-	Derivations     []schema.Derivation             `json:"derivations,omitempty"`
-	Invocations     []schema.Invocation             `json:"invocations,omitempty"`
-	Replicas        []schema.Replica                `json:"replicas,omitempty"`
-	Compat          []schema.CompatibilityAssertion `json:"compat,omitempty"`
-}
+// shipping catalog contents between services (codec.Payload).
+type Export = codec.Payload
 
 // Export captures the catalog's full state under the read lock, in a
 // deterministic order.
@@ -269,20 +261,6 @@ func (c *Catalog) Export() Export {
 
 // Export serializes the view's full state.
 func (v *View) Export() Export { return v.c.exportLocked() }
-
-// Sort orders every object slice by its identity, the canonical order
-// Export() itself produces. Callers assembling an Export by hand (e.g.
-// a federation index reconstructing member state from deltas) use it so
-// downstream merges stay deterministic.
-func (exp *Export) Sort() { sortExport(exp) }
-
-func sortExport(exp *Export) {
-	sort.Slice(exp.Datasets, func(i, j int) bool { return exp.Datasets[i].Name < exp.Datasets[j].Name })
-	sort.Slice(exp.Transformations, func(i, j int) bool { return exp.Transformations[i].Ref() < exp.Transformations[j].Ref() })
-	sort.Slice(exp.Derivations, func(i, j int) bool { return exp.Derivations[i].ID < exp.Derivations[j].ID })
-	sort.Slice(exp.Invocations, func(i, j int) bool { return exp.Invocations[i].ID < exp.Invocations[j].ID })
-	sort.Slice(exp.Replicas, func(i, j int) bool { return exp.Replicas[i].ID < exp.Replicas[j].ID })
-}
 
 // applyExport loads an export into an empty catalog. Transformations
 // land before derivations, so every reference resolves.
@@ -490,6 +468,6 @@ func (c *Catalog) exportLocked() Export {
 		exp.Replicas = append(exp.Replicas, r)
 	}
 	exp.Compat = append([]schema.CompatibilityAssertion(nil), c.compat...)
-	sortExport(&exp)
+	exp.Sort()
 	return exp
 }

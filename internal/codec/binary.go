@@ -62,10 +62,6 @@ import (
 // Every decoded value owns its memory — nothing aliases the input
 // buffer — so the caller may unmap a memory-mapped input immediately
 // after decoding returns.
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string        { return BinaryName }
-func (binaryCodec) ContentType() string { return BinaryContentType }
 
 const (
 	binMagic     = "VDGB"
@@ -491,8 +487,9 @@ func (e *encState) encodeBody(p *Payload, tombs []Tombstone) error {
 	return nil
 }
 
-func (binaryCodec) EncodeSnapshot(w io.Writer, p *Payload) error {
-	defer observeEncode(BinaryName, time.Now())
+// EncodeSnapshot writes the binary/v1 snapshot of p to w.
+func EncodeSnapshot(w io.Writer, p *Payload) error {
+	defer encSecBin.ObserveSince(time.Now())
 	e := getEnc()
 	defer putEnc(e)
 	e.raw([]byte(binMagic))
@@ -501,13 +498,14 @@ func (binaryCodec) EncodeSnapshot(w io.Writer, p *Payload) error {
 	if err := e.encodeBody(p, nil); err != nil {
 		return err
 	}
-	encBytes(BinaryName, len(e.buf))
+	encBBin.Add(uint64(len(e.buf)))
 	_, err := w.Write(e.buf)
 	return err
 }
 
-func (binaryCodec) EncodeDelta(w io.Writer, d *Delta) error {
-	defer observeEncode(BinaryName, time.Now())
+// EncodeDelta writes the binary/v1 delta frame of d to w.
+func EncodeDelta(w io.Writer, d *Delta) error {
+	defer encSecBin.ObserveSince(time.Now())
 	e := getEnc()
 	defer putEnc(e)
 	e.deflate = true
@@ -522,10 +520,10 @@ func (binaryCodec) EncodeDelta(w io.Writer, d *Delta) error {
 	} else {
 		e.byte(0)
 	}
-	if err := e.encodeBody(&d.Payload, d.Tombstones); err != nil {
+	if err := e.encodeBody(&d.Export, d.Tombstones); err != nil {
 		return err
 	}
-	encBytes(BinaryName, len(e.buf))
+	encBBin.Add(uint64(len(e.buf)))
 	_, err := w.Write(e.buf)
 	return err
 }
@@ -1186,9 +1184,11 @@ func (r *binReader) payload() (*Payload, error) {
 	return p, nil
 }
 
-func (binaryCodec) DecodeSnapshot(data []byte) (*Payload, error) {
-	defer observeDecode(BinaryName, time.Now())
-	decBytes(BinaryName, len(data))
+// DecodeSnapshot parses a binary/v1 snapshot. The returned payload
+// owns all of its memory.
+func DecodeSnapshot(data []byte) (*Payload, error) {
+	defer decSecBin.ObserveSince(time.Now())
+	decBBin.Add(uint64(len(data)))
 	r, err := openBinary(data, frameSnap)
 	if err != nil {
 		return nil, err
@@ -1196,9 +1196,11 @@ func (binaryCodec) DecodeSnapshot(data []byte) (*Payload, error) {
 	return r.payload()
 }
 
-func (binaryCodec) DecodeDelta(data []byte) (*Delta, error) {
-	defer observeDecode(BinaryName, time.Now())
-	decBytes(BinaryName, len(data))
+// DecodeDelta parses a binary/v1 delta frame. The returned delta owns
+// all of its memory.
+func DecodeDelta(data []byte) (*Delta, error) {
+	defer decSecBin.ObserveSince(time.Now())
+	decBBin.Add(uint64(len(data)))
 	r, err := openBinary(data, frameDelta)
 	if err != nil {
 		return nil, err
@@ -1207,9 +1209,17 @@ func (binaryCodec) DecodeDelta(data []byte) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Delta{Instance: r.instance, Since: r.since, Seq: r.seq, Full: r.full, Payload: *p}
+	d := &Delta{Instance: r.instance, Since: r.since, Seq: r.seq, Full: r.full, Export: *p}
 	if d.Tombstones, err = decodeSection(r, secTombstones, tombstone); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
+
+// binaryCodec is binary/v1 behind the deprecated Codec interface.
+type binaryCodec struct{}
+
+func (binaryCodec) EncodeSnapshot(w io.Writer, p *Payload) error { return EncodeSnapshot(w, p) }
+func (binaryCodec) DecodeSnapshot(data []byte) (*Payload, error) { return DecodeSnapshot(data) }
+func (binaryCodec) EncodeDelta(w io.Writer, d *Delta) error      { return EncodeDelta(w, d) }
+func (binaryCodec) DecodeDelta(data []byte) (*Delta, error)      { return DecodeDelta(data) }

@@ -1,27 +1,26 @@
-// Package codec implements pluggable catalog serialization formats
-// behind a runtime registry, in the spirit of dvid's datatype-format
-// registry: callers name the codec they want, and the registry resolves
-// that name against whatever codecs the binary has compiled in.
-// Unknown names fail loudly, listing what is registered.
+// Package codec owns the catalog's export containers and their one
+// binary encoding. Payload is the full catalog state, Delta an
+// incremental export with its sync cursor, Tombstone a deletion inside
+// a delta; catalog.Export, catalog.Delta and catalog.Tombstone are
+// these types, so a catalog export reaches the codec without a copy.
 //
-// Two codecs ship today: "json/v1", the line-for-line equivalent of
-// the original encoding/json surfaces, and "binary/v1", a compact
-// length-prefixed format with varint framing, string interning and an
-// on-disk offset index (binary.go). binary/v1 is the catalog's one
-// on-disk format: its snapshot, and its write-ahead log, one
-// standalone record per operation in the snapshot's record layout
-// (record.go); json/v1 remains a wire format. The containers here (Payload,
-// Delta) deliberately mirror catalog.Export and catalog.Delta
-// field-for-field so conversion is slice reuse, not copying; codec
-// sits below catalog in the import graph so both catalog snapshots and
-// vds wire bodies can share one implementation.
+// binary/v1 (binary.go) is a compact length-prefixed format with
+// varint framing, string interning and an on-disk offset index. It is
+// the catalog's one on-disk format: its snapshot, and its write-ahead
+// log, one standalone record per operation in the snapshot's record
+// layout (record.go). It is also the negotiated wire format of
+// /v1/export; callers use EncodeSnapshot, DecodeSnapshot, EncodeDelta
+// and DecodeDelta directly. The JSON wire form is encoding/json of the
+// same containers, whose tags fix its bytes; json.go keeps it as a
+// codec too, the reference the binary codec is tested against.
+// codec sits below catalog in the import graph so both catalog
+// snapshots and vds wire bodies share one implementation.
 package codec
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
@@ -29,9 +28,9 @@ import (
 
 // Codec names and content types.
 const (
-	// JSONName is the registry name of the JSON codec.
+	// JSONName names the JSON encoding, json/v1.
 	JSONName = "json/v1"
-	// BinaryName is the registry name of the binary codec.
+	// BinaryName names the binary encoding, binary/v1.
 	BinaryName = "binary/v1"
 
 	// JSONContentType is the HTTP content type of JSON-encoded bodies.
@@ -43,9 +42,8 @@ const (
 	BinaryContentType = "application/x-vdg-binary"
 )
 
-// Payload is the codec-neutral full-state container: field-for-field
-// (and JSON-tag-for-JSON-tag) the shape of catalog.Export, so the JSON
-// codec reproduces the legacy snapshot and wire bytes exactly.
+// Payload is the full-state serialization used for snapshots and for
+// shipping catalog contents between services (catalog.Export).
 type Payload struct {
 	Types           *dtype.Registry                 `json:"types"`
 	Datasets        []schema.Dataset                `json:"datasets,omitempty"`
@@ -56,91 +54,92 @@ type Payload struct {
 	Compat          []schema.CompatibilityAssertion `json:"compat,omitempty"`
 }
 
-// Tombstone mirrors catalog.Tombstone: a deletion inside a delta.
+// Sort orders every object slice by its identity, the canonical order
+// a catalog export itself has. Callers assembling a Payload by hand
+// (e.g. a federation index reconstructing member state from deltas)
+// use it so downstream merges stay deterministic.
+func (p *Payload) Sort() {
+	sort.Slice(p.Datasets, func(i, j int) bool { return p.Datasets[i].Name < p.Datasets[j].Name })
+	sort.Slice(p.Transformations, func(i, j int) bool { return p.Transformations[i].Ref() < p.Transformations[j].Ref() })
+	sort.Slice(p.Derivations, func(i, j int) bool { return p.Derivations[i].ID < p.Derivations[j].ID })
+	sort.Slice(p.Invocations, func(i, j int) bool { return p.Invocations[i].ID < p.Invocations[j].ID })
+	sort.Slice(p.Replicas, func(i, j int) bool { return p.Replicas[i].ID < p.Replicas[j].ID })
+}
+
+// Tombstone records a deletion inside a delta export. The only
+// removable object class today is the replica.
 type Tombstone struct {
 	Kind string `json:"kind"`
 	ID   string `json:"id"`
 }
 
-// Delta mirrors catalog.Delta: an incremental export plus the sync
-// cursor it advances the caller to.
+// Delta is an incremental export: the current value of every object
+// mutated after Since, plus tombstones for objects that no longer
+// exist. Full marks a degraded response carrying the complete catalog
+// (the caller was behind the journal window, ahead of the
+// sequence, at sequence zero, or synced against a different instance).
+// Export.Types and Export.Compat are nil unless the registry or the
+// assertion list changed.
 type Delta struct {
-	Instance   uint64      `json:"instance"`
-	Since      uint64      `json:"since"`
-	Seq        uint64      `json:"seq"`
+	// Instance identifies the catalog the sequence numbers belong to.
+	Instance uint64 `json:"instance"`
+	// Since echoes the request's sequence.
+	Since uint64 `json:"since"`
+	// Seq is the catalog sequence this delta brings the caller up to.
+	Seq uint64 `json:"seq"`
+	// Full marks Export as the complete catalog state.
 	Full       bool        `json:"full,omitempty"`
-	Payload    Payload     `json:"export"`
+	Export     Payload     `json:"export"`
 	Tombstones []Tombstone `json:"tombstones,omitempty"`
 }
 
-// Codec serializes catalog state. Implementations must be safe for
-// concurrent use, and decoded values must never alias the input bytes:
-// the snapshot read path hands DecodeSnapshot a memory-mapped file and
-// unmaps it as soon as the call returns.
+// Empty reports whether the delta carries no changes at all — the
+// "unchanged member" fast path of a federation crawl.
+func (d Delta) Empty() bool {
+	return !d.Full &&
+		len(d.Export.Datasets) == 0 &&
+		len(d.Export.Transformations) == 0 &&
+		len(d.Export.Derivations) == 0 &&
+		len(d.Export.Invocations) == 0 &&
+		len(d.Export.Replicas) == 0 &&
+		len(d.Export.Compat) == 0 &&
+		d.Export.Types == nil &&
+		len(d.Tombstones) == 0
+}
+
+// CodecPayload returns p.
+//
+// Deprecated: kept for benchmark/, which was written when the catalog
+// and the codec declared the container separately.
+func (p *Payload) CodecPayload() *Payload { return p }
+
+// CodecDelta returns d.
+//
+// Deprecated: kept for benchmark/, which was written when the catalog
+// and the codec declared the container separately.
+func (d *Delta) CodecDelta() *Delta { return d }
+
+// Codec serializes catalog state. Decoded values never alias the input
+// bytes.
+//
+// Deprecated: kept for benchmark/; call EncodeSnapshot, DecodeSnapshot,
+// EncodeDelta and DecodeDelta.
 type Codec interface {
-	// Name is the registry name Lookup resolves.
-	Name() string
-	// ContentType is the HTTP content type of encoded bodies.
-	ContentType() string
-	// EncodeSnapshot writes the full-state form of p to w.
 	EncodeSnapshot(w io.Writer, p *Payload) error
-	// DecodeSnapshot parses a full-state body. The returned payload
-	// owns all of its memory.
 	DecodeSnapshot(data []byte) (*Payload, error)
-	// EncodeDelta writes the incremental form of d to w.
 	EncodeDelta(w io.Writer, d *Delta) error
-	// DecodeDelta parses an incremental body. The returned delta owns
-	// all of its memory.
 	DecodeDelta(data []byte) (*Delta, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Codec)
-)
-
-// Register adds a codec under its Name. Registering the same name
-// twice panics: two codecs claiming one name would make Lookup
-// ambiguous.
-func Register(c Codec) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[c.Name()]; dup {
-		panic(fmt.Sprintf("codec: duplicate registration of %q", c.Name()))
-	}
-	registry[c.Name()] = c
-}
-
-// Lookup resolves a codec by registry name. Unknown names error with
-// the list of registered codecs, so a catalog directory written by a
-// newer binary fails with "you are missing binary/v2", not a parse
-// error.
+// Lookup resolves JSONName or BinaryName to its codec.
+//
+// Deprecated: kept for benchmark/; call the binary functions directly.
 func Lookup(name string) (Codec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if c, ok := registry[name]; ok {
-		return c, nil
+	switch name {
+	case BinaryName:
+		return binaryCodec{}, nil
+	case JSONName:
+		return jsonCodec{}, nil
 	}
-	return nil, fmt.Errorf("codec: unknown codec %q (registered: %v)", name, namesLocked())
-}
-
-// Names lists the registered codec names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register(jsonCodec{})
-	Register(binaryCodec{})
+	return nil, fmt.Errorf("codec: unknown codec %q (known: %s, %s)", name, JSONName, BinaryName)
 }

@@ -15,15 +15,14 @@ import (
 // than bouncing off the magic check.
 
 func fuzzCorpus(f *testing.F, delta bool) {
-	binC, _ := Lookup(BinaryName)
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var buf bytes.Buffer
 		var err error
 		if delta {
-			err = binC.EncodeDelta(&buf, randDelta(rng, int(seed)*5))
+			err = EncodeDelta(&buf, randDelta(rng, int(seed)*5))
 		} else {
-			err = binC.EncodeSnapshot(&buf, randPayload(rng, int(seed)*5))
+			err = EncodeSnapshot(&buf, randPayload(rng, int(seed)*5))
 		}
 		if err != nil {
 			f.Fatal(err)
@@ -46,9 +45,8 @@ func fuzzCorpus(f *testing.F, delta bool) {
 
 func FuzzDecodeSnapshot(f *testing.F) {
 	fuzzCorpus(f, false)
-	binC, _ := Lookup(BinaryName)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := binC.DecodeSnapshot(data)
+		p, err := DecodeSnapshot(data)
 		if err == nil && p == nil {
 			t.Fatal("nil payload with nil error")
 		}
@@ -57,9 +55,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 func FuzzDecodeDelta(f *testing.F) {
 	fuzzCorpus(f, true)
-	binC, _ := Lookup(BinaryName)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := binC.DecodeDelta(data)
+		d, err := DecodeDelta(data)
 		if err == nil && d == nil {
 			t.Fatal("nil delta with nil error")
 		}

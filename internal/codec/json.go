@@ -6,48 +6,36 @@ import (
 	"time"
 )
 
-// jsonCodec is the legacy format: the containers carry catalog.Export
-// and catalog.Delta's exact JSON tags, so its output is byte-for-byte
-// what the pre-codec snapshot writer and /v1/export handler produced.
+// jsonCodec is json/v1: encoding/json of the containers, whose tags
+// fix the bytes of the JSON wire and of the snapshot.json a legacy
+// directory holds. It is the reference the binary codec is checked
+// against.
 type jsonCodec struct{}
 
-func (jsonCodec) Name() string        { return JSONName }
-func (jsonCodec) ContentType() string { return JSONContentType }
+func (jsonCodec) EncodeSnapshot(w io.Writer, p *Payload) error { return encodeJSON(w, p) }
 
-func (jsonCodec) EncodeSnapshot(w io.Writer, p *Payload) error {
-	defer observeEncode(JSONName, time.Now())
+func (jsonCodec) DecodeSnapshot(data []byte) (*Payload, error) { return decodeJSON[Payload](data) }
+
+func (jsonCodec) EncodeDelta(w io.Writer, d *Delta) error { return encodeJSON(w, d) }
+
+func (jsonCodec) DecodeDelta(data []byte) (*Delta, error) { return decodeJSON[Delta](data) }
+
+func encodeJSON(w io.Writer, v any) error {
+	defer encSecJSON.ObserveSince(time.Now())
 	cw := countingWriter{w: w}
-	err := json.NewEncoder(&cw).Encode(p)
-	encBytes(JSONName, cw.n)
+	err := json.NewEncoder(&cw).Encode(v)
+	encBJSON.Add(uint64(cw.n))
 	return err
 }
 
-func (jsonCodec) DecodeSnapshot(data []byte) (*Payload, error) {
-	defer observeDecode(JSONName, time.Now())
-	decBytes(JSONName, len(data))
-	p := new(Payload)
-	if err := json.Unmarshal(data, p); err != nil {
+func decodeJSON[T any](data []byte) (*T, error) {
+	defer decSecJSON.ObserveSince(time.Now())
+	decBJSON.Add(uint64(len(data)))
+	v := new(T)
+	if err := json.Unmarshal(data, v); err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-func (jsonCodec) EncodeDelta(w io.Writer, d *Delta) error {
-	defer observeEncode(JSONName, time.Now())
-	cw := countingWriter{w: w}
-	err := json.NewEncoder(&cw).Encode(d)
-	encBytes(JSONName, cw.n)
-	return err
-}
-
-func (jsonCodec) DecodeDelta(data []byte) (*Delta, error) {
-	defer observeDecode(JSONName, time.Now())
-	decBytes(JSONName, len(data))
-	d := new(Delta)
-	if err := json.Unmarshal(data, d); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return v, nil
 }
 
 // countingWriter tallies bytes written through it for the codec

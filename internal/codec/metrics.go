@@ -1,15 +1,11 @@
 package codec
 
-import (
-	"time"
-
-	"chimera/internal/obs"
-)
+import "chimera/internal/obs"
 
 // Codec metrics: encode/decode CPU and byte volume per codec. Series
-// are labeled by the codec registry name so a mixed deployment (binary
-// snapshots, JSON wire fallback for old members) shows where the cycles
-// and bytes go.
+// are labeled by the codec name (json/v1, binary/v1), so a deployment
+// whose snapshots are binary and whose wire falls back to JSON for old
+// members shows where the cycles and bytes go.
 var (
 	metricEncodeSeconds = obs.Default.HistogramVec("vdc_codec_encode_seconds",
 		"Latency of one snapshot/delta encode, by codec.", obs.TimeBuckets, "codec")
@@ -29,35 +25,3 @@ var (
 	decBJSON   = metricDecodeBytes.With(JSONName)
 	decBBin    = metricDecodeBytes.With(BinaryName)
 )
-
-func observeEncode(name string, start time.Time) {
-	if name == BinaryName {
-		encSecBin.ObserveSince(start)
-	} else {
-		encSecJSON.ObserveSince(start)
-	}
-}
-
-func observeDecode(name string, start time.Time) {
-	if name == BinaryName {
-		decSecBin.ObserveSince(start)
-	} else {
-		decSecJSON.ObserveSince(start)
-	}
-}
-
-func encBytes(name string, n int) {
-	if name == BinaryName {
-		encBBin.Add(uint64(n))
-	} else {
-		encBJSON.Add(uint64(n))
-	}
-}
-
-func decBytes(name string, n int) {
-	if name == BinaryName {
-		decBBin.Add(uint64(n))
-	} else {
-		decBJSON.Add(uint64(n))
-	}
-}

@@ -6,9 +6,9 @@
 //
 // Execution is abstracted behind a Driver: SimDriver runs placements on
 // the simulated grid in virtual time; LocalDriver runs registered Go
-// functions on the local machine in real time; NullDriver completes
-// jobs instantly for scheduler benchmarks. The executor itself is
-// identical over all of them.
+// functions on the local machine in real time; the tests' NullDriver
+// completes jobs instantly for scheduler benchmarks. The executor
+// itself is identical over all of them.
 //
 // Scheduling is incremental: the executor maintains per-node indegree
 // counters seeded from each node's predecessors, so a completion

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -62,11 +63,11 @@ func fullCrawl(t *testing.T, ix *Index) snapshot {
 		ix.mu.RLock()
 		client := ix.members[a]
 		ix.mu.RUnlock()
-		exp, err := client.Export()
+		d, _, err := client.ExportSince(context.Background(), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		admitted, err := admit(exp, filter)
+		admitted, err := admit(d.Export, filter)
 		if err != nil {
 			t.Fatal(err)
 		}

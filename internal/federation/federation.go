@@ -226,15 +226,9 @@ func admit(exp catalog.Export, filter query.Expr) (catalog.Export, error) {
 	}
 	// Keep only derivations whose outputs are all admitted, so the
 	// filtered view stays provenance-consistent.
-	tmp2 := catalog.New(nil)
-	for _, tr := range exp.Transformations {
-		if err := tmp2.AddTransformation(tr); err != nil {
-			return catalog.Export{}, err
-		}
-	}
 	out.Derivations = nil
 	for _, dv := range exp.Derivations {
-		tr, err := tmp2.Transformation(dv.TR)
+		tr, err := tmp.Transformation(dv.TR)
 		if err != nil {
 			continue
 		}

@@ -21,56 +21,50 @@ func jsonOnly(h http.Handler) http.Handler {
 	})
 }
 
-// mixedSite spins up one member; legacy strips content negotiation at
-// the server, binaryClient opts the crawler's client into the binary
-// transport.
-func mixedSite(t *testing.T, name string, legacy, binaryClient bool) (*catalog.Catalog, *vds.Client) {
+// mixedSite spins up one member. It returns the member's catalog, a
+// client of its server, which strips content negotiation when legacy
+// is set, and a client of a JSON-only server on the same catalog, for
+// the oracle.
+func mixedSite(t *testing.T, name string, legacy bool) (cat *catalog.Catalog, client, jsonClient *vds.Client) {
 	t.Helper()
-	cat := catalog.New(nil)
-	var h http.Handler = vds.NewServer(name, cat)
+	cat = catalog.New(nil)
+	srv := vds.NewServer(name, cat)
+	var h http.Handler = srv
 	if legacy {
-		h = jsonOnly(h)
+		h = jsonOnly(srv)
 	}
 	hs := httptest.NewServer(h)
 	t.Cleanup(hs.Close)
-	cl := vds.NewClient(hs.URL)
-	cl.Binary = binaryClient
-	return cat, cl
+	js := httptest.NewServer(jsonOnly(srv))
+	t.Cleanup(js.Close)
+	return cat, vds.NewClient(hs.URL), vds.NewClient(js.URL)
 }
 
 // TestMixedVersionFederationEquivalence drives randomized mutation
 // histories through a federation whose members cover the whole
-// negotiation matrix — binary crawler vs JSON-only member, JSON
-// crawler vs binary-capable member, binary end-to-end — and requires
-// the merged catalog to stay byte-identical to the all-JSON oracle
-// after every round.
+// negotiation matrix — a JSON-only member the crawler negotiates down
+// to, and binary end to end — and requires the merged catalog to stay
+// byte-identical to the all-JSON oracle after every round.
 func TestMixedVersionFederationEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	type member struct {
-		legacy, binary bool
-	}
-	members := []member{
-		{legacy: true, binary: true},   // binary crawler, JSON-only member: negotiate down
-		{legacy: false, binary: false}, // JSON crawler, binary-capable member: stays JSON
-		{legacy: false, binary: true},  // binary end-to-end
+	legacy := []bool{
+		true,  // JSON-only member: negotiate down
+		false, // binary end-to-end
 	}
 
 	mixed := NewIndex("mixed", "test")
 	oracle := NewIndex("oracle", "test")
 	var muts []*mutator
-	for i, m := range members {
+	for i, l := range legacy {
 		name := fmt.Sprintf("m%d", i)
-		cat, client := mixedSite(t, name, m.legacy, m.binary)
-		// The oracle crawls the same member over a plain JSON client.
-		jsonClient := *client
-		jsonClient.Binary = false
+		cat, client, jsonClient := mixedSite(t, name, l)
 		muts = append(muts, &mutator{rng: rng, cat: cat, prefix: name})
 		mixed.AddMember(name, client)
-		oracle.AddMember(name, &jsonClient)
+		oracle.AddMember(name, jsonClient)
 	}
 	// A tight journal window on the binary end-to-end member forces its
 	// deltas through the full-export fallback mid-test.
-	muts[2].cat.SetJournalWindow(4)
+	muts[1].cat.SetJournalWindow(4)
 
 	for round := 0; round < 10; round++ {
 		steps := rng.Intn(12)

@@ -68,42 +68,11 @@ var (
 	queryLoadedScan  = metricQueryLoaded.With("scan")
 )
 
-// cset is a candidate set: index parts (the zero value is the
-// constant-empty set), or a provenance closure map.
-type cset struct {
-	parts   catalog.IndexParts
-	closure map[string]bool
-}
-
-func (s cset) size() int {
-	if s.closure != nil {
-		return len(s.closure)
-	}
-	return s.parts.Len()
-}
-
-func (s cset) has(id string) bool {
-	if s.closure != nil {
-		return s.closure[id]
-	}
-	return s.parts.Has(id)
-}
-
-func (s cset) each(fn func(string)) {
-	if s.closure != nil {
-		for id := range s.closure {
-			fn(id)
-		}
-		return
-	}
-	s.parts.Each(fn)
-}
-
 // planStep is one indexed conjunct.
 type planStep struct {
 	pred Expr
 	size int // its candidate-set size at plan time
-	set  cset
+	set  catalog.IndexParts
 }
 
 // keyTest is one conjunct decided on the identifier alone.
@@ -198,15 +167,15 @@ func andChain(conjuncts []Expr) Expr {
 }
 
 // emptySet is the constant-false candidate set.
-var emptySet = cset{}
+var emptySet = catalog.IndexParts{}
 
 // singleton returns a one-element candidate set, or the empty set when
 // present is false.
-func singleton(id string, present bool) cset {
+func singleton(id string, present bool) catalog.IndexParts {
 	if !present {
 		return emptySet
 	}
-	return cset{parts: catalog.SetOf(id)}
+	return catalog.SetOf(id)
 }
 
 // indexConjunct maps one conjunct to its exact candidate set. It
@@ -214,7 +183,7 @@ func singleton(id string, present bool) cset {
 // kind and must stay residual. Errors are plan-time failures (an
 // unknown dataset in a provenance closure) and abort the query, like
 // the scan path's eval-time error would.
-func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
+func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (catalog.IndexParts, bool, error) {
 	v := ctx.view
 	switch p := e.(type) {
 	case namePred:
@@ -230,7 +199,7 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 			// resolution is a lookup concern, not a search one.
 			return singleton(p.cmp.val, v.HasTransformation(p.cmp.val)), true, nil
 		default:
-			return cset{parts: v.DerivationsByName(p.cmp.val)}, true, nil
+			return v.DerivationsByName(p.cmp.val), true, nil
 		}
 	case attrPred:
 		if p.cmp.op != opEq {
@@ -238,11 +207,11 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 		}
 		switch kind {
 		case KDataset:
-			return cset{parts: v.DatasetsByAttr(p.key, p.cmp.val)}, true, nil
+			return v.DatasetsByAttr(p.key, p.cmp.val), true, nil
 		case KTransformation:
-			return cset{parts: v.TransformationsByAttr(p.key, p.cmp.val)}, true, nil
+			return v.TransformationsByAttr(p.key, p.cmp.val), true, nil
 		default:
-			return cset{parts: v.DerivationsByAttr(p.key, p.cmp.val)}, true, nil
+			return v.DerivationsByAttr(p.key, p.cmp.val), true, nil
 		}
 	case typePred:
 		switch kind {
@@ -255,7 +224,7 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 				// Matches every dataset: constrains nothing.
 				return emptySet, false, nil
 			}
-			return cset{parts: v.DatasetsByType(p.t)}, true, nil
+			return v.DatasetsByType(p.t), true, nil
 		case KTransformation:
 			// Formal-list scan; stays residual.
 			return emptySet, false, nil
@@ -268,12 +237,12 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 			if kind != KDataset {
 				return emptySet, true, nil
 			}
-			return cset{parts: v.DerivedDatasets()}, true, nil
+			return v.DerivedDatasets(), true, nil
 		case "materialized":
 			if kind != KDataset {
 				return emptySet, true, nil
 			}
-			return cset{parts: v.MaterializedDatasets()}, true, nil
+			return v.MaterializedDatasets(), true, nil
 		case "virtual":
 			if kind != KDataset {
 				return emptySet, true, nil
@@ -285,7 +254,7 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 			if kind != KDerivation {
 				return emptySet, true, nil
 			}
-			return cset{parts: v.ExecutedDerivations()}, true, nil
+			return v.ExecutedDerivations(), true, nil
 		default: // simple/compound: cheap residual for transformations
 			if kind != KTransformation {
 				return emptySet, true, nil
@@ -296,29 +265,29 @@ func indexConjunct(ctx *evalCtx, kind Kind, e Expr) (cset, bool, error) {
 		if kind != KDerivation {
 			return emptySet, true, nil
 		}
-		return cset{parts: v.DerivationsByTR(p.ref)}, true, nil
+		return v.DerivationsByTR(p.ref), true, nil
 	case relPred:
 		switch p.rel {
 		case "descendantof", "ancestorof":
 			if kind != KDataset {
 				return emptySet, true, nil
 			}
-			var m map[string]bool
+			var set catalog.IndexParts
 			var err error
 			if p.rel == "descendantof" {
-				m, err = ctx.descendants(p.ds)
+				set, err = ctx.descendants(p.ds)
 			} else {
-				m, err = ctx.ancestors(p.ds)
+				set, err = ctx.ancestors(p.ds)
 			}
 			if err != nil {
 				return emptySet, false, err
 			}
-			return cset{closure: m}, true, nil
+			return set, true, nil
 		case "consumes":
 			if kind != KDerivation {
 				return emptySet, true, nil
 			}
-			return cset{parts: catalog.SetOf(v.ConsumersOf(p.ds)...)}, true, nil
+			return catalog.SetOf(v.ConsumersOf(p.ds)...), true, nil
 		case "produces":
 			if kind != KDerivation {
 				return emptySet, true, nil
@@ -373,7 +342,7 @@ func plan(ctx *evalCtx, kind Kind, e Expr) (*queryPlan, error) {
 			residual = append(residual, cj)
 			continue
 		}
-		p.steps = append(p.steps, planStep{pred: cj, size: set.size(), set: set})
+		p.steps = append(p.steps, planStep{pred: cj, size: set.Len(), set: set})
 	}
 	p.residual = andChain(residual)
 	if len(p.steps) == 0 {
@@ -384,12 +353,12 @@ func plan(ctx *evalCtx, kind Kind, e Expr) (*queryPlan, error) {
 	// Intersect, iterating the smallest set and probing the others.
 	sort.SliceStable(p.steps, func(i, j int) bool { return p.steps[i].size < p.steps[j].size })
 	rest := p.steps[1:]
-	p.steps[0].set.each(func(id string) {
+	p.steps[0].set.Each(func(id string) {
 		if !p.acceptKey(id) {
 			return
 		}
 		for _, st := range rest {
-			if !st.set.has(id) {
+			if !st.set.Has(id) {
 				return
 			}
 		}

@@ -86,49 +86,40 @@ func (o object) attrs() schema.Attributes {
 // Close releases it) instead of once per object per predicate.
 type evalCtx struct {
 	view *catalog.View
-	// descCache memoizes descendant closures keyed by dataset.
-	descCache map[string]map[string]bool
-	ancCache  map[string]map[string]bool
+	// descCache and ancCache memoize provenance closures keyed by
+	// dataset.
+	descCache map[string]catalog.IndexParts
+	ancCache  map[string]catalog.IndexParts
 }
 
 func newEvalCtx(v *catalog.View) *evalCtx {
 	return &evalCtx{
 		view:      v,
-		descCache: make(map[string]map[string]bool),
-		ancCache:  make(map[string]map[string]bool),
+		descCache: make(map[string]catalog.IndexParts),
+		ancCache:  make(map[string]catalog.IndexParts),
 	}
 }
 
-func (ctx *evalCtx) descendants(ds string) (map[string]bool, error) {
-	if m, ok := ctx.descCache[ds]; ok {
-		return m, nil
-	}
-	cl, err := ctx.view.Descendants(ds)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]bool, len(cl.Datasets))
-	for _, d := range cl.Datasets {
-		m[d] = true
-	}
-	ctx.descCache[ds] = m
-	return m, nil
+func (ctx *evalCtx) descendants(ds string) (catalog.IndexParts, error) {
+	return closureSet(ctx.descCache, ds, ctx.view.Descendants)
 }
 
-func (ctx *evalCtx) ancestors(ds string) (map[string]bool, error) {
-	if m, ok := ctx.ancCache[ds]; ok {
-		return m, nil
+func (ctx *evalCtx) ancestors(ds string) (catalog.IndexParts, error) {
+	return closureSet(ctx.ancCache, ds, ctx.view.Ancestors)
+}
+
+// closureSet returns the datasets of walk(ds), memoized in cache.
+func closureSet(cache map[string]catalog.IndexParts, ds string, walk func(string) (catalog.Closure, error)) (catalog.IndexParts, error) {
+	if set, ok := cache[ds]; ok {
+		return set, nil
 	}
-	cl, err := ctx.view.Ancestors(ds)
+	cl, err := walk(ds)
 	if err != nil {
-		return nil, err
+		return catalog.IndexParts{}, err
 	}
-	m := make(map[string]bool, len(cl.Datasets))
-	for _, d := range cl.Datasets {
-		m[d] = true
-	}
-	ctx.ancCache[ds] = m
-	return m, nil
+	set := catalog.SetOf(cl.Datasets...)
+	cache[ds] = set
+	return set, nil
 }
 
 // Results of a query run.
@@ -389,20 +380,20 @@ func (p relPred) eval(ctx *evalCtx, o object) (bool, error) {
 		if o.kind != KDataset {
 			return false, nil
 		}
-		m, err := ctx.descendants(p.ds)
+		set, err := ctx.descendants(p.ds)
 		if err != nil {
 			return false, err
 		}
-		return m[o.ds.Name], nil
+		return set.Has(o.ds.Name), nil
 	case "ancestorof":
 		if o.kind != KDataset {
 			return false, nil
 		}
-		m, err := ctx.ancestors(p.ds)
+		set, err := ctx.ancestors(p.ds)
 		if err != nil {
 			return false, err
 		}
-		return m[o.ds.Name], nil
+		return set.Has(o.ds.Name), nil
 	case "consumes":
 		// Membership against the snapshot's IO index: no DerivationIO
 		// slice copies, no extra lock round-trip.

@@ -3,6 +3,7 @@ package vds
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -48,10 +49,10 @@ func stripAccept(h http.Handler) http.Handler {
 	})
 }
 
-// TestBinaryExportNegotiation: a binary client against a
-// binary-capable server gets the binary body; against a legacy server
-// it degrades to JSON. Either way the decoded export is identical to
-// the plain JSON client's.
+// TestBinaryExportNegotiation: a client of a binary-capable server
+// gets the binary body; against a legacy server it degrades to JSON.
+// Either way the decoded delta is identical, and the header-less full
+// export decodes to the same state in either representation.
 func TestBinaryExportNegotiation(t *testing.T) {
 	cat := catalog.New(dtype.StandardRegistry())
 	seedExportState(t, cat)
@@ -62,41 +63,39 @@ func TestBinaryExportNegotiation(t *testing.T) {
 	legacy := httptest.NewServer(stripAccept(srv))
 	defer legacy.Close()
 
-	jsonClient := NewClient(modern.URL)
-	binClient := NewClient(modern.URL)
-	binClient.Binary = true
-	downClient := NewClient(legacy.URL)
-	downClient.Binary = true
-
-	want, err := jsonClient.Export()
+	want, _, err := NewClient(legacy.URL).ExportSince(t.Context(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON, _ := schema.CanonicalBytes(want)
+	got, n, err := NewClient(modern.URL).ExportSince(t.Context(), 0, 0)
+	if err != nil || n == 0 {
+		t.Fatalf("binary delta: %v (n=%d)", err, n)
+	}
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(want)
+	if string(gj) != string(wj) {
+		t.Fatalf("binary delta differs from JSON delta:\n%s\n---\n%s", gj, wj)
+	}
 
-	for name, cl := range map[string]*Client{"binary": binClient, "negotiated-down": downClient} {
-		got, err := cl.Export()
-		if err != nil {
-			t.Fatalf("%s export: %v", name, err)
-		}
-		gotJSON, _ := schema.CanonicalBytes(got)
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatalf("%s export differs from JSON export", name)
-		}
-
-		gd, n, err := cl.ExportSince(t.Context(), 0, 0)
-		if err != nil || n == 0 {
-			t.Fatalf("%s delta: %v (n=%d)", name, err, n)
-		}
-		wd, _, err := jsonClient.ExportSince(t.Context(), 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, _ := json.Marshal(gd)
-		wj, _ := json.Marshal(wd)
-		if string(gj) != string(wj) {
-			t.Fatalf("%s delta differs:\n%s\n---\n%s", name, gj, wj)
-		}
+	req, _ := http.NewRequest("GET", modern.URL+"/v1/export", nil)
+	req.Header.Set("Accept", codec.BinaryContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := codec.DecodeSnapshot(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, _ := schema.CanonicalBytes(exp)
+	wantJSON, _ := schema.CanonicalBytes(want.Export)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatal("binary full export differs from the JSON full delta")
 	}
 }
 
@@ -157,12 +156,14 @@ func TestBinaryDeltaSmallerOnWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hs := httptest.NewServer(NewServer("size-vdc", cat))
+	srv := NewServer("size-vdc", cat)
+	hs := httptest.NewServer(srv)
 	defer hs.Close()
+	js := httptest.NewServer(stripAccept(srv))
+	defer js.Close()
 
-	jc := NewClient(hs.URL)
+	jc := NewClient(js.URL)
 	bc := NewClient(hs.URL)
-	bc.Binary = true
 	_, nj, err := jc.ExportSince(t.Context(), 0, 0)
 	if err != nil {
 		t.Fatal(err)

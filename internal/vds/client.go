@@ -82,11 +82,10 @@ type Client struct {
 	// reads before failing with ErrResponseTooLarge. 0 means
 	// DefaultMaxResponseBytes; negative means no limit.
 	MaxResponseBytes int64
-	// Binary offers the compact binary transport
-	// (Accept: application/x-vdg-binary) on export requests. Servers
-	// that do not speak it — or predate content negotiation entirely —
-	// keep answering JSON, which the client detects by Content-Type, so
-	// enabling this against a mixed-version federation is always safe.
+	// Binary is ignored: export requests always offer the binary
+	// transport and decode whichever representation the server chose.
+	//
+	// Deprecated: kept for benchmark/.
 	Binary bool
 }
 
@@ -130,13 +129,10 @@ func (c *Client) maxResponseBytes() int64 {
 }
 
 // exportAccept is the Accept header offered on export requests: binary
-// preferred when enabled, JSON always acceptable.
-func (c *Client) exportAccept() string {
-	if c.Binary {
-		return codec.BinaryContentType + ", " + codec.JSONContentType
-	}
-	return ""
-}
+// preferred, JSON acceptable. Servers that do not speak binary — or
+// predate content negotiation entirely — keep answering JSON, which
+// the client detects by Content-Type.
+const exportAccept = codec.BinaryContentType + ", " + codec.JSONContentType
 
 // RemoteError is a non-2xx response from a catalog service.
 type RemoteError struct {
@@ -305,57 +301,25 @@ func (c *Client) Info() (Info, error) {
 	return out, err
 }
 
-// Export fetches the catalog's full state.
-func (c *Client) Export() (catalog.Export, error) {
-	return c.ExportCtx(context.Background())
-}
-
-// ExportCtx fetches the catalog's full state under ctx; a span-carrying
-// context propagates to the remote server as a traceparent header.
-// With Client.Binary set, the request offers the binary transport and
-// decodes whichever representation the server chose.
-func (c *Client) ExportCtx(ctx context.Context) (catalog.Export, error) {
-	data, ct, err := c.roundTrip(ctx, "GET", "/v1/export", nil, c.exportAccept())
-	if err != nil {
-		return catalog.Export{}, err
-	}
-	if isBinary(ct) {
-		bin, err := codec.Lookup(codec.BinaryName)
-		if err != nil {
-			return catalog.Export{}, err
-		}
-		p, err := bin.DecodeSnapshot(data)
-		if err != nil {
-			return catalog.Export{}, fmt.Errorf("vds: binary export: %w", err)
-		}
-		return catalog.ExportFromCodec(p), nil
-	}
-	var out catalog.Export
-	return out, json.Unmarshal(data, &out)
-}
-
 // ExportSince fetches the changes the remote catalog has accumulated
 // past (since, instance), as reported by an earlier Delta. Pass zeros
 // on first contact to receive a full export. The returned byte count
-// is the encoded response size, for transfer accounting. With
-// Client.Binary set, the delta travels in the binary transport when
-// the server speaks it; a JSON-only server degrades transparently.
+// is the encoded response size, for transfer accounting. A
+// span-carrying ctx propagates to the remote server as a traceparent
+// header. The delta travels in the binary transport when the server
+// speaks it; a JSON-only server degrades transparently.
 func (c *Client) ExportSince(ctx context.Context, since, instance uint64) (catalog.Delta, int, error) {
 	path := "/v1/export?since=" + strconv.FormatUint(since, 10) + "&instance=" + strconv.FormatUint(instance, 10)
-	data, ct, err := c.roundTrip(ctx, "GET", path, nil, c.exportAccept())
+	data, ct, err := c.roundTrip(ctx, "GET", path, nil, exportAccept)
 	if err != nil {
 		return catalog.Delta{}, len(data), err
 	}
 	if isBinary(ct) {
-		bin, err := codec.Lookup(codec.BinaryName)
-		if err != nil {
-			return catalog.Delta{}, len(data), err
-		}
-		cd, err := bin.DecodeDelta(data)
+		d, err := codec.DecodeDelta(data)
 		if err != nil {
 			return catalog.Delta{}, len(data), fmt.Errorf("vds: binary delta: %w", err)
 		}
-		return catalog.DeltaFromCodec(cd), len(data), nil
+		return *d, len(data), nil
 	}
 	var out catalog.Delta
 	return out, len(data), json.Unmarshal(data, &out)

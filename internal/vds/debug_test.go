@@ -193,7 +193,7 @@ func TestClientInjectsTraceparent(t *testing.T) {
 
 	clientTracer := obs.NewTracer()
 	ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), clientTracer), "caller")
-	if _, err := client.ExportCtx(ctx); err != nil {
+	if _, _, err := client.ExportSince(ctx, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	span.End()
@@ -218,7 +218,7 @@ func TestClientInjectsTraceparent(t *testing.T) {
 
 	// Without a span in the context, no header is sent.
 	gotHeader = "unset-sentinel"
-	if _, err := client.ExportCtx(context.Background()); err != nil {
+	if _, _, err := client.ExportSince(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if gotHeader != "" {

@@ -2,6 +2,7 @@ package vds
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"chimera/internal/catalog"
 	"chimera/internal/schema"
 )
 
@@ -53,8 +55,13 @@ func TestExportSinceDeltaRoundTrip(t *testing.T) {
 	}
 
 	// Legacy full export still works on the same route.
-	exp, err := client.Export()
-	if err != nil || len(exp.Datasets) != 2 {
+	resp, err := http.Get(client.Base + "/v1/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var exp catalog.Export
+	if err := json.NewDecoder(resp.Body).Decode(&exp); err != nil || len(exp.Datasets) != 2 {
 		t.Fatalf("legacy export: %d datasets, err %v", len(exp.Datasets), err)
 	}
 }

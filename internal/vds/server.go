@@ -148,12 +148,10 @@ func (s *Server) routes() {
 			// Legacy full-export form.
 			exp := s.Cat.Export()
 			if binary {
-				writeBinaryPooled(w, func(buf *bytes.Buffer) error {
-					return binaryExportCodec.EncodeSnapshot(buf, exp.CodecPayload())
-				})
-				return
+				writePooled(w, codec.BinaryContentType, func(buf *bytes.Buffer) error { return codec.EncodeSnapshot(buf, &exp) })
+			} else {
+				writePooled(w, codec.JSONContentType, func(buf *bytes.Buffer) error { return json.NewEncoder(buf).Encode(exp) })
 			}
-			writeJSONPooled(w, http.StatusOK, exp)
 			return
 		}
 		since, err := strconv.ParseUint(q.Get("since"), 10, 64)
@@ -168,12 +166,10 @@ func (s *Server) routes() {
 		}
 		d := s.Cat.ChangesSince(since, instance)
 		if binary {
-			writeBinaryPooled(w, func(buf *bytes.Buffer) error {
-				return binaryExportCodec.EncodeDelta(buf, d.CodecDelta())
-			})
-			return
+			writePooled(w, codec.BinaryContentType, func(buf *bytes.Buffer) error { return codec.EncodeDelta(buf, &d) })
+		} else {
+			writePooled(w, codec.JSONContentType, func(buf *bytes.Buffer) error { return json.NewEncoder(buf).Encode(d) })
 		}
-		writeJSONPooled(w, http.StatusOK, d)
 	})
 
 	handle("GET /v1/types", func(w http.ResponseWriter, r *http.Request) {
@@ -420,29 +416,6 @@ var exportBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // full export must not pin its buffer for the life of the process.
 const maxPooledExportBuf = 8 << 20
 
-// writeJSONPooled is writeJSON for the export path: encode into a
-// pooled buffer, send with Content-Length, recycle.
-func writeJSONPooled(w http.ResponseWriter, status int, v any) {
-	buf := exportBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		exportBufs.Put(buf)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encode: " + err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledExportBuf {
-		exportBufs.Put(buf)
-	}
-}
-
-// binaryExportCodec is the negotiated wire codec for /v1/export; the
-// registry lookup happens once (init-registered, cannot fail).
-var binaryExportCodec, _ = codec.Lookup(codec.BinaryName)
-
 // acceptsBinary reports whether an Accept header offers the binary
 // export transport. Absent or wildcard-only headers (and every header a
 // pre-negotiation client sends) keep the JSON default.
@@ -456,9 +429,9 @@ func acceptsBinary(accept string) bool {
 	return false
 }
 
-// writeBinaryPooled streams a binary export body through the shared
-// export buffer pool with an exact Content-Length.
-func writeBinaryPooled(w http.ResponseWriter, encode func(*bytes.Buffer) error) {
+// writePooled encodes an export body into a pooled buffer and sends
+// it with an exact Content-Length.
+func writePooled(w http.ResponseWriter, contentType string, encode func(*bytes.Buffer) error) {
 	buf := exportBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := encode(buf); err != nil {
@@ -466,7 +439,7 @@ func writeBinaryPooled(w http.ResponseWriter, encode func(*bytes.Buffer) error) 
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encode: " + err.Error()})
 		return
 	}
-	w.Header().Set("Content-Type", codec.BinaryContentType)
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())

@@ -1,6 +1,7 @@
 package vds
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -110,8 +111,8 @@ func TestInfoAndRoundTrips(t *testing.T) {
 	}
 
 	// Export matches local state.
-	exp, err := client.Export()
-	if err != nil || len(exp.Derivations) != 1 || len(exp.Datasets) != cat.Stats().Datasets {
+	d, _, err := client.ExportSince(context.Background(), 0, 0)
+	if exp := d.Export; err != nil || len(exp.Derivations) != 1 || len(exp.Datasets) != cat.Stats().Datasets {
 		t.Fatalf("export: %v", err)
 	}
 }
