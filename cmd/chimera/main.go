@@ -17,7 +17,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,6 +25,7 @@ import (
 	"time"
 
 	"chimera/internal/catalog"
+	"chimera/internal/core"
 	"chimera/internal/dag"
 	"chimera/internal/dtype"
 	"chimera/internal/estimator"
@@ -178,24 +178,8 @@ func insert(cat *catalog.Catalog, files []string) error {
 		if err != nil {
 			return err
 		}
-		// Expand compound derivations into executable leaves.
-		expanded := prog
-		expanded.Derivations = nil
-		if err := vds.ApplyProgram(cat, vdl.Program{
-			Types: prog.Types, Datasets: prog.Datasets, Transformations: prog.Transformations,
-		}); err != nil {
+		if err := core.LoadProgram(cat, prog); err != nil {
 			return err
-		}
-		for _, dv := range prog.Derivations {
-			leaves, err := schema.ExpandDerivation(dv, cat.Resolver())
-			if err != nil {
-				return err
-			}
-			for _, leaf := range leaves {
-				if _, err := cat.AddDerivation(leaf); err != nil && !errors.Is(err, catalog.ErrDuplicate) {
-					return err
-				}
-			}
 		}
 		fmt.Printf("inserted %s\n", f)
 	}

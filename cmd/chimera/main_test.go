@@ -212,3 +212,44 @@ func TestRemoteCommands(t *testing.T) {
 		t.Error("remote insert without files accepted")
 	}
 }
+
+// TestInsertIsOneBatch: each file is one strict batch. A derivation of
+// a compound transformation the same file defines expands to its
+// leaves, and a file that fails on its last statement applies nothing.
+func TestInsertIsOneBatch(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := write("good.vdl", `
+TR cook( output o, input i ) {
+  argument stdin = ${input:i};
+  argument stdout = ${output:o};
+  exec = "/bin/cook";
+}
+TR twice( input i, inout mid=@{inout:"mid":""}, output o ) {
+  cook( o=${output:mid}, i=${i} );
+  cook( o=${o}, i=${input:mid} );
+}
+DV first->twice( i=@{input:"source"}, o=@{output:"refined"} );
+`)
+	bad := write("bad.vdl", `DS extra; DV second->nope( o=@{output:"z"} );`)
+	cat := openCat(t)
+	if err := insert(cat, []string{good}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cat.Stats(); st.Derivations != 2 {
+		t.Fatalf("the compound should expand to 2 leaf derivations, got %d", st.Derivations)
+	}
+	before := cat.Stats()
+	if err := insert(cat, []string{bad}); err == nil {
+		t.Fatal("a derivation of an unknown transformation was accepted")
+	}
+	if st := cat.Stats(); st != before {
+		t.Fatalf("refused file changed the catalog: %+v, was %+v", st, before)
+	}
+}

@@ -82,11 +82,9 @@ type Catalog struct {
 
 	wal *wal // nil for purely in-memory catalogs; guarded by mu
 
-	// pendingSeq is the group-commit sequence of the last WAL record the
-	// current mutation enqueued; mutateAsync collects it and waits on it
-	// after releasing the lock. Guarded by mu; always 0 between
-	// mutations.
-	pendingSeq uint64
+	// batch is the write in progress, reused from write to write so a
+	// one-record write allocates no staging state. Guarded by mu.
+	batch batch
 
 	dir string // catalog directory; "" for in-memory catalogs
 }
@@ -113,101 +111,20 @@ func NewSharded(types *dtype.Registry, shards int) *Catalog { return New(types) 
 // Types returns the catalog's dataset-type registry.
 func (c *Catalog) Types() *dtype.Registry { return c.types }
 
-// mutate runs fn under the write lock, then — if fn enqueued WAL
-// records on the group committer — blocks *outside* the lock until the
-// batch holding them is durable. A mutation therefore never returns
-// success before its records are written (and fsynced when
-// Options.Sync is set), yet the fsync happens off-lock so concurrent
-// writers share it instead of serializing on it. In-memory catalogs
-// return as soon as fn does.
-func (c *Catalog) mutate(fn func() error) error {
-	wait, err := c.mutateAsync(fn)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
-}
-
-// mutateAsync runs fn under the write lock and, instead of blocking
-// for durability, returns a wait function the caller invokes (off any
-// lock, possibly from another goroutine) to block until the batch
-// holding fn's WAL records is durable. A nil wait means the mutation
-// needs no waiting (in-memory catalog, or nothing logged). This is the
-// primitive behind the executor's off-lock recording pipeline: applies
-// stay ordered under the lock while many durability waits stay in
-// flight at once, which is what lets the group committer batch them.
-func (c *Catalog) mutateAsync(fn func() error) (wait func() error, err error) {
-	c.lock()
-	err = fn()
-	// logOp set pendingSeq under this same lock hold, so the WAL it
-	// enqueued on is still attached.
-	seq := c.pendingSeq
-	var com *committer
-	if seq != 0 {
-		com = c.wal.com
-		c.pendingSeq = 0
-	}
-	c.mu.Unlock()
-	if err != nil {
-		// The operation failed after possibly enqueueing records (the
-		// seed's partial-log semantics); its error wins either way.
-		return nil, err
-	}
-	if com == nil {
-		return nil, nil
-	}
-	return func() error { return com.wait(seq) }, nil
-}
-
 // DefineType registers a dataset type in the catalog's registry and
-// logs it for durability.
-func (c *Catalog) DefineType(d dtype.Dimension, name, parent string) (err error) {
-	opDefineType.Inc()
-	defer func() { err = countErr("define_type", err) }()
-	return c.mutate(func() error {
-		if err := c.types.Register(d, name, parent); err != nil {
-			return err
-		}
-		// The registry is not part of the locked state (it has its own
-		// lock), but a definition changes type-conformance answers —
-		// advance the sequence so every cached query result built on
-		// the old one invalidates.
-		c.noteJournal(jTypes, "", false)
-		return c.logOp(opType, codec.TypeDef{Dim: int(d), Name: name, Parent: parent})
-	})
+// logs it for durability. The registry has its own lock, but a
+// definition changes type-conformance answers, so it advances the
+// sequence every cached query result is keyed on.
+func (c *Catalog) DefineType(d dtype.Dimension, name, parent string) error {
+	return await(c.put(codec.RecType, codec.TypeDef{Dim: int(d), Name: name, Parent: parent}))
 }
 
 // --- Datasets ---------------------------------------------------------
 
 // AddDataset registers a dataset. Re-adding a byte-identical dataset is
 // a no-op; redefining an existing name differently is ErrExists.
-func (c *Catalog) AddDataset(ds schema.Dataset) (err error) {
-	opAddDataset.Inc()
-	defer func() { err = countErr("add_dataset", err) }()
-	if err := ds.Validate(); err != nil {
-		return err
-	}
-	return c.mutate(func() error {
-		if err := c.types.CheckType(ds.Type); err != nil {
-			return fmt.Errorf("%w: dataset %q: %v", ErrType, ds.Name, err)
-		}
-		if old, ok := c.datasets[ds.Name]; ok {
-			if equalJSON(old, ds) {
-				return nil
-			}
-			return fmt.Errorf("%w: dataset %q", ErrExists, ds.Name)
-		}
-		if ds.CreatedBy != "" {
-			if _, ok := c.derivations[ds.CreatedBy]; !ok {
-				return fmt.Errorf("%w: dataset %q cites unknown derivation %q", ErrNotFound, ds.Name, ds.CreatedBy)
-			}
-		}
-		c.putDataset(ds)
-		return c.logOp(opDataset, ds)
-	})
+func (c *Catalog) AddDataset(ds schema.Dataset) error {
+	return await(c.put(codec.RecDataset, ds))
 }
 
 // UpdateDataset replaces an existing dataset record (e.g. to attach a
@@ -218,7 +135,7 @@ func (c *Catalog) UpdateDataset(ds schema.Dataset) (err error) {
 	if err := ds.Validate(); err != nil {
 		return err
 	}
-	return c.mutate(func() error {
+	return await(c.write(strict, func(b *batch) error {
 		old, ok := c.datasets[ds.Name]
 		if !ok {
 			return fmt.Errorf("%w: dataset %q", ErrNotFound, ds.Name)
@@ -226,9 +143,9 @@ func (c *Catalog) UpdateDataset(ds schema.Dataset) (err error) {
 		if ds.Epoch < old.Epoch {
 			return fmt.Errorf("%w: dataset %q epoch moved backwards (%d -> %d)", ErrConflict, ds.Name, old.Epoch, ds.Epoch)
 		}
-		c.putDataset(ds)
-		return c.logOp(opDataset, ds)
-	})
+		b.stage(codec.RecDataset, ds)
+		return nil
+	}))
 }
 
 // BumpEpoch records an in-place update of a dataset (§8's "update"
@@ -241,29 +158,23 @@ func (c *Catalog) BumpEpoch(name string, restampReplicas bool) (_ int, err error
 	opBumpEpoch.Inc()
 	defer func() { err = countErr("bump_epoch", err) }()
 	epoch := 0
-	err = c.mutate(func() error {
+	err = await(c.write(strict, func(b *batch) error {
 		ds, ok := c.datasets[name]
 		if !ok {
 			return fmt.Errorf("%w: dataset %q", ErrNotFound, name)
 		}
 		ds.Epoch++
-		c.putDataset(ds)
-		if err := c.logOp(opDataset, ds); err != nil {
-			return err
-		}
+		b.stage(codec.RecDataset, ds)
 		if restampReplicas {
 			for _, id := range c.replicasByDataset[name] {
 				r := c.replicas[id]
 				r.Epoch = ds.Epoch
-				c.putReplica(r)
-				if err := c.logOp(opReplica, r); err != nil {
-					return err
-				}
+				b.stage(codec.RecReplica, r)
 			}
 		}
 		epoch = ds.Epoch
 		return nil
-	})
+	}))
 	if err != nil {
 		return 0, err
 	}
@@ -297,30 +208,8 @@ func (c *Catalog) Datasets() []schema.Dataset {
 
 // AddTransformation registers a transformation under its canonical
 // reference. Identical re-registration is a no-op.
-func (c *Catalog) AddTransformation(tr schema.Transformation) (err error) {
-	opAddTR.Inc()
-	defer func() { err = countErr("add_transformation", err) }()
-	if err := tr.Validate(); err != nil {
-		return err
-	}
-	ref := tr.Ref()
-	return c.mutate(func() error {
-		for _, f := range tr.Args {
-			for _, t := range f.Types {
-				if err := c.types.CheckType(t); err != nil {
-					return fmt.Errorf("%w: transformation %q formal %q: %v", ErrType, ref, f.Name, err)
-				}
-			}
-		}
-		if old, ok := c.transformations[ref]; ok {
-			if equalJSON(old, tr) {
-				return nil
-			}
-			return fmt.Errorf("%w: transformation %q", ErrExists, ref)
-		}
-		c.putTransformation(tr)
-		return c.logOp(opTransformation, tr)
-	})
+func (c *Catalog) AddTransformation(tr schema.Transformation) error {
+	return await(c.put(codec.RecTransformation, tr))
 }
 
 // Transformation resolves a canonical reference. A versionless
@@ -335,30 +224,8 @@ func (c *Catalog) Transformation(ref string) (schema.Transformation, error) {
 
 // transformationLocked resolves a reference. Callers hold c.mu.
 func (c *Catalog) transformationLocked(ref string) (schema.Transformation, error) {
-	if tr, ok := c.transformations[ref]; ok {
-		return tr, nil
-	}
-	ns, name, ver, err := schema.ParseTRRef(ref)
-	if err != nil {
-		return schema.Transformation{}, err
-	}
-	if ver == "" {
-		base := schema.FormatTRRef(ns, name, "")
-		versions := c.versionsOf[base]
-		var nonEmpty []string
-		for _, v := range versions {
-			if v != "" {
-				nonEmpty = append(nonEmpty, v)
-			}
-		}
-		if len(nonEmpty) == 1 {
-			return c.transformations[schema.FormatTRRef(ns, name, nonEmpty[0])], nil
-		}
-		if len(nonEmpty) > 1 {
-			return schema.Transformation{}, fmt.Errorf("%w: transformation %q is ambiguous among versions %v", ErrNotFound, ref, nonEmpty)
-		}
-	}
-	return schema.Transformation{}, fmt.Errorf("%w: transformation %q", ErrNotFound, ref)
+	b := batch{c: c}
+	return b.transformation(ref)
 }
 
 // Versions lists the registered versions of a transformation name.
@@ -382,22 +249,8 @@ func (c *Catalog) Resolver() schema.Resolver {
 // --- Compatibility assertions ------------------------------------------
 
 // AssertCompatibility records a version-compatibility assertion.
-func (c *Catalog) AssertCompatibility(a schema.CompatibilityAssertion) (err error) {
-	opAssertCompat.Inc()
-	defer func() { err = countErr("assert_compat", err) }()
-	if err := a.Validate(); err != nil {
-		return err
-	}
-	return c.mutate(func() error {
-		for _, old := range c.compat {
-			if old == a {
-				return nil
-			}
-		}
-		c.compat = append(c.compat, a)
-		c.noteJournal(jCompat, "", false)
-		return c.logOp(opCompat, a)
-	})
+func (c *Catalog) AssertCompatibility(a schema.CompatibilityAssertion) error {
+	return await(c.put(codec.RecCompat, a))
 }
 
 // Compatible reports whether products of version v1 of a transformation
@@ -450,126 +303,22 @@ func (c *Catalog) Compatible(namespace, name, v1, v2 string) bool {
 
 // --- Derivations -------------------------------------------------------
 
-// AddDerivation canonicalizes and registers a derivation. It returns
-// the stored derivation.
-//
-// Behaviour implementing the paper's core promises:
-//   - Duplicate detection: if a derivation with the same canonical
-//     signature is already present, the stored one is returned together
-//     with ErrDuplicate (callers typically treat this as success-and-reuse).
-//   - Virtual data: output datasets that are not yet registered are
-//     auto-registered as virtual (no descriptor) with CreatedBy linkage;
-//     unknown input datasets are auto-registered as primary data.
-//   - Provenance conflict: a dataset may have at most one producing
-//     derivation.
-//   - Type checking: every bound dataset with a declared type must
-//     conform to the formal's type union.
-func (c *Catalog) AddDerivation(dv schema.Derivation) (_ schema.Derivation, err error) {
-	opAddDV.Inc()
-	defer func() {
-		// Duplicate detection is success-and-reuse, not failure: count
-		// it separately so the paper's dedup rate is observable.
-		if errors.Is(err, ErrDuplicate) {
-			dedupHits.Inc()
-			return
-		}
-		err = countErr("add_derivation", err)
-	}()
+// AddDerivation canonicalizes and registers a derivation, with the
+// checks and auto-registration batch.checkDerivation describes, and
+// returns the stored derivation. A derivation whose canonical signature
+// is already registered returns the stored one with ErrDuplicate
+// (callers typically treat this as success-and-reuse).
+func (c *Catalog) AddDerivation(dv schema.Derivation) (schema.Derivation, error) {
 	dv = dv.Canonicalize()
-	if err := dv.Validate(); err != nil {
+	err := await(c.put(codec.RecDerivation, dv))
+	if errors.Is(err, ErrDuplicate) {
+		stored, _ := c.Derivation(dv.ID) // derivations are never removed
+		return stored, err
+	}
+	if err != nil {
 		return schema.Derivation{}, err
 	}
-	var stored schema.Derivation
-	err = c.mutate(func() error {
-		if existing, ok := c.derivations[dv.ID]; ok {
-			stored = existing
-			return ErrDuplicate
-		}
-		tr, err := c.transformationLocked(dv.TR)
-		if err != nil {
-			return err
-		}
-		if err := dv.CheckBinding(tr); err != nil {
-			return err
-		}
-
-		inputs := dv.Inputs(tr)
-		outputs := dv.Outputs(tr)
-
-		// Type conformance for bound datasets that exist with a type.
-		for _, f := range tr.Args {
-			if !f.IsDataset() || len(f.Types) == 0 {
-				continue
-			}
-			a, ok := dv.Params[f.Name]
-			if !ok && f.Default != nil {
-				a = *f.Default
-			}
-			for _, name := range a.Datasets() {
-				if ds, ok := c.datasets[name]; ok && !ds.Type.IsUniversal() {
-					if !f.Accepts(c.types, ds.Type) {
-						return fmt.Errorf("%w: dataset %q (%s) does not conform to formal %q of %s",
-							ErrType, name, ds.Type, f.Name, tr.Ref())
-					}
-				}
-			}
-		}
-
-		// A dataset has at most one producer, and cannot be both input and
-		// output of one derivation. Validate fully before mutating so a
-		// failed add leaves no partial state (or WAL records) behind.
-		inputSet := make(map[string]bool, len(inputs))
-		for _, in := range inputs {
-			inputSet[in] = true
-		}
-		for _, out := range outputs {
-			if prod, ok := c.producerOf[out]; ok && prod != dv.ID {
-				return fmt.Errorf("%w: dataset %q already produced by derivation %s", ErrConflict, out, prod)
-			}
-			if inputSet[out] {
-				return fmt.Errorf("%w: dataset %q is both input and output of one derivation", ErrConflict, out)
-			}
-		}
-
-		// Auto-register datasets.
-		for _, in := range inputs {
-			if _, ok := c.datasets[in]; !ok {
-				ds := schema.Dataset{Name: in}
-				c.putDataset(ds)
-				if err := c.logOp(opDataset, ds); err != nil {
-					return err
-				}
-			}
-		}
-		for _, out := range outputs {
-			if ds, ok := c.datasets[out]; ok {
-				if ds.CreatedBy == "" {
-					ds.CreatedBy = dv.ID
-					c.putDataset(ds)
-					if err := c.logOp(opDataset, ds); err != nil {
-						return err
-					}
-				}
-			} else {
-				ds := schema.Dataset{Name: out, CreatedBy: dv.ID}
-				c.putDataset(ds)
-				if err := c.logOp(opDataset, ds); err != nil {
-					return err
-				}
-			}
-		}
-
-		c.indexDerivation(dv, tr)
-		if err := c.logOp(opDerivation, dv); err != nil {
-			return err
-		}
-		stored = dv
-		return nil
-	})
-	if err != nil && !errors.Is(err, ErrDuplicate) {
-		return schema.Derivation{}, err
-	}
-	return stored, err
+	return dv, nil
 }
 
 // Derivation returns the derivation with the given ID.
@@ -637,14 +386,7 @@ func (c *Catalog) Derivations() []schema.Derivation {
 
 // AddInvocation records an execution of a registered derivation.
 func (c *Catalog) AddInvocation(iv schema.Invocation) error {
-	wait, err := c.AddInvocationAsync(iv)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
+	return await(c.put(codec.RecInvocation, iv))
 }
 
 // AddInvocationAsync applies the invocation under the write lock and
@@ -653,25 +395,7 @@ func (c *Catalog) AddInvocation(iv schema.Invocation) error {
 // failure). wait is nil when there is nothing to wait for. Callers that
 // need the synchronous contract use AddInvocation.
 func (c *Catalog) AddInvocationAsync(iv schema.Invocation) (wait func() error, err error) {
-	opAddIV.Inc()
-	defer func() { err = countErr("add_invocation", err) }()
-	if err := iv.Validate(); err != nil {
-		return nil, err
-	}
-	w, err := c.mutateAsync(func() error {
-		if _, ok := c.derivations[iv.Derivation]; !ok {
-			return fmt.Errorf("%w: invocation %q cites unknown derivation %q", ErrNotFound, iv.ID, iv.Derivation)
-		}
-		if _, ok := c.invocations[iv.ID]; ok {
-			return fmt.Errorf("%w: invocation %q", ErrExists, iv.ID)
-		}
-		c.putInvocation(iv)
-		return c.logOp(opInvocation, iv)
-	})
-	if err != nil || w == nil {
-		return nil, err
-	}
-	return func() error { return countErr("add_invocation", w()) }, nil
+	return c.put(codec.RecInvocation, iv)
 }
 
 // Invocation returns the invocation with the given ID.
@@ -718,51 +442,19 @@ func (c *Catalog) Invocations() []schema.Invocation {
 // AddReplica registers a physical replica of a known dataset. Replica
 // IDs are unique across the catalog, whatever dataset they cite.
 func (c *Catalog) AddReplica(r schema.Replica) error {
-	wait, err := c.AddReplicaAsync(r)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
+	return await(c.put(codec.RecReplica, r))
 }
 
 // AddReplicaAsync applies the replica under the write lock and returns
 // without waiting for durability, like AddInvocationAsync.
 func (c *Catalog) AddReplicaAsync(r schema.Replica) (wait func() error, err error) {
-	opAddReplica.Inc()
-	defer func() { err = countErr("add_replica", err) }()
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	w, err := c.mutateAsync(func() error {
-		if _, ok := c.datasets[r.Dataset]; !ok {
-			return fmt.Errorf("%w: replica %q cites unknown dataset %q", ErrNotFound, r.ID, r.Dataset)
-		}
-		if _, ok := c.replicas[r.ID]; ok {
-			return fmt.Errorf("%w: replica %q", ErrExists, r.ID)
-		}
-		c.putReplica(r)
-		return c.logOp(opReplica, r)
-	})
-	if err != nil || w == nil {
-		return nil, err
-	}
-	return func() error { return countErr("add_replica", w()) }, nil
+	return c.put(codec.RecReplica, r)
 }
 
 // RemoveReplica deletes a replica record (e.g. when a planner reclaims
 // storage).
-func (c *Catalog) RemoveReplica(id string) (err error) {
-	opRmReplica.Inc()
-	defer func() { err = countErr("remove_replica", err) }()
-	return c.mutate(func() error {
-		if !c.dropReplica(id) {
-			return fmt.Errorf("%w: replica %q", ErrNotFound, id)
-		}
-		return c.logOp(opRemoveReplica, id)
-	})
+func (c *Catalog) RemoveReplica(id string) error {
+	return await(c.put(codec.RecRemoveReplica, id))
 }
 
 // ReplicasOf lists the replicas of a dataset, in registration order.

@@ -5,12 +5,15 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"chimera/internal/codec"
 )
 
-// Group commit. Mutations validate and apply to the in-memory maps
-// under the catalog write lock, encode one binary/v1 frame per logged
-// operation straight into the log's pending buffer (frame.go), and
-// then wait for durability *outside* the lock (see Catalog.mutate).
+// Group commit. A write checks and applies its batch of records to the
+// in-memory maps under the catalog write lock, encodes one binary/v1
+// frame per record straight into the log's pending buffer (frame.go),
+// and then waits once for durability *outside* the lock (see
+// Catalog.write): one batch, one commit.
 // Batches are waiter-led: the waiter that finds records pending and no
 // commit in flight writes the whole queue as one batch — a single
 // write(2) of the concatenated frames and, with Options.Sync, a single
@@ -22,7 +25,7 @@ import (
 //
 // A batch is written when its first waiter asks, never on a timer or a
 // size target, and there is no background goroutine: every record a
-// healthy log enqueues has a waiter (mutate waits, the *Async paths
+// healthy log enqueues has a waiter (writes wait, the *Async paths
 // hand their waits on, Snapshot and Close flush). The write(2) belongs
 // to the batch, not to apply time: an append to a page under writeback
 // waits for the fsync already in flight (docs/PERF.md, "Write path").
@@ -54,24 +57,28 @@ func newCommitter(f *os.File, fsync bool) *committer {
 	return w
 }
 
-// enqueue encodes one frame into the pending batch and returns its
-// sequence number for a later wait. Callers hold the catalog write
-// lock, so records land in the WAL in exactly the order the in-memory
-// mutations were applied.
-func (w *committer) enqueue(op opKind, v any) (uint64, error) {
+// enqueue encodes one frame per record into the pending batch, all of
+// them or none, and returns the last one's sequence number for a later
+// wait. Callers hold the catalog write lock, so records land in the WAL
+// in exactly the order the in-memory mutations were applied, and one
+// write's frames sit back to back.
+func (w *committer) enqueue(recs []codec.Record) (uint64, error) {
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	buf, err := appendFrame(w.pending, op, v)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: wal encode: %w", err)
+	buf := w.pending
+	for _, r := range recs {
+		var err error
+		if buf, err = appendFrame(buf, r.Kind, r.Value); err != nil {
+			return 0, fmt.Errorf("catalog: wal encode: %w", err)
+		}
 	}
 	w.pending = buf
-	w.count++
-	w.nextSeq++
+	w.count += len(recs)
+	w.nextSeq += uint64(len(recs))
 	metricWALQueueDepth.Set(float64(w.count))
 	metricWALAppend.ObserveSince(start)
 	return w.nextSeq, nil

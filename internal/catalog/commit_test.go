@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"chimera/internal/codec"
 	"chimera/internal/schema"
 )
 
@@ -131,7 +132,7 @@ func TestCommitterStickyFailure(t *testing.T) {
 	f.Close() // writes will now fail
 	com := newCommitter(f, true)
 
-	seq, err := com.enqueue(opDataset, schema.Dataset{Name: "x"})
+	seq, err := com.enqueue([]codec.Record{{Kind: opDataset, Value: schema.Dataset{Name: "x"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestCommitterStickyFailure(t *testing.T) {
 	} else if !errors.Is(err, ErrDurability) {
 		t.Fatalf("want ErrDurability, got %v", err)
 	}
-	if _, err := com.enqueue(opDataset, schema.Dataset{Name: "y"}); err == nil {
+	if _, err := com.enqueue([]codec.Record{{Kind: opDataset, Value: schema.Dataset{Name: "y"}}}); err == nil {
 		t.Fatal("enqueue after WAL failure must fail fast")
 	}
 	if com.failure() == nil {

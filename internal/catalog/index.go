@@ -10,8 +10,8 @@ import (
 
 // Secondary indexes for the discovery path. Every index is maintained
 // incrementally under the catalog write lock by the put*/drop* helpers
-// below, which are the single funnel for all mutation paths — public
-// mutators, WAL replay (apply), and snapshot load (applyExport) — so
+// below, which are the single funnel for all mutation paths — batches
+// (batch.go), WAL replay and snapshot load all apply through apply — so
 // the indexes can never drift from the primary maps regardless of how
 // state arrives. CheckIndexes verifies exactly that by rebuilding from
 // scratch and comparing.
@@ -227,7 +227,7 @@ func (c *Catalog) putInvocation(iv schema.Invocation) {
 
 // putReplica installs a new replica or updates an existing one in place
 // (epoch re-stamp), keeping the materialized set current. A replica
-// moving to another dataset must be dropped first (upsertReplica).
+// moving to another dataset must be dropped first (batch.check).
 func (c *Catalog) putReplica(r schema.Replica) {
 	if _, ok := c.replicas[r.ID]; !ok {
 		c.replicasByDataset[r.Dataset] = append(c.replicasByDataset[r.Dataset], r.ID)

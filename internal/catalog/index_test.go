@@ -194,7 +194,7 @@ func TestIndexesAfterReplayAndSnapshot(t *testing.T) {
 		t.Error("materialized flags wrong after replay")
 	}
 
-	// Compact, reopen: snapshot (applyExport) path.
+	// Compact, reopen: snapshot (load) path.
 	if err := c2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}

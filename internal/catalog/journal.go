@@ -1,8 +1,6 @@
 package catalog
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -248,117 +246,24 @@ func (c *Catalog) ChangesSince(since, instance uint64) Delta {
 // re-import. (A Full delta carries no tombstones for what the source
 // lost, so it is only equivalent on an empty catalog.)
 //
-// Records apply in dependency order, each through its own mutation, so
-// a concurrent reader sees a prefix of the delta with no dangling
-// reference: types merge; transformations, derivations and invocations
-// are immutable at the source and add if absent; datasets upsert but
-// keep c's own producer linkage, which c's derivations establish (the
-// same reason ImportTolerant clears CreatedBy); replicas upsert, since
-// an epoch re-stamp re-ships them; tombstones remove, tolerating a
-// replica that was added and removed between two deltas.
+// The delta is one tolerant batch: a concurrent reader sees all of it
+// or none of it. Types merge (a conflicting name keeps its first
+// parent); transformations, derivations and invocations are immutable
+// at the source and add if absent; datasets upsert but keep c's own
+// producer linkage, which c's derivations establish; tombstones remove,
+// tolerating a replica added and removed between two deltas, and go
+// before replicas, because older sources can ship one ID as both (a
+// replica re-registered under another dataset) and the live record
+// wins; replicas upsert, since an epoch re-stamp re-ships them.
 func (c *Catalog) ApplyDelta(d Delta) (skipped int) {
-	if d.Export.Types != nil {
-		c.mergeTypes(d.Export.Types)
-	}
-	for _, tr := range d.Export.Transformations {
-		if err := c.AddTransformation(tr); err != nil {
-			skipped++
-		}
-	}
-	for _, ds := range d.Export.Datasets {
-		if err := c.upsertDataset(ds); err != nil {
-			skipped++
-		}
-	}
-	for _, dv := range d.Export.Derivations {
-		if _, err := c.AddDerivation(dv); err != nil && !errors.Is(err, ErrDuplicate) {
-			skipped++
-		}
-	}
-	for _, iv := range d.Export.Invocations {
-		if err := c.AddInvocation(iv); err != nil && !errors.Is(err, ErrExists) {
-			skipped++
-		}
-	}
-	// Tombstones before replicas: older sources can ship one ID as both
-	// (a replica removed and registered again under another dataset),
-	// and the live record wins.
+	var removed []string
 	for _, t := range d.Tombstones {
 		if t.Kind != "replica" {
 			skipped++
 			continue
 		}
-		if err := c.RemoveReplica(t.ID); err != nil && !errors.Is(err, ErrNotFound) {
-			skipped++
-		}
+		removed = append(removed, t.ID)
 	}
-	for _, r := range d.Export.Replicas {
-		if err := c.upsertReplica(r); err != nil {
-			skipped++
-		}
-	}
-	for _, a := range d.Export.Compat {
-		if err := c.AssertCompatibility(a); err != nil {
-			skipped++
-		}
-	}
-	return skipped
-}
-
-// upsertDataset installs ds or replaces the record under its name,
-// keeping the CreatedBy the catalog already holds ("" for a new name;
-// AddDerivation sets it when the producer arrives).
-func (c *Catalog) upsertDataset(ds schema.Dataset) (err error) {
-	opUpdate.Inc()
-	defer func() { err = countErr("update_dataset", err) }()
-	if err := ds.Validate(); err != nil {
-		return err
-	}
-	return c.mutate(func() error {
-		if err := c.types.CheckType(ds.Type); err != nil {
-			return fmt.Errorf("%w: dataset %q: %v", ErrType, ds.Name, err)
-		}
-		old, ok := c.datasets[ds.Name]
-		ds.CreatedBy = old.CreatedBy
-		if ok {
-			if ds.Epoch < old.Epoch {
-				return fmt.Errorf("%w: dataset %q epoch moved backwards (%d -> %d)", ErrConflict, ds.Name, old.Epoch, ds.Epoch)
-			}
-			if equalJSON(old, ds) {
-				return nil
-			}
-		}
-		c.putDataset(ds)
-		return c.logOp(opDataset, ds)
-	})
-}
-
-// upsertReplica installs r or replaces the replica registered under its
-// ID: in place for an epoch re-stamp, by drop-and-add when the source
-// removed the replica and registered the ID again under another
-// dataset.
-func (c *Catalog) upsertReplica(r schema.Replica) (err error) {
-	opAddReplica.Inc()
-	defer func() { err = countErr("add_replica", err) }()
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	return c.mutate(func() error {
-		if _, ok := c.datasets[r.Dataset]; !ok {
-			return fmt.Errorf("%w: replica %q cites unknown dataset %q", ErrNotFound, r.ID, r.Dataset)
-		}
-		if old, ok := c.replicas[r.ID]; ok {
-			if equalJSON(old, r) {
-				return nil
-			}
-			if old.Dataset != r.Dataset {
-				c.dropReplica(r.ID)
-				if err := c.logOp(opRemoveReplica, r.ID); err != nil {
-					return err
-				}
-			}
-		}
-		c.putReplica(r)
-		return c.logOp(opReplica, r)
-	})
+	n, _ := c.commit(fold, func(yield func(codec.Record)) { records(&d.Export, removed, true, yield) })
+	return skipped + n
 }

@@ -107,7 +107,7 @@ func (c *Catalog) loadJSONSnapshot() error {
 	if err := json.Unmarshal(data, &exp); err != nil {
 		return fmt.Errorf("catalog: snapshot %s: %w", path, err)
 	}
-	return c.applyExport(exp)
+	return c.load(&exp)
 }
 
 func legacyWALPath(dir string, i int) string {

@@ -1,6 +1,11 @@
 package catalog
 
-import "chimera/internal/obs"
+import (
+	"errors"
+
+	"chimera/internal/codec"
+	"chimera/internal/obs"
+)
 
 // Catalog metrics. Series are resolved once at init so the mutation
 // paths pay a single atomic add; WAL and snapshot latencies go to
@@ -17,7 +22,7 @@ var (
 		"Catalog mutations that returned an error, by operation.", "op")
 
 	metricWALAppend = obs.Default.Histogram("vdc_wal_append_seconds",
-		"Latency of encoding one WAL record into the pending group-commit batch.", obs.TimeBuckets)
+		"Latency of encoding one write's WAL records into the pending group-commit batch.", obs.TimeBuckets)
 
 	// Group-commit series; see docs/PERF.md.
 	metricWALBatchRecords = obs.Default.Histogram("vdc_wal_batch_records",
@@ -36,17 +41,9 @@ var (
 	metricLockWait = obs.Default.Histogram("vdc_catalog_shard_lock_wait_seconds",
 		"Time a mutation spends acquiring the catalog write lock, including waiting for open Views to close (contention indicator).", obs.TimeBuckets)
 
-	opDefineType   = metricOps.With("define_type")
-	opAddDataset   = metricOps.With("add_dataset")
-	opUpdate       = metricOps.With("update_dataset")
-	opBumpEpoch    = metricOps.With("bump_epoch")
-	opAddTR        = metricOps.With("add_transformation")
-	opAddDV        = metricOps.With("add_derivation")
-	opAddIV        = metricOps.With("add_invocation")
-	opAddReplica   = metricOps.With("add_replica")
-	opRmReplica    = metricOps.With("remove_replica")
-	opAssertCompat = metricOps.With("assert_compat")
-	opSnapshot     = metricOps.With("snapshot")
+	opUpdate    = metricOps.With("update_dataset")
+	opBumpEpoch = metricOps.With("bump_epoch")
+	opSnapshot  = metricOps.With("snapshot")
 
 	// dedupHits counts derivation registrations answered by an existing
 	// canonical signature — the paper's "computation already performed".
@@ -61,6 +58,34 @@ var (
 // tests use it to prove concurrent workflow completions share commits.
 func WALBatchStats() (batches uint64, records float64) {
 	return metricWALBatchRecords.Count(), metricWALBatchRecords.Sum()
+}
+
+// kindOps names each record kind's operation in vdc_catalog_ops_total.
+var kindOps = [...]struct {
+	ops  *obs.Counter
+	name string
+}{
+	codec.RecType:           {metricOps.With("define_type"), "define_type"},
+	codec.RecDataset:        {metricOps.With("add_dataset"), "add_dataset"},
+	codec.RecTransformation: {metricOps.With("add_transformation"), "add_transformation"},
+	codec.RecDerivation:     {metricOps.With("add_derivation"), "add_derivation"},
+	codec.RecInvocation:     {metricOps.With("add_invocation"), "add_invocation"},
+	codec.RecReplica:        {metricOps.With("add_replica"), "add_replica"},
+	codec.RecRemoveReplica:  {metricOps.With("remove_replica"), "remove_replica"},
+	codec.RecCompat:         {metricOps.With("assert_compat"), "assert_compat"},
+}
+
+// count records one record's outcome under its kind's operation and
+// passes err through. A derivation's ErrDuplicate is a dedup hit — the
+// paper's "computation already performed" — not a failure.
+func count(k codec.RecordKind, err error) error {
+	op := kindOps[k]
+	op.ops.Inc()
+	if errors.Is(err, ErrDuplicate) {
+		dedupHits.Inc()
+		return err
+	}
+	return countErr(op.name, err)
 }
 
 // countErr bumps the per-op error counter on failure and passes the

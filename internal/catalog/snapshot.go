@@ -70,7 +70,7 @@ func (c *Catalog) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("catalog: snapshot %s: %w", path, err)
 	}
-	return c.applyExport(*exp)
+	return c.load(exp)
 }
 
 // snapshotBody checks a snapshot file's trailer and returns the codec

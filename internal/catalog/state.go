@@ -7,13 +7,14 @@ import (
 )
 
 // One lock, one log, one journal. The catalog keeps its object state
-// (catalogState, embedded in Catalog) under one RWMutex. Every mutation
-// applies to that state once, under the write lock, appends its records
-// to the one WAL (wal.bin, binary/v1 frames) and its entries to the one
-// change journal,
-// whose sequence (Catalog.jseq) is the one mutation version the query
-// cache keys on. The fsync happens after the lock is released
-// (commit.go), so concurrent writers share it.
+// (catalogState, embedded in Catalog) under one RWMutex. Every write is
+// one batch of records (batch.go): checked, then applied to that state
+// under one hold of the write lock, appended to the one WAL (wal.bin,
+// binary/v1 frames) and journaled in the one change journal, whose
+// sequence (Catalog.jseq) is the one mutation version the query cache
+// keys on. A reader sees all of a batch or none of it. The fsync
+// happens after the lock is released (commit.go), one per batch or
+// fewer, as concurrent writers share it.
 //
 // A View (view.go) holds the read lock until it is closed. A writer
 // therefore waits for the Views open when it arrives, and a View opened

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"time"
 
 	"chimera/internal/codec"
@@ -15,11 +14,14 @@ import (
 	"chimera/internal/schema"
 )
 
-// Durability: every mutation appends one binary/v1 frame per logged
-// operation to wal.bin in the catalog directory (frame.go); Snapshot()
+// Durability: every write is one batch of records (batch.go), appended
+// to wal.bin in the catalog directory as one binary/v1 frame per
+// record, back to back (frame.go), under one group commit; Snapshot()
 // compacts the full state into the snapshot file and truncates the
 // log. Open replays snapshot + log, so a crash between append and
-// response loses at most the in-flight operation. The directory holds
+// response loses at most the in-flight batch — or keeps a prefix of
+// it: crash-atomicity of an unacknowledged batch is not claimed. The
+// directory holds
 // nothing else: both files are self-describing. Directories written
 // before that — a JSON-lines log (wal.jsonl, or a sharded directory's
 // wal-<i>.jsonl), a JSON snapshot, a catalog-meta.json — are read
@@ -172,21 +174,6 @@ func (c *Catalog) DurabilityErr() error {
 	return c.wal.com.failure()
 }
 
-// logOp records one operation in the WAL. Callers hold the write lock.
-// The record is only enqueued here; Catalog.mutate waits for its batch
-// off-lock.
-func (c *Catalog) logOp(op opKind, v any) error {
-	if c.wal == nil {
-		return nil
-	}
-	seq, err := c.wal.com.enqueue(op, v)
-	if err != nil {
-		return err
-	}
-	c.pendingSeq = seq
-	return nil
-}
-
 // replay applies a binary log's records to the in-memory state and
 // returns where its last whole frame ends. Only a torn *final* frame is
 // tolerated; a frame that fails its checks with further records after
@@ -262,163 +249,38 @@ func (c *Catalog) Export() Export {
 // Export serializes the view's full state.
 func (v *View) Export() Export { return v.c.exportLocked() }
 
-// applyExport loads an export into an empty catalog. Transformations
-// land before derivations, so every reference resolves.
-func (c *Catalog) applyExport(exp Export) error {
-	if exp.Types != nil {
-		if err := c.types.Merge(exp.Types); err != nil {
-			return err
+// load applies a snapshot's records to an empty catalog, through the
+// apply that replays the log.
+func (c *Catalog) load(exp *Export) (err error) {
+	records(exp, nil, false, func(r codec.Record) {
+		if err == nil {
+			err = c.apply(r.Kind, r.Value, nil)
 		}
-		c.noteJournal(jTypes, "", false) // conformance answers change
-	}
-	for _, ds := range exp.Datasets {
-		c.putDataset(ds)
-	}
-	for _, tr := range exp.Transformations {
-		c.putTransformation(tr)
-	}
-	for _, dv := range exp.Derivations {
-		tr, err := c.transformationLocked(dv.TR)
-		if err != nil {
-			return fmt.Errorf("catalog: import derivation %s: %w", dv.ID, err)
-		}
-		c.indexDerivation(dv, tr)
-	}
-	for _, iv := range exp.Invocations {
-		c.putInvocation(iv)
-	}
-	for _, r := range exp.Replicas {
-		if _, ok := c.replicas[r.ID]; !ok {
-			c.putReplica(r)
-		}
-	}
-	if len(exp.Compat) > 0 {
-		c.compat = append(c.compat, exp.Compat...)
-		c.noteJournal(jCompat, "", false)
+	})
+	if err != nil {
+		return fmt.Errorf("catalog: snapshot: %w", err)
 	}
 	return nil
 }
 
-// mergeTypes is the tolerant registry merge shared by ImportTolerant and
-// ApplyDelta: best-effort, conflicting names keep their first parent.
-// It runs under the mutation lock so the journal (and concurrent readers
-// of the registry) see a consistent update.
-func (c *Catalog) mergeTypes(reg *dtype.Registry) {
-	_ = c.mutate(func() error {
-		_ = c.types.Merge(reg)
-		c.noteJournal(jTypes, "", false) // conformance answers change
-		return nil
-	})
+// Import merges an export into the catalog as one strict batch: all of
+// it or, on the first conflict, none of it. Datasets, invocations and
+// replicas already present and derivations registered before are
+// skipped silently; producer linkage comes from the catalog's own
+// derivations, not from the export's CreatedBy.
+func (c *Catalog) Import(exp Export) error {
+	_, err := c.commit(strict, func(yield func(codec.Record)) { records(&exp, nil, true, yield) })
+	return err
 }
 
-// ImportTolerant merges an export, skipping objects that conflict with
-// existing state (and anything depending on them) instead of aborting.
-// It returns the number of skipped objects. Federated indexes use it so
+// ImportTolerant merges an export as one tolerant batch, skipping
+// objects that conflict with existing state (and anything depending on
+// them) instead of aborting; the first definition of a name wins. It
+// returns the number of skipped objects. Federated indexes use it so
 // one overlapping definition does not hide a whole member catalog.
 func (c *Catalog) ImportTolerant(exp Export) int {
-	skipped := 0
-	tolerate := func(err error) {
-		if err != nil && !errors.Is(err, ErrDuplicate) {
-			skipped++
-		}
-	}
-	if exp.Types != nil {
-		c.mergeTypes(exp.Types)
-	}
-	for _, tr := range exp.Transformations {
-		tolerate(c.AddTransformation(tr))
-	}
-	for _, ds := range exp.Datasets {
-		ds.CreatedBy = ""
-		if err := c.AddDataset(ds); err != nil && !errors.Is(err, ErrExists) {
-			skipped++
-		}
-	}
-	for _, dv := range exp.Derivations {
-		if _, err := c.AddDerivation(dv); err != nil && !errors.Is(err, ErrDuplicate) {
-			skipped++
-		}
-	}
-	for _, iv := range exp.Invocations {
-		if err := c.AddInvocation(iv); err != nil && !errors.Is(err, ErrExists) {
-			skipped++
-		}
-	}
-	for _, r := range exp.Replicas {
-		if err := c.AddReplica(r); err != nil && !errors.Is(err, ErrExists) {
-			skipped++
-		}
-	}
-	for _, a := range exp.Compat {
-		if err := c.AssertCompatibility(a); err != nil {
-			skipped++
-		}
-	}
+	skipped, _ := c.commit(tolerant, func(yield func(codec.Record)) { records(&exp, nil, true, yield) })
 	return skipped
-}
-
-// Import merges an export into the catalog, validating and logging each
-// object through the public mutation paths. Duplicate derivations are
-// skipped silently; other conflicts abort with an error.
-func (c *Catalog) Import(exp Export) error {
-	if exp.Types != nil {
-		for _, d := range dtype.Dimensions() {
-			// Parents must register before children: order by depth.
-			names := exp.Types.Names(d)
-			sort.Slice(names, func(i, j int) bool {
-				di, dj := exp.Types.Depth(d, names[i]), exp.Types.Depth(d, names[j])
-				if di != dj {
-					return di < dj
-				}
-				return names[i] < names[j]
-			})
-			for _, name := range names {
-				anc := exp.Types.Ancestors(d, name)
-				parent := ""
-				if len(anc) > 0 {
-					parent = anc[0]
-				}
-				if err := c.DefineType(d, name, parent); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, tr := range exp.Transformations {
-		if err := c.AddTransformation(tr); err != nil {
-			return err
-		}
-	}
-	for _, ds := range exp.Datasets {
-		if ds.CreatedBy != "" {
-			// Producer linkage is re-established by AddDerivation below.
-			ds.CreatedBy = ""
-		}
-		if err := c.AddDataset(ds); err != nil && !errors.Is(err, ErrExists) {
-			return err
-		}
-	}
-	for _, dv := range exp.Derivations {
-		if _, err := c.AddDerivation(dv); err != nil && !errors.Is(err, ErrDuplicate) {
-			return err
-		}
-	}
-	for _, iv := range exp.Invocations {
-		if err := c.AddInvocation(iv); err != nil && !errors.Is(err, ErrExists) {
-			return err
-		}
-	}
-	for _, r := range exp.Replicas {
-		if err := c.AddReplica(r); err != nil && !errors.Is(err, ErrExists) {
-			return err
-		}
-	}
-	for _, a := range exp.Compat {
-		if err := c.AssertCompatibility(a); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Snapshot compacts the durable state: the full catalog is written to

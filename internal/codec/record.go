@@ -32,6 +32,12 @@ const (
 	RecCompat                               // schema.CompatibilityAssertion
 )
 
+// Record is one logged operation: a kind and the Go value it carries.
+type Record struct {
+	Kind  RecordKind
+	Value any
+}
+
 // TypeDef is one type-registry definition, in the JSON shape of a
 // dtype.Registry entry.
 type TypeDef struct {

@@ -86,34 +86,43 @@ func NewWithCatalog(name, workspace string, cat *catalog.Catalog) *System {
 
 // --- Composition -------------------------------------------------------
 
-// LoadVDL composes definitions from VDL source text: types, datasets,
-// transformations, then derivations (compounds expanded).
+// LoadVDL composes definitions from VDL source text (LoadProgram).
 func (s *System) LoadVDL(src string) error {
 	prog, err := vdl.Parse(src)
 	if err != nil {
 		return err
 	}
-	for _, td := range prog.Types {
-		if err := s.Cat.DefineType(td.Dim, td.Name, td.Parent); err != nil {
-			return err
+	return LoadProgram(s.Cat, prog)
+}
+
+// LoadProgram applies a VDL program to cat as one strict batch — all of
+// it or none of it — with derivations of compound transformations
+// expanded to their simple-transformation leaves. A transformation
+// resolves against the program's own first, then cat's; a derivation
+// whose transformation resolves in neither goes into the batch as it
+// is, which resolves it against the batch or refuses it.
+func LoadProgram(cat *catalog.Catalog, prog vdl.Program) error {
+	local := schema.MapResolver(prog.Transformations...)
+	resolve := func(ref string) (schema.Transformation, error) {
+		if tr, err := local(ref); err == nil {
+			return tr, nil
 		}
+		return cat.Transformation(ref)
 	}
-	for _, ds := range prog.Datasets {
-		if err := s.Cat.AddDataset(ds); err != nil && !errors.Is(err, catalog.ErrExists) {
-			return err
-		}
-	}
-	for _, tr := range prog.Transformations {
-		if err := s.Cat.AddTransformation(tr); err != nil {
-			return err
-		}
-	}
+	var leaves []schema.Derivation
 	for _, dv := range prog.Derivations {
-		if _, err := s.Define(dv); err != nil {
+		if _, err := resolve(dv.TR); err != nil {
+			leaves = append(leaves, dv)
+			continue
+		}
+		l, err := schema.ExpandDerivation(dv, resolve)
+		if err != nil {
 			return err
 		}
+		leaves = append(leaves, l...)
 	}
-	return nil
+	prog.Derivations = leaves
+	return vds.ApplyProgram(cat, prog)
 }
 
 // Define registers a derivation. Derivations of compound

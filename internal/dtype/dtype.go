@@ -166,28 +166,44 @@ func NewRegistry() *Registry {
 // an existing name with the same parent is a no-op; with a different
 // parent it is an error, as is an unknown parent.
 func (r *Registry) Register(d Dimension, name, parent string) error {
-	if err := checkName(name); err != nil {
-		return err
-	}
-	if d < 0 || int(d) >= numDimensions {
-		return fmt.Errorf("dtype: invalid dimension %d", int(d))
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	known, err := r.check(d, name, parent)
+	if err == nil && !known {
+		r.parent[d][name] = parent
+	}
+	return err
+}
+
+// Check reports what Register(d, name, parent) would do without doing
+// it: the error it would return, or whether it would be a no-op because
+// name is already registered under parent.
+func (r *Registry) Check(d Dimension, name, parent string) (known bool, err error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.check(d, name, parent)
+}
+
+func (r *Registry) check(d Dimension, name, parent string) (known bool, err error) {
+	if err := checkName(name); err != nil {
+		return false, err
+	}
+	if d < 0 || int(d) >= numDimensions {
+		return false, fmt.Errorf("dtype: invalid dimension %d", int(d))
+	}
 	m := r.parent[d]
 	if parent != "" {
 		if _, ok := m[parent]; !ok {
-			return fmt.Errorf("dtype: parent type %q not registered in dimension %s", parent, d)
+			return false, fmt.Errorf("dtype: parent type %q not registered in dimension %s", parent, d)
 		}
 	}
 	if old, ok := m[name]; ok {
 		if old != parent {
-			return fmt.Errorf("dtype: type %q already registered in dimension %s with parent %q", name, d, old)
+			return true, fmt.Errorf("dtype: type %q already registered in dimension %s with parent %q", name, d, old)
 		}
-		return nil
+		return true, nil
 	}
-	m[name] = parent
-	return nil
+	return false, nil
 }
 
 // MustRegister is Register that panics on error.
@@ -413,11 +429,11 @@ func (r *Registry) Clone() *Registry {
 	return c
 }
 
-// Merge registers every entry of other into r. Entries are applied in
-// depth order so parents always precede children. Conflicting parents
-// are reported as an error; all non-conflicting entries still apply.
-func (r *Registry) Merge(other *Registry) error {
-	other.mu.RLock()
+// Each calls fn for every entry, parents before children: dimension by
+// dimension, shallower entries first, then by name. fn runs without r's
+// lock held, so it may register into r.
+func (r *Registry) Each(fn func(d Dimension, name, parent string)) {
+	r.mu.RLock()
 	type pair struct {
 		name, parent string
 		depth        int
@@ -427,7 +443,7 @@ func (r *Registry) Merge(other *Registry) error {
 		depth := func(n string) int {
 			k := 0
 			for cur := n; ; {
-				p, ok := other.parent[d][cur]
+				p, ok := r.parent[d][cur]
 				if !ok || p == "" {
 					return k
 				}
@@ -435,13 +451,12 @@ func (r *Registry) Merge(other *Registry) error {
 				cur = p
 			}
 		}
-		for n, p := range other.parent[d] {
+		for n, p := range r.parent[d] {
 			byDim[d] = append(byDim[d], pair{n, p, depth(n)})
 		}
 	}
-	other.mu.RUnlock()
+	r.mu.RUnlock()
 
-	var firstErr error
 	for d := 0; d < numDimensions; d++ {
 		pairs := byDim[d]
 		sort.Slice(pairs, func(i, j int) bool {
@@ -451,11 +466,21 @@ func (r *Registry) Merge(other *Registry) error {
 			return pairs[i].name < pairs[j].name
 		})
 		for _, pr := range pairs {
-			if err := r.Register(Dimension(d), pr.name, pr.parent); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			fn(Dimension(d), pr.name, pr.parent)
 		}
 	}
+}
+
+// Merge registers every entry of other into r, in Each's order, so
+// parents always precede children. Conflicting parents are reported as
+// an error; all non-conflicting entries still apply.
+func (r *Registry) Merge(other *Registry) error {
+	var firstErr error
+	other.Each(func(d Dimension, name, parent string) {
+		if err := r.Register(d, name, parent); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
 	return firstErr
 }
 

@@ -270,14 +270,18 @@ func (s *Server) routes() {
 	}))
 
 	handle("POST /v1/vdl", s.mutating(func(w http.ResponseWriter, r *http.Request) {
-		src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+		src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+			writeJSON(w, bodyStatus(err), errorBody{err.Error()})
 			return
 		}
 		prog, err := vdl.Parse(string(src))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+			return
+		}
+		if n := len(prog.Types) + len(prog.Datasets) + len(prog.Transformations) + len(prog.Derivations); n > maxProgramStatements {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{fmt.Sprintf("program of %d statements exceeds the %d-statement batch cap", n, maxProgramStatements)})
 			return
 		}
 		if err := ApplyProgram(s.Cat, prog); err != nil {
@@ -448,38 +452,44 @@ func writePooled(w http.ResponseWriter, contentType string, encode func(*bytes.B
 	}
 }
 
+// maxBody caps a request body.
+const maxBody = 16 << 20
+
+// maxProgramStatements caps the statements one POST /v1/vdl may carry.
+// The program is one batch, and a batch holds the catalog's write lock
+// for its whole length (docs/PERF.md); E10's largest program has
+// 20,000 statements.
+const maxProgramStatements = 1 << 15
+
+// bodyStatus is 413 for a body past maxBody and 400 for any other body
+// that cannot be read.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("decode: %v", err)})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v); err != nil {
+		writeJSON(w, bodyStatus(err), errorBody{fmt.Sprintf("decode: %v", err)})
 		return false
 	}
 	return true
 }
 
-// ApplyProgram loads a parsed VDL program into a catalog: types first,
-// then datasets, transformations, and derivations. Duplicate
-// derivations are tolerated (that is reuse, not error).
+// ApplyProgram loads a parsed VDL program into a catalog as one strict
+// batch (catalog.Import): all of it, or on the first failure none of
+// it. Datasets already present and duplicate derivations are reuse,
+// not errors. A type may extend one the catalog already holds.
 func ApplyProgram(c *catalog.Catalog, prog vdl.Program) error {
+	types := c.Types().Clone()
 	for _, td := range prog.Types {
-		if err := c.DefineType(td.Dim, td.Name, td.Parent); err != nil {
+		if err := types.Register(td.Dim, td.Name, td.Parent); err != nil {
 			return err
 		}
 	}
-	for _, ds := range prog.Datasets {
-		if err := c.AddDataset(ds); err != nil && !errors.Is(err, catalog.ErrExists) {
-			return err
-		}
-	}
-	for _, tr := range prog.Transformations {
-		if err := c.AddTransformation(tr); err != nil {
-			return err
-		}
-	}
-	for _, dv := range prog.Derivations {
-		if _, err := c.AddDerivation(dv); err != nil && !errors.Is(err, catalog.ErrDuplicate) {
-			return err
-		}
-	}
-	return nil
+	return c.Import(catalog.Export{Types: types, Datasets: prog.Datasets,
+		Transformations: prog.Transformations, Derivations: prog.Derivations})
 }

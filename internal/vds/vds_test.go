@@ -3,6 +3,7 @@ package vds
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -512,16 +513,36 @@ func TestClientErrorTransports(t *testing.T) {
 }
 
 func TestServerRejectsOversizedAndGarbage(t *testing.T) {
-	_, client := startServer(t, "s")
-	// Garbage JSON bodies are 400s.
-	req, _ := httpNewRequest("PUT", client.Base+"/v1/datasets", "{not json")
-	resp, err := client.http().Do(req)
-	if err != nil {
-		t.Fatal(err)
+	cat, client := startServer(t, "s")
+	huge := strings.Repeat("x", maxBody+1)
+	var overCap strings.Builder
+	for i := 0; i <= maxProgramStatements; i++ {
+		fmt.Fprintf(&overCap, "DS d%d;\n", i)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("garbage body status: %d", resp.StatusCode)
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		// Garbage JSON bodies are 400s.
+		{"garbage body", "PUT", "/v1/datasets", "{not json", 400},
+		// A body past the size cap is 413, JSON or VDL.
+		{"oversized JSON body", "PUT", "/v1/datasets", `{"name":"` + huge + `"}`, 413},
+		{"oversized VDL body", "POST", "/v1/vdl", "DS " + huge + ";", 413},
+		// So is a program past the batch cap, however small its body.
+		{"program over the statement cap", "POST", "/v1/vdl", overCap.String(), 413},
+	} {
+		req, _ := httpNewRequest(tc.method, client.Base+tc.path, tc.body)
+		resp, err := client.http().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	if st := cat.Stats(); st.Datasets != 0 {
+		t.Errorf("rejected requests applied %d datasets", st.Datasets)
 	}
 }
 
