@@ -12,6 +12,7 @@
 //	chimera -catalog DIR plan TARGET
 //	chimera -catalog DIR estimate -hosts 16 TARGET
 //	chimera -catalog DIR stats
+//	chimera migrate -dir DIR       (convert a directory an earlier build wrote)
 //	chimera xml file.vdl           (convert VDL to its XML form)
 //	chimera print file.vdl         (parse and re-print canonical VDL)
 package main
@@ -30,6 +31,7 @@ import (
 	"chimera/internal/dtype"
 	"chimera/internal/estimator"
 	"chimera/internal/executor"
+	"chimera/internal/migrate"
 	"chimera/internal/obs"
 	"chimera/internal/query"
 	"chimera/internal/schema"
@@ -68,6 +70,8 @@ func main() {
 	switch cmd {
 	case "xml", "print":
 		err = convert(cmd, rest)
+	case "migrate":
+		err = migrateDir(rest)
 	case "insert", "search", "lineage", "invalidate", "plan", "estimate", "stats", "run", "annotate":
 		if *catDir == "" {
 			fail("command %q needs -catalog DIR", cmd)
@@ -129,6 +133,7 @@ func usage() {
   chimera [-trace out.json] -catalog DIR run [-workspace DIR] [-retries N] TARGET...
   chimera -catalog DIR annotate DATASET KEY=VALUE
   chimera -catalog DIR stats
+  chimera migrate -dir DIR
   chimera xml FILE.vdl
   chimera print FILE.vdl
 
@@ -139,6 +144,25 @@ operate against a running vdcd catalog service.`)
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "chimera: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// migrateDir is `chimera migrate -dir DIR` (internal/migrate), seeded
+// with the registry chimera and vdcd open catalogs with.
+func migrateDir(args []string) error {
+	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
+	dir := fs.String("dir", "", "catalog directory to convert")
+	if err := fs.Parse(args); err != nil || *dir == "" || fs.NArg() > 0 {
+		return fmt.Errorf("usage: chimera migrate -dir DIR")
+	}
+	switch converted, err := migrate.Dir(*dir, dtype.StandardRegistry()); {
+	case err != nil:
+		return err
+	case converted:
+		fmt.Printf("%s: migrated\n", *dir)
+	default:
+		fmt.Printf("%s: nothing to migrate\n", *dir)
+	}
+	return nil
 }
 
 func parseFile(path string) (vdl.Program, error) {

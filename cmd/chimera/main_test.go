@@ -253,3 +253,43 @@ DV first->twice( i=@{input:"source"}, o=@{output:"refined"} );
 		t.Fatalf("refused file changed the catalog: %+v, was %+v", st, before)
 	}
 }
+
+// TestMigrateCommand: `chimera migrate -dir D` converts a directory the
+// sharded catalog wrote, which Open refused, into one Open reads; run
+// again it changes nothing.
+func TestMigrateCommand(t *testing.T) {
+	dir := t.TempDir()
+	fixture := filepath.Join(repoRoot(t), "internal", "migrate", "testdata", "sharded4")
+	names, err := filepath.Glob(filepath.Join(fixture, "*"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("fixture: %v %v", names, err)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := catalog.Open(dir, nil, catalog.Options{}); err == nil {
+		t.Fatal("Open accepted an unmigrated directory")
+	}
+	if err := migrateDir(nil); err == nil {
+		t.Error("migrate without -dir succeeded")
+	}
+	for _, run := range []string{"first", "second"} {
+		if err := migrateDir([]string{"-dir", dir}); err != nil {
+			t.Fatalf("%s migrate: %v", run, err)
+		}
+	}
+	cat, err := catalog.Open(dir, nil, catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	if st := cat.Stats(); st.Derivations == 0 || st.Replicas == 0 {
+		t.Fatalf("migrated catalog holds %+v", st)
+	}
+}

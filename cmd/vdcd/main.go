@@ -19,13 +19,14 @@
 // mutations batch their log writes and (with -sync) share one fsync
 // per batch, written by the first waiting writer (docs/PERF.md, "Write
 // path"). The catalog keeps one lock, one log and one journal
-// (docs/PERF.md, "One lock, one log"); a directory written with a
-// JSON-lines log, or by the former sharded catalog, is converted to
-// that layout on first open. Snapshots are binary/v1 with a CRC-32C
-// trailer, compact and mmap-loaded (docs/PERF.md, "Binary catalog
-// format"), so a directory holds two self-describing files, wal.bin and
-// snapshot.bin; one written with a JSON snapshot or a
-// catalog-meta.json is converted the same way.
+// (docs/PERF.md, "One lock, one log"). Snapshots are binary/v1 with a
+// CRC-32C trailer, compact and mmap-loaded (docs/PERF.md, "Binary
+// catalog format"), so a directory holds two self-describing files,
+// wal.bin and snapshot.bin. vdcd refuses to start on a directory an
+// earlier build wrote — a JSON-lines log, a sharded catalog's shard
+// logs, a JSON snapshot, a catalog-meta.json or an untrailed
+// snapshot.bin — and names the offline command that converts it,
+// `chimera migrate -dir DIR`.
 //
 // With -federate, vdcd also hosts a federated index over the listed
 // member catalogs and crawls them incrementally every -crawl-every;

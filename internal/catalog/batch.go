@@ -353,7 +353,7 @@ func (b *batch) flush() error {
 	recs, c := b.recs, b.c
 	b.recs, b.ov, b.synced = b.recs[:0], overlay{}, 0
 	for _, r := range recs {
-		if err := c.apply(r.Kind, r.Value, nil); err != nil {
+		if err := c.apply(r.Kind, r.Value); err != nil {
 			return err
 		}
 	}

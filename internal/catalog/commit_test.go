@@ -17,10 +17,9 @@ import (
 // a mutation returns success, the record must already be in the WAL
 // file (written and fsynced). Each iteration snapshots the raw WAL
 // bytes immediately after the ack — a simulated power cut — and
-// replays them into a fresh catalog, which must contain the mutation;
-// the same records written as a legacy wal.jsonl must convert to a
-// catalog that contains it too. The concurrent phase puts 8 writers on
-// the one log, so most acks come from batches another waiter led.
+// replays them into a fresh catalog, which must contain the mutation.
+// The concurrent phase puts 8 writers on the one log, so most acks come
+// from batches another waiter led.
 func TestGroupCommitDurableAfterAck(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, nil, Options{Sync: true})
@@ -38,27 +37,18 @@ func TestGroupCommitDurableAfterAck(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		var recs []logRecord
-		if _, err := readFrames(img, func(op opKind, v any) error {
-			recs = append(recs, logRecord{op, v})
-			return nil
-		}); err != nil {
-			return fmt.Errorf("crash image: %w", err)
+		crashDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(crashDir, walFile), img, 0o644); err != nil {
+			return err
 		}
-		for name, log := range map[string][]byte{walFile: img, legacyWALFile: jsonLog(t, recs)} {
-			crashDir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(crashDir, name), log, 0o644); err != nil {
-				return err
-			}
-			c2, err := Open(crashDir, nil, Options{})
-			if err != nil {
-				return fmt.Errorf("reopen %s crash image: %w", name, err)
-			}
-			_, err = c2.Derivation(id)
-			c2.Close()
-			if err != nil {
-				return fmt.Errorf("acked derivation missing from %s crash image: %w", name, err)
-			}
+		c2, err := Open(crashDir, nil, Options{})
+		if err != nil {
+			return fmt.Errorf("reopen crash image: %w", err)
+		}
+		_, err = c2.Derivation(id)
+		c2.Close()
+		if err != nil {
+			return fmt.Errorf("acked derivation missing from crash image: %w", err)
 		}
 		return nil
 	}

@@ -17,16 +17,6 @@ func replayLog(log []byte) (*Catalog, error) {
 	return c, nil
 }
 
-// replayJSONLog replays a JSON-lines log's bytes into a fresh
-// in-memory catalog, the way a legacy conversion replays wal.jsonl.
-func replayJSONLog(log []byte) (*Catalog, error) {
-	c := New(nil)
-	if err := replayJSONL(bytes.NewReader(log), func(op opKind, v any) error { return c.apply(op, v, nil) }); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // frameEnds returns the offset just past each frame of a valid log.
 func frameEnds(t testing.TB, log []byte) []int {
 	t.Helper()
@@ -51,7 +41,7 @@ func frameEnds(t testing.TB, log []byte) []int {
 // second frame flipped, at each byte in turn — a corrupt frame
 // followed by valid ones, which must be rejected, not skipped.
 func FuzzReplay(f *testing.F) {
-	valid := readLog(f, populatedDir(f, false, nil))
+	valid := readLog(f, populatedDir(f, nil))
 	ends := frameEnds(f, valid)
 	f.Add(valid)
 	for i := ends[len(ends)-2]; i < len(valid); i++ {
@@ -77,43 +67,14 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// FuzzReplayJSONL is FuzzReplay for the legacy JSON-lines reader a
-// conversion replays wal.jsonl with. Its seeds are the same history as
-// JSON lines, that log torn at every byte of its last line, and a
-// mid-file bit flip followed by valid lines (which must be rejected).
-func FuzzReplayJSONL(f *testing.F) {
-	valid := jsonLog(f, logRecords(f, populatedDir(f, false, nil)))
-	f.Add(valid)
-	last := bytes.LastIndexByte(valid[:len(valid)-1], '\n') + 1
-	for i := last; i < len(valid); i++ {
-		f.Add(valid[:i])
-	}
-	flipped := bytes.Clone(valid)
-	flipped[bytes.IndexByte(valid, '\n')+1] ^= 0x01 // the second record's '{'
-	if _, err := replayJSONLog(flipped); err == nil {
-		f.Fatal("a corrupt mid-file record followed by valid ones replayed without error")
-	}
-	f.Add(flipped)
-
-	f.Fuzz(func(t *testing.T, log []byte) {
-		c, err := replayJSONLog(log)
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		if err := c.CheckIndexes(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // FuzzLoadSnapshot writes arbitrary bytes as a directory's snapshot.bin
 // and opens it: Open must fail or give a catalog whose secondary
 // indexes equal a rebuild from its primary maps, and never panic. Run
 // `go test -fuzz FuzzLoadSnapshot ./internal/catalog` for a longer
 // campaign; `go test` exercises the seeds: a valid multi-object
 // snapshot, the same snapshot without its checksum trailer (as written
-// before the trailer existed), and each of them with one byte flipped,
-// at each byte in turn.
+// before the trailer existed, which Open refuses), and each of them
+// with one byte flipped, at each byte in turn.
 func FuzzLoadSnapshot(f *testing.F) {
 	dir, _ := snapshotDir(f)
 	trailed, err := os.ReadFile(filepath.Join(dir, snapshotFile))

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"chimera/internal/codec"
 )
@@ -21,16 +22,39 @@ import (
 // The codec bytes end in the codec's own magic, "VDGE", two bits away
 // from "VDGC": a flipped bit in the trailer's magic leaves a file that
 // ends in neither, which the codec refuses, and a flipped bit anywhere
-// else fails the CRC. A file without the trailer, written before it
-// existed, is handed to the codec unchecked. Directories still holding
-// a JSON snapshot.json load it once (legacy.go); the next Snapshot()
-// replaces it.
+// else fails the CRC. A file without the trailer was written before it
+// existed; Open refuses it, as it refuses every file of an earlier
+// layout (refuseLegacy), and `chimera migrate` rewrites it.
 
 const (
 	snapshotFile   = "snapshot.bin"
 	snapMagic      = "VDGC"
 	snapTrailerLen = frameCRCLen + len(snapMagic)
 )
+
+// refuseLegacy fails, with one directory read, if dir holds a file
+// only an earlier layout wrote: catalog-meta.json, snapshot.json,
+// wal.jsonl or a shard log wal-<i>.jsonl. (loadSnapshot refuses an
+// untrailed snapshot.bin.)
+func refuseLegacy(dir string) error {
+	entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		if n := e.Name(); n == "catalog-meta.json" || n == "snapshot.json" || n == "wal.jsonl" ||
+			strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".jsonl") {
+			return errLegacy(dir, n)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("catalog: open: %w", err)
+	}
+	return nil
+}
+
+// errLegacy is Open's refusal of a directory holding file, which only
+// an earlier layout wrote, naming the command that converts it.
+func errLegacy(dir, file string) error {
+	return fmt.Errorf("catalog: %s holds %s, from a layout this build does not open: run `chimera migrate -dir %s` to convert it", dir, file, dir)
+}
 
 // syncDir fsyncs a directory so a just-created (or renamed) entry
 // survives a crash. A variable so tests can observe the state each
@@ -56,7 +80,7 @@ func (c *Catalog) loadSnapshot() error {
 	path := filepath.Join(c.dir, snapshotFile)
 	data, done, err := mapFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return c.loadJSONSnapshot()
+		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("catalog: snapshot: %w", err)
@@ -67,18 +91,24 @@ func (c *Catalog) loadSnapshot() error {
 		exp, err = codec.DecodeSnapshot(body)
 	}
 	done() // decoded values own their memory; unmap immediately
+	if errors.Is(err, errNoTrailer) {
+		return errLegacy(c.dir, snapshotFile+" without its checksum trailer")
+	}
 	if err != nil {
 		return fmt.Errorf("catalog: snapshot %s: %w", path, err)
 	}
 	return c.load(exp)
 }
 
+// errNoTrailer marks a snapshot file that does not end in the trailer.
+var errNoTrailer = errors.New("no checksum trailer")
+
 // snapshotBody checks a snapshot file's trailer and returns the codec
-// bytes it covers; a file without one is returned whole.
+// bytes it covers.
 func snapshotBody(data []byte) ([]byte, error) {
 	n := len(data) - snapTrailerLen
 	if n < 0 || string(data[n+frameCRCLen:]) != snapMagic {
-		return data, nil
+		return nil, errNoTrailer
 	}
 	if crc32.Checksum(data[:n], castagnoli) != binary.LittleEndian.Uint32(data[n:]) {
 		return nil, errFrameCRC
@@ -86,10 +116,8 @@ func snapshotBody(data []byte) ([]byte, error) {
 	return data[:n], nil
 }
 
-// writeSnapshotLocked atomically replaces the snapshot with exp and
-// removes a legacy snapshot.json, so the directory never holds two
-// divergent snapshots. Callers hold the write lock (or own the catalog
-// exclusively, as during Open).
+// writeSnapshotLocked atomically replaces the snapshot with exp.
+// Callers hold the write lock.
 func (c *Catalog) writeSnapshotLocked(exp *Export) error {
 	var buf bytes.Buffer
 	if err := codec.EncodeSnapshot(&buf, exp); err != nil {
@@ -114,9 +142,6 @@ func (c *Catalog) writeSnapshotLocked(exp *Export) error {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(c.dir, snapshotFile)); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(c.dir, legacySnapshotFile)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	// The rename must be durable before Snapshot truncates the logs: a

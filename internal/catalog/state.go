@@ -22,9 +22,10 @@ import (
 // reader past a waiting writer) — which is why no goroutine may take the
 // catalog lock while it holds an open View.
 //
-// Directories whose log is still JSON lines — wal.jsonl, or one
-// wal-<i>.jsonl per shard from the former sharded catalog — are
-// converted to this layout once, on Open (legacy.go).
+// Open replays one layout, snapshot.bin then wal.bin, through apply,
+// the function a batch applies with. Directories an earlier build wrote
+// — JSON-lines logs, one per shard for the former sharded catalog — are
+// converted offline by `chimera migrate` (internal/migrate).
 
 // catalogState is the catalog's object state: everything a read needs,
 // nothing a read mutates.

@@ -21,11 +21,9 @@ import (
 // log. Open replays snapshot + log, so a crash between append and
 // response loses at most the in-flight batch — or keeps a prefix of
 // it: crash-atomicity of an unacknowledged batch is not claimed. The
-// directory holds
-// nothing else: both files are self-describing. Directories written
-// before that — a JSON-lines log (wal.jsonl, or a sharded directory's
-// wal-<i>.jsonl), a JSON snapshot, a catalog-meta.json — are read
-// once, on Open, and converted (legacy.go).
+// directory holds nothing else: both files are self-describing. Open
+// refuses, before writing anything, a directory an earlier layout
+// wrote (refuseLegacy), naming the command that converts it offline.
 
 // opKind is the kind of one logged operation: a binary/v1 record kind.
 type opKind = codec.RecordKind
@@ -78,11 +76,7 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	if f := opts.SnapshotFormat; f != "" && f != codec.BinaryName {
 		return nil, fmt.Errorf("catalog: snapshot format %q: %s is the only snapshot format", f, codec.BinaryName)
 	}
-	legacyShards, meta, err := readLegacyMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkShardLogs(dir, legacyShards); err != nil {
+	if err := refuseLegacy(dir); err != nil {
 		return nil, err
 	}
 
@@ -95,9 +89,6 @@ func Open(dir string, seed *dtype.Registry, opts Options) (*Catalog, error) {
 	}
 
 	if err := c.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := c.convertLegacy(legacyShards, meta); err != nil {
 		return nil, err
 	}
 	logPath := filepath.Join(dir, walFile)
@@ -180,16 +171,13 @@ func (c *Catalog) DurabilityErr() error {
 // it means the log itself is damaged, and silently dropping the tail
 // would lose acknowledged state (frame.go).
 func (c *Catalog) replay(data []byte) (int, error) {
-	return readFrames(data, func(op opKind, v any) error { return c.apply(op, v, nil) })
+	return readFrames(data, c.apply)
 }
 
 // apply replays one record directly onto the maps and indexes, without
 // re-validation (records were validated before being logged) and
-// without re-logging. v is the value op carries (codec.RecordKind). A
-// nil deferred makes a derivation whose transformation is unknown an
-// error; a legacy conversion passes a list to collect such derivations
-// instead (legacy.go).
-func (c *Catalog) apply(op opKind, v any, deferred *[]schema.Derivation) error {
+// without re-logging. v is the value op carries (codec.RecordKind).
+func (c *Catalog) apply(op opKind, v any) error {
 	switch op {
 	case opType:
 		t := v.(codec.TypeDef)
@@ -203,12 +191,6 @@ func (c *Catalog) apply(op opKind, v any, deferred *[]schema.Derivation) error {
 		dv := v.(schema.Derivation)
 		tr, err := c.transformationLocked(dv.TR)
 		if err != nil {
-			if deferred != nil {
-				// The transformation may live in a legacy log not yet
-				// replayed; retry after all are in (replayDeferred).
-				*deferred = append(*deferred, dv)
-				return nil
-			}
 			return fmt.Errorf("derivation %s: %w", dv.ID, err)
 		}
 		c.indexDerivation(dv, tr)
@@ -254,7 +236,7 @@ func (v *View) Export() Export { return v.c.exportLocked() }
 func (c *Catalog) load(exp *Export) (err error) {
 	records(exp, nil, false, func(r codec.Record) {
 		if err == nil {
-			err = c.apply(r.Kind, r.Value, nil)
+			err = c.apply(r.Kind, r.Value)
 		}
 	})
 	if err != nil {

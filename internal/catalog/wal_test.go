@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"chimera/internal/codec"
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
@@ -216,6 +217,19 @@ func readLog(t testing.TB, dir string) []byte {
 	return data
 }
 
+// logRecords decodes a directory's binary log.
+func logRecords(t testing.TB, dir string) []codec.Record {
+	t.Helper()
+	var recs []codec.Record
+	if _, err := readFrames(readLog(t, dir), func(op opKind, v any) error {
+		recs = append(recs, codec.Record{Kind: op, Value: v})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // frameOf encodes one record as a log frame.
 func frameOf(t testing.TB, op opKind, v any) []byte {
 	t.Helper()
@@ -227,9 +241,8 @@ func frameOf(t testing.TB, op opKind, v any) []byte {
 }
 
 // populatedDir returns a directory holding populate's history in its
-// log, with tail appended to the log; jsonl writes the history and
-// tail as the legacy wal.jsonl instead, which Open converts.
-func populatedDir(t testing.TB, jsonl bool, tail []byte) string {
+// log, with tail appended to the log.
+func populatedDir(t testing.TB, tail []byte) string {
 	t.Helper()
 	dir := t.TempDir()
 	c, err := Open(dir, nil, Options{})
@@ -240,14 +253,7 @@ func populatedDir(t testing.TB, jsonl bool, tail []byte) string {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, name := readLog(t, dir), walFile
-	if jsonl {
-		log, name = jsonLog(t, logRecords(t, dir)), legacyWALFile
-		if err := os.Remove(filepath.Join(dir, walFile)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), append(log, tail...), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walFile), append(readLog(t, dir), tail...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -288,11 +294,8 @@ func requireTornTailDropped(t *testing.T, dir string) {
 func TestTornTailTolerated(t *testing.T) {
 	frame := frameOf(t, opDataset, schema.Dataset{Name: "torn", Size: 1})
 	for cut := 1; cut < len(frame); cut++ {
-		requireTornTailDropped(t, populatedDir(t, false, frame[:cut]))
+		requireTornTailDropped(t, populatedDir(t, frame[:cut]))
 	}
-	t.Run("jsonl", func(t *testing.T) {
-		requireTornTailDropped(t, populatedDir(t, true, []byte(`{"op":"dataset","data":{"name":"torn`)))
-	})
 }
 
 // TestCorruptMidFileRecordRejected: a damaged record *followed* by a
@@ -302,30 +305,19 @@ func TestCorruptMidFileRecordRejected(t *testing.T) {
 	bad := frameOf(t, opDataset, schema.Dataset{Name: "torn"})
 	bad[len(bad)-6] ^= 0x20 // in the record, past the length
 	after := frameOf(t, opDataset, schema.Dataset{Name: "after"})
-	if c, err := Open(populatedDir(t, false, append(bad, after...)), nil, Options{}); err == nil {
+	if c, err := Open(populatedDir(t, append(bad, after...)), nil, Options{}); err == nil {
 		c.Close()
 		t.Fatal("corrupt mid-file frame silently tolerated")
 	}
-	t.Run("jsonl", func(t *testing.T) {
-		tail := "{\"op\":\"dataset\",\"data\":{\"name\":\"torn\n" +
-			"{\"op\":\"dataset\",\"data\":{\"name\":\"after\"}}\n"
-		if c, err := Open(populatedDir(t, true, []byte(tail)), nil, Options{}); err == nil {
-			c.Close()
-			t.Fatal("corrupt mid-file record silently tolerated")
-		}
-	})
 }
 
 // TestTornTailAfterBlankLinesTolerated: a torn record trailed only by
 // filler — zero bytes the file system allocated but the crash never
-// wrote, or a JSON-lines log's empty lines — is still a torn tail.
+// wrote — is still a torn tail.
 func TestTornTailAfterBlankLinesTolerated(t *testing.T) {
 	frame := frameOf(t, opDataset, schema.Dataset{Name: "torn", Size: 1})
 	tail := append(frame[:len(frame)/2:len(frame)/2], make([]byte, 64)...)
-	requireTornTailDropped(t, populatedDir(t, false, tail))
-	t.Run("jsonl", func(t *testing.T) {
-		requireTornTailDropped(t, populatedDir(t, true, []byte("{\"op\":\"dataset\",\"data\":{\"name\":\"torn\n\n")))
-	})
+	requireTornTailDropped(t, populatedDir(t, tail))
 }
 
 // TestWALBitFlipRejected flips, one at a time, every bit of every

@@ -296,7 +296,7 @@ func (s *Server) routes() {
 	})
 	handle("PUT /v1/signatures/{kind}/{id...}", s.mutating(func(w http.ResponseWriter, r *http.Request) {
 		var sig trust.Signature
-		if !decode(w, r, &sig) {
+		if !s.holds(w, r.PathValue("kind"), r.PathValue("id")) || !decode(w, r, &sig) {
 			return
 		}
 		s.Ledger.Attach(r.PathValue("kind"), r.PathValue("id"), sig)
@@ -307,12 +307,38 @@ func (s *Server) routes() {
 	})
 	handle("PUT /v1/annotations", s.mutating(func(w http.ResponseWriter, r *http.Request) {
 		var a trust.Annotation
-		if !decode(w, r, &a) {
+		if !decode(w, r, &a) || !s.holds(w, a.TargetKind, a.TargetID) {
 			return
 		}
 		s.Ledger.AddAnnotation(a)
 		writeJSON(w, http.StatusOK, struct{}{})
 	}))
+}
+
+// holds reports whether the catalog holds the entry kind/id names, the
+// target of a signature or annotation; if not, it answers 400 for a
+// kind the catalog has no lookup for and 404 for a missing entry.
+func (s *Server) holds(w http.ResponseWriter, kind, id string) bool {
+	var err error
+	switch kind {
+	case trust.KindDataset:
+		_, err = s.Cat.Dataset(id)
+	case trust.KindTransformation:
+		_, err = s.Cat.Transformation(id)
+	case trust.KindDerivation:
+		_, err = s.Cat.Derivation(id)
+	case trust.KindInvocation:
+		_, err = s.Cat.Invocation(id)
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("entry kind %q: want %s, %s, %s or %s", kind,
+			trust.KindDataset, trust.KindTransformation, trust.KindDerivation, trust.KindInvocation)})
+		return false
+	}
+	if err != nil {
+		s.replyErr(w, err)
+		return false
+	}
+	return true
 }
 
 func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {

@@ -241,7 +241,10 @@ DV usetrans1->trans1( a2=@{output:"file2"}, a1=@{input:"file1"} );
 }
 
 func TestSignaturesAndAnnotationsOverWire(t *testing.T) {
-	_, client := startServer(t, "s")
+	cat, client := startServer(t, "s")
+	if err := cat.AddDataset(schema.Dataset{Name: "raw"}); err != nil {
+		t.Fatal(err)
+	}
 	signer, err := trust.NewAuthority("curator")
 	if err != nil {
 		t.Fatal(err)
@@ -271,6 +274,45 @@ func TestSignaturesAndAnnotationsOverWire(t *testing.T) {
 	}
 	if err := store.VerifyAnnotation(anns[0]); err != nil {
 		t.Errorf("wire-transported annotation invalid: %v", err)
+	}
+}
+
+// TestSignaturesNeedAnEntry: a signature or annotation on an entry the
+// catalog does not hold is 404, one on a kind it has no entries of is
+// 400, and neither reaches the ledger.
+func TestSignaturesNeedAnEntry(t *testing.T) {
+	cat, client := startServer(t, "s")
+	if err := cat.AddDataset(schema.Dataset{Name: "raw"}); err != nil {
+		t.Fatal(err)
+	}
+	signer, err := trust.NewAuthority("curator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind, id string
+		code     int
+	}{
+		{trust.KindDataset, "no-such-ds", http.StatusNotFound},
+		{trust.KindDerivation, "no-such-dv", http.StatusNotFound},
+		{trust.KindTransformation, "no-such-tr", http.StatusNotFound},
+		{trust.KindInvocation, "no-such-iv", http.StatusNotFound},
+		{"bogus", "raw", http.StatusBadRequest},
+	} {
+		var re *RemoteError
+		err := client.PutSignature(c.kind, c.id, signer.SignEntry(c.kind, c.id, []byte("payload")))
+		if !errors.As(err, &re) || re.Status != c.code {
+			t.Errorf("signature on %s/%s: %v, want %d", c.kind, c.id, err, c.code)
+		}
+		err = client.PutAnnotation(signer.Annotate(c.kind, c.id, "quality", "approved"))
+		if !errors.As(err, &re) || re.Status != c.code {
+			t.Errorf("annotation on %s/%s: %v, want %d", c.kind, c.id, err, c.code)
+		}
+		sigs, _ := client.Signatures(c.kind, c.id)
+		anns, _ := client.Annotations(c.kind, c.id)
+		if len(sigs)+len(anns) != 0 {
+			t.Errorf("%s/%s: the ledger kept %d signature(s) and %d annotation(s)", c.kind, c.id, len(sigs), len(anns))
+		}
 	}
 }
 
