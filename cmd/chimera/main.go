@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"strings"
 
@@ -428,6 +429,8 @@ func annotate(cat *catalog.Catalog, args []string) error {
 		return err
 	}
 	kv := strings.SplitN(args[1], "=", 2)
+	// ds.Attrs is the catalog's own map: change a copy.
+	ds.Attrs = maps.Clone(ds.Attrs)
 	if ds.Attrs == nil {
 		ds.Attrs = schema.Attributes{}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"chimera/internal/catalog"
 	"chimera/internal/dtype"
+	"chimera/internal/schema"
 	"chimera/internal/vds"
 )
 
@@ -116,6 +117,37 @@ func TestSearchLineagePlanEstimateAnnotate(t *testing.T) {
 	}
 	if err := annotate(cat, []string{"ghost", "k=v"}); err == nil {
 		t.Error("annotation of ghost accepted")
+	}
+}
+
+// TestAnnotateReplacesValue: annotating a key again replaces its value
+// in the record and in the attribute index; a record read before is
+// left as it was.
+func TestAnnotateReplacesValue(t *testing.T) {
+	cat := openCat(t)
+	if err := cat.AddDataset(schema.Dataset{Name: "d", Attrs: schema.Attributes{"k": "old"}}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := cat.Dataset("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := annotate(cat, []string{"d", "k=new"}); err != nil {
+		t.Fatal(err)
+	}
+	if before.Attrs["k"] != "old" {
+		t.Errorf("annotate changed a record read before it: k=%q", before.Attrs["k"])
+	}
+	if err := cat.CheckIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	v := cat.View()
+	defer v.Close()
+	if n := v.DatasetsByAttr("k", "old").Len(); n != 0 {
+		t.Errorf("attr.k = old still finds %d dataset(s)", n)
+	}
+	if n := v.DatasetsByAttr("k", "new").Len(); n != 1 {
+		t.Errorf("attr.k = new finds %d dataset(s), want 1", n)
 	}
 }
 

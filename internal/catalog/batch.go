@@ -33,8 +33,7 @@ const (
 	strict   batchMode = iota // the first failure fails the batch
 	tolerant                  // a failing record is skipped and counted
 	// fold is tolerant, and a dataset or replica record replaces the one
-	// it names (keeping the catalog's own producer linkage), because a
-	// delta ships each object's current value.
+	// it names, because a delta ships each object's current value.
 	fold
 )
 
@@ -95,7 +94,14 @@ func lookup[V any](staged, state map[string]V, key string) (V, bool) {
 	return v, ok
 }
 
+// stage appends a record to the batch. A dataset is staged, and so
+// logged, without CreatedBy: the producer link is the derivations'
+// (indexDerivation), and putDataset sets it.
 func (b *batch) stage(k codec.RecordKind, v any) {
+	if ds, ok := v.(schema.Dataset); ok && ds.CreatedBy != "" {
+		ds.CreatedBy = ""
+		v = ds
+	}
 	b.recs = append(b.recs, codec.Record{Kind: k, Value: v})
 }
 
@@ -206,25 +212,15 @@ func (b *batch) check(r codec.Record) error {
 		if err := b.types().CheckType(v.Type); err != nil {
 			return fmt.Errorf("%w: dataset %q: %v", ErrType, v.Name, err)
 		}
-		old, ok := lookup(b.ov.datasets, c.datasets, v.Name)
-		switch {
-		case ok && b.mode == fold:
-			if v.Epoch < old.Epoch {
+		if old, ok := lookup(b.ov.datasets, c.datasets, v.Name); ok {
+			old.CreatedBy, v.CreatedBy = "", "" // the catalog's to set
+			switch {
+			case equalJSON(old, v):
+				return nil
+			case b.mode != fold:
+				return fmt.Errorf("%w: dataset %q", ErrExists, v.Name)
+			case v.Epoch < old.Epoch:
 				return fmt.Errorf("%w: dataset %q epoch moved backwards (%d -> %d)", ErrConflict, v.Name, old.Epoch, v.Epoch)
-			}
-			v.CreatedBy = old.CreatedBy
-			if equalJSON(old, v) {
-				return nil
-			}
-			r.Value = v
-		case ok:
-			if equalJSON(old, v) {
-				return nil
-			}
-			return fmt.Errorf("%w: dataset %q", ErrExists, v.Name)
-		case v.CreatedBy != "":
-			if _, ok := lookup(b.ov.dvs, c.derivations, v.CreatedBy); !ok {
-				return fmt.Errorf("%w: dataset %q cites unknown derivation %q", ErrNotFound, v.Name, v.CreatedBy)
 			}
 		}
 	case schema.Transformation:
@@ -287,7 +283,8 @@ func (b *batch) check(r codec.Record) error {
 //   - duplicate detection: a derivation whose canonical signature is
 //     already registered is ErrDuplicate (reuse, not failure);
 //   - virtual data: unregistered outputs are registered as virtual,
-//     with CreatedBy linkage, and unknown inputs as primary data;
+//     and unknown inputs as primary data (applying the derivation links
+//     its outputs to it: indexDerivation);
 //   - provenance: a dataset has at most one producing derivation, and
 //     is not both input and output of one;
 //   - types: every bound dataset with a declared type conforms to its
@@ -328,19 +325,11 @@ func (b *batch) checkDerivation(dv schema.Derivation) error {
 			return fmt.Errorf("%w: dataset %q is both input and output of one derivation", ErrConflict, out)
 		}
 	}
-	for _, in := range inputs {
-		if _, ok := lookup(b.ov.datasets, c.datasets, in); !ok {
-			b.stage(codec.RecDataset, schema.Dataset{Name: in})
-		}
-	}
-	for _, out := range outputs {
-		ds, ok := lookup(b.ov.datasets, c.datasets, out)
-		if !ok {
-			ds = schema.Dataset{Name: out}
-		}
-		if ds.CreatedBy == "" {
-			ds.CreatedBy = dv.ID
-			b.stage(codec.RecDataset, ds)
+	for _, names := range [2][]string{inputs, outputs} {
+		for _, name := range names {
+			if _, ok := lookup(b.ov.datasets, c.datasets, name); !ok {
+				b.stage(codec.RecDataset, schema.Dataset{Name: name})
+			}
 		}
 	}
 	return nil
@@ -469,22 +458,17 @@ func (c *Catalog) commit(mode batchMode, each func(yield func(codec.Record))) (s
 // records yields an export's objects as log records, in an order that
 // applies cleanly: types (parents first), transformations, datasets,
 // derivations, invocations, removals of the replicas named in removed,
-// replicas, compatibility assertions. merge drops each dataset's
-// CreatedBy: a catalog taking in another's objects links producers
-// through its own derivations.
-func records(exp *Export, removed []string, merge bool, yield func(codec.Record)) {
+// replicas, compatibility assertions. The datasets' createdBy fields
+// are ignored where they are taken in (putDataset): the derivations
+// that follow them link their outputs.
+func records(exp *Export, removed []string, yield func(codec.Record)) {
 	if exp.Types != nil {
 		exp.Types.Each(func(d dtype.Dimension, name, parent string) {
 			yield(codec.Record{Kind: codec.RecType, Value: codec.TypeDef{Dim: int(d), Name: name, Parent: parent}})
 		})
 	}
 	yieldAll(yield, codec.RecTransformation, exp.Transformations)
-	for _, ds := range exp.Datasets {
-		if merge {
-			ds.CreatedBy = ""
-		}
-		yield(codec.Record{Kind: codec.RecDataset, Value: ds})
-	}
+	yieldAll(yield, codec.RecDataset, exp.Datasets)
 	yieldAll(yield, codec.RecDerivation, exp.Derivations)
 	yieldAll(yield, codec.RecInvocation, exp.Invocations)
 	yieldAll(yield, codec.RecRemoveReplica, removed)

@@ -122,13 +122,17 @@ func (c *Catalog) DefineType(d dtype.Dimension, name, parent string) error {
 // --- Datasets ---------------------------------------------------------
 
 // AddDataset registers a dataset. Re-adding a byte-identical dataset is
-// a no-op; redefining an existing name differently is ErrExists.
+// a no-op; redefining an existing name differently is ErrExists. Its
+// CreatedBy is ignored, here as on every write: a dataset's producer is
+// the registered derivation that outputs it, if any.
 func (c *Catalog) AddDataset(ds schema.Dataset) error {
 	return await(c.put(codec.RecDataset, ds))
 }
 
 // UpdateDataset replaces an existing dataset record (e.g. to attach a
-// descriptor once the data is materialized, or bump the epoch).
+// descriptor once the data is materialized, or bump the epoch). Its
+// CreatedBy is ignored: the producer link stays what the catalog's
+// derivations make it.
 func (c *Catalog) UpdateDataset(ds schema.Dataset) (err error) {
 	opUpdate.Inc()
 	defer func() { err = countErr("update_dataset", err) }()
@@ -181,7 +185,10 @@ func (c *Catalog) BumpEpoch(name string, restampReplicas bool) (_ int, err error
 	return epoch, nil
 }
 
-// Dataset returns the dataset with the given logical name.
+// Dataset returns the dataset with the given logical name. Its Attrs
+// map (and any slice its Descriptor holds) is the catalog's own, shared
+// and read-only: to change it, update a copy (maps.Clone) through
+// UpdateDataset.
 func (c *Catalog) Dataset(name string) (schema.Dataset, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -215,7 +222,8 @@ func (c *Catalog) AddTransformation(tr schema.Transformation) error {
 // Transformation resolves a canonical reference. A versionless
 // reference resolves to the unversioned registration if present,
 // otherwise to the single registered version (it is ambiguous, and an
-// error, if several versions exist).
+// error, if several versions exist). The maps and slices of the result
+// are the catalog's own, shared and read-only.
 func (c *Catalog) Transformation(ref string) (schema.Transformation, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -321,7 +329,8 @@ func (c *Catalog) AddDerivation(dv schema.Derivation) (schema.Derivation, error)
 	return dv, nil
 }
 
-// Derivation returns the derivation with the given ID.
+// Derivation returns the derivation with the given ID. Its Params and
+// Attrs are the catalog's own, shared and read-only.
 func (c *Catalog) Derivation(id string) (schema.Derivation, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -122,7 +122,7 @@ func TestCommitterStickyFailure(t *testing.T) {
 	f.Close() // writes will now fail
 	com := newCommitter(f, true)
 
-	seq, err := com.enqueue([]codec.Record{{Kind: opDataset, Value: schema.Dataset{Name: "x"}}})
+	seq, err := com.enqueue([]codec.Record{{Kind: codec.RecDataset, Value: schema.Dataset{Name: "x"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCommitterStickyFailure(t *testing.T) {
 	} else if !errors.Is(err, ErrDurability) {
 		t.Fatalf("want ErrDurability, got %v", err)
 	}
-	if _, err := com.enqueue([]codec.Record{{Kind: opDataset, Value: schema.Dataset{Name: "y"}}}); err == nil {
+	if _, err := com.enqueue([]codec.Record{{Kind: codec.RecDataset, Value: schema.Dataset{Name: "y"}}}); err == nil {
 		t.Fatal("enqueue after WAL failure must fail fast")
 	}
 	if com.failure() == nil {
@@ -276,7 +276,7 @@ func BenchmarkAppendFrame(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if buf, err = appendFrame(buf[:0], opInvocation, iv); err != nil {
+		if buf, err = appendFrame(buf[:0], codec.RecInvocation, iv); err != nil {
 			b.Fatal(err)
 		}
 	}

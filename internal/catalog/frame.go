@@ -62,7 +62,7 @@ func frameHdr(n uint64, k int) byte { return byte(k-1)<<5 | lenCheck(n) }
 
 // appendFrame appends op(v) to dst as one frame. On error dst is
 // returned unextended.
-func appendFrame(dst []byte, op opKind, v any) ([]byte, error) {
+func appendFrame(dst []byte, op codec.RecordKind, v any) ([]byte, error) {
 	start := len(dst)
 	// Encode the record after room for the longest header, then move it
 	// down to sit right behind the header it turns out to need.
@@ -124,7 +124,7 @@ func frameAt(data []byte, off int) (rec []byte, end int, err error) {
 // readFrames decodes a binary log's records in order and hands each to
 // fn. It returns where the last whole frame ends: len(data), or the
 // start of a torn tail. Decoded values do not alias data.
-func readFrames(data []byte, fn func(op opKind, v any) error) (int, error) {
+func readFrames(data []byte, fn func(op codec.RecordKind, v any) error) (int, error) {
 	off := 0
 	for off < len(data) {
 		rec, end, err := frameAt(data, off)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"chimera/internal/codec"
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 )
@@ -50,7 +51,7 @@ type indexes struct {
 	dsByType map[dtype.Type]IndexSet
 
 	// Flag sets.
-	derived      IndexSet // dataset names with CreatedBy linkage
+	derived      IndexSet // dataset names with a producing derivation
 	materialized IndexSet // dataset names with >=1 replica at the current epoch
 	executed     IndexSet // derivation IDs with >=1 invocation
 
@@ -129,26 +130,22 @@ func attrIndexRemove(idx map[string]map[string]IndexSet, attrs schema.Attributes
 // the write lock (or own the catalog exclusively, as during Open).
 
 // putDataset installs or replaces a dataset record and all its index
-// entries.
+// entries. Its CreatedBy is the producer link indexDerivation keeps;
+// whatever the record carried is ignored.
 func (c *Catalog) putDataset(ds schema.Dataset) {
+	ds.CreatedBy = c.producerOf[ds.Name]
 	if old, ok := c.datasets[ds.Name]; ok {
 		attrIndexRemove(c.idx.dsAttr, old.Attrs, old.Name)
 		if old.Type != ds.Type {
 			setRemoveTyped(c.idx.dsByType, old.Type, old.Name)
 		}
-		if old.CreatedBy != "" && ds.CreatedBy == "" {
-			delete(c.idx.derived, old.Name)
-		}
 	}
 	c.datasets[ds.Name] = ds
 	attrIndexAdd(c.idx.dsAttr, ds.Attrs, ds.Name)
 	setAddTyped(c.idx.dsByType, ds.Type, ds.Name)
-	if ds.CreatedBy != "" {
-		c.idx.derived[ds.Name] = struct{}{}
-	}
 	// An epoch change can flip materialization either way.
 	c.reindexMaterialized(ds.Name)
-	c.noteJournal(jDataset, ds.Name, false)
+	c.noteJournal(codec.RecDataset, ds.Name)
 }
 
 func setAddTyped(m map[dtype.Type]IndexSet, t dtype.Type, id string) {
@@ -181,11 +178,15 @@ func (c *Catalog) putTransformation(tr schema.Transformation) {
 	}
 	c.transformations[ref] = tr
 	attrIndexAdd(c.idx.trAttr, tr.Attrs, ref)
-	c.noteJournal(jTransformation, ref, false)
+	c.noteJournal(codec.RecTransformation, ref)
 }
 
 // indexDerivation installs a derivation with its provenance and
-// secondary indexes. No-op if the ID exists.
+// secondary indexes. No-op if the ID exists. It is the one writer of
+// the producer link: each output's producerOf entry, its CreatedBy and
+// its derived flag. The outputs' own records are not journaled again —
+// a delta carries the derivation, which links them on the receiving
+// side the same way.
 func (c *Catalog) indexDerivation(dv schema.Derivation, tr schema.Transformation) {
 	if _, ok := c.derivations[dv.ID]; ok {
 		return
@@ -200,6 +201,11 @@ func (c *Catalog) indexDerivation(dv schema.Derivation, tr schema.Transformation
 	}
 	for _, out := range outputs {
 		c.producerOf[out] = dv.ID
+		c.idx.derived[out] = struct{}{}
+		if ds, ok := c.datasets[out]; ok {
+			ds.CreatedBy = dv.ID
+			c.datasets[out] = ds
+		}
 	}
 	attrIndexAdd(c.idx.dvAttr, dv.Attrs, dv.ID)
 	setAdd(c.idx.dvByTR, dv.TR, dv.ID)
@@ -211,7 +217,7 @@ func (c *Catalog) indexDerivation(dv schema.Derivation, tr schema.Transformation
 		name = dv.ID
 	}
 	setAdd(c.idx.dvByName, name, dv.ID)
-	c.noteJournal(jDerivation, dv.ID, false)
+	c.noteJournal(codec.RecDerivation, dv.ID)
 }
 
 // putInvocation installs an invocation. No-op if the ID exists.
@@ -222,7 +228,7 @@ func (c *Catalog) putInvocation(iv schema.Invocation) {
 	c.invocations[iv.ID] = iv
 	c.invocationsByDV[iv.Derivation] = append(c.invocationsByDV[iv.Derivation], iv.ID)
 	c.idx.executed[iv.Derivation] = struct{}{}
-	c.noteJournal(jInvocation, iv.ID, false)
+	c.noteJournal(codec.RecInvocation, iv.ID)
 }
 
 // putReplica installs a new replica or updates an existing one in place
@@ -234,7 +240,7 @@ func (c *Catalog) putReplica(r schema.Replica) {
 	}
 	c.replicas[r.ID] = r
 	c.reindexMaterialized(r.Dataset)
-	c.noteJournal(jReplica, r.ID, false)
+	c.noteJournal(codec.RecReplica, r.ID)
 }
 
 // dropReplica removes a replica record and reports whether it existed.
@@ -257,7 +263,7 @@ func (c *Catalog) dropReplica(id string) bool {
 		c.replicasByDataset[r.Dataset] = ids
 	}
 	c.reindexMaterialized(r.Dataset)
-	c.noteJournal(jReplica, id, true)
+	c.noteJournal(codec.RecRemoveReplica, id)
 	return true
 }
 
@@ -281,12 +287,23 @@ func (c *Catalog) reindexMaterialized(name string) {
 // --- verification ------------------------------------------------------
 
 // CheckIndexes rebuilds every secondary index from the primary maps and
-// compares with the incrementally maintained state. It returns nil when
-// they agree; tests call it after WAL replay, imports, and mutation
-// storms to prove the funnel covers every path.
+// compares with the incrementally maintained state, and checks that
+// every dataset's CreatedBy is its producer link (producerOf). It
+// returns nil when they agree; tests call it after WAL replay, imports,
+// and mutation storms to prove the funnel covers every path.
 func (c *Catalog) CheckIndexes() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	for name, ds := range c.datasets {
+		if p := c.producerOf[name]; ds.CreatedBy != p {
+			return fmt.Errorf("catalog: dataset %q has createdBy %q, but its producer is %q", name, ds.CreatedBy, p)
+		}
+	}
+	for name, id := range c.producerOf {
+		if _, ok := c.datasets[name]; !ok {
+			return fmt.Errorf("catalog: derivation %s outputs %q, which is not a dataset", id, name)
+		}
+	}
 	want := c.rebuildIndexesLocked()
 	for _, f := range []struct {
 		name      string

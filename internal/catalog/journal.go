@@ -40,24 +40,13 @@ var (
 
 func newJournalInstance() uint64 { return journalEpoch + journalInstances.Add(1) }
 
-type journalKind uint8
-
-const (
-	jDataset journalKind = iota
-	jTransformation
-	jDerivation
-	jInvocation
-	jReplica
-	jTypes
-	jCompat
-)
-
-// journalEntry records one mutation under the sequence it drew.
+// journalEntry records one mutation under the sequence it drew: the
+// kind of log record that made it and the object it names ("" for a
+// type or a compatibility assertion).
 type journalEntry struct {
 	seq  uint64
-	kind journalKind
+	kind codec.RecordKind
 	id   string
-	del  bool
 }
 
 // noteJournal draws the next catalog sequence and appends one journal
@@ -65,9 +54,9 @@ type journalEntry struct {
 // as during Open). The journal is allowed to grow to twice the window
 // before compacting so trimming stays amortized O(1) per mutation;
 // trimmed remembers the highest dropped sequence — the delta floor.
-func (c *Catalog) noteJournal(k journalKind, id string, del bool) {
+func (c *Catalog) noteJournal(k codec.RecordKind, id string) {
 	seq := c.jseq.Add(1)
-	c.journal = append(c.journal, journalEntry{seq: seq, kind: k, id: id, del: del})
+	c.journal = append(c.journal, journalEntry{seq: seq, kind: k, id: id})
 	if len(c.journal) >= 2*c.jwindow {
 		c.trimJournal(c.jwindow)
 	}
@@ -155,7 +144,9 @@ type Delta = codec.Delta
 // current) allocates nothing but the Delta header. The caller receives
 // a full export when it is at sequence zero, cites a different
 // instance, claims a future sequence, or has fallen behind the
-// journal window.
+// journal window. A dataset registered before the derivation that
+// outputs it is not shipped again when that derivation links it: its
+// createdBy follows the derivation the delta carries.
 func (c *Catalog) ChangesSince(since, instance uint64) Delta {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -183,19 +174,19 @@ func (c *Catalog) ChangesSince(since, instance uint64) Delta {
 	types, compat := false, false
 	for _, e := range c.journal[start:] {
 		switch e.kind {
-		case jDataset:
+		case codec.RecDataset:
 			mark(&datasets, e.id)
-		case jTransformation:
+		case codec.RecTransformation:
 			mark(&trs, e.id)
-		case jDerivation:
+		case codec.RecDerivation:
 			mark(&dvs, e.id)
-		case jInvocation:
+		case codec.RecInvocation:
 			mark(&ivs, e.id)
-		case jReplica:
+		case codec.RecReplica, codec.RecRemoveReplica:
 			mark(&reps, e.id)
-		case jTypes:
+		case codec.RecType:
 			types = true
-		case jCompat:
+		case codec.RecCompat:
 			compat = true
 		}
 	}
@@ -249,8 +240,8 @@ func (c *Catalog) ChangesSince(since, instance uint64) Delta {
 // The delta is one tolerant batch: a concurrent reader sees all of it
 // or none of it. Types merge (a conflicting name keeps its first
 // parent); transformations, derivations and invocations are immutable
-// at the source and add if absent; datasets upsert but keep c's own
-// producer linkage, which c's derivations establish; tombstones remove,
+// at the source and add if absent; datasets upsert, their createdBy
+// ignored, since c's own derivations decide it; tombstones remove,
 // tolerating a replica added and removed between two deltas, and go
 // before replicas, because older sources can ship one ID as both (a
 // replica re-registered under another dataset) and the live record
@@ -264,6 +255,6 @@ func (c *Catalog) ApplyDelta(d Delta) (skipped int) {
 		}
 		removed = append(removed, t.ID)
 	}
-	n, _ := c.commit(fold, func(yield func(codec.Record)) { records(&d.Export, removed, true, yield) })
+	n, _ := c.commit(fold, func(yield func(codec.Record)) { records(&d.Export, removed, yield) })
 	return skipped + n
 }

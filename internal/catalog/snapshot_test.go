@@ -125,7 +125,7 @@ func TestNewDirectoryIsBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireFiles(t, dir, snapshotFile, walFile)
-	if recs := logRecords(t, dir); len(recs) != 1 || recs[0].Kind != opDataset {
+	if recs := logRecords(t, dir); len(recs) != 1 || recs[0].Kind != codec.RecDataset {
 		t.Fatalf("log after the snapshot holds %v, want the one dataset", recs)
 	}
 }

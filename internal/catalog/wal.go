@@ -25,20 +25,6 @@ import (
 // refuses, before writing anything, a directory an earlier layout
 // wrote (refuseLegacy), naming the command that converts it offline.
 
-// opKind is the kind of one logged operation: a binary/v1 record kind.
-type opKind = codec.RecordKind
-
-const (
-	opType           = codec.RecType
-	opDataset        = codec.RecDataset
-	opTransformation = codec.RecTransformation
-	opDerivation     = codec.RecDerivation
-	opInvocation     = codec.RecInvocation
-	opReplica        = codec.RecReplica
-	opRemoveReplica  = codec.RecRemoveReplica
-	opCompat         = codec.RecCompat
-)
-
 type wal struct {
 	f   *os.File
 	com *committer // group-commit engine: the one write path
@@ -177,38 +163,38 @@ func (c *Catalog) replay(data []byte) (int, error) {
 // apply replays one record directly onto the maps and indexes, without
 // re-validation (records were validated before being logged) and
 // without re-logging. v is the value op carries (codec.RecordKind).
-func (c *Catalog) apply(op opKind, v any) error {
+func (c *Catalog) apply(op codec.RecordKind, v any) error {
 	switch op {
-	case opType:
+	case codec.RecType:
 		t := v.(codec.TypeDef)
-		c.noteJournal(jTypes, "", false) // conformance answers change
+		c.noteJournal(codec.RecType, "") // conformance answers change
 		return c.types.Register(dtype.Dimension(t.Dim), t.Name, t.Parent)
-	case opDataset:
+	case codec.RecDataset:
 		c.putDataset(v.(schema.Dataset))
-	case opTransformation:
+	case codec.RecTransformation:
 		c.putTransformation(v.(schema.Transformation))
-	case opDerivation:
+	case codec.RecDerivation:
 		dv := v.(schema.Derivation)
 		tr, err := c.transformationLocked(dv.TR)
 		if err != nil {
 			return fmt.Errorf("derivation %s: %w", dv.ID, err)
 		}
 		c.indexDerivation(dv, tr)
-	case opInvocation:
+	case codec.RecInvocation:
 		c.putInvocation(v.(schema.Invocation))
-	case opReplica:
+	case codec.RecReplica:
 		// A re-logged replica (e.g. epoch re-stamp) updates in place.
 		c.putReplica(v.(schema.Replica))
-	case opRemoveReplica:
+	case codec.RecRemoveReplica:
 		c.dropReplica(v.(string))
-	case opCompat:
+	case codec.RecCompat:
 		a := v.(schema.CompatibilityAssertion)
 		// A log replayed over a snapshot that already holds the
 		// assertion (a crash between a snapshot's rename and the log's
 		// truncation) must not add it twice.
 		if !slices.Contains(c.compat, a) {
 			c.compat = append(c.compat, a)
-			c.noteJournal(jCompat, "", false)
+			c.noteJournal(codec.RecCompat, "")
 		}
 	default:
 		return fmt.Errorf("unknown op %d", op)
@@ -234,7 +220,7 @@ func (v *View) Export() Export { return v.c.exportLocked() }
 // load applies a snapshot's records to an empty catalog, through the
 // apply that replays the log.
 func (c *Catalog) load(exp *Export) (err error) {
-	records(exp, nil, false, func(r codec.Record) {
+	records(exp, nil, func(r codec.Record) {
 		if err == nil {
 			err = c.apply(r.Kind, r.Value)
 		}
@@ -248,10 +234,10 @@ func (c *Catalog) load(exp *Export) (err error) {
 // Import merges an export into the catalog as one strict batch: all of
 // it or, on the first conflict, none of it. Datasets, invocations and
 // replicas already present and derivations registered before are
-// skipped silently; producer linkage comes from the catalog's own
-// derivations, not from the export's CreatedBy.
+// skipped silently. The export's createdBy fields are ignored: the
+// imported derivations link their outputs, as every derivation does.
 func (c *Catalog) Import(exp Export) error {
-	_, err := c.commit(strict, func(yield func(codec.Record)) { records(&exp, nil, true, yield) })
+	_, err := c.commit(strict, func(yield func(codec.Record)) { records(&exp, nil, yield) })
 	return err
 }
 
@@ -259,9 +245,10 @@ func (c *Catalog) Import(exp Export) error {
 // objects that conflict with existing state (and anything depending on
 // them) instead of aborting; the first definition of a name wins. It
 // returns the number of skipped objects. Federated indexes use it so
-// one overlapping definition does not hide a whole member catalog.
+// one overlapping definition does not hide a whole member catalog. As
+// with Import, createdBy follows the derivations the catalog holds.
 func (c *Catalog) ImportTolerant(exp Export) int {
-	skipped, _ := c.commit(tolerant, func(yield func(codec.Record)) { records(&exp, nil, true, yield) })
+	skipped, _ := c.commit(tolerant, func(yield func(codec.Record)) { records(&exp, nil, yield) })
 	return skipped
 }
 

@@ -221,7 +221,7 @@ func readLog(t testing.TB, dir string) []byte {
 func logRecords(t testing.TB, dir string) []codec.Record {
 	t.Helper()
 	var recs []codec.Record
-	if _, err := readFrames(readLog(t, dir), func(op opKind, v any) error {
+	if _, err := readFrames(readLog(t, dir), func(op codec.RecordKind, v any) error {
 		recs = append(recs, codec.Record{Kind: op, Value: v})
 		return nil
 	}); err != nil {
@@ -231,7 +231,7 @@ func logRecords(t testing.TB, dir string) []codec.Record {
 }
 
 // frameOf encodes one record as a log frame.
-func frameOf(t testing.TB, op opKind, v any) []byte {
+func frameOf(t testing.TB, op codec.RecordKind, v any) []byte {
 	t.Helper()
 	frame, err := appendFrame(nil, op, v)
 	if err != nil {
@@ -292,7 +292,7 @@ func requireTornTailDropped(t *testing.T, dir string) {
 // prefix included: each is a torn write, ignored on reopen and cut off
 // before the next append.
 func TestTornTailTolerated(t *testing.T) {
-	frame := frameOf(t, opDataset, schema.Dataset{Name: "torn", Size: 1})
+	frame := frameOf(t, codec.RecDataset, schema.Dataset{Name: "torn", Size: 1})
 	for cut := 1; cut < len(frame); cut++ {
 		requireTornTailDropped(t, populatedDir(t, frame[:cut]))
 	}
@@ -302,9 +302,9 @@ func TestTornTailTolerated(t *testing.T) {
 // valid one is log damage, not a torn tail, and silently stopping
 // there would drop acknowledged state.
 func TestCorruptMidFileRecordRejected(t *testing.T) {
-	bad := frameOf(t, opDataset, schema.Dataset{Name: "torn"})
+	bad := frameOf(t, codec.RecDataset, schema.Dataset{Name: "torn"})
 	bad[len(bad)-6] ^= 0x20 // in the record, past the length
-	after := frameOf(t, opDataset, schema.Dataset{Name: "after"})
+	after := frameOf(t, codec.RecDataset, schema.Dataset{Name: "after"})
 	if c, err := Open(populatedDir(t, append(bad, after...)), nil, Options{}); err == nil {
 		c.Close()
 		t.Fatal("corrupt mid-file frame silently tolerated")
@@ -315,7 +315,7 @@ func TestCorruptMidFileRecordRejected(t *testing.T) {
 // filler — zero bytes the file system allocated but the crash never
 // wrote — is still a torn tail.
 func TestTornTailAfterBlankLinesTolerated(t *testing.T) {
-	frame := frameOf(t, opDataset, schema.Dataset{Name: "torn", Size: 1})
+	frame := frameOf(t, codec.RecDataset, schema.Dataset{Name: "torn", Size: 1})
 	tail := append(frame[:len(frame)/2:len(frame)/2], make([]byte, 64)...)
 	requireTornTailDropped(t, populatedDir(t, tail))
 }
@@ -372,7 +372,7 @@ func TestFrameLengthFlipCaught(t *testing.T) {
 		hdr[k] = frameHdr(uint64(n), k)
 		data := buf[:k+1+n+frameCRCLen+1] // one byte of the next frame
 		clear(data)
-		data[k+1] = byte(opDataset)
+		data[k+1] = byte(codec.RecDataset)
 		data[len(data)-1] = 0xff
 		for bit := 0; bit < 8*(k+1); bit++ {
 			copy(data, hdr[:k+1])

@@ -253,6 +253,50 @@ func TestDeltaCrawlEquivalence(t *testing.T) {
 	}
 }
 
+// TestDeltaCrawlKeepsProducerLink: after the member updates a derived
+// dataset's record, the folded delta leaves the index with the same
+// createdBy the member reports — the derivation's.
+func TestDeltaCrawlKeepsProducerLink(t *testing.T) {
+	cat, client, _ := site(t, "g")
+	if err := cat.AddTransformation(twoArg("t")); err != nil {
+		t.Fatal(err)
+	}
+	dv, err := cat.AddDerivation(chainDV("t", "in", "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex("x", "group")
+	ix.AddMember("g", client)
+	if err := ix.Crawl(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.UpdateDataset(schema.Dataset{Name: "out", Attrs: schema.Attributes{"pass": "2"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Crawl(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.LastPass(); got != passFold {
+		t.Fatalf("pass after the update: %q, want %q", got, passFold)
+	}
+	member, err := cat.Dataset("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.mu.RLock()
+	indexed, err := ix.shadow.Dataset("out")
+	ix.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if member.CreatedBy != dv.ID || indexed.CreatedBy != member.CreatedBy {
+		t.Errorf("createdBy: member %q, index %q, want both %q", member.CreatedBy, indexed.CreatedBy, dv.ID)
+	}
+	if indexed.Attrs["pass"] != "2" {
+		t.Errorf("index missed the update: %+v", indexed)
+	}
+}
+
 // TestDeltaCrawlUnchangedSkipsRebuild checks the fast paths: when no
 // member changed, the pass keeps the existing shadow untouched (pointer
 // identity: zero re-import) while still counting as a crawl, and when

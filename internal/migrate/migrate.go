@@ -9,9 +9,12 @@
 // folds the logs, in the order Open once replayed them, into one
 // catalog.Delta (the last record for each object wins; a removal is a
 // tombstone), applies it with ApplyDelta, which must skip nothing, and
-// installs the catalog's Snapshot() as snapshot.bin. Then it removes the
-// logs in replay order, snapshot.json, and the meta last (the shard logs
-// cannot be read without its count), fsyncing the directory after each.
+// installs the catalog's Snapshot() as snapshot.bin. Each dataset's
+// createdBy in the result is the derivation that outputs it, whatever
+// the logged records said: the catalog links producers from its
+// derivations alone. Then it removes the logs in replay order,
+// snapshot.json, and the meta last (the shard logs cannot be read
+// without its count), fsyncing the directory after each.
 // Running Dir again repairs a crash at any step: until the rename the
 // directory is as it was, and after it the logs left are a suffix of the
 // replay order, whose last record for each object is the last overall.
@@ -222,19 +225,8 @@ func build(snap []byte, logs []string, seed *dtype.Registry) ([]byte, error) {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	d := f.delta()
-	if skipped := c.ApplyDelta(d); skipped > 0 {
+	if skipped := c.ApplyDelta(f.delta()); skipped > 0 {
 		return nil, fmt.Errorf("%d logged record(s) do not apply to the snapshot", skipped)
-	}
-	// ApplyDelta links each derivation's outputs to it, but replay put a
-	// dataset's last record as it was, and UpdateDataset, which replaces a
-	// record whole, wrote records without the link.
-	for _, ds := range d.Export.Datasets {
-		if cur, err := c.Dataset(ds.Name); err == nil && cur.CreatedBy != ds.CreatedBy {
-			if err := c.UpdateDataset(ds); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if err := c.Snapshot(); err != nil {
 		return nil, err

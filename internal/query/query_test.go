@@ -348,6 +348,25 @@ func TestExprStringReparses(t *testing.T) {
 	}
 }
 
+// TestDerivedFlagSurvivesUpdate: replacing a derived dataset's record,
+// which carries no producer, leaves it derived and virtual.
+func TestDerivedFlagSurvivesUpdate(t *testing.T) {
+	c := fixture(t)
+	ds, err := c.Dataset("clusters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.CreatedBy, ds.Attrs = "", schema.Attributes{"rev": "2"}
+	if err := c.UpdateDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{`name = clusters and derived`, `name = clusters and virtual`, `attr.rev = 2 and derived`} {
+		if res := search(t, c, KDataset, q); len(res.Datasets) != 1 {
+			t.Errorf("%s: %d results, want 1", q, len(res.Datasets))
+		}
+	}
+}
+
 func TestVirtualVsMaterializedSearch(t *testing.T) {
 	// The paper: "users may wish to search for data that may exist as
 	// data and/or in terms of recipes for generating that data."

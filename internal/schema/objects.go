@@ -38,7 +38,9 @@ type Dataset struct {
 	// for datasets that are purely virtual so far.
 	Descriptor Descriptor `json:"-"`
 	// CreatedBy names the derivation that produces this dataset, or ""
-	// for primary (raw, non-derived) data.
+	// for primary (raw, non-derived) data. The catalog sets it from its
+	// derivations' outputs; every write ignores the value a record
+	// carries.
 	CreatedBy string `json:"createdBy,omitempty"`
 	// Epoch counts in-place updates (§8 "update" future work): each
 	// update of the dataset by a derivation increments it.
