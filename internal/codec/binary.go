@@ -487,20 +487,37 @@ func (e *encState) encodeBody(p *Payload, tombs []Tombstone) error {
 	return nil
 }
 
-// EncodeSnapshot writes the binary/v1 snapshot of p to w.
+// EncodeSnapshot writes the binary/v1 snapshot of p to w and observes
+// it in the codec metrics.
 func EncodeSnapshot(w io.Writer, p *Payload) error {
 	defer encSecBin.ObserveSince(time.Now())
+	n, err := encodeSnapshot(w, p)
+	encBBin.Add(uint64(n))
+	return err
+}
+
+// EncodeReply writes p to w as the same snapshot frame EncodeSnapshot
+// writes, but observes nothing: it serves the many small query
+// replies, whose cost shows in the HTTP request latency, and keeps them
+// out of the snapshot/delta series of the codec metrics.
+func EncodeReply(w io.Writer, p *Payload) error {
+	_, err := encodeSnapshot(w, p)
+	return err
+}
+
+// encodeSnapshot writes the snapshot frame of p to w, returning its
+// encoded length.
+func encodeSnapshot(w io.Writer, p *Payload) (int, error) {
 	e := getEnc()
 	defer putEnc(e)
 	e.raw([]byte(binMagic))
 	e.byte(frameSnap)
 	e.byte(binVersion)
 	if err := e.encodeBody(p, nil); err != nil {
-		return err
+		return 0, err
 	}
-	encBBin.Add(uint64(len(e.buf)))
 	_, err := w.Write(e.buf)
-	return err
+	return len(e.buf), err
 }
 
 // EncodeDelta writes the binary/v1 delta frame of d to w.
@@ -1184,11 +1201,17 @@ func (r *binReader) payload() (*Payload, error) {
 	return p, nil
 }
 
-// DecodeSnapshot parses a binary/v1 snapshot. The returned payload
-// owns all of its memory.
+// DecodeSnapshot parses a binary/v1 snapshot and observes it in the
+// codec metrics. The returned payload owns all of its memory.
 func DecodeSnapshot(data []byte) (*Payload, error) {
 	defer decSecBin.ObserveSince(time.Now())
 	decBBin.Add(uint64(len(data)))
+	return DecodeReply(data)
+}
+
+// DecodeReply parses a snapshot frame, as DecodeSnapshot does, but
+// observes nothing; it reads what EncodeReply writes.
+func DecodeReply(data []byte) (*Payload, error) {
 	r, err := openBinary(data, frameSnap)
 	if err != nil {
 		return nil, err

@@ -9,8 +9,9 @@
 // the catalog's one on-disk format: its snapshot, and its write-ahead
 // log, one standalone record per operation in the snapshot's record
 // layout (record.go). It is also the negotiated wire format of
-// /v1/export; callers use EncodeSnapshot, DecodeSnapshot, EncodeDelta
-// and DecodeDelta directly. The JSON wire form is encoding/json of the
+// /v1/export and of search replies; callers use EncodeSnapshot,
+// DecodeSnapshot, EncodeDelta, DecodeDelta and, for search replies,
+// EncodeReply and DecodeReply directly. The JSON wire form is encoding/json of the
 // same containers, whose tags fix its bytes; json.go keeps it as a
 // codec too, the reference the binary codec is tested against.
 // codec sits below catalog in the import graph so both catalog

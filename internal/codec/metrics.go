@@ -2,19 +2,21 @@ package codec
 
 import "chimera/internal/obs"
 
-// Codec metrics: encode/decode CPU and byte volume per codec. Series
-// are labeled by the codec name (json/v1, binary/v1), so a deployment
-// whose snapshots are binary and whose wire falls back to JSON for old
-// members shows where the cycles and bytes go.
+// Codec metrics: encode/decode CPU and byte volume per codec, fed only
+// by whole-state and delta bodies: EncodeSnapshot, DecodeSnapshot,
+// EncodeDelta, DecodeDelta and the JSON codec behind Lookup. Search
+// replies (EncodeReply, DecodeReply) stay out, so tens of thousands of
+// small replies do not swamp the snapshot and crawl samples. Series
+// are labeled by the codec name (json/v1, binary/v1).
 var (
 	metricEncodeSeconds = obs.Default.HistogramVec("vdc_codec_encode_seconds",
-		"Latency of one snapshot/delta encode, by codec.", obs.TimeBuckets, "codec")
+		"Latency of one snapshot or delta encode (snapshot writes, binary /v1/export bodies), by codec; search replies are not observed.", obs.TimeBuckets, "codec")
 	metricDecodeSeconds = obs.Default.HistogramVec("vdc_codec_decode_seconds",
-		"Latency of one snapshot/delta decode, by codec.", obs.TimeBuckets, "codec")
+		"Latency of one snapshot or delta decode (snapshot loads, binary export and crawl bodies), by codec; search replies are not observed.", obs.TimeBuckets, "codec")
 	metricEncodeBytes = obs.Default.CounterVec("vdc_codec_encode_bytes_total",
-		"Bytes produced by snapshot/delta encodes, by codec.", "codec")
+		"Bytes produced by snapshot and delta encodes (snapshot writes, binary /v1/export bodies), by codec; search replies are not counted.", "codec")
 	metricDecodeBytes = obs.Default.CounterVec("vdc_codec_decode_bytes_total",
-		"Bytes consumed by snapshot/delta decodes, by codec.", "codec")
+		"Bytes consumed by snapshot and delta decodes (snapshot loads, binary export and crawl bodies), by codec; search replies are not counted.", "codec")
 
 	encSecJSON = metricEncodeSeconds.With(JSONName)
 	encSecBin  = metricEncodeSeconds.With(BinaryName)

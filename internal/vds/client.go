@@ -128,10 +128,10 @@ func (c *Client) maxResponseBytes() int64 {
 	return c.MaxResponseBytes
 }
 
-// exportAccept is the Accept header offered on export requests: binary
-// preferred, JSON acceptable. Servers that do not speak binary — or
-// predate content negotiation entirely — keep answering JSON, which
-// the client detects by Content-Type.
+// exportAccept is the Accept header offered on export and search
+// requests: binary preferred, JSON acceptable. Servers that do not
+// speak binary — or predate content negotiation entirely — keep
+// answering JSON, which the client detects by Content-Type.
 const exportAccept = codec.BinaryContentType + ", " + codec.JSONContentType
 
 // RemoteError is a non-2xx response from a catalog service.
@@ -165,22 +165,14 @@ func errorsAs(err error, target **RemoteError) bool {
 	return false
 }
 
+// do issues one JSON API request. See roundTrip for the retry
+// contract.
 func (c *Client) do(method, path string, in, out any) error {
-	_, err := c.doCtx(context.Background(), method, path, in, out)
-	return err
-}
-
-// doCtx issues one JSON API request under ctx, returning the encoded
-// response size in bytes. See roundTrip for the retry contract.
-func (c *Client) doCtx(ctx context.Context, method, path string, in, out any) (int, error) {
-	data, _, err := c.roundTrip(ctx, method, path, in, "")
-	if err != nil {
-		return len(data), err
+	data, _, err := c.roundTrip(context.Background(), method, path, in, "")
+	if err != nil || out == nil {
+		return err
 	}
-	if out != nil {
-		return len(data), json.Unmarshal(data, out)
-	}
-	return len(data), nil
+	return json.Unmarshal(data, out)
 }
 
 // roundTrip issues one API request under ctx with bounded
@@ -190,7 +182,8 @@ func (c *Client) doCtx(ctx context.Context, method, path string, in, out any) (i
 // to Retries extra attempts with fully-jittered exponential backoff,
 // unless ctx is done first. Mutations run exactly once — the server
 // may have applied a request whose response was lost. A non-empty
-// accept is offered as the Accept header (export content negotiation).
+// accept is offered as the Accept header (export and search content
+// negotiation).
 func (c *Client) roundTrip(ctx context.Context, method, path string, in any, accept string) (data []byte, contentType string, err error) {
 	var payload []byte
 	if in != nil {
@@ -396,9 +389,7 @@ func (c *Client) SearchDatasets(q string) ([]schema.Dataset, error) {
 // SearchDatasetsCtx runs a discovery query remotely under ctx,
 // propagating the caller's span to the server.
 func (c *Client) SearchDatasetsCtx(ctx context.Context, q string) ([]schema.Dataset, error) {
-	var out []schema.Dataset
-	_, err := c.doCtx(ctx, "GET", "/v1/datasets?query="+url.QueryEscape(q), nil, &out)
-	return out, err
+	return search(ctx, c, "/v1/datasets", q, func(p *codec.Payload) []schema.Dataset { return p.Datasets })
 }
 
 // SearchTransformations runs a discovery query remotely.
@@ -408,9 +399,7 @@ func (c *Client) SearchTransformations(q string) ([]schema.Transformation, error
 
 // SearchTransformationsCtx runs a discovery query remotely under ctx.
 func (c *Client) SearchTransformationsCtx(ctx context.Context, q string) ([]schema.Transformation, error) {
-	var out []schema.Transformation
-	_, err := c.doCtx(ctx, "GET", "/v1/transformations?query="+url.QueryEscape(q), nil, &out)
-	return out, err
+	return search(ctx, c, "/v1/transformations", q, func(p *codec.Payload) []schema.Transformation { return p.Transformations })
 }
 
 // SearchDerivations runs a discovery query remotely.
@@ -420,9 +409,27 @@ func (c *Client) SearchDerivations(q string) ([]schema.Derivation, error) {
 
 // SearchDerivationsCtx runs a discovery query remotely under ctx.
 func (c *Client) SearchDerivationsCtx(ctx context.Context, q string) ([]schema.Derivation, error) {
-	var out []schema.Derivation
-	_, err := c.doCtx(ctx, "GET", "/v1/derivations?query="+url.QueryEscape(q), nil, &out)
-	return out, err
+	return search(ctx, c, "/v1/derivations", q, func(p *codec.Payload) []schema.Derivation { return p.Derivations })
+}
+
+// search runs one discovery query against path, offering the binary
+// transport as ExportSince does. A binary reply is a snapshot frame
+// holding only the kind's section, which pick selects; a JSON reply is
+// the bare array. Either way no results is an empty, non-nil slice.
+func search[T any](ctx context.Context, c *Client, path, q string, pick func(*codec.Payload) []T) ([]T, error) {
+	data, ct, err := c.roundTrip(ctx, "GET", path+"?query="+url.QueryEscape(q), nil, exportAccept)
+	if err != nil {
+		return nil, err
+	}
+	if isBinary(ct) {
+		p, err := codec.DecodeReply(data)
+		if err != nil {
+			return nil, fmt.Errorf("vds: binary search reply: %w", err)
+		}
+		return orEmpty(pick(p)), nil
+	}
+	var out []T
+	return out, json.Unmarshal(data, &out)
 }
 
 // PutDataset registers a dataset.

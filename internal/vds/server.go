@@ -143,15 +143,10 @@ func (s *Server) routes() {
 
 	handle("GET /v1/export", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		binary := acceptsBinary(r.Header.Get("Accept"))
 		if !q.Has("since") && !q.Has("instance") {
 			// Legacy full-export form.
 			exp := s.Cat.Export()
-			if binary {
-				writePooled(w, codec.BinaryContentType, func(buf *bytes.Buffer) error { return codec.EncodeSnapshot(buf, &exp) })
-			} else {
-				writePooled(w, codec.JSONContentType, func(buf *bytes.Buffer) error { return json.NewEncoder(buf).Encode(exp) })
-			}
+			writeNegotiated(w, r, exp, func(buf *bytes.Buffer) error { return codec.EncodeSnapshot(buf, &exp) })
 			return
 		}
 		since, err := strconv.ParseUint(q.Get("since"), 10, 64)
@@ -165,11 +160,7 @@ func (s *Server) routes() {
 			return
 		}
 		d := s.Cat.ChangesSince(since, instance)
-		if binary {
-			writePooled(w, codec.BinaryContentType, func(buf *bytes.Buffer) error { return codec.EncodeDelta(buf, &d) })
-		} else {
-			writePooled(w, codec.JSONContentType, func(buf *bytes.Buffer) error { return json.NewEncoder(buf).Encode(d) })
-		}
+		writeNegotiated(w, r, d, func(buf *bytes.Buffer) error { return codec.EncodeDelta(buf, &d) })
 	})
 
 	handle("GET /v1/types", func(w http.ResponseWriter, r *http.Request) {
@@ -385,14 +376,19 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, kind query.Kind)
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}
+	// The binary reply is a snapshot frame holding only the kind's
+	// section, in result order; the JSON reply is the bare array.
+	var p codec.Payload
+	var v any
 	switch kind {
 	case query.KDataset:
-		writeJSON(w, http.StatusOK, orEmpty(res.Datasets))
+		p.Datasets, v = res.Datasets, orEmpty(res.Datasets)
 	case query.KTransformation:
-		writeJSON(w, http.StatusOK, orEmpty(res.Transformations))
+		p.Transformations, v = res.Transformations, orEmpty(res.Transformations)
 	default:
-		writeJSON(w, http.StatusOK, orEmpty(res.Derivations))
+		p.Derivations, v = res.Derivations, orEmpty(res.Derivations)
 	}
+	writeNegotiated(w, r, v, func(buf *bytes.Buffer) error { return codec.EncodeReply(buf, &p) })
 }
 
 func orEmpty[T any](xs []T) []T {
@@ -434,38 +430,61 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// exportBufs pools the encode buffers for the /v1/export response
-// path. Exports and deltas are by far the largest responses the server
-// produces, and a federation crawl hits the endpoint once per member
-// per pass — encoding into a pooled buffer reuses those multi-megabyte
-// allocations across requests and lets the response carry an exact
-// Content-Length instead of chunked framing.
-var exportBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// replyBufs pools the encode buffers of the negotiated replies: export
+// and search. Exports and deltas are by far the largest responses the
+// server produces, and a federation crawl hits the endpoint once per
+// member per pass; search replies are small but many. Encoding into a
+// pooled buffer reuses those allocations across requests and lets the
+// response carry an exact Content-Length instead of chunked framing.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledExportBuf caps what goes back into the pool: one whale of a
+// maxPooledReplyBuf caps what goes back into the pool: one whale of a
 // full export must not pin its buffer for the life of the process.
-const maxPooledExportBuf = 8 << 20
+const maxPooledReplyBuf = 8 << 20
 
 // acceptsBinary reports whether an Accept header offers the binary
-// export transport. Absent or wildcard-only headers (and every header a
-// pre-negotiation client sends) keep the JSON default.
+// transport. Absent or wildcard-only headers (and every header a
+// pre-negotiation client sends) keep the JSON default, and so does a
+// binary entry whose quality is zero, "not acceptable" (RFC 9110
+// §12.4.2).
 func acceptsBinary(accept string) bool {
 	for _, part := range strings.Split(accept, ",") {
-		mt, _, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(mt) == codec.BinaryContentType {
-			return true
+		mt, params, _ := strings.Cut(part, ";")
+		if strings.TrimSpace(mt) != codec.BinaryContentType {
+			continue
 		}
+		for _, param := range strings.Split(params, ";") {
+			k, v, _ := strings.Cut(param, "=")
+			if strings.EqualFold(strings.TrimSpace(k), "q") {
+				if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && q == 0 {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	return false
 }
 
-// writePooled encodes an export body into a pooled buffer and sends
-// it with an exact Content-Length.
+// writeNegotiated sends v as JSON, or, when the request's Accept
+// offers it, the binary body encodeBinary writes. Either reply varies
+// with Accept, and says so for the caches in front of the server.
+func writeNegotiated(w http.ResponseWriter, r *http.Request, v any, encodeBinary func(*bytes.Buffer) error) {
+	w.Header().Set("Vary", "Accept")
+	if acceptsBinary(r.Header.Get("Accept")) {
+		writePooled(w, codec.BinaryContentType, encodeBinary)
+		return
+	}
+	writePooled(w, codec.JSONContentType, func(buf *bytes.Buffer) error { return json.NewEncoder(buf).Encode(v) })
+}
+
+// writePooled encodes a reply body into a pooled buffer and sends it
+// with an exact Content-Length.
 func writePooled(w http.ResponseWriter, contentType string, encode func(*bytes.Buffer) error) {
-	buf := exportBufs.Get().(*bytes.Buffer)
+	buf := replyBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := encode(buf); err != nil {
-		exportBufs.Put(buf)
+		replyBufs.Put(buf)
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encode: " + err.Error()})
 		return
 	}
@@ -473,8 +492,8 @@ func writePooled(w http.ResponseWriter, contentType string, encode func(*bytes.B
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledExportBuf {
-		exportBufs.Put(buf)
+	if buf.Cap() <= maxPooledReplyBuf {
+		replyBufs.Put(buf)
 	}
 }
 
