@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"chimera/internal/codec"
 	"chimera/internal/dtype"
@@ -64,6 +65,10 @@ type indexes struct {
 	// Display name -> derivation IDs (a derivation's query name is its
 	// Name when set, otherwise its ID; names need not be unique).
 	dvByName map[string]IndexSet
+
+	// Dataset names and transformation refs in order (names.go), for
+	// prefix ranges and ordered scans.
+	dsNames, trRefs nameIndex
 }
 
 func newIndexes() indexes {
@@ -139,6 +144,8 @@ func (c *Catalog) putDataset(ds schema.Dataset) {
 		if old.Type != ds.Type {
 			setRemoveTyped(c.idx.dsByType, old.Type, old.Name)
 		}
+	} else {
+		c.idx.dsNames.insert(ds.Name)
 	}
 	c.datasets[ds.Name] = ds
 	attrIndexAdd(c.idx.dsAttr, ds.Attrs, ds.Name)
@@ -175,6 +182,7 @@ func (c *Catalog) putTransformation(tr schema.Transformation) {
 	} else {
 		base := schema.FormatTRRef(tr.Namespace, tr.Name, "")
 		c.versionsOf[base] = append(c.versionsOf[base], tr.Version)
+		c.idx.trRefs.insert(ref)
 	}
 	c.transformations[ref] = tr
 	attrIndexAdd(c.idx.trAttr, tr.Attrs, ref)
@@ -287,7 +295,8 @@ func (c *Catalog) reindexMaterialized(name string) {
 // --- verification ------------------------------------------------------
 
 // CheckIndexes rebuilds every secondary index from the primary maps and
-// compares with the incrementally maintained state, and checks that
+// compares with the incrementally maintained state, checks that the
+// ordered name indexes hold exactly the sorted map keys, and checks that
 // every dataset's CreatedBy is its producer link (producerOf). It
 // returns nil when they agree; tests call it after WAL replay, imports,
 // and mutation storms to prove the funnel covers every path.
@@ -302,6 +311,18 @@ func (c *Catalog) CheckIndexes() error {
 	for name, id := range c.producerOf {
 		if _, ok := c.datasets[name]; !ok {
 			return fmt.Errorf("catalog: derivation %s outputs %q, which is not a dataset", id, name)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		got  []string
+		want []string
+	}{
+		{"dsNames", c.idx.dsNames.keys(), sortedKeys(c.datasets)},
+		{"trRefs", c.idx.trRefs.keys(), sortedKeys(c.transformations)},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			return fmt.Errorf("catalog: ordered index %q diverged from the sorted keys:\n got: %q\nwant: %q", f.name, f.got, f.want)
 		}
 	}
 	want := c.rebuildIndexesLocked()
@@ -325,6 +346,15 @@ func (c *Catalog) CheckIndexes() error {
 		}
 	}
 	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // rebuildIndexesLocked computes the secondary indexes from scratch.

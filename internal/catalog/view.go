@@ -105,26 +105,21 @@ func (v *View) RangeDatasets(fn func(schema.Dataset) bool) {
 	}
 }
 
-// RangeDatasetNames calls fn for every dataset name, in map order,
-// until fn returns false. Unlike RangeDatasets it copies no record, so
-// a caller that can decide on the name alone pays Dataset only for the
-// names it accepts.
-func (v *View) RangeDatasetNames(fn func(name string) bool) {
-	for name := range v.c.datasets {
-		if !fn(name) {
-			return
-		}
-	}
+// RangeDatasetNames calls fn for every dataset name that starts with
+// prefix, in ascending order, until fn returns false; the empty prefix
+// ranges every name. It walks the ordered name index, so it costs the
+// names it yields, not the catalog, and unlike RangeDatasets it copies
+// no record: a caller that can decide on the name alone pays Dataset
+// only for the names it accepts.
+func (v *View) RangeDatasetNames(prefix string, fn func(name string) bool) {
+	v.c.idx.dsNames.rangePrefix(prefix, fn)
 }
 
 // RangeTransformationRefs calls fn for every canonical transformation
-// ref, in map order, until fn returns false.
-func (v *View) RangeTransformationRefs(fn func(ref string) bool) {
-	for ref := range v.c.transformations {
-		if !fn(ref) {
-			return
-		}
-	}
+// ref that starts with prefix, in ascending order, until fn returns
+// false.
+func (v *View) RangeTransformationRefs(prefix string, fn func(ref string) bool) {
+	v.c.idx.trRefs.rangePrefix(prefix, fn)
 }
 
 // RangeTransformations calls fn for every transformation, in map order,

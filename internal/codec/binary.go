@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -112,6 +112,7 @@ type encState struct {
 	strs   []string          // intern table in first-use order
 	syms   map[string]uint64 // string -> index into strs
 	inline bool              // write symbols as inline strings (log records)
+	keys   []string          // sortedKeys scratch, reused map after map
 
 	deflate bool          // compress sections (delta frames)
 	cbuf    bytes.Buffer  // per-section compression scratch
@@ -188,7 +189,7 @@ func (e *encState) timeb(t time.Time) error {
 // sorted so equal inputs produce identical bytes.
 func (e *encState) attrs(m map[string]string) {
 	e.uvarint(uint64(len(m)))
-	for _, k := range sortedKeys(m) {
+	for _, k := range e.sortedKeys(m) {
 		e.sym(k)
 		e.str(m[k])
 	}
@@ -198,19 +199,26 @@ func (e *encState) attrs(m map[string]string) {
 // high-cardinality), sorted for determinism.
 func (e *encState) strmap(m map[string]string) {
 	e.uvarint(uint64(len(m)))
-	for _, k := range sortedKeys(m) {
+	for _, k := range e.sortedKeys(m) {
 		e.str(k)
 		e.str(m[k])
 	}
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys in order, in e's scratch slice: valid
+// until the next call, so a caller ranges them before encoding another
+// map.
+func (e *encState) sortedKeys(m map[string]string) []string {
+	e.keys = appendSortedKeys(e.keys[:0], m)
+	return e.keys
+}
+
+func appendSortedKeys[V any](dst []string, m map[string]V) []string {
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(dst)
+	return dst
 }
 
 // Section flag bits.
@@ -322,14 +330,15 @@ func (e *encState) derivation(dv *schema.Derivation) {
 	} else {
 		e.byte(1)
 		e.uvarint(uint64(len(dv.Params)))
-		for _, k := range sortedKeys(dv.Params) {
+		e.keys = appendSortedKeys(e.keys[:0], dv.Params)
+		for _, k := range e.keys {
 			a := dv.Params[k]
 			e.str(k)
 			e.actual(&a)
 		}
 	}
 	e.uvarint(uint64(len(dv.Env)))
-	for _, k := range sortedKeys(dv.Env) {
+	for _, k := range e.sortedKeys(dv.Env) {
 		e.sym(k)
 		e.str(dv.Env[k])
 	}
@@ -352,7 +361,7 @@ func (e *encState) invocation(iv *schema.Invocation) error {
 	e.sym(iv.OS)
 	e.sym(iv.Arch)
 	e.uvarint(uint64(len(iv.Env)))
-	for _, k := range sortedKeys(iv.Env) {
+	for _, k := range e.sortedKeys(iv.Env) {
 		e.sym(k)
 		e.str(iv.Env[k])
 	}

@@ -23,6 +23,12 @@ import (
 // SetPlanCacheCapacity. Recency order earns its list: evicting an
 // arbitrary entry instead loses discover_wide a sixth of its hits
 // (docs/PERF.md).
+//
+// An entry also remembers the reply bodies Reply has encoded from its
+// results, one per media type, so a server answers a repeated search
+// with the stored bytes: no copy of the results and no encode. The
+// bodies of one version hold at most maxReplyMemoBytes between them;
+// past that, replies are still served, encoded afresh each time.
 
 // DefaultPlanCacheCapacity bounds each catalog's cached results unless
 // SetPlanCacheCapacity overrides it.
@@ -45,16 +51,28 @@ var planCacheCap atomic.Int64
 
 func init() { planCacheCap.Store(DefaultPlanCacheCapacity) }
 
+// maxReplyMemoBytes bounds the reply bodies one catalog version's cache
+// holds.
+const maxReplyMemoBytes = 64 << 20
+
 type cacheEntry struct {
-	key string
-	res Results
+	key    string
+	res    Results
+	bodies []replyBody // replies encoded from res, one per media type
+}
+
+// replyBody is one encoded reply.
+type replyBody struct {
+	mediaType string
+	body      []byte
 }
 
 // resultCache is one catalog version's LRU of query results.
 type resultCache struct {
-	mu sync.Mutex
-	ll *list.List               // front = most recently used
-	m  map[string]*list.Element // key -> element holding *cacheEntry
+	mu        sync.Mutex
+	ll        *list.List               // front = most recently used
+	m         map[string]*list.Element // key -> element holding *cacheEntry
+	bodyBytes int                      // the bytes of every entry's bodies
 }
 
 func newResultCache() any {
@@ -64,18 +82,43 @@ func newResultCache() any {
 // cacheOf returns the result cache of v's catalog at v's state.
 func cacheOf(v *catalog.View) *resultCache { return v.Memo(newResultCache).(*resultCache) }
 
-// get returns a defensive copy of the cached results for key, if any.
-func (c *resultCache) get(key string) (Results, bool) {
+// lookup returns the cached results for key — the entry's own,
+// read-only — and the reply the entry holds in mediaType, if any.
+func (c *resultCache) lookup(key, mediaType string) (res Results, body []byte, ok bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		c.mu.Unlock()
-		return Results{}, false
+		return Results{}, nil, false
 	}
 	c.ll.MoveToFront(el)
-	res := el.Value.(*cacheEntry).res
-	c.mu.Unlock()
-	return cloneResults(res), true
+	ent := el.Value.(*cacheEntry)
+	for _, b := range ent.bodies {
+		if b.mediaType == mediaType {
+			body = b.body
+		}
+	}
+	return ent.res, body, true
+}
+
+// putBody stores body as key's reply in mediaType, unless the entry is
+// gone (evicted), holds one already, or the version's bodies would pass
+// maxReplyMemoBytes.
+func (c *resultCache) putBody(key, mediaType string, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[key]
+	if !ok || c.bodyBytes+len(body) > maxReplyMemoBytes {
+		return
+	}
+	ent := el.Value.(*cacheEntry)
+	for _, b := range ent.bodies {
+		if b.mediaType == mediaType {
+			return
+		}
+	}
+	ent.bodies = append(ent.bodies, replyBody{mediaType: mediaType, body: body})
+	c.bodyBytes += len(body)
 }
 
 // has reports whether key is cached, without touching recency
@@ -87,6 +130,7 @@ func (c *resultCache) has(key string) bool {
 	return ok
 }
 
+// put caches res, which from then on is read-only, under key.
 func (c *resultCache) put(key string, res Results) {
 	capacity := int(planCacheCap.Load())
 	if capacity <= 0 {
@@ -97,16 +141,19 @@ func (c *resultCache) put(key string, res Results) {
 	if el, ok := c.m[key]; ok {
 		// A concurrent run of the same query raced us here; both
 		// executed against identical state, so the values are
-		// interchangeable.
+		// interchangeable: keep the entry, and the bodies encoded from it.
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
 		return
 	}
 	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
 	for c.ll.Len() > capacity {
 		el := c.ll.Back()
 		c.ll.Remove(el)
-		delete(c.m, el.Value.(*cacheEntry).key)
+		ent := el.Value.(*cacheEntry)
+		delete(c.m, ent.key)
+		for _, b := range ent.bodies {
+			c.bodyBytes -= len(b.body)
+		}
 		metricPlanCacheEvictions.Inc()
 	}
 }
@@ -124,7 +171,8 @@ func cacheKey(kind Kind, e Expr) string {
 }
 
 // cloneResults shallow-copies the result slices so cached storage is
-// never aliased by callers (the object structs themselves are values).
+// never aliased by Run's callers (the object structs themselves are
+// values).
 func cloneResults(r Results) Results {
 	return Results{
 		Datasets:        append([]schema.Dataset(nil), r.Datasets...),

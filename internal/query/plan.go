@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,9 +27,18 @@ import (
 //     (whose name is the map key), and the unmaterialized half of `virtual`.
 //   - the *residual*, evaluated only on the objects that survive both.
 //
-// A query with no indexed conjunct scans the snapshot. With key tests it
-// ranges the identifiers and fetches only accepted ones; without, it
-// ranges the objects themselves.
+// A `name ~ p` key test whose pattern starts with a literal prefix is
+// also a *range step*: the catalog's ordered name index yields the names
+// sharing the prefix, in order. Counted up to the smallest indexed set,
+// the smaller of the two drives — `attr.project = caves and name ~
+// "caves.raw.42*"` visits the hundred names in the range, not the ten
+// thousand in the attribute set — and the other is probed per candidate.
+//
+// A query with no indexed conjunct and no range scans the snapshot:
+// the ordered names for datasets and transformations, testing each key
+// before fetching the object, the objects themselves for derivations.
+// Every path but that last one yields its identifiers in result order,
+// so only a derivation scan sorts its records.
 //
 // Indexed conjuncts (per object kind):
 //
@@ -81,24 +92,33 @@ type keyTest struct {
 	accept func(id string) bool
 }
 
+// rangeStep is a name-prefix range that drives a plan.
+type rangeStep struct {
+	key    int // the index in keys of the conjunct's own glob test
+	prefix string
+	size   int // the names in the range
+}
+
 // queryPlan is the executable plan for one Run.
 type queryPlan struct {
 	kind  Kind
-	scan  bool       // no conjunct was indexable
-	steps []planStep // indexed conjuncts, when !scan
+	scan  bool       // no conjunct was indexable and no range drives
+	steps []planStep // indexed conjuncts, smallest first
+	rng   *rangeStep // the range the candidates come from, when one drives
 	keys  []keyTest
 	// residual is evaluated on each loaded object: the conjuncts that are
 	// neither indexed nor key tests (nil when none are left).
 	residual   Expr
-	candidates []string // identifiers passing every step and key test, unsorted, when !scan
+	candidates []string // identifiers passing every step and key test, in identifier order, when !scan
 	loaded     int      // objects execute fetched from the view
 }
 
 // String renders the plan in EXPLAIN style, e.g.
 //
 //	index derivations: [tr = sdss::brgSearch ->2] ∩ [executed ->1] => 1 candidate; residual: attr.campaign = "dr1"
-//	index datasets: [derived ->3] ∩ [name ~ "b*" key] => 2 candidates
-//	scan datasets: [name ~ "raw*" key]; residual: not derived
+//	index datasets: [name ~ "caves.raw.42*" range ->100] ∩ [attr.project = "caves" ->10000] => 100 candidates; residual: not derived
+//	index datasets: [name = "raw1" ->1] ∩ [name ~ "r*" key] => 1 candidate
+//	scan datasets: [name ~ "*1" key]; residual: not derived
 //	scan datasets: no indexable conjunct
 func (p *queryPlan) String() string {
 	var b strings.Builder
@@ -112,11 +132,18 @@ func (p *queryPlan) String() string {
 	}
 	fmt.Fprintf(&b, "%s %s: ", path, kindNoun(p.kind))
 	sep := ""
+	if p.rng != nil {
+		fmt.Fprintf(&b, "[%s range ->%d]", p.keys[p.rng.key].pred, p.rng.size)
+		sep = " ∩ "
+	}
 	for _, st := range p.steps {
 		fmt.Fprintf(&b, "%s[%s ->%d]", sep, st.pred, st.size)
 		sep = " ∩ "
 	}
-	for _, k := range p.keys {
+	for i, k := range p.keys {
+		if p.rng != nil && i == p.rng.key {
+			continue
+		}
 		fmt.Fprintf(&b, "%s[%s key]", sep, k.pred)
 		sep = " ∩ "
 	}
@@ -311,16 +338,29 @@ func keyConjunct(kind Kind, e Expr) (keyTest, bool) {
 	return keyTest{}, false
 }
 
+// globPrefix returns the literal prefix of a key-tested `name ~ p`
+// conjunct, "" when it has none.
+func globPrefix(e Expr) string {
+	if p, ok := e.(namePred); ok && p.cmp.op == opMatch {
+		return p.cmp.prefix
+	}
+	return ""
+}
+
 // plan builds the query plan for e against the snapshot in ctx.
 func plan(ctx *evalCtx, kind Kind, e Expr) (*queryPlan, error) {
 	p := &queryPlan{kind: kind}
 	v := ctx.view
 	var residual []Expr
+	var rng *rangeStep // the longest prefix: its range holds every other's intersection with it
 	for _, cj := range flattenAnd(e, nil) {
 		if _, ok := cj.(truePred); ok {
 			continue // `*` constrains nothing
 		}
 		if key, ok := keyConjunct(kind, cj); ok {
+			if pre := globPrefix(cj); pre != "" && (rng == nil || len(pre) > len(rng.prefix)) {
+				rng = &rangeStep{key: len(p.keys), prefix: pre}
+			}
 			p.keys = append(p.keys, key)
 			continue
 		}
@@ -345,28 +385,69 @@ func plan(ctx *evalCtx, kind Kind, e Expr) (*queryPlan, error) {
 		p.steps = append(p.steps, planStep{pred: cj, size: set.Len(), set: set})
 	}
 	p.residual = andChain(residual)
+	sort.SliceStable(p.steps, func(i, j int) bool { return p.steps[i].size < p.steps[j].size })
+	if rng != nil && p.rangeDrives(v, rng) {
+		return p, nil
+	}
 	if len(p.steps) == 0 {
 		p.scan = true
 		return p, nil
 	}
 
 	// Intersect, iterating the smallest set and probing the others.
-	sort.SliceStable(p.steps, func(i, j int) bool { return p.steps[i].size < p.steps[j].size })
 	rest := p.steps[1:]
 	p.steps[0].set.Each(func(id string) {
-		if !p.acceptKey(id) {
-			return
+		if p.accept(id, rest) {
+			p.candidates = append(p.candidates, id)
 		}
-		for _, st := range rest {
-			if !st.set.Has(id) {
-				return
-			}
-		}
-		p.candidates = append(p.candidates, id)
 	})
-	// Left unsorted: execute sorts the (usually far smaller) result set,
-	// not the candidates.
+	slices.Sort(p.candidates)
 	return p, nil
+}
+
+// rangeDrives walks rng's names while they number no more than the
+// smallest step's set, collecting the candidates as it goes. When the
+// range ends within that bound it drives the plan, and its candidates
+// are already in identifier order; otherwise the walk is abandoned, at
+// no more cost than iterating that set, and the smallest step drives.
+func (p *queryPlan) rangeDrives(v *catalog.View, rng *rangeStep) bool {
+	limit := math.MaxInt
+	if len(p.steps) > 0 {
+		limit = p.steps[0].size
+	}
+	names := v.RangeDatasetNames
+	if p.kind == KTransformation {
+		names = v.RangeTransformationRefs
+	}
+	names(rng.prefix, func(id string) bool {
+		if rng.size++; rng.size > limit {
+			return false
+		}
+		if p.accept(id, p.steps) {
+			p.candidates = append(p.candidates, id)
+		}
+		return true
+	})
+	if rng.size > limit {
+		p.candidates = nil
+		return false
+	}
+	p.rng = rng
+	return true
+}
+
+// accept reports whether an identifier passes every key test and is in
+// every one of steps.
+func (p *queryPlan) accept(id string, steps []planStep) bool {
+	if !p.acceptKey(id) {
+		return false
+	}
+	for _, st := range steps {
+		if !st.set.Has(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // acceptKey reports whether an identifier passes every key test.
@@ -379,11 +460,20 @@ func (p *queryPlan) acceptKey(id string) bool {
 	return true
 }
 
+// answer is one run's result, and where the cache keeps it.
+type answer struct {
+	res   Results // the cache's own when cache is set: read-only
+	body  []byte  // the entry's stored reply in the run's media type, if any
+	cache *resultCache
+	key   string
+}
+
 // run evaluates e against a catalog View (the catalog's read lock, held
-// for the run), consulted through the result cache.
-func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
+// for the run), consulted through the result cache. A run for a reply
+// names its media type, to be handed the entry's stored body in it.
+func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr, mediaType string) (answer, error) {
 	if kind != KDataset && kind != KTransformation && kind != KDerivation {
-		return Results{}, fmt.Errorf("query: invalid kind %d", int(kind))
+		return answer{}, fmt.Errorf("query: invalid kind %d", int(kind))
 	}
 	start := time.Now()
 	_, span := obs.StartSpan(callCtx, "query.run")
@@ -395,16 +485,16 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Result
 	// Cache lookup. The view is acquired *first* and the cache taken
 	// from it, so a hit is exactly a prior execution against identical
 	// state.
-	var cache *resultCache
-	var key string
+	var a answer
 	if cacheEnabled() {
-		cache, key = cacheOf(v), cacheKey(kind, e)
-		if res, ok := cache.get(key); ok {
+		a.cache, a.key = cacheOf(v), cacheKey(kind, e)
+		var ok bool
+		if a.res, a.body, ok = a.cache.lookup(a.key, mediaType); ok {
 			metricPlanCacheHits.Inc()
 			span.SetAttr("path", "cached")
 			queryRunsCached.Inc()
 			querySecsCached.ObserveSince(start)
-			return res, nil
+			return a, nil
 		}
 		metricPlanCacheMisses.Inc()
 	}
@@ -412,10 +502,11 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Result
 	res, p, err := evalView(v, kind, e)
 	if err != nil {
 		span.SetError(err)
-		return Results{}, err
+		return answer{}, err
 	}
-	if cache != nil {
-		cache.put(key, cloneResults(res))
+	a.res = res
+	if a.cache != nil {
+		a.cache.put(a.key, res)
 	}
 	if p.scan {
 		span.SetAttr("path", "scan")
@@ -430,7 +521,7 @@ func run(callCtx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Result
 		metricQueryCandidates.Observe(float64(len(p.candidates)))
 		queryLoadedIndex.Add(uint64(p.loaded))
 	}
-	return res, nil
+	return a, nil
 }
 
 // evalView plans and executes a query against an already-open view:
@@ -457,38 +548,40 @@ func (p *queryPlan) execute(ctx *evalCtx) (Results, error) {
 	switch p.kind {
 	case KDataset:
 		res.Datasets, err = collect(p, ctx, kindOps[schema.Dataset]{
-			load: v.Dataset, each: v.RangeDatasets, keys: v.RangeDatasetNames,
+			load: v.Dataset, keys: v.RangeDatasetNames,
 			obj: func(ds *schema.Dataset) object { return object{kind: KDataset, ds: ds} },
-			id:  func(ds *schema.Dataset) string { return ds.Name },
 		})
 	case KTransformation:
 		res.Transformations, err = collect(p, ctx, kindOps[schema.Transformation]{
-			load: v.Transformation, each: v.RangeTransformations, keys: v.RangeTransformationRefs,
+			load: v.Transformation, keys: v.RangeTransformationRefs,
 			obj: func(tr *schema.Transformation) object { return object{kind: KTransformation, tr: tr} },
-			id:  func(tr *schema.Transformation) string { return tr.Ref() },
 		})
 	case KDerivation:
+		// No ordered index: the display name is not the key, and IDs
+		// are never searched by prefix. A scan sorts by ID.
 		res.Derivations, err = collect(p, ctx, kindOps[schema.Derivation]{
-			load: v.Derivation, each: v.RangeDerivations, // no key tests: the display name is not the key
+			load: v.Derivation, each: v.RangeDerivations,
 			obj: func(dv *schema.Derivation) object { return object{kind: KDerivation, dv: dv} },
-			id:  func(dv *schema.Derivation) string { return dv.ID },
+			cmp: func(a, b schema.Derivation) int { return strings.Compare(a.ID, b.ID) },
 		})
 	}
 	return res, err
 }
 
-// kindOps binds collect to one object kind's storage in the view.
+// kindOps binds collect to one object kind's storage in the view: a
+// kind is scanned in order through keys, or through each and then
+// sorted by cmp.
 type kindOps[T any] struct {
 	load func(id string) (T, bool)
-	each func(fn func(T) bool)         // every object
-	keys func(fn func(id string) bool) // every identifier
+	keys func(prefix string, fn func(id string) bool) // identifiers in order
+	each func(fn func(T) bool)                        // every object, unordered
 	obj  func(*T) object
-	id   func(*T) string // the result order
+	cmp  func(a, b T) int // the result order
 }
 
 // collect loads the plan's objects — the candidates, the identifiers a
-// key-tested scan accepts, or everything — keeps those the residual
-// accepts, and sorts them.
+// key-tested scan accepts, or everything — and keeps those the residual
+// accepts, in identifier order.
 func collect[T any](p *queryPlan, ctx *evalCtx, k kindOps[T]) ([]T, error) {
 	var out []T
 	if !p.scan && p.residual == nil {
@@ -527,18 +620,18 @@ func collect[T any](p *queryPlan, ctx *evalCtx, k kindOps[T]) ([]T, error) {
 				break
 			}
 		}
-	case len(p.keys) > 0:
-		k.keys(func(id string) bool { return !p.acceptKey(id) || byID(id) })
+	case k.keys != nil:
+		k.keys("", func(id string) bool { return !p.acceptKey(id) || byID(id) })
 	default:
 		k.each(func(o T) bool {
 			cur = o
 			return keep()
 		})
+		slices.SortFunc(out, k.cmp)
 	}
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	sort.Slice(out, func(i, j int) bool { return k.id(&out[i]) < k.id(&out[j]) })
 	return out, nil
 }
 

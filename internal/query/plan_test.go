@@ -48,9 +48,19 @@ func testExplain(t *testing.T, shards int) {
 		{KDataset, `materialized and name = raw1`,
 			`index datasets: [name = "raw1" ->1] ∩ [materialized ->2] => 1 candidate`},
 		// Name conjuncts on datasets and transformations are tested on the
-		// key, before the candidate is counted or loaded.
+		// key, before the candidate is counted or loaded. A glob with a
+		// literal prefix ranges the ordered names, and drives when the range
+		// is no larger than the smallest indexed set ...
 		{KDataset, `derived and name ~ "b*"`,
-			`index datasets: [derived ->3] ∩ [name ~ "b*" key] => 2 candidates`},
+			`index datasets: [name ~ "b*" range ->2] ∩ [derived ->3] => 2 candidates`},
+		// ... which drives otherwise, the glob a key test.
+		{KDataset, `name = raw1 and name ~ "r*"`,
+			`index datasets: [name = "raw1" ->1] ∩ [name ~ "r*" key] => 1 candidate`},
+		// Of two prefixes the longer ranges; the other is tested on its names.
+		{KDataset, `name ~ "r*" and name ~ "raw1*"`,
+			`index datasets: [name ~ "raw1*" range ->1] ∩ [name ~ "r*" key] => 1 candidate`},
+		{KTransformation, `name ~ "sdss::b*"`,
+			`index transformations: [name ~ "sdss::b*" range ->2] => 2 candidates`},
 		{KTransformation, `attr.author = annis and name != sdss::pipeline and simple`,
 			`index transformations: [attr.author = "annis" ->1] ∩ [name != "sdss::pipeline" key] => 1 candidate; residual: simple`},
 		// A derivation's display name is not its key: residual.
@@ -62,10 +72,13 @@ func testExplain(t *testing.T, shards int) {
 		// Other non-indexable conjuncts become the residual.
 		{KDataset, `derived and attr.owner != annis`,
 			`index datasets: [derived ->3] => 3 candidates; residual: attr.owner != "annis"`},
-		// No indexable conjunct at all: scan fallback, over the keys when
-		// there is a name conjunct to test them with.
-		{KDataset, `name ~ "raw*"`, `scan datasets: [name ~ "raw*" key]`},
-		{KDataset, `not derived and name ~ "raw*"`, `scan datasets: [name ~ "raw*" key]; residual: not derived`},
+		{KDataset, `name ~ "raw*"`, `index datasets: [name ~ "raw*" range ->2] => 2 candidates`},
+		{KDataset, `not derived and name ~ "raw*"`,
+			`index datasets: [name ~ "raw*" range ->2] => 2 candidates; residual: not derived`},
+		// No indexable conjunct and no literal prefix: scan fallback, over
+		// the keys when there is a name conjunct to test them with.
+		{KDataset, `name ~ "*1"`, `scan datasets: [name ~ "*1" key]`},
+		{KDataset, `not derived and name != raw1`, `scan datasets: [name != "raw1" key]; residual: not derived`},
 		{KDataset, `not derived`, `scan datasets: no indexable conjunct`},
 		// `*` constrains nothing.
 		{KDataset, `*`, `scan datasets: no indexable conjunct`},

@@ -135,14 +135,44 @@ type Results struct {
 // only the residual predicates are evaluated per candidate. Queries
 // with no indexable conjunct fall back to a snapshot scan.
 func Run(c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
-	return run(context.Background(), c, kind, e)
+	return RunContext(context.Background(), c, kind, e)
 }
 
 // RunContext is Run under a caller context: when the context carries a
 // tracer, the execution records a query span (planner path, candidate
 // count) into the caller's trace.
 func RunContext(ctx context.Context, c *catalog.Catalog, kind Kind, e Expr) (Results, error) {
-	return run(ctx, c, kind, e)
+	a, err := run(ctx, c, kind, e, "")
+	if err != nil || a.cache == nil {
+		return a.res, err
+	}
+	return cloneResults(a.res), nil // the cache keeps its own slices
+}
+
+// Reply runs a query for a reply in mediaType and returns the body
+// encode writes for its results. The body is cached beside the results,
+// one per media type: a run the cache answers returns the stored bytes
+// without encoding again; otherwise encode runs once, after the View is
+// released, on the results as the cache holds them (read-only), and its
+// bytes are stored in the entry of the version the results came from.
+// The returned body is shared: read-only.
+func Reply(ctx context.Context, c *catalog.Catalog, kind Kind, e Expr, mediaType string,
+	encode func(Results) ([]byte, error)) ([]byte, error) {
+	a, err := run(ctx, c, kind, e, mediaType)
+	if err != nil {
+		return nil, err
+	}
+	if a.body != nil {
+		return a.body, nil
+	}
+	body, err := encode(a.res)
+	if err != nil {
+		return nil, err
+	}
+	if a.cache != nil {
+		a.cache.putBody(a.key, mediaType, body)
+	}
+	return body, nil
 }
 
 // Search parses and runs a query in one step.

@@ -122,6 +122,17 @@ func randomCatalog(t testing.TB, r *rand.Rand, shards int) *catalog.Catalog {
 		}
 		names = append(names, name)
 	}
+	// Names that extend others, carry glob metacharacters or end in 0xff
+	// bytes, so that prefix ranges have edges to get wrong.
+	for _, name := range []string{"ds1x", "ds1*", "ds[1]", "d", "o1\xff", "o1\xff\xff", "o1\xffa", "\xff"} {
+		if r.Intn(2) == 0 {
+			continue
+		}
+		if err := c.AddDataset(schema.Dataset{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
 	for i := 0; i < 10; i++ {
 		out := fmt.Sprintf("o%d", i)
 		dv, err := c.AddDerivation(schema.Derivation{TR: []string{"t::gen", "t::gen:2"}[r.Intn(2)], Params: map[string]schema.Actual{
@@ -169,6 +180,12 @@ func randExprSrc(r *rand.Rand, depth int) string {
 		`name ~ "ds*"`,
 		fmt.Sprintf(`name ~ "?%d*"`, r.Intn(10)),
 		`name ~ "t::*"`,
+		// Literal prefixes: ranges over the ordered names.
+		fmt.Sprintf(`name ~ "ds%d*"`, r.Intn(8)),
+		fmt.Sprintf(`name ~ "o%d"`, r.Intn(10)),
+		`name ~ "ds1\\*"`, `name ~ "ds\\[1]"`, `name ~ "ds[1]"`, `name ~ "d[s]1*"`, `name ~ "[a-d]*"`,
+		`name ~ "*1"`, "name ~ \"o1\xff*\"", "name ~ \"\xff*\"", "name ~ \"o1\xff\xff\"",
+		`name ~ "t::gen*"`, `name ~ "t::gen:2"`,
 		`name != ds0`,
 		`name != t::gen`,
 		fmt.Sprintf("attr.owner = %s", []string{"ann", "bob"}[r.Intn(2)]),

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 
 	"chimera/internal/catalog"
 	"chimera/internal/codec"
 	"chimera/internal/dtype"
+	"chimera/internal/query"
 	"chimera/internal/schema"
 )
 
@@ -73,6 +78,141 @@ func TestSearchRepliesDuringWrites(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// freshReply encodes the reply a search should get: the query run with
+// the result cache off, encoded as JSON (the bare array, "[]" when
+// empty) or as a binary/v1 frame holding only the kind's section.
+func freshReply(t *testing.T, cat *catalog.Catalog, kind query.Kind, q string, binary bool) []byte {
+	t.Helper()
+	query.SetPlanCacheCapacity(0)
+	res, err := query.Search(cat, kind, q)
+	query.SetPlanCacheCapacity(query.DefaultPlanCacheCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p codec.Payload
+	var v any
+	switch kind {
+	case query.KDataset:
+		p.Datasets, v = res.Datasets, append([]schema.Dataset{}, res.Datasets...)
+	case query.KTransformation:
+		p.Transformations, v = res.Transformations, append([]schema.Transformation{}, res.Transformations...)
+	default:
+		p.Derivations, v = res.Derivations, append([]schema.Derivation{}, res.Derivations...)
+	}
+	var buf bytes.Buffer
+	if binary {
+		err = codec.EncodeReply(&buf, &p)
+	} else {
+		err = json.NewEncoder(&buf).Encode(v)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSearchReplyMemoRandomized is the reply memo's oracle at the
+// server: across a random history of writes, every search body served,
+// binary and header-less JSON, first request and repeat, is byte for
+// byte the encoding of a fresh uncached run at the same state.
+func TestSearchReplyMemoRandomized(t *testing.T) {
+	t.Cleanup(func() { query.SetPlanCacheCapacity(query.DefaultPlanCacheCapacity) })
+	r := rand.New(rand.NewSource(1))
+	cat := catalog.New(dtype.StandardRegistry())
+	if err := cat.AddTransformation(schema.Transformation{Namespace: "t", Name: "gen", Kind: schema.Simple, Exec: "/bin/gen",
+		Args: []schema.FormalArg{{Name: "o", Direction: schema.Out}, {Name: "i", Direction: schema.In}}}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer("memo", cat))
+	defer srv.Close()
+	tags := []string{"hot", "cold"}
+	var names []string
+	step := func(i int) {
+		switch op := r.Intn(5); {
+		case op == 0 || len(names) == 0:
+			name := fmt.Sprintf("ds%d", i)
+			if err := cat.AddDataset(schema.Dataset{Name: name, Attrs: schema.Attributes{"tag": tags[r.Intn(2)]}}); err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		case op == 1:
+			ds, err := cat.Dataset(names[r.Intn(len(names))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.Attrs = schema.Attributes{"tag": tags[r.Intn(2)], "rev": fmt.Sprint(i)}
+			if err := cat.UpdateDataset(ds); err != nil {
+				t.Fatal(err)
+			}
+		case op == 2:
+			if err := cat.AddReplica(schema.Replica{ID: fmt.Sprintf("r%d", i), Dataset: names[r.Intn(len(names))],
+				Site: "s", PFN: fmt.Sprintf("/r%d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		case op == 3:
+			if _, err := cat.BumpEpoch(names[r.Intn(len(names))], r.Intn(2) == 0); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			out := fmt.Sprintf("ds%d.out", i)
+			if _, err := cat.AddDerivation(schema.Derivation{TR: "t::gen", Params: map[string]schema.Actual{
+				"o": schema.DatasetActual("output", out), "i": schema.DatasetActual("input", names[r.Intn(len(names))]),
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, out)
+		}
+	}
+	pool := []struct {
+		path string
+		kind query.Kind
+		q    string
+	}{
+		{"datasets", query.KDataset, "attr.tag = hot"}, {"datasets", query.KDataset, `name ~ "ds1*"`},
+		{"datasets", query.KDataset, "*"}, {"datasets", query.KDataset, "derived and not materialized"},
+		{"datasets", query.KDataset, "materialized"}, {"datasets", query.KDataset, "name = nosuch"},
+		{"derivations", query.KDerivation, "*"}, {"derivations", query.KDerivation, "tr = t::gen"},
+		{"transformations", query.KTransformation, `name ~ "t::*"`},
+	}
+	get := func(path, q string, binary bool) []byte {
+		req, err := http.NewRequest("GET", srv.URL+"/v1/"+path+"?query="+url.QueryEscape(q), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if binary {
+			req.Header.Set("Accept", codec.BinaryContentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s %q: %d %v", path, q, resp.StatusCode, err)
+		}
+		return body
+	}
+	hits := query.CacheStats().Hits
+	for i := 0; i < 60; i++ {
+		step(i)
+		for _, s := range pool {
+			for _, binary := range []bool{false, true} {
+				want := freshReply(t, cat, s.kind, s.q, binary)
+				for rep := 0; rep < 2; rep++ {
+					if got := get(s.path, s.q, binary); !bytes.Equal(got, want) {
+						t.Fatalf("step %d: %s %q (binary %v, request %d): served body differs from a fresh encode",
+							i, s.path, s.q, binary, rep+1)
+					}
+				}
+			}
+		}
+	}
+	if query.CacheStats().Hits == hits {
+		t.Fatal("no search was answered from the cache")
+	}
 }
 
 // searchRows builds a discovery reply of n datasets shaped like the

@@ -371,13 +371,35 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, kind query.Kind)
 		}{Query: q, Plan: info.Plan, Cached: info.Cached, Epoch: info.Epoch})
 		return
 	}
-	res, err := query.RunContext(r.Context(), s.Cat, kind, e)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
-		return
+	// The body comes from the query cache's reply memo when the same
+	// search in the same media type was answered at this catalog version.
+	binary := acceptsBinary(r.Header.Get("Accept"))
+	mediaType := codec.JSONContentType
+	if binary {
+		mediaType = codec.BinaryContentType
 	}
-	// The binary reply is a snapshot frame holding only the kind's
-	// section, in result order; the JSON reply is the bare array.
+	var encErr error
+	body, err := query.Reply(r.Context(), s.Cat, kind, e, mediaType, func(res query.Results) ([]byte, error) {
+		b, err := encodeSearch(kind, res, binary)
+		encErr = err
+		return b, err
+	})
+	switch {
+	case encErr != nil:
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encode: " + encErr.Error()})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+	default:
+		w.Header().Set("Vary", "Accept")
+		writeBody(w, mediaType, body)
+	}
+}
+
+// encodeSearch encodes a search result as its reply body: in binary, a
+// snapshot frame holding only the kind's section, in result order; in
+// JSON, the bare array. It encodes into a pooled buffer and returns an
+// exact-size copy, which the reply memo keeps.
+func encodeSearch(kind query.Kind, res query.Results, binary bool) ([]byte, error) {
 	var p codec.Payload
 	var v any
 	switch kind {
@@ -388,7 +410,19 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, kind query.Kind)
 	default:
 		p.Derivations, v = res.Derivations, orEmpty(res.Derivations)
 	}
-	writeNegotiated(w, r, v, func(buf *bytes.Buffer) error { return codec.EncodeReply(buf, &p) })
+	buf := replyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer putReplyBuf(buf)
+	var err error
+	if binary {
+		err = codec.EncodeReply(buf, &p)
+	} else {
+		err = json.NewEncoder(buf).Encode(v)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 func orEmpty[T any](xs []T) []T {
@@ -483,18 +517,26 @@ func writeNegotiated(w http.ResponseWriter, r *http.Request, v any, encodeBinary
 func writePooled(w http.ResponseWriter, contentType string, encode func(*bytes.Buffer) error) {
 	buf := replyBufs.Get().(*bytes.Buffer)
 	buf.Reset()
+	defer putReplyBuf(buf)
 	if err := encode(buf); err != nil {
-		replyBufs.Put(buf)
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encode: " + err.Error()})
 		return
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	writeBody(w, contentType, buf.Bytes())
+}
+
+func putReplyBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledReplyBuf {
 		replyBufs.Put(buf)
 	}
+}
+
+// writeBody sends a 200 reply body with an exact Content-Length.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // maxBody caps a request body.
