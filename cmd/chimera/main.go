@@ -1,11 +1,14 @@
 // Command chimera is the virtual data system command-line client: it
 // composes VDL into a durable virtual data catalog, answers discovery
 // queries, prints lineage reports and invalidation sets, and plans and
-// estimates materialization requests.
+// estimates materialization requests. insert loads each file as one
+// program through the loader vdcd serves POST /v1/vdl with
+// (vds.ApplyProgram), so -catalog DIR and -server URL store the same.
 //
 // Usage:
 //
 //	chimera -catalog DIR insert file.vdl...
+//	chimera -server URL insert file.vdl...
 //	chimera -catalog DIR search -kind dataset 'derived and attr.owner = "annis"'
 //	chimera -catalog DIR lineage DATASET
 //	chimera -catalog DIR invalidate DATASET
@@ -18,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"maps"
@@ -27,7 +31,6 @@ import (
 	"time"
 
 	"chimera/internal/catalog"
-	"chimera/internal/core"
 	"chimera/internal/dag"
 	"chimera/internal/dtype"
 	"chimera/internal/estimator"
@@ -166,19 +169,15 @@ func migrateDir(args []string) error {
 	return nil
 }
 
-func parseFile(path string) (vdl.Program, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return vdl.Program{}, err
-	}
-	return vdl.Parse(string(src))
-}
-
 func convert(mode string, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("%s needs exactly one FILE.vdl", mode)
 	}
-	prog, err := parseFile(args[0])
+	src, err := os.ReadFile(args[0])
+	if err != nil {
+		return err
+	}
+	prog, err := vdl.Parse(string(src))
 	if err != nil {
 		return err
 	}
@@ -194,16 +193,29 @@ func convert(mode string, args []string) error {
 	return nil
 }
 
+// insert loads each file into the local catalog as one program.
 func insert(cat *catalog.Catalog, files []string) error {
+	return insertFiles(files, func(src string) error {
+		prog, err := vdl.Parse(src)
+		if err == nil {
+			_, err = vds.ApplyProgram(cat, prog)
+		}
+		return err
+	})
+}
+
+// insertFiles hands each file's source to load, which applies it as one
+// program, locally or over the wire.
+func insertFiles(files []string, load func(src string) error) error {
 	if len(files) == 0 {
 		return fmt.Errorf("insert needs at least one FILE.vdl")
 	}
 	for _, f := range files {
-		prog, err := parseFile(f)
-		if err != nil {
-			return err
+		src, err := os.ReadFile(f)
+		if err == nil {
+			err = load(string(src))
 		}
-		if err := core.LoadProgram(cat, prog); err != nil {
+		if err != nil {
 			return err
 		}
 		fmt.Printf("inserted %s\n", f)
@@ -457,20 +469,7 @@ func assumePrimary(v *catalog.View, ds string) bool {
 func remoteCommand(client *vds.Client, cmd string, args []string) error {
 	switch cmd {
 	case "insert":
-		if len(args) == 0 {
-			return fmt.Errorf("insert needs at least one FILE.vdl")
-		}
-		for _, f := range args {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				return err
-			}
-			if err := client.PostVDL(string(src)); err != nil {
-				return err
-			}
-			fmt.Printf("inserted %s\n", f)
-		}
-		return nil
+		return insertFiles(args, func(src string) error { return client.PostVDL(context.Background(), src) })
 	case "search":
 		fs := flag.NewFlagSet("search", flag.ContinueOnError)
 		kind := fs.String("kind", "dataset", "dataset, transformation or derivation")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"chimera/internal/catalog"
+	"chimera/internal/codec"
+	"chimera/internal/core"
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
 	"chimera/internal/vds"
@@ -208,17 +211,19 @@ func TestConvertCommands(t *testing.T) {
 }
 
 func TestRemoteCommands(t *testing.T) {
-	root := repoRoot(t)
 	cat := openCat(t)
 	srv := httptest.NewServer(vds.NewServer("shared", cat))
 	defer srv.Close()
 	client := vds.NewClient(srv.URL)
 
-	if err := remoteCommand(client, "insert", []string{filepath.Join(root, "examples/vdl/sdss-campaign.vdl")}); err != nil {
-		t.Fatal(err)
-	}
-	if cat.Stats().Derivations == 0 {
-		t.Fatal("remote insert did not land")
+	for _, f := range exampleFiles(t) {
+		before := cat.Stats().Derivations
+		if err := remoteCommand(client, "insert", []string{f}); err != nil {
+			t.Fatalf("%s: %v", filepath.Base(f), err)
+		}
+		if cat.Stats().Derivations == before {
+			t.Fatalf("%s: remote insert did not land", filepath.Base(f))
+		}
 	}
 	for _, kind := range []string{"dataset", "transformation", "derivation"} {
 		if err := remoteCommand(client, "search", []string{"-kind", kind, "*"}); err != nil {
@@ -242,6 +247,62 @@ func TestRemoteCommands(t *testing.T) {
 	}
 	if err := remoteCommand(client, "insert", nil); err == nil {
 		t.Error("remote insert without files accepted")
+	}
+}
+
+// exampleFiles lists the repository's sample programs.
+func exampleFiles(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(repoRoot(t), "examples", "vdl", "*.vdl"))
+	if err != nil || len(files) < 3 {
+		t.Fatalf("examples/vdl: %v %v", files, err)
+	}
+	return files
+}
+
+// TestInsertModesAgree: every sample program loads the same way over
+// the wire (chimera -server URL insert, POST /v1/vdl), into a local
+// directory (chimera -catalog DIR insert) and through System.LoadVDL:
+// the three fresh catalogs' canonical exports are byte-identical. The
+// paper's Appendix A and the POSIX pipeline derive through compound
+// transformations, which the catalog stores as their simple leaves.
+func TestInsertModesAgree(t *testing.T) {
+	snapshot := func(cat *catalog.Catalog) []byte {
+		exp := cat.Export()
+		var buf bytes.Buffer
+		if err := codec.EncodeSnapshot(&buf, &exp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, f := range exampleFiles(t) {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			local := openCat(t)
+			if err := insert(local, []string{f}); err != nil {
+				t.Fatalf("local insert: %v", err)
+			}
+			remote := openCat(t)
+			srv := httptest.NewServer(vds.NewServer("shared", remote))
+			defer srv.Close()
+			if err := remoteCommand(vds.NewClient(srv.URL), "insert", []string{f}); err != nil {
+				t.Fatalf("remote insert: %v", err)
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := core.NewWithCatalog("sys", t.TempDir(), openCat(t))
+			if err := sys.LoadVDL(string(src)); err != nil {
+				t.Fatalf("LoadVDL: %v", err)
+			}
+			want := snapshot(local)
+			if !bytes.Equal(snapshot(remote), want) {
+				t.Errorf("POST /v1/vdl stored %+v, local insert %+v", remote.Stats(), local.Stats())
+			}
+			if !bytes.Equal(snapshot(sys.Cat), want) {
+				t.Errorf("LoadVDL stored %+v, local insert %+v", sys.Cat.Stats(), local.Stats())
+			}
+		})
 	}
 }
 

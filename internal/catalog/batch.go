@@ -280,6 +280,8 @@ func (b *batch) check(r codec.Record) error {
 
 // checkDerivation implements the paper's core promises for one
 // derivation, staging the datasets it registers:
+//   - simple derivations only: a derivation of a compound
+//     transformation is ErrInvalid (the program loader expands it);
 //   - duplicate detection: a derivation whose canonical signature is
 //     already registered is ErrDuplicate (reuse, not failure);
 //   - virtual data: unregistered outputs are registered as virtual,
@@ -297,6 +299,9 @@ func (b *batch) checkDerivation(dv schema.Derivation) error {
 	tr, err := b.transformation(dv.TR)
 	if err != nil {
 		return err
+	}
+	if tr.Kind == schema.Compound {
+		return fmt.Errorf("%w: derivation of compound transformation %q: load it as a VDL program (POST /v1/vdl, chimera insert), which stores its simple leaves", ErrInvalid, tr.Ref())
 	}
 	if err := dv.CheckBinding(tr); err != nil {
 		return err

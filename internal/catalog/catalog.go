@@ -41,6 +41,10 @@ var (
 	ErrConflict = errors.New("catalog: provenance conflict")
 	// ErrType reports a dataset-type conformance failure.
 	ErrType = errors.New("catalog: type mismatch")
+	// ErrInvalid reports a record the catalog does not hold in the form
+	// given, e.g. a derivation of a compound transformation: the program
+	// loader (vds.ApplyProgram) stores its simple leaves instead.
+	ErrInvalid = errors.New("catalog: invalid record")
 	// ErrDurability reports that the write-ahead log failed: the
 	// mutation may have applied in memory, but the catalog can no
 	// longer guarantee it survives a restart. Servers should surface

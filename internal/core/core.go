@@ -86,64 +86,26 @@ func NewWithCatalog(name, workspace string, cat *catalog.Catalog) *System {
 
 // --- Composition -------------------------------------------------------
 
-// LoadVDL composes definitions from VDL source text (LoadProgram).
+// LoadVDL composes definitions from VDL source text, one strict batch
+// through the program loader (vds.ApplyProgram).
 func (s *System) LoadVDL(src string) error {
 	prog, err := vdl.Parse(src)
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = vds.ApplyProgram(s.Cat, prog)
 	}
-	return LoadProgram(s.Cat, prog)
+	return err
 }
 
-// LoadProgram applies a VDL program to cat as one strict batch — all of
-// it or none of it — with derivations of compound transformations
-// expanded to their simple-transformation leaves. A transformation
-// resolves against the program's own first, then cat's; a derivation
-// whose transformation resolves in neither goes into the batch as it
-// is, which resolves it against the batch or refuses it.
-func LoadProgram(cat *catalog.Catalog, prog vdl.Program) error {
-	local := schema.MapResolver(prog.Transformations...)
-	resolve := func(ref string) (schema.Transformation, error) {
-		if tr, err := local(ref); err == nil {
-			return tr, nil
-		}
-		return cat.Transformation(ref)
-	}
-	var leaves []schema.Derivation
-	for _, dv := range prog.Derivations {
-		if _, err := resolve(dv.TR); err != nil {
-			leaves = append(leaves, dv)
-			continue
-		}
-		l, err := schema.ExpandDerivation(dv, resolve)
-		if err != nil {
-			return err
-		}
-		leaves = append(leaves, l...)
-	}
-	prog.Derivations = leaves
-	return vds.ApplyProgram(cat, prog)
-}
-
-// Define registers a derivation. Derivations of compound
-// transformations are expanded to their simple-transformation leaves,
-// which are registered individually (with Parent linkage); the leaves
-// are returned. Duplicate derivations are returned as-is with reused
-// semantics rather than an error.
+// Define registers a derivation as a one-derivation program: a compound
+// one is stored as its simple leaves (with Parent linkage), all or none.
+// It returns the leaves as the catalog holds them, shared and
+// read-only; a leaf registered before is reused, not an error.
 func (s *System) Define(dv schema.Derivation) ([]schema.Derivation, error) {
-	leaves, err := schema.ExpandDerivation(dv, s.Cat.Resolver())
-	if err != nil {
-		return nil, err
+	leaves, err := vds.ApplyProgram(s.Cat, vdl.Program{Derivations: []schema.Derivation{dv}})
+	for i := range leaves {
+		leaves[i], _ = s.Cat.Derivation(leaves[i].ID) // stored: the batch held it
 	}
-	out := make([]schema.Derivation, 0, len(leaves))
-	for _, leaf := range leaves {
-		stored, err := s.Cat.AddDerivation(leaf)
-		if err != nil && !errors.Is(err, catalog.ErrDuplicate) {
-			return nil, err
-		}
-		out = append(out, stored)
-	}
-	return out, nil
+	return leaves, err
 }
 
 // --- Discovery ---------------------------------------------------------

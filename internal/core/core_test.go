@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +71,41 @@ func TestLoadVDLExpandsCompounds(t *testing.T) {
 	res, err := s.SearchDatasets(`type <= Events`)
 	if err != nil || len(res) != 1 || res[0].Name != "source" {
 		t.Errorf("type search: %v %v", res, err)
+	}
+}
+
+// TestDefineIsOneBatch: Define stores a compound's leaves all or none.
+// Here the second leaf would produce a dataset another derivation
+// already produces, so the first leaf must not stay behind either.
+func TestDefineIsOneBatch(t *testing.T) {
+	s := newSimSystem(t)
+	if err := s.LoadVDL(pipelineVDL + `DV other->cook( i=@{input:"elsewhere"}, o=@{output:"taken"} );`); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Cat.Export()
+	_, err := s.Define(schema.Derivation{TR: "doublecook", Params: map[string]schema.Actual{
+		"i": schema.DatasetActual("input", "source"),
+		"o": schema.DatasetActual("output", "taken"),
+	}})
+	if !errors.Is(err, catalog.ErrConflict) {
+		t.Fatalf("want a provenance conflict on the second leaf, got %v", err)
+	}
+	if after := s.Cat.Export(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused Define changed the catalog: now %+v", s.Cat.Stats())
+	}
+
+	// Accepted, it returns the stored leaves; again, the same leaves.
+	dv := schema.Derivation{TR: "doublecook", Params: map[string]schema.Actual{
+		"i": schema.DatasetActual("input", "source"),
+		"o": schema.DatasetActual("output", "fresh"),
+	}}
+	leaves, err := s.Define(dv)
+	if err != nil || len(leaves) != 2 || leaves[0].Parent == "" || leaves[1].TR != "cook" {
+		t.Fatalf("Define: %+v %v", leaves, err)
+	}
+	again, err := s.Define(dv)
+	if err != nil || !reflect.DeepEqual(again, leaves) {
+		t.Fatalf("repeated Define: %+v %v, want %+v", again, err, leaves)
 	}
 }
 

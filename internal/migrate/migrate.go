@@ -292,6 +292,11 @@ func (f *fold) readFile(path string) error {
 		return err
 	}
 	defer r.Close()
+	return f.read(r)
+}
+
+// read folds one JSON-lines log.
+func (f *fold) read(r io.Reader) error {
 	return readLog(r, func(op string, data []byte) error {
 		decode, ok := decoders[op]
 		if !ok {

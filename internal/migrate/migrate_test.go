@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -429,4 +430,47 @@ func TestMigrateSeedTypes(t *testing.T) {
 	if ds, err := c.Dataset("img"); err != nil || ds.Type.Content != "Image-raw" {
 		t.Fatalf("migrated dataset: %+v %v", ds, err)
 	}
+}
+
+// FuzzReadLog feeds arbitrary bytes to the JSON-lines reader and the
+// fold, in memory (no directory, no fsync): they must fail or succeed,
+// never panic, and a successful fold must yield its delta. A line that
+// does not parse is tolerated only as the last non-empty one, so put
+// before the bytes it fails the fold exactly when they hold a non-empty
+// line. FuzzReplayJSONL (internal/catalog) runs bytes through a whole
+// migration, a directory and a catalog per input. Its seeds are the
+// fixtures' logs, each also cut inside its last line and with a byte
+// of its second line flipped. Run `go test -fuzz FuzzReadLog
+// ./internal/migrate` for a longer campaign.
+func FuzzReadLog(f *testing.F) {
+	logs, err := filepath.Glob(filepath.Join("testdata", "*", "*.jsonl"))
+	if err != nil || len(logs) == 0 {
+		f.Fatalf("fixture logs: %v %v", logs, err)
+	}
+	for _, name := range logs {
+		log, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(log)
+		last := bytes.LastIndexByte(log[:len(log)-1], '\n') + 1
+		f.Add(log[:last+(len(log)-last)/2])
+		flipped := bytes.Clone(log)
+		flipped[bytes.IndexByte(log, '\n')+1] ^= 0x01
+		f.Add(flipped)
+	}
+	newFold := func() *fold { return &fold{types: dtype.StandardRegistry(), last: map[string]any{}} }
+	const torn = `{"op":"dataset","data":{"name":"torn` + "\n"
+	f.Fuzz(func(t *testing.T, log []byte) {
+		if fl := newFold(); fl.read(bytes.NewReader(log)) == nil {
+			fl.delta()
+		}
+		err := newFold().read(io.MultiReader(strings.NewReader(torn), bytes.NewReader(log)))
+		more := slices.ContainsFunc(bytes.Split(log, []byte("\n")), func(line []byte) bool {
+			return len(bytes.TrimSuffix(line, []byte("\r"))) > 0
+		})
+		if (err != nil) != more {
+			t.Fatalf("a corrupt first line before %q: err = %v", log, err)
+		}
+	})
 }

@@ -91,6 +91,35 @@ func expand(dv Derivation, resolve Resolver, path []string) ([]Derivation, error
 	return out, nil
 }
 
+// ExpansionSize returns a counter of the derivations ExpandDerivation
+// visits for a derivation of a transformation: the derivation itself,
+// each compound call it passes through and each leaf. The count depends
+// on the call graph alone, not on the bindings, so the counter resolves
+// each transformation once however many leaves a nest of compounds
+// makes (40 compounds each calling the next twice make 2^40), and a
+// loader can refuse a program before expanding any of it. Counts
+// saturate at limit+1. An unresolvable reference counts one, and a
+// cycle is left to ExpandDerivation to report.
+func ExpansionSize(resolve Resolver, limit int) func(ref string) int {
+	sizes := make(map[string]int)
+	var size func(ref string) int
+	size = func(ref string) int {
+		if n, ok := sizes[ref]; ok {
+			return n
+		}
+		sizes[ref] = 1 // while in progress, so a cycle ends
+		n := 1
+		if tr, err := resolve(ref); err == nil {
+			for _, call := range tr.Calls {
+				n = min(n+size(call.TR), limit+1)
+			}
+		}
+		sizes[ref] = n
+		return n
+	}
+	return size
+}
+
 // intermediateSuffix derives a short, collision-resistant suffix for
 // intermediate dataset names from a derivation signature.
 func intermediateSuffix(id string) string {

@@ -260,3 +260,49 @@ func TestExpandListFlattening(t *testing.T) {
 		t.Errorf("flattened list: %v", got)
 	}
 }
+
+// TestExpansionSize: the counter equals what ExpandDerivation visits
+// (the derivation, its compound calls and its leaves), saturates past
+// the limit without walking a nest of compounds leaf by leaf, and ends
+// on a cycle.
+func TestExpansionSize(t *testing.T) {
+	trs := paperTrans4()
+	dv := Derivation{TR: "trans4", Params: map[string]Actual{
+		"a2": DatasetActual("input", "x2"), "a1": DatasetActual("input", "x1"), "a3": DatasetActual("output", "y"),
+	}}
+	leaves, err := ExpandDerivation(dv, MapResolver(trs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := ExpansionSize(MapResolver(trs...), 100)
+	for ref, want := range map[string]int{"trans1": 1, "trans4": 1 + len(leaves), "ghost": 1} {
+		if got := size(ref); got != want {
+			t.Errorf("size(%s) = %d, want %d", ref, got, want)
+		}
+	}
+
+	// c39 calls c38 twice, ..., c0 calls trans1 twice: 2^41-1 visits.
+	nest := []Transformation{trs[0]}
+	callee := "trans1"
+	for i := 0; i < 40; i++ {
+		name := "c" + strings.Repeat("x", i)
+		nest = append(nest, Transformation{Name: name, Kind: Compound,
+			Calls: []Call{{TR: callee}, {TR: callee}}})
+		callee = name
+	}
+	resolves := 0
+	res := MapResolver(nest...)
+	counted := ExpansionSize(func(ref string) (Transformation, error) { resolves++; return res(ref) }, 1000)
+	if got := counted(callee); got != 1001 {
+		t.Errorf("nest: %d, want the limit+1 = 1001", got)
+	}
+	if resolves != len(nest) {
+		t.Errorf("nest of %d transformations resolved %d times", len(nest), resolves)
+	}
+
+	a := Transformation{Name: "a", Kind: Compound, Calls: []Call{{TR: "b"}}}
+	b := Transformation{Name: "b", Kind: Compound, Calls: []Call{{TR: "a"}}}
+	if got := ExpansionSize(MapResolver(a, b), 100)("a"); got > 101 {
+		t.Errorf("cycle: %d", got)
+	}
+}

@@ -509,3 +509,22 @@ func TestAttributesClone(t *testing.T) {
 		t.Error("clone not independent")
 	}
 }
+
+// TestSimpleTransformationRefusesInout: inout names a compound's
+// intermediate dataset; a simple transformation declaring one could be
+// registered but never derived (its derivation would bind the dataset
+// as both input and output), so Validate refuses it and says why.
+func TestSimpleTransformationRefusesInout(t *testing.T) {
+	mid := DatasetActual("inout", "mid")
+	simple := Transformation{Name: "t", Kind: Simple, Exec: "/bin/t",
+		Args: []FormalArg{{Name: "m", Direction: InOut, Default: &mid}, {Name: "o", Direction: Out}}}
+	err := simple.Validate()
+	if err == nil || !strings.Contains(err.Error(), "inout") || !strings.Contains(err.Error(), "compound") {
+		t.Fatalf("simple transformation with an inout formal: %v", err)
+	}
+	compound := Transformation{Name: "c", Kind: Compound, Args: simple.Args,
+		Calls: []Call{{TR: "s", Bindings: map[string]Actual{"o": FormalRefActual("m")}}}}
+	if err := compound.Validate(); err != nil {
+		t.Fatalf("compound with an inout intermediate: %v", err)
+	}
+}

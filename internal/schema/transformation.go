@@ -15,8 +15,10 @@ const (
 	In Direction = iota
 	// Out marks a dataset argument created/written by the transformation.
 	Out
-	// InOut marks a dataset argument both read and written (compound
-	// transformations use it for intermediate datasets).
+	// InOut marks a compound transformation's intermediate dataset, one
+	// call writes and a later call reads (App. A's anywhere/somewhere).
+	// A simple transformation cannot declare one (Validate): its
+	// derivation would bind the dataset as both input and output.
 	InOut
 	// None marks a by-value string parameter (VDL's "none").
 	None
@@ -287,6 +289,11 @@ func (t Transformation) Validate() error {
 		}
 		if t.Exec == "" && t.Profile["hints.pfnHint"] == "" {
 			return fmt.Errorf("schema: simple transformation %q has no executable (exec or hints.pfnHint)", t.Ref())
+		}
+		for _, f := range t.Args {
+			if f.Direction == InOut {
+				return fmt.Errorf("schema: simple transformation %q: formal %q is inout, which names a compound's intermediate dataset (App. A's anywhere/somewhere); declare it input or output", t.Ref(), f.Name)
+			}
 		}
 		for _, at := range t.ArgTemplates {
 			for _, p := range at.Parts {

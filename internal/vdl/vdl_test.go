@@ -571,7 +571,7 @@ DV d->t( o=@{output:"out"}, i=[@{input:"a"}, @{input:"b"}], p="v" );
 func TestAnchorHintForms(t *testing.T) {
 	// Third anchor component (temp-name hint) parses and is discarded.
 	prog, err := Parse(`
-TR t( inout m=@{inout:"base":"hint"}, output o, input i ) { exec = "/b"; }
+TR t( inout m=@{inout:"base":"hint"}, output o, input i ) { s( o=${output:m}, i=${i} ); }
 `)
 	if err != nil {
 		t.Fatal(err)

@@ -186,11 +186,13 @@ func (c *Client) do(method, path string, in, out any) error {
 // negotiation).
 func (c *Client) roundTrip(ctx context.Context, method, path string, in any, accept string) (data []byte, contentType string, err error) {
 	var payload []byte
+	var bodyType string
 	if in != nil {
 		payload, err = json.Marshal(in)
 		if err != nil {
 			return nil, "", err
 		}
+		bodyType = "application/json"
 	}
 	attempts := 1
 	if method == http.MethodGet {
@@ -211,7 +213,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in any, acc
 			}
 			ceiling *= 2
 		}
-		d, ct, retryable, e := c.once(ctx, method, path, payload, in != nil, accept)
+		d, ct, retryable, e := c.once(ctx, method, path, payload, bodyType, accept)
 		if e != nil && err != nil && ctx.Err() != nil {
 			// ctx ended with this attempt in flight: its error is the
 			// transport's echo of ctx.Err(); the previous attempt's says why
@@ -226,20 +228,21 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in any, acc
 	return data, contentType, err
 }
 
-// once issues a single HTTP request. retryable marks failures that a
+// once issues a single HTTP request, carrying payload as a body of
+// type bodyType when that is set. retryable marks failures that a
 // fresh attempt could plausibly cure: transport errors and upstream
 // 502/503/504 responses.
-func (c *Client) once(ctx context.Context, method, path string, payload []byte, hasBody bool, accept string) (data []byte, contentType string, retryable bool, err error) {
+func (c *Client) once(ctx context.Context, method, path string, payload []byte, bodyType, accept string) (data []byte, contentType string, retryable bool, err error) {
 	var body io.Reader
-	if hasBody {
+	if bodyType != "" {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
 		return nil, "", false, err
 	}
-	if hasBody {
-		req.Header.Set("Content-Type", "application/json")
+	if bodyType != "" {
+		req.Header.Set("Content-Type", bodyType)
 	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
@@ -459,22 +462,12 @@ func (c *Client) PutReplica(r schema.Replica) error {
 	return c.do("PUT", "/v1/replicas", r, nil)
 }
 
-// PostVDL inserts VDL source text.
-func (c *Client) PostVDL(src string) error {
-	req, err := http.NewRequest("POST", c.Base+"/v1/vdl", strings.NewReader(src))
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return &RemoteError{Status: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-	}
-	return nil
+// PostVDL inserts VDL source text as one program (ApplyProgram) under
+// ctx, whose span the request carries. It is sent once, never retried:
+// the server may have applied a program whose reply was lost.
+func (c *Client) PostVDL(ctx context.Context, src string) error {
+	_, _, _, err := c.once(ctx, http.MethodPost, "/v1/vdl", []byte(src), "text/plain; charset=utf-8", "")
+	return err
 }
 
 // Signatures fetches the signature records of an entry.

@@ -271,11 +271,7 @@ func (s *Server) routes() {
 			writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 			return
 		}
-		if n := len(prog.Types) + len(prog.Datasets) + len(prog.Transformations) + len(prog.Derivations); n > maxProgramStatements {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{fmt.Sprintf("program of %d statements exceeds the %d-statement batch cap", n, maxProgramStatements)})
-			return
-		}
-		if err := ApplyProgram(s.Cat, prog); err != nil {
+		if _, err := ApplyProgram(s.Cat, prog); err != nil {
 			s.replyErr(w, err)
 			return
 		}
@@ -444,6 +440,8 @@ func (s *Server) replyErr(w http.ResponseWriter, err error) {
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, struct{}{})
+	case errors.Is(err, errTooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{err.Error()})
 	case errors.Is(err, catalog.ErrNotFound):
 		writeJSON(w, http.StatusNotFound, errorBody{err.Error()})
 	case errors.Is(err, catalog.ErrExists), errors.Is(err, catalog.ErrConflict):
@@ -542,11 +540,14 @@ func writeBody(w http.ResponseWriter, contentType string, body []byte) {
 // maxBody caps a request body.
 const maxBody = 16 << 20
 
-// maxProgramStatements caps the statements one POST /v1/vdl may carry.
-// The program is one batch, and a batch holds the catalog's write lock
-// for its whole length (docs/PERF.md); E10's largest program has
-// 20,000 statements.
+// maxProgramStatements caps the statements one program may hold once
+// its compound derivations are expanded (ApplyProgram). The program is
+// one batch, and a batch holds the catalog's write lock for its whole
+// length (docs/PERF.md); E10's largest program has 20,000 statements.
 const maxProgramStatements = 1 << 15
+
+// errTooLarge refuses a program past maxProgramStatements.
+var errTooLarge = fmt.Errorf("vds: program passes the %d-statement batch cap once its compound derivations are expanded", maxProgramStatements)
 
 // bodyStatus is 413 for a body past maxBody and 400 for any other body
 // that cannot be read.
@@ -566,17 +567,56 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// ApplyProgram loads a parsed VDL program into a catalog as one strict
-// batch (catalog.Import): all of it, or on the first failure none of
-// it. Datasets already present and duplicate derivations are reuse,
-// not errors. A type may extend one the catalog already holds.
-func ApplyProgram(c *catalog.Catalog, prog vdl.Program) error {
-	types := c.Types().Clone()
+// ApplyProgram is the one program loader, over the wire and local: it
+// loads a parsed VDL program into a catalog as one strict batch
+// (catalog.Import), all of it or none of it. A derivation of a compound
+// transformation goes in as its simple leaves (schema.ExpandDerivation),
+// its transformations resolving against the program's own first, then
+// the catalog's; one whose transformation resolves in neither goes in
+// as written, for the batch to refuse. Datasets already present and
+// duplicate derivations are reuse. A type may extend one the catalog
+// already holds. A program past maxProgramStatements once expanded,
+// every compound call counted, is errTooLarge before anything expands.
+// It returns the derivations the batch held, canonical.
+func ApplyProgram(c *catalog.Catalog, prog vdl.Program) ([]schema.Derivation, error) {
+	local := schema.MapResolver(prog.Transformations...)
+	resolve := func(ref string) (schema.Transformation, error) {
+		if tr, err := local(ref); err == nil {
+			return tr, nil
+		}
+		return c.Transformation(ref)
+	}
+	size := schema.ExpansionSize(resolve, maxProgramStatements)
+	n := len(prog.Types) + len(prog.Datasets) + len(prog.Transformations)
+	for _, dv := range prog.Derivations {
+		n += size(dv.TR)
+	}
+	if n > maxProgramStatements {
+		return nil, errTooLarge
+	}
+	var dvs []schema.Derivation
+	for _, dv := range prog.Derivations {
+		if _, err := resolve(dv.TR); err != nil {
+			dvs = append(dvs, dv)
+			continue
+		}
+		leaves, err := schema.ExpandDerivation(dv, resolve)
+		if err != nil {
+			return nil, err
+		}
+		dvs = append(dvs, leaves...)
+	}
+	exp := catalog.Export{Datasets: prog.Datasets, Transformations: prog.Transformations, Derivations: dvs}
+	if len(prog.Types) > 0 { // a program without types re-checks none
+		exp.Types = c.Types().Clone()
+	}
 	for _, td := range prog.Types {
-		if err := types.Register(td.Dim, td.Name, td.Parent); err != nil {
-			return err
+		if err := exp.Types.Register(td.Dim, td.Name, td.Parent); err != nil {
+			return nil, err
 		}
 	}
-	return c.Import(catalog.Export{Types: types, Datasets: prog.Datasets,
-		Transformations: prog.Transformations, Derivations: prog.Derivations})
+	if err := c.Import(exp); err != nil {
+		return nil, err
+	}
+	return dvs, nil
 }

@@ -229,13 +229,13 @@ TR trans1( output a2, input a1 ) {
 }
 DV usetrans1->trans1( a2=@{output:"file2"}, a1=@{input:"file1"} );
 `
-	if err := client.PostVDL(src); err != nil {
+	if err := client.PostVDL(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	if cat.Stats().Derivations != 1 || cat.Stats().Transformations != 1 {
 		t.Errorf("stats after vdl: %+v", cat.Stats())
 	}
-	if err := client.PostVDL("TR broken ("); err == nil {
+	if err := client.PostVDL(context.Background(), "TR broken ("); err == nil {
 		t.Error("bad vdl accepted")
 	}
 }
@@ -477,7 +477,7 @@ TYPE content HEP;
 TYPE content Events extends HEP;
 DS raw<Events>;
 `
-	if err := client.PostVDL(src); err != nil {
+	if err := client.PostVDL(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	if !cat.Types().IsSubtype(dtype.Content, "Events", "HEP") {
