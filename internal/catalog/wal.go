@@ -236,8 +236,15 @@ func (c *Catalog) load(exp *Export) (err error) {
 // replicas already present and derivations registered before are
 // skipped silently. The export's createdBy fields are ignored: the
 // imported derivations link their outputs, as every derivation does.
-func (c *Catalog) Import(exp Export) error {
-	_, err := c.commit(strict, func(yield func(codec.Record)) { records(&exp, nil, yield) })
+// defs, a program's type statements, go in first, in order, each
+// checked against the registry and the defs before it. Unlike
+// exp.Types, which holds a whole registry, they may extend a type the
+// catalog holds without re-stating (and re-counting) the rest of it.
+func (c *Catalog) Import(exp Export, defs ...codec.TypeDef) error {
+	_, err := c.commit(strict, func(yield func(codec.Record)) {
+		yieldAll(yield, codec.RecType, defs)
+		records(&exp, nil, yield)
+	})
 	return err
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -61,7 +62,9 @@ import (
 //
 // Every decoded value owns its memory — nothing aliases the input
 // buffer — so the caller may unmap a memory-mapped input immediately
-// after decoding returns.
+// after decoding returns. Records of one section that follow each other
+// with byte-identical attribute sets share one decoded map (attrs):
+// decoded maps are read-only.
 
 const (
 	binMagic     = "VDGB"
@@ -112,7 +115,8 @@ type encState struct {
 	strs   []string          // intern table in first-use order
 	syms   map[string]uint64 // string -> index into strs
 	inline bool              // write symbols as inline strings (log records)
-	keys   []string          // sortedKeys scratch, reused map after map
+	keys   []string          // Params key scratch, reused map after map
+	pairs  []pair            // sortedPairs scratch, reused map after map
 
 	deflate bool          // compress sections (delta frames)
 	cbuf    bytes.Buffer  // per-section compression scratch
@@ -189,9 +193,9 @@ func (e *encState) timeb(t time.Time) error {
 // sorted so equal inputs produce identical bytes.
 func (e *encState) attrs(m map[string]string) {
 	e.uvarint(uint64(len(m)))
-	for _, k := range e.sortedKeys(m) {
-		e.sym(k)
-		e.str(m[k])
+	for _, p := range e.sortedPairs(m) {
+		e.sym(p.k)
+		e.str(p.v)
 	}
 }
 
@@ -199,18 +203,25 @@ func (e *encState) attrs(m map[string]string) {
 // high-cardinality), sorted for determinism.
 func (e *encState) strmap(m map[string]string) {
 	e.uvarint(uint64(len(m)))
-	for _, k := range e.sortedKeys(m) {
-		e.str(k)
-		e.str(m[k])
+	for _, p := range e.sortedPairs(m) {
+		e.str(p.k)
+		e.str(p.v)
 	}
 }
 
-// sortedKeys returns m's keys in order, in e's scratch slice: valid
-// until the next call, so a caller ranges them before encoding another
-// map.
-func (e *encState) sortedKeys(m map[string]string) []string {
-	e.keys = appendSortedKeys(e.keys[:0], m)
-	return e.keys
+// pair is one entry of a string map.
+type pair struct{ k, v string }
+
+// sortedPairs returns m's entries in key order, collected in one range
+// into e's scratch slice: valid until the next call, so a caller ranges
+// them before encoding another map.
+func (e *encState) sortedPairs(m map[string]string) []pair {
+	e.pairs = e.pairs[:0]
+	for k, v := range m {
+		e.pairs = append(e.pairs, pair{k, v})
+	}
+	slices.SortFunc(e.pairs, func(a, b pair) int { return strings.Compare(a.k, b.k) })
+	return e.pairs
 }
 
 func appendSortedKeys[V any](dst []string, m map[string]V) []string {
@@ -292,13 +303,13 @@ func (e *encState) dataset(ds *schema.Dataset) error {
 	e.sym(ds.Type.Content)
 	e.sym(ds.Type.Format)
 	e.sym(ds.Type.Encoding)
-	desc, err := schema.MarshalDescriptor(ds.Descriptor)
-	if err != nil {
-		return err
-	}
-	if string(desc) == "null" {
+	if ds.Descriptor == nil {
 		e.blob(nil)
 	} else {
+		desc, err := schema.MarshalDescriptor(ds.Descriptor)
+		if err != nil {
+			return err
+		}
 		e.blob(desc)
 	}
 	e.str(ds.CreatedBy)
@@ -338,9 +349,9 @@ func (e *encState) derivation(dv *schema.Derivation) {
 		}
 	}
 	e.uvarint(uint64(len(dv.Env)))
-	for _, k := range e.sortedKeys(dv.Env) {
-		e.sym(k)
-		e.str(dv.Env[k])
+	for _, p := range e.sortedPairs(dv.Env) {
+		e.sym(p.k)
+		e.str(p.v)
 	}
 	e.str(dv.Parent)
 	e.attrs(dv.Attrs)
@@ -361,9 +372,9 @@ func (e *encState) invocation(iv *schema.Invocation) error {
 	e.sym(iv.OS)
 	e.sym(iv.Arch)
 	e.uvarint(uint64(len(iv.Env)))
-	for _, k := range e.sortedKeys(iv.Env) {
-		e.sym(k)
-		e.str(iv.Env[k])
+	for _, p := range e.sortedPairs(iv.Env) {
+		e.sym(p.k)
+		e.str(p.v)
 	}
 	e.varint(iv.BytesIn)
 	e.varint(iv.BytesOut)
@@ -643,6 +654,11 @@ type binReader struct {
 	strs     []string
 	inline   bool // symbols are inline strings (log records)
 
+	// The previous record's encoded attribute set, in the section being
+	// decoded, and the map it decoded to (attrs).
+	lastAttrs []byte
+	lastMap   schema.Attributes
+
 	// Delta header fields (frameDelta only).
 	instance, since, seq uint64
 	full                 bool
@@ -819,7 +835,27 @@ func (r *binReader) sym(d *dec) (string, error) {
 	return r.strs[id], nil
 }
 
+// attrs decodes an attribute map. An attribute set whose bytes are
+// the previous record's in the same section decodes to that record's
+// map: the set is self-delimiting and the symbol table is per frame, so
+// equal bytes mean an equal map. A wide reply whose rows all carry one
+// set then builds it once; the maps it returns are shared and
+// read-only.
 func (r *binReader) attrs(d *dec) (schema.Attributes, error) {
+	start := d.off
+	if r.lastAttrs != nil && bytes.HasPrefix(d.data[start:], r.lastAttrs) {
+		d.off += len(r.lastAttrs)
+		return r.lastMap, nil
+	}
+	m, err := r.attrMap(d)
+	if err != nil {
+		return nil, err
+	}
+	r.lastAttrs, r.lastMap = d.data[start:d.off], m
+	return m, nil
+}
+
+func (r *binReader) attrMap(d *dec) (schema.Attributes, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -944,22 +980,11 @@ func (r *binReader) actual(d *dec, depth int) (schema.Actual, error) {
 	return a, nil
 }
 
-// next frames the following record and returns a cursor bounded to it.
-func (d *dec) next() (dec, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return dec{}, err
-	}
-	b, err := d.take(n)
-	if err != nil {
-		return dec{}, err
-	}
-	return dec{data: b}, nil
-}
-
 // decodeSection decodes every length-prefixed record of one section
-// with one; an absent section is empty.
-func decodeSection[T any](r *binReader, kind byte, one func(*dec) (T, error)) ([]T, error) {
+// with one, each into its slot of the result through one cursor; an
+// absent section is empty. Attribute sharing (attrs) starts afresh in
+// each section.
+func decodeSection[T any](r *binReader, kind byte, one func(*dec, *T) error) ([]T, error) {
 	d, ok, err := r.section(kind)
 	if err != nil || !ok {
 		return nil, err
@@ -969,202 +994,213 @@ func decodeSection[T any](r *binReader, kind byte, one func(*dec) (T, error)) ([
 		return nil, err
 	}
 	out := make([]T, 0, cnt)
+	var zero T
+	var rec dec
 	for d.remaining() > 0 {
-		rec, err := d.next()
+		n, err := d.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		v, err := one(&rec)
+		b, err := d.take(n)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		rec = dec{data: b}
+		out = append(out, zero)
+		if err := one(&rec, &out[len(out)-1]); err != nil {
+			return nil, err
+		}
 	}
+	// The previous set's bytes may lie in a mapped input: keep none past
+	// the section, so the caller may unmap it once decoding returns.
+	r.lastAttrs, r.lastMap = nil, nil
 	return out, nil
 }
 
-func (r *binReader) dataset(rec *dec) (schema.Dataset, error) {
-	var ds schema.Dataset
+// decodeOne decodes one value with one.
+func decodeOne[T any](d *dec, one func(*dec, *T) error) (T, error) {
+	var v T
+	err := one(d, &v)
+	return v, err
+}
+
+func (r *binReader) dataset(rec *dec, ds *schema.Dataset) error {
 	var err error
 	if ds.Name, err = rec.str(); err != nil {
-		return ds, err
+		return err
 	}
 	if ds.Type.Content, err = r.sym(rec); err != nil {
-		return ds, err
+		return err
 	}
 	if ds.Type.Format, err = r.sym(rec); err != nil {
-		return ds, err
+		return err
 	}
 	if ds.Type.Encoding, err = r.sym(rec); err != nil {
-		return ds, err
+		return err
 	}
 	dn, err := rec.uvarint()
 	if err != nil {
-		return ds, err
+		return err
 	}
 	if dn > 0 {
 		raw, err := rec.take(dn)
 		if err != nil {
-			return ds, err
+			return err
 		}
 		desc, err := schema.UnmarshalDescriptor(raw)
 		if err != nil {
-			return ds, corrupt("descriptor: %v", err)
+			return corrupt("descriptor: %v", err)
 		}
 		ds.Descriptor = desc
 	}
 	if ds.CreatedBy, err = rec.str(); err != nil {
-		return ds, err
+		return err
 	}
 	epoch, err := rec.varint()
 	if err != nil {
-		return ds, err
+		return err
 	}
 	ds.Epoch = int(epoch)
 	if ds.Size, err = rec.varint(); err != nil {
-		return ds, err
+		return err
 	}
 	ds.Attrs, err = r.attrs(rec)
-	return ds, err
+	return err
 }
 
-func (r *binReader) replica(rec *dec) (schema.Replica, error) {
-	var rep schema.Replica
+func (r *binReader) replica(rec *dec, rep *schema.Replica) error {
 	var err error
 	if rep.ID, err = rec.str(); err != nil {
-		return rep, err
+		return err
 	}
 	if rep.Dataset, err = rec.str(); err != nil {
-		return rep, err
+		return err
 	}
 	if rep.Site, err = r.sym(rec); err != nil {
-		return rep, err
+		return err
 	}
 	if rep.PFN, err = rec.str(); err != nil {
-		return rep, err
+		return err
 	}
 	if rep.Size, err = rec.varint(); err != nil {
-		return rep, err
+		return err
 	}
 	epoch, err := rec.varint()
 	if err != nil {
-		return rep, err
+		return err
 	}
 	rep.Epoch = int(epoch)
 	if rep.ProducedBy, err = rec.str(); err != nil {
-		return rep, err
+		return err
 	}
 	rep.Attrs, err = r.attrs(rec)
-	return rep, err
+	return err
 }
 
-func (r *binReader) derivation(rec *dec) (schema.Derivation, error) {
-	var dv schema.Derivation
+func (r *binReader) derivation(rec *dec, dv *schema.Derivation) error {
 	var err error
 	if dv.ID, err = rec.str(); err != nil {
-		return dv, err
+		return err
 	}
 	if dv.Name, err = rec.str(); err != nil {
-		return dv, err
+		return err
 	}
 	if dv.TR, err = r.sym(rec); err != nil {
-		return dv, err
+		return err
 	}
 	present, err := rec.byte()
 	if err != nil {
-		return dv, err
+		return err
 	}
 	if present != 0 {
 		n, err := rec.uvarint()
 		if err != nil {
-			return dv, err
+			return err
 		}
 		pcnt, err := rec.count(n, 2)
 		if err != nil {
-			return dv, err
+			return err
 		}
 		dv.Params = make(map[string]schema.Actual, pcnt)
 		for i := 0; i < pcnt; i++ {
 			k, err := rec.str()
 			if err != nil {
-				return dv, err
+				return err
 			}
 			a, err := r.actual(rec, 0)
 			if err != nil {
-				return dv, err
+				return err
 			}
 			dv.Params[k] = a
 		}
 	}
 	if dv.Env, err = r.symmap(rec); err != nil {
-		return dv, err
+		return err
 	}
 	if dv.Parent, err = rec.str(); err != nil {
-		return dv, err
+		return err
 	}
 	dv.Attrs, err = r.attrs(rec)
-	return dv, err
+	return err
 }
 
-func (r *binReader) invocation(rec *dec) (schema.Invocation, error) {
-	var iv schema.Invocation
+func (r *binReader) invocation(rec *dec, iv *schema.Invocation) error {
 	var err error
 	if iv.ID, err = rec.str(); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.Derivation, err = rec.str(); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.Site, err = r.sym(rec); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.Host, err = r.sym(rec); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.Start, err = r.timeb(rec); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.End, err = r.timeb(rec); err != nil {
-		return iv, err
+		return err
 	}
 	ec, err := rec.varint()
 	if err != nil {
-		return iv, err
+		return err
 	}
 	iv.ExitCode = int(ec)
 	if iv.OS, err = r.sym(rec); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.Arch, err = r.sym(rec); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.Env, err = r.symmap(rec); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.BytesIn, err = rec.varint(); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.BytesOut, err = rec.varint(); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.UsedReplicas, err = r.strmap(rec); err != nil {
-		return iv, err
+		return err
 	}
 	if iv.ProducedReplicas, err = r.strmap(rec); err != nil {
-		return iv, err
+		return err
 	}
 	iv.Attrs, err = r.attrs(rec)
-	return iv, err
+	return err
 }
 
-func tombstone(rec *dec) (Tombstone, error) {
-	var t Tombstone
+func tombstone(rec *dec, t *Tombstone) error {
 	var err error
 	if t.Kind, err = rec.str(); err != nil {
-		return t, err
+		return err
 	}
 	t.ID, err = rec.str()
-	return t, err
+	return err
 }
 
 // decodeJSONSection unmarshals a JSON-blob section into v.
@@ -1211,7 +1247,9 @@ func (r *binReader) payload() (*Payload, error) {
 }
 
 // DecodeSnapshot parses a binary/v1 snapshot and observes it in the
-// codec metrics. The returned payload owns all of its memory.
+// codec metrics. The returned payload owns all of its memory; its
+// attribute maps are shared between consecutive records with equal
+// sets, and read-only.
 func DecodeSnapshot(data []byte) (*Payload, error) {
 	defer decSecBin.ObserveSince(time.Now())
 	decBBin.Add(uint64(len(data)))
@@ -1219,7 +1257,8 @@ func DecodeSnapshot(data []byte) (*Payload, error) {
 }
 
 // DecodeReply parses a snapshot frame, as DecodeSnapshot does, but
-// observes nothing; it reads what EncodeReply writes.
+// observes nothing; it reads what EncodeReply writes. Its attribute
+// maps are shared and read-only, as DecodeSnapshot's are.
 func DecodeReply(data []byte) (*Payload, error) {
 	r, err := openBinary(data, frameSnap)
 	if err != nil {
@@ -1229,7 +1268,8 @@ func DecodeReply(data []byte) (*Payload, error) {
 }
 
 // DecodeDelta parses a binary/v1 delta frame. The returned delta owns
-// all of its memory.
+// all of its memory; its attribute maps are shared and read-only, as
+// DecodeSnapshot's are.
 func DecodeDelta(data []byte) (*Delta, error) {
 	defer decSecBin.ObserveSince(time.Now())
 	decBBin.Add(uint64(len(data)))

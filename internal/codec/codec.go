@@ -16,6 +16,13 @@
 // codec too, the reference the binary codec is tested against.
 // codec sits below catalog in the import graph so both catalog
 // snapshots and vds wire bodies share one implementation.
+//
+// Decoded attribute maps are shared and read-only. Within one section
+// of a snapshot, reply or delta, a record whose attribute set encodes
+// to the previous record's bytes gets that record's decoded map, so a
+// wide reply whose rows carry one set builds one map. Change a decoded
+// record's attributes on a copy (maps.Clone), as for the catalog's own
+// maps. A record decoded on its own (DecodeRecord) shares nothing.
 package codec
 
 import (

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"chimera/internal/dtype"
 	"chimera/internal/schema"
@@ -320,5 +323,141 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 	}
 	if b.Len()*2 > j.Len() {
 		t.Fatalf("binary delta (%d bytes) not 2x smaller than JSON (%d bytes)", b.Len(), j.Len())
+	}
+}
+
+// TestDecodeSharesEqualAttrSets: within one section, a record whose
+// attribute set encodes to the previous record's bytes gets that
+// record's decoded map, and no other two records share one. Random runs
+// of equal and unequal sets — empty and nil ones among them, equal sets
+// built separately — fill all four record sections of snapshots and
+// deltas, and every decode equals the JSON oracle.
+func TestDecodeSharesEqualAttrSets(t *testing.T) {
+	sets := []func() schema.Attributes{
+		func() schema.Attributes { return nil },
+		func() schema.Attributes { return schema.Attributes{} },
+		func() schema.Attributes { return schema.Attributes{"project": "cms", "tag": "t1"} },
+		func() schema.Attributes { return schema.Attributes{"tag": "t1", "project": "cms"} },
+		func() schema.Attributes { return schema.Attributes{"project": "cms", "tag": "t2"} },
+		func() schema.Attributes { return schema.Attributes{"project": ""} },
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// runs returns n attribute sets drawn as runs of one to four.
+		runs := func() []schema.Attributes {
+			var out []schema.Attributes
+			for n := rng.Intn(24); len(out) < n; {
+				set := sets[rng.Intn(len(sets))]
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					out = append(out, set())
+				}
+			}
+			return out
+		}
+		p := &Payload{}
+		for i, a := range runs() {
+			p.Datasets = append(p.Datasets, schema.Dataset{Name: fmt.Sprintf("ds%03d", i), Attrs: a})
+		}
+		for i, a := range runs() {
+			p.Derivations = append(p.Derivations, schema.Derivation{ID: fmt.Sprintf("dv%03d", i), TR: "tr", Attrs: a})
+		}
+		for i, a := range runs() {
+			p.Invocations = append(p.Invocations, schema.Invocation{ID: fmt.Sprintf("iv%03d", i), Attrs: a})
+		}
+		for i, a := range runs() {
+			p.Replicas = append(p.Replicas, schema.Replica{ID: fmt.Sprintf("r%03d", i), Attrs: a})
+		}
+		var snap, del bytes.Buffer
+		if err := EncodeSnapshot(&snap, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeDelta(&del, &Delta{Seq: 1, Export: *p}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSnapshot(snap.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DecodeDelta(del.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, q := range map[string]*Payload{"snapshot": got, "delta": &d.Export} {
+			jsonEq(t, fmt.Sprintf("seed %d %s", seed, what), p, q)
+			requireSharing(t, fmt.Sprintf("seed %d %s", seed, what), p, q)
+		}
+	}
+}
+
+// requireSharing checks that got's non-empty attribute maps are one map
+// exactly where want's sets form a run of equal sets in one section.
+func requireSharing(t *testing.T, what string, want, got *Payload) {
+	t.Helper()
+	dv := func(v schema.Derivation) schema.Attributes { return v.Attrs }
+	iv := func(v schema.Invocation) schema.Attributes { return v.Attrs }
+	rep := func(v schema.Replica) schema.Attributes { return v.Attrs }
+	ds := func(v schema.Dataset) schema.Attributes { return v.Attrs }
+	sections := [][2][]schema.Attributes{
+		{attrsOf(want.Datasets, ds), attrsOf(got.Datasets, ds)},
+		{attrsOf(want.Derivations, dv), attrsOf(got.Derivations, dv)},
+		{attrsOf(want.Invocations, iv), attrsOf(got.Invocations, iv)},
+		{attrsOf(want.Replicas, rep), attrsOf(got.Replicas, rep)},
+	}
+	type run struct{ section, start int }
+	owner := map[unsafe.Pointer]run{}
+	for s, sec := range sections {
+		want, got := sec[0], sec[1]
+		start := 0
+		for i := range got {
+			if i > 0 && !maps.Equal(want[i-1], want[i]) {
+				start = i
+			}
+			if len(got[i]) == 0 {
+				if got[i] != nil {
+					t.Fatalf("%s: section %d record %d: empty set decoded to a non-nil map", what, s, i)
+				}
+				continue
+			}
+			p := reflect.ValueOf(got[i]).UnsafePointer()
+			r, seen := owner[p]
+			if !seen {
+				r = run{s, start}
+				owner[p] = r
+			}
+			if r != (run{s, start}) {
+				t.Fatalf("%s: section %d record %d shares the map of section %d's run at %d", what, s, i, r.section, r.start)
+			}
+			if i > start && reflect.ValueOf(got[i-1]).UnsafePointer() != p {
+				t.Fatalf("%s: section %d record %d does not share the map of the equal set before it", what, s, i)
+			}
+		}
+	}
+}
+
+func attrsOf[T any](xs []T, attrs func(T) schema.Attributes) []schema.Attributes {
+	out := make([]schema.Attributes, len(xs))
+	for i, x := range xs {
+		out[i] = attrs(x)
+	}
+	return out
+}
+
+// TestDecodeRecordNeverShares: log records decode one at a time, each
+// into maps of its own.
+func TestDecodeRecordNeverShares(t *testing.T) {
+	rec, err := AppendRecord(nil, RecDataset, schema.Dataset{Name: "d", Attrs: schema.Attributes{"tag": "t1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, a, err := DecodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b, err := DecodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.ValueOf(a.(schema.Dataset).Attrs).UnsafePointer() == reflect.ValueOf(b.(schema.Dataset).Attrs).UnsafePointer() {
+		t.Fatal("two decodes of one record share an attribute map")
 	}
 }

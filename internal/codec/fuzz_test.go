@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -43,12 +44,30 @@ func fuzzCorpus(f *testing.F, delta bool) {
 	f.Add([]byte("VDGBS\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x10\x00\x00\x00VDGE"))
 }
 
+// A payload or delta that decodes re-encodes, and that encoding decodes
+// deep-equal to it: shared attribute maps decode to equal values, and
+// nothing the decoder accepts is lost on the way back.
+
 func FuzzDecodeSnapshot(f *testing.F) {
 	fuzzCorpus(f, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeSnapshot(data)
-		if err == nil && p == nil {
+		if err != nil {
+			return
+		}
+		if p == nil {
 			t.Fatal("nil payload with nil error")
+		}
+		var again bytes.Buffer
+		if err := EncodeSnapshot(&again, p); err != nil {
+			t.Fatalf("decoded payload does not re-encode: %v", err)
+		}
+		q, err := DecodeSnapshot(again.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("re-encoded payload decodes differently:\n %+v\n %+v", p, q)
 		}
 	})
 }
@@ -57,8 +76,22 @@ func FuzzDecodeDelta(f *testing.F) {
 	fuzzCorpus(f, true)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeDelta(data)
-		if err == nil && d == nil {
+		if err != nil {
+			return
+		}
+		if d == nil {
 			t.Fatal("nil delta with nil error")
+		}
+		var again bytes.Buffer
+		if err := EncodeDelta(&again, d); err != nil {
+			t.Fatalf("decoded delta does not re-encode: %v", err)
+		}
+		e, err := DecodeDelta(again.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded delta does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(d, e) {
+			t.Fatalf("re-encoded delta decodes differently:\n %+v\n %+v", d, e)
 		}
 	})
 }

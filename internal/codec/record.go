@@ -106,15 +106,15 @@ func DecodeRecord(rec []byte) (RecordKind, any, error) {
 	case RecType:
 		v, err = jsonRecord[TypeDef](&d)
 	case RecDataset:
-		v, err = r.dataset(&d)
+		v, err = decodeOne(&d, r.dataset)
 	case RecTransformation:
 		v, err = jsonRecord[schema.Transformation](&d)
 	case RecDerivation:
-		v, err = r.derivation(&d)
+		v, err = decodeOne(&d, r.derivation)
 	case RecInvocation:
-		v, err = r.invocation(&d)
+		v, err = decodeOne(&d, r.invocation)
 	case RecReplica:
-		v, err = r.replica(&d)
+		v, err = decodeOne(&d, r.replica)
 	case RecRemoveReplica:
 		v, err = d.str()
 	case RecCompat:

@@ -224,3 +224,30 @@ func TestPostVDLClientPath(t *testing.T) {
 		t.Errorf("traceparent %q, want %q", gotHeader, want)
 	}
 }
+
+// TestProgramTypesCountOnce: each TYPE statement of a posted program is
+// one define_type op, whether it defines a type or repeats one, and the
+// types the catalog already holds are not re-counted beside them.
+func TestProgramTypesCountOnce(t *testing.T) {
+	defineType := obs.Default.CounterVec("vdc_catalog_ops_total", "", "op").With("define_type")
+	cat, client := startServer(t, "s")
+	for _, tc := range []struct {
+		src  string
+		want uint64
+	}{
+		{`TYPE content X; DS b<X>;`, 1},
+		{`TYPE content X; TYPE content Y extends X; TYPE content Z extends Y;`, 3},
+		{`DS c;`, 0},
+	} {
+		before := defineType.Value()
+		if err := client.PostVDL(context.Background(), tc.src); err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if got := defineType.Value() - before; got != tc.want {
+			t.Errorf("%s: define_type moved by %d, want %d", tc.src, got, tc.want)
+		}
+	}
+	if !cat.Types().IsSubtype(dtype.Content, "Z", "X") {
+		t.Fatal("the program's types were not registered")
+	}
+}

@@ -258,11 +258,19 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}
 	defer resp.Body.Close()
 	limit := c.maxResponseBytes()
-	data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	// A declared length is read into one buffer of exactly that size.
+	switch n := resp.ContentLength; {
+	case n > limit: // refused below, before anything is read
+	case n >= 0:
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	default:
+		data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	}
 	if err != nil {
 		return data, "", true, err
 	}
-	if int64(len(data)) > limit {
+	if resp.ContentLength > limit || int64(len(data)) > limit {
 		// The cap used to truncate silently, surfacing later as a baffling
 		// JSON unmarshal failure; name the real problem instead.
 		return data, "", false, fmt.Errorf("vds: %s %s: %w (limit %d bytes)", method, path, ErrResponseTooLarge, limit)
@@ -303,7 +311,9 @@ func (c *Client) Info() (Info, error) {
 // is the encoded response size, for transfer accounting. A
 // span-carrying ctx propagates to the remote server as a traceparent
 // header. The delta travels in the binary transport when the server
-// speaks it; a JSON-only server degrades transparently.
+// speaks it; a JSON-only server degrades transparently. The delta's
+// attribute maps are read-only: a binary one shares a map between
+// consecutive records with equal sets (codec.DecodeDelta).
 func (c *Client) ExportSince(ctx context.Context, since, instance uint64) (catalog.Delta, int, error) {
 	path := "/v1/export?since=" + strconv.FormatUint(since, 10) + "&instance=" + strconv.FormatUint(instance, 10)
 	data, ct, err := c.roundTrip(ctx, "GET", path, nil, exportAccept)
@@ -384,7 +394,8 @@ func (c *Client) Descendants(name string) (catalog.Closure, error) {
 	return out, err
 }
 
-// SearchDatasets runs a discovery query remotely.
+// SearchDatasets runs a discovery query remotely. The results'
+// attribute maps are shared and read-only (search).
 func (c *Client) SearchDatasets(q string) ([]schema.Dataset, error) {
 	return c.SearchDatasetsCtx(context.Background(), q)
 }
@@ -419,6 +430,9 @@ func (c *Client) SearchDerivationsCtx(ctx context.Context, q string) ([]schema.D
 // transport as ExportSince does. A binary reply is a snapshot frame
 // holding only the kind's section, which pick selects; a JSON reply is
 // the bare array. Either way no results is an empty, non-nil slice.
+// The results' attribute maps are read-only: a binary reply's rows
+// with equal sets share one map (codec.DecodeReply), as a tag query's
+// rows all do.
 func search[T any](ctx context.Context, c *Client, path, q string, pick func(*codec.Payload) []T) ([]T, error) {
 	data, ct, err := c.roundTrip(ctx, "GET", path+"?query="+url.QueryEscape(q), nil, exportAccept)
 	if err != nil {

@@ -1,11 +1,13 @@
 package vds
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,18 +103,46 @@ func TestExportSinceBadParams(t *testing.T) {
 	}
 }
 
+// TestResponseTooLarge: the read cap holds whether or not a reply
+// declares its length, and a body within it arrives whole either way.
+// A declared length past the cap fails before the body is read: that
+// server sends 100 of its 4,096 bytes and waits for the client to go.
 func TestResponseTooLarge(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(make([]byte, 4096))
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		body := bytes.Repeat([]byte("x"), n)
+		if r.URL.Query().Get("declared") == "" {
+			w.Write(body[:1])
+			w.(http.Flusher).Flush() // chunked from here: no Content-Length
+			w.Write(body[1:])
+			return
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+		if n <= 1024 {
+			w.Write(body)
+			return
+		}
+		w.Write(body[:100])
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
 	}))
 	defer hs.Close()
 
 	client := NewClient(hs.URL)
 	client.MaxResponseBytes = 1024
-	var out any
-	err := client.do("GET", "/v1/export", nil, &out)
-	if !errors.Is(err, ErrResponseTooLarge) {
-		t.Fatalf("want ErrResponseTooLarge, got %v", err)
+	for _, declared := range []bool{false, true} {
+		q := "/v1/export?declared="
+		if declared {
+			q += "1"
+		}
+		data, _, err := client.roundTrip(context.Background(), "GET", q+"&n=1024", nil, "")
+		if err != nil || len(data) != 1024 {
+			t.Errorf("declared=%v: a 1,024-byte reply at a 1,024-byte cap: %d bytes, %v", declared, len(data), err)
+		}
+		_, _, err = client.roundTrip(context.Background(), "GET", q+"&n=4096", nil, "")
+		if !errors.Is(err, ErrResponseTooLarge) {
+			t.Errorf("declared=%v: a 4,096-byte reply past a 1,024-byte cap: want ErrResponseTooLarge, got %v", declared, err)
+		}
 	}
 }
 

@@ -232,15 +232,36 @@ func searchRows(n int) []schema.Dataset {
 	return rows
 }
 
+// tagRows builds the reply of one tag query over n raw datasets: every
+// row carries the same {project, tag} set.
+func tagRows(n int) []schema.Dataset {
+	rows := make([]schema.Dataset, n)
+	for i := range rows {
+		rows[i] = schema.Dataset{Name: fmt.Sprintf("cms.raw.%07d", i), Size: 1_000_000_000 + int64(i)*7919,
+			Attrs: schema.Attributes{"tag": "t0042", "project": "cms"}}
+	}
+	return rows
+}
+
 var searchSink any
 
 // BenchmarkSearchReply measures one search reply's encode (server) and
 // decode (client) in each negotiated representation, reporting its
 // size, from a one-row reply to one as wide as discover_wide's widest
-// tag queries.
+// tag queries: mixed rows (searchRows), then one tag query's rows
+// (tagRows), whose attribute sets are all equal.
 func BenchmarkSearchReply(b *testing.B) {
+	type shape struct {
+		name string
+		rows []schema.Dataset
+	}
+	var shapes []shape
 	for _, n := range []int{1, 100, 625} {
-		rows := searchRows(n)
+		shapes = append(shapes, shape{fmt.Sprintf("rows=%d", n), searchRows(n)})
+	}
+	shapes = append(shapes, shape{"tag/rows=625", tagRows(625)})
+	for _, sh := range shapes {
+		rows := sh.rows
 		var js, bin bytes.Buffer
 		if err := json.NewEncoder(&js).Encode(rows); err != nil {
 			b.Fatal(err)
@@ -261,7 +282,7 @@ func BenchmarkSearchReply(b *testing.B) {
 		}
 		size := map[string]int{"json": js.Len(), "binary": bin.Len()}
 		for _, format := range []string{"json", "binary"} {
-			b.Run(fmt.Sprintf("rows=%d/%s/encode", n, format), func(b *testing.B) {
+			b.Run(sh.name+"/"+format+"/encode", func(b *testing.B) {
 				var buf bytes.Buffer
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -272,7 +293,7 @@ func BenchmarkSearchReply(b *testing.B) {
 				}
 				b.ReportMetric(float64(size[format]), "B/reply")
 			})
-			b.Run(fmt.Sprintf("rows=%d/%s/decode", n, format), func(b *testing.B) {
+			b.Run(sh.name+"/"+format+"/decode", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					v, err := decode[format]()

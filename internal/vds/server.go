@@ -606,16 +606,12 @@ func ApplyProgram(c *catalog.Catalog, prog vdl.Program) ([]schema.Derivation, er
 		}
 		dvs = append(dvs, leaves...)
 	}
+	defs := make([]codec.TypeDef, len(prog.Types))
+	for i, td := range prog.Types {
+		defs[i] = codec.TypeDef{Dim: int(td.Dim), Name: td.Name, Parent: td.Parent}
+	}
 	exp := catalog.Export{Datasets: prog.Datasets, Transformations: prog.Transformations, Derivations: dvs}
-	if len(prog.Types) > 0 { // a program without types re-checks none
-		exp.Types = c.Types().Clone()
-	}
-	for _, td := range prog.Types {
-		if err := exp.Types.Register(td.Dim, td.Name, td.Parent); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Import(exp); err != nil {
+	if err := c.Import(exp, defs...); err != nil {
 		return nil, err
 	}
 	return dvs, nil
