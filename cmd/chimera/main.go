@@ -1,40 +1,30 @@
 // Command chimera is the virtual data system command-line client: it
 // composes VDL into a durable virtual data catalog, answers discovery
-// queries, prints lineage reports and invalidation sets, and plans and
-// estimates materialization requests. insert loads each file as one
-// program through the loader vdcd serves POST /v1/vdl with
-// (vds.ApplyProgram), so -catalog DIR and -server URL store the same.
+// queries, prints lineage reports and invalidation sets, and plans,
+// estimates and runs materialization requests (usage lists the
+// commands). insert loads each file as one program through the loader
+// vdcd serves POST /v1/vdl with (vds.ApplyProgram), so -catalog DIR and
+// -server URL store the same. plan, estimate and run are the command
+// line of core.System, the one request path, over the directory opened
+// (core.NewWithCatalog); run turns on the driver's POSIX fallback.
 //
-// Usage:
-//
-//	chimera -catalog DIR insert file.vdl...
-//	chimera -server URL insert file.vdl...
-//	chimera -catalog DIR search -kind dataset 'derived and attr.owner = "annis"'
-//	chimera -catalog DIR lineage DATASET
-//	chimera -catalog DIR invalidate DATASET
-//	chimera -catalog DIR plan TARGET
-//	chimera -catalog DIR estimate -hosts 16 TARGET
-//	chimera -catalog DIR stats
-//	chimera migrate -dir DIR       (convert a directory an earlier build wrote)
-//	chimera xml file.vdl           (convert VDL to its XML form)
-//	chimera print file.vdl         (parse and re-print canonical VDL)
+// With -server URL, insert, search, lineage and stats print the lines
+// they print locally, through the same printers, except that search has
+// no materialized/virtual column: a search reply does not carry one.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"strings"
 
-	"time"
-
 	"chimera/internal/catalog"
-	"chimera/internal/dag"
+	"chimera/internal/core"
 	"chimera/internal/dtype"
-	"chimera/internal/estimator"
-	"chimera/internal/executor"
 	"chimera/internal/migrate"
 	"chimera/internal/obs"
 	"chimera/internal/query"
@@ -44,8 +34,15 @@ import (
 )
 
 // tracer is non-nil when -trace is set; run() hands it to the executor
-// and main writes the Chrome trace file on exit.
+// through its context and main writes the Chrome trace file on exit.
 var tracer *obs.Tracer
+
+// localCommands run against the catalog directory -catalog names.
+var localCommands = map[string]func(*catalog.Catalog, []string) error{
+	"insert": insert, "search": search, "lineage": lineage, "invalidate": invalidate,
+	"plan": plan, "estimate": estimate, "run": run, "annotate": annotate,
+	"stats": func(cat *catalog.Catalog, _ []string) error { printStats(os.Stdout, cat.Stats()); return nil },
+}
 
 func main() {
 	catDir := flag.String("catalog", "", "durable catalog directory (created if missing)")
@@ -63,56 +60,27 @@ func main() {
 	}
 	cmd, rest := args[0], args[1:]
 
-	if *server != "" {
-		if err := remoteCommand(vds.NewClient(*server), cmd, rest); err != nil {
-			fail("%v", err)
-		}
-		return
-	}
-
 	var err error
-	switch cmd {
-	case "xml", "print":
+	switch command, local := localCommands[cmd]; {
+	case *server != "":
+		err = remoteCommand(vds.NewClient(*server), cmd, rest)
+	case cmd == "xml" || cmd == "print":
 		err = convert(cmd, rest)
-	case "migrate":
+	case cmd == "migrate":
 		err = migrateDir(rest)
-	case "insert", "search", "lineage", "invalidate", "plan", "estimate", "stats", "run", "annotate":
-		if *catDir == "" {
-			fail("command %q needs -catalog DIR", cmd)
-		}
+	case !local:
+		fail("unknown command %q", cmd)
+	case *catDir == "":
+		fail("command %q needs -catalog DIR", cmd)
+	default:
 		var cat *catalog.Catalog
-		cat, err = catalog.Open(*catDir, dtype.StandardRegistry(), catalog.Options{})
-		if err != nil {
+		if cat, err = catalog.Open(*catDir, dtype.StandardRegistry(), catalog.Options{}); err != nil {
 			break
 		}
 		defer cat.Close()
-		switch cmd {
-		case "insert":
-			err = insert(cat, rest)
-		case "search":
-			err = search(cat, rest)
-		case "lineage":
-			err = lineage(cat, rest)
-		case "invalidate":
-			err = invalidate(cat, rest)
-		case "plan":
-			err = plan(cat, rest)
-		case "estimate":
-			err = estimate(cat, rest)
-		case "run":
-			err = run(cat, rest)
-		case "annotate":
-			err = annotate(cat, rest)
-		case "stats":
-			st := cat.Stats()
-			fmt.Printf("datasets=%d transformations=%d derivations=%d invocations=%d replicas=%d\n",
-				st.Datasets, st.Transformations, st.Derivations, st.Invocations, st.Replicas)
-		}
-		if err == nil {
+		if err = command(cat, rest); err == nil {
 			err = cat.Snapshot()
 		}
-	default:
-		fail("unknown command %q", cmd)
 	}
 	if tracer != nil {
 		if werr := tracer.WriteChromeTraceFile(*tracePath); werr != nil {
@@ -138,11 +106,12 @@ func usage() {
   chimera -catalog DIR annotate DATASET KEY=VALUE
   chimera -catalog DIR stats
   chimera migrate -dir DIR
-  chimera xml FILE.vdl
-  chimera print FILE.vdl
+  chimera xml|print FILE.vdl
 
-With -server URL instead of -catalog DIR, insert/search/lineage/stats
-operate against a running vdcd catalog service.`)
+With -server URL instead of -catalog DIR, insert, search, lineage
+(-dot too) and stats operate against a running vdcd catalog service
+and print the same lines, except that search prints no
+materialized/virtual column: a search reply does not carry one.`)
 }
 
 func fail(format string, args ...any) {
@@ -183,11 +152,10 @@ func convert(mode string, args []string) error {
 	}
 	if mode == "xml" {
 		data, err := vdl.MarshalXML(prog)
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Println(string(data))
 		}
-		fmt.Println(string(data))
-		return nil
+		return err
 	}
 	fmt.Print(vdl.Print(prog))
 	return nil
@@ -223,7 +191,23 @@ func insertFiles(files []string, load func(src string) error) error {
 	return nil
 }
 
+// searchKinds maps search -kind values to the kinds a query ranges over.
+var searchKinds = map[string]query.Kind{
+	"dataset":        query.KDataset,
+	"transformation": query.KTransformation,
+	"derivation":     query.KDerivation,
+}
+
 func search(cat *catalog.Catalog, args []string) error {
+	return searchWith(args, func(k query.Kind, q string) (query.Results, error) {
+		return query.Search(cat, k, q)
+	}, cat.Materialized)
+}
+
+// searchWith runs search against a catalog, local or remote, and prints
+// the answer. materialized is nil against -server: a search reply has
+// no materialized column.
+func searchWith(args []string, find func(query.Kind, string) (query.Results, error), materialized func(string) bool) error {
 	fs := flag.NewFlagSet("search", flag.ContinueOnError)
 	kind := fs.String("kind", "dataset", "dataset, transformation or derivation")
 	if err := fs.Parse(args); err != nil {
@@ -232,71 +216,84 @@ func search(cat *catalog.Catalog, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("search needs exactly one QUERY")
 	}
-	q := fs.Arg(0)
-	var k query.Kind
-	switch *kind {
-	case "dataset":
-		k = query.KDataset
-	case "transformation":
-		k = query.KTransformation
-	case "derivation":
-		k = query.KDerivation
-	default:
+	k, ok := searchKinds[*kind]
+	if !ok {
 		return fmt.Errorf("unknown kind %q", *kind)
 	}
-	res, err := query.Search(cat, k, q)
-	if err != nil {
-		return err
+	res, err := find(k, fs.Arg(0))
+	if err == nil {
+		printSearch(os.Stdout, res, materialized)
 	}
+	return err
+}
+
+// printSearch prints a search answer, one line per record.
+func printSearch(w io.Writer, res query.Results, materialized func(string) bool) {
 	for _, ds := range res.Datasets {
-		state := "materialized"
-		if !cat.Materialized(ds.Name) {
-			state = "virtual"
+		switch {
+		case materialized == nil:
+			fmt.Fprintf(w, "dataset %-30s type=%s\n", ds.Name, ds.Type)
+		case materialized(ds.Name):
+			fmt.Fprintf(w, "dataset %-30s type=%-20s materialized\n", ds.Name, ds.Type)
+		default:
+			fmt.Fprintf(w, "dataset %-30s type=%-20s virtual\n", ds.Name, ds.Type)
 		}
-		fmt.Printf("dataset %-30s type=%-20s %s\n", ds.Name, ds.Type, state)
 	}
 	for _, tr := range res.Transformations {
-		fmt.Printf("transformation %-30s kind=%s args=%d\n", tr.Ref(), tr.Kind, len(tr.Args))
+		fmt.Fprintf(w, "transformation %-30s kind=%s args=%d\n", tr.Ref(), tr.Kind, len(tr.Args))
 	}
 	for _, dv := range res.Derivations {
-		fmt.Printf("derivation %-36s tr=%s\n", dv.ID, dv.TR)
+		fmt.Fprintf(w, "derivation %-36s tr=%s\n", dv.ID, dv.TR)
 	}
-	return nil
 }
 
 func lineage(cat *catalog.Catalog, args []string) error {
+	return lineageOf(cat.Lineage, args)
+}
+
+// lineageOf prints a dataset's audit trail from a catalog, local or
+// remote.
+func lineageOf(report func(string) (catalog.LineageReport, error), args []string) error {
 	fs := flag.NewFlagSet("lineage", flag.ContinueOnError)
 	dot := fs.Bool("dot", false, "emit GraphViz DOT instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	args = fs.Args()
-	if len(args) != 1 {
+	if fs.NArg() != 1 {
 		return fmt.Errorf("lineage needs exactly one DATASET")
 	}
-	rep, err := cat.Lineage(args[0])
-	if err != nil {
-		return err
-	}
-	if *dot {
+	rep, err := report(fs.Arg(0))
+	if err == nil && *dot {
 		fmt.Print(rep.DOT())
-		return nil
+	} else if err == nil {
+		printLineage(os.Stdout, rep)
 	}
+	return err
+}
+
+// printLineage prints a lineage report: each step with its recorded
+// runs, then the primary sources.
+func printLineage(w io.Writer, rep catalog.LineageReport) {
 	if rep.Primary {
-		fmt.Printf("%s is primary data (no recorded producer)\n", rep.Dataset)
-		return nil
+		fmt.Fprintf(w, "%s is primary data (no recorded producer)\n", rep.Dataset)
+		return
 	}
-	fmt.Printf("lineage of %s:\n", rep.Dataset)
+	fmt.Fprintf(w, "lineage of %s:\n", rep.Dataset)
 	for _, step := range rep.Steps {
-		fmt.Printf("  depth %d: %s  tr=%s\n", step.Depth, step.Derivation.ID, step.TR)
-		fmt.Printf("           inputs=%s outputs=%s\n", strings.Join(step.Inputs, ","), strings.Join(step.Outputs, ","))
+		fmt.Fprintf(w, "  depth %d: %s  tr=%s\n", step.Depth, step.Derivation.ID, step.TR)
+		fmt.Fprintf(w, "           inputs=%s outputs=%s\n", strings.Join(step.Inputs, ","), strings.Join(step.Outputs, ","))
 		for _, iv := range step.Invocations {
-			fmt.Printf("           run %s on %s/%s exit=%d elapsed=%s\n",
+			fmt.Fprintf(w, "           run %s on %s/%s exit=%d elapsed=%s\n",
 				iv.ID, iv.Site, iv.Host, iv.ExitCode, iv.Duration())
 		}
 	}
-	fmt.Printf("primary sources: %s\n", strings.Join(rep.PrimarySources, ", "))
-	return nil
+	fmt.Fprintf(w, "primary sources: %s\n", strings.Join(rep.PrimarySources, ", "))
+}
+
+// printStats prints a catalog's object counts.
+func printStats(w io.Writer, st catalog.Stats) {
+	fmt.Fprintf(w, "datasets=%d transformations=%d derivations=%d invocations=%d replicas=%d\n",
+		st.Datasets, st.Transformations, st.Derivations, st.Invocations, st.Replicas)
 }
 
 func invalidate(cat *catalog.Catalog, args []string) error {
@@ -318,7 +315,7 @@ func plan(cat *catalog.Catalog, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("plan needs exactly one TARGET")
 	}
-	dvs, err := cat.MaterializationPlan(args[0], assumePrimary)
+	dvs, err := core.NewWithCatalog("chimera", ".", cat).Plan(args[0])
 	if err != nil {
 		return err
 	}
@@ -342,21 +339,17 @@ func estimate(cat *catalog.Catalog, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("estimate needs exactly one TARGET")
 	}
-	dvs, err := cat.MaterializationPlan(fs.Arg(0), assumePrimary)
+	sys := core.NewWithCatalog("chimera", ".", cat)
+	dvs, err := sys.Plan(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	g, err := dag.Build(dvs, cat.Resolver())
+	e, err := sys.Estimate(fs.Arg(0), *hosts)
 	if err != nil {
 		return err
 	}
-	est := estimator.New(60)
-	if err := est.LoadCatalog(cat); err != nil {
-		return err
-	}
-	e := est.EstimateGraph(g, *hosts, nil)
 	fmt.Printf("plan: %d derivations, total work %.0fs, critical path %.0fs\n",
-		g.Len(), e.TotalWork, e.CriticalPath)
+		len(dvs), e.TotalWork, e.CriticalPath)
 	fmt.Printf("estimated makespan on %d host(s): %.0fs (history-backed: %v)\n",
 		*hosts, e.Makespan, e.Confident)
 	return nil
@@ -375,59 +368,35 @@ func run(cat *catalog.Catalog, args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("run needs at least one TARGET")
 	}
-	var pending []schema.Derivation
-	seen := map[string]bool{}
-	for _, target := range fs.Args() {
-		dvs, err := cat.MaterializationPlan(target, assumePrimary)
-		if err != nil {
-			return err
-		}
-		if len(dvs) == 0 {
-			fmt.Printf("%s: already materialized\n", target)
-			continue
-		}
-		for _, dv := range dvs {
-			if !seen[dv.ID] {
-				seen[dv.ID] = true
-				pending = append(pending, dv)
-			}
+	sys := core.NewWithCatalog("chimera", *workspace, cat)
+	sys.Local.ExecFallback = true
+	sys.MaxRetries = *retries
+	results, err := sys.MaterializeContext(obs.WithTracer(context.Background(), tracer), fs.Args()...)
+	ran := -1
+	for i, r := range results {
+		if r.Reused {
+			fmt.Printf("%s: already materialized\n", r.Target)
+		} else {
+			ran = i
 		}
 	}
-	if len(pending) == 0 {
-		return nil
-	}
-	g, err := dag.Build(pending, cat.Resolver())
-	if err != nil {
+	if ran < 0 {
 		return err
 	}
-	drv := executor.NewLocalDriver(*workspace)
-	drv.Resolve = cat.Resolver()
-	drv.ExecFallback = true
-	ex := &executor.Executor{
-		Driver:     drv,
-		Catalog:    cat,
-		Trace:      tracer,
-		MaxRetries: *retries,
-		Epoch:      time.Now().UTC(),
-		Assign: func(*dag.Node) (executor.Placement, error) {
-			return executor.Placement{Site: "local"}, nil
-		},
-		OnEvent: func(ev executor.Event) {
-			if ev.Kind == "done" || ev.Kind == "fail" {
-				fmt.Printf("  %s %s (%.2fs)\n", ev.Kind, ev.Node, ev.Result.End-ev.Result.Start)
-			}
-		},
-	}
-	rep, err := ex.Run(g)
-	if err != nil {
-		return err
+	// Each node's final attempt, in completion order: a failed attempt
+	// with retries left is not final.
+	rep := results[ran].Report
+	for _, a := range rep.Results {
+		switch {
+		case a.ExitCode == 0:
+			fmt.Printf("  done %s (%.2fs)\n", a.Node, a.End-a.Start)
+		case a.Attempt >= *retries:
+			fmt.Printf("  fail %s (%.2fs)\n", a.Node, a.End-a.Start)
+		}
 	}
 	fmt.Printf("completed %d, failed %d, blocked %d in %.2fs\n",
 		rep.Completed, rep.Failed, rep.Blocked, rep.Makespan)
-	if !rep.Succeeded() {
-		return fmt.Errorf("workflow incomplete")
-	}
-	return nil
+	return err
 }
 
 // annotate attaches user-defined metadata to a dataset — the
@@ -454,88 +423,34 @@ func annotate(cat *catalog.Catalog, args []string) error {
 	return nil
 }
 
-// assumePrimary treats underived data as stageable for planning.
-func assumePrimary(v *catalog.View, ds string) bool {
-	if v.Materialized(ds) {
-		return true
-	}
-	rec, ok := v.Dataset(ds)
-	return ok && rec.CreatedBy == ""
-}
-
 // remoteCommand runs the subset of commands that operate against a
 // shared catalog service (§8's enterprise-scale deployment) instead of
-// a local directory.
+// a local directory. They print through the same printers as the local
+// commands.
 func remoteCommand(client *vds.Client, cmd string, args []string) error {
 	switch cmd {
 	case "insert":
 		return insertFiles(args, func(src string) error { return client.PostVDL(context.Background(), src) })
 	case "search":
-		fs := flag.NewFlagSet("search", flag.ContinueOnError)
-		kind := fs.String("kind", "dataset", "dataset, transformation or derivation")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
-		if fs.NArg() != 1 {
-			return fmt.Errorf("search needs exactly one QUERY")
-		}
-		switch *kind {
-		case "dataset":
-			res, err := client.SearchDatasets(fs.Arg(0))
-			if err != nil {
-				return err
+		return searchWith(args, func(k query.Kind, q string) (res query.Results, err error) {
+			switch k {
+			case query.KDataset:
+				res.Datasets, err = client.SearchDatasets(q)
+			case query.KTransformation:
+				res.Transformations, err = client.SearchTransformations(q)
+			default:
+				res.Derivations, err = client.SearchDerivations(q)
 			}
-			for _, ds := range res {
-				fmt.Printf("dataset %-30s type=%s\n", ds.Name, ds.Type)
-			}
-		case "transformation":
-			res, err := client.SearchTransformations(fs.Arg(0))
-			if err != nil {
-				return err
-			}
-			for _, tr := range res {
-				fmt.Printf("transformation %-30s kind=%s\n", tr.Ref(), tr.Kind)
-			}
-		case "derivation":
-			res, err := client.SearchDerivations(fs.Arg(0))
-			if err != nil {
-				return err
-			}
-			for _, dv := range res {
-				fmt.Printf("derivation %-36s tr=%s\n", dv.ID, dv.TR)
-			}
-		default:
-			return fmt.Errorf("unknown kind %q", *kind)
-		}
-		return nil
+			return res, err
+		}, nil)
 	case "lineage":
-		if len(args) != 1 {
-			return fmt.Errorf("lineage needs exactly one DATASET")
-		}
-		rep, err := client.Lineage(args[0])
-		if err != nil {
-			return err
-		}
-		if rep.Primary {
-			fmt.Printf("%s is primary data\n", rep.Dataset)
-			return nil
-		}
-		fmt.Printf("lineage of %s:\n", rep.Dataset)
-		for _, step := range rep.Steps {
-			fmt.Printf("  depth %d: %s  tr=%s inputs=%s\n",
-				step.Depth, step.Derivation.ID, step.TR, strings.Join(step.Inputs, ","))
-		}
-		fmt.Printf("primary sources: %s\n", strings.Join(rep.PrimarySources, ", "))
-		return nil
+		return lineageOf(client.Lineage, args)
 	case "stats":
 		info, err := client.Info()
-		if err != nil {
-			return err
+		if err == nil {
+			printStats(os.Stdout, info.Stats)
 		}
-		st := info.Stats
-		fmt.Printf("catalog %q: datasets=%d transformations=%d derivations=%d invocations=%d replicas=%d\n",
-			info.Name, st.Datasets, st.Transformations, st.Derivations, st.Invocations, st.Replicas)
-		return nil
+		return err
 	default:
 		return fmt.Errorf("command %q is not available against -server (use insert, search, lineage or stats)", cmd)
 	}

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	"chimera/internal/core"
@@ -62,12 +63,17 @@ func main() {
 		log.Fatal(err)
 	}
 	stageCount := map[string]int{}
+	var stages []string
 	for _, step := range lin.Steps {
+		if stageCount[step.TR] == 0 {
+			stages = append(stages, step.TR)
+		}
 		stageCount[step.TR]++
 	}
+	slices.Sort(stages)
 	fmt.Println("lineage of histograms by stage:")
-	for tr, n := range stageCount {
-		fmt.Printf("  %-14s %d derivations\n", tr, n)
+	for _, tr := range stages {
+		fmt.Printf("  %-14s %d derivations\n", tr, stageCount[tr])
 	}
 	fmt.Printf("primary roots: %d (pure generators)\n", len(lin.PrimarySources))
 

@@ -72,21 +72,26 @@ func FuzzReplay(f *testing.F) {
 // indexes equal a rebuild from its primary maps, and never panic. Run
 // `go test -fuzz FuzzLoadSnapshot ./internal/catalog` for a longer
 // campaign; `go test` exercises the seeds: a valid multi-object
-// snapshot, the same snapshot without its checksum trailer (as written
-// before the trailer existed, which Open refuses), and each of them
-// with one byte flipped, at each byte in turn.
+// snapshot with each dataset's createdBy stored (as written before
+// snapshots dropped it, which Open still loads), the same snapshot
+// without its checksum trailer (as written before the trailer existed,
+// which Open refuses), then both again as Snapshot writes them now,
+// and each of them with one byte flipped, at each byte in turn.
 func FuzzLoadSnapshot(f *testing.F) {
 	dir, _ := snapshotDir(f)
-	trailed, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	current, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, snap := range [][]byte{trailed, trailed[:len(trailed)-snapTrailerLen]} {
-		f.Add(snap)
-		for i := range snap {
-			flipped := bytes.Clone(snap)
-			flipped[i] ^= 0x01
-			f.Add(flipped)
+	withCreatedBy := snapshotWithCreatedBy(f, dir)
+	for _, trailed := range [][]byte{withCreatedBy, current} {
+		for _, snap := range [][]byte{trailed, trailed[:len(trailed)-snapTrailerLen]} {
+			f.Add(snap)
+			for i := range snap {
+				flipped := bytes.Clone(snap)
+				flipped[i] ^= 0x01
+				f.Add(flipped)
+			}
 		}
 	}
 
@@ -104,4 +109,42 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// snapshotWithCreatedBy opens dir, checks its catalog has a derived
+// dataset, and returns its snapshot.bin as written before snapshots
+// dropped createdBy: every dataset carries its producer link.
+func snapshotWithCreatedBy(t testing.TB, dir string) []byte {
+	t.Helper()
+	scratch := t.TempDir()
+	src, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(scratch, snapshotFile), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(scratch, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	exp := c.exportLocked()
+	derived := false
+	for _, ds := range exp.Datasets {
+		derived = derived || ds.CreatedBy != ""
+	}
+	if !derived {
+		t.Fatal("the snapshot has no derived dataset")
+	}
+	if err := c.writeSnapshotLocked(&exp); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(scratch, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

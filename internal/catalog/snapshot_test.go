@@ -178,3 +178,70 @@ func TestSnapshotBitFlipRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotOmitsCreatedBy: snapshot.bin stores datasets without
+// createdBy, as the log does, and a reopen rebuilds the producer link
+// from the derivations: the export is byte-identical across the
+// snapshot and the reopen, createdBy included.
+func TestSnapshotOmitsCreatedBy(t *testing.T) {
+	exportBytes := func(c *Catalog) []byte {
+		exp := c.Export()
+		var buf bytes.Buffer
+		if err := codec.EncodeSnapshot(&buf, &exp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	dir := t.TempDir()
+	c, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomCatalog(t, c, rand.New(rand.NewSource(3)), 40)
+	derived := 0
+	for _, ds := range c.Datasets() {
+		if ds.CreatedBy != "" {
+			derived++
+		}
+	}
+	if derived == 0 {
+		t.Fatal("the catalog has no derived dataset to check")
+	}
+	want := exportBytes(c)
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := snapshotBody(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := codec.DecodeSnapshot(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range snap.Datasets {
+		if ds.CreatedBy != "" {
+			t.Fatalf("snapshot.bin stores dataset %q with createdBy %q", ds.Name, ds.CreatedBy)
+		}
+	}
+
+	re, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := exportBytes(re); !bytes.Equal(got, want) {
+		t.Fatal("the export changed across a snapshot and reopen")
+	}
+	if err := re.CheckIndexes(); err != nil {
+		t.Fatal(err)
+	}
+}

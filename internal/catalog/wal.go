@@ -271,6 +271,11 @@ func (c *Catalog) Snapshot() error {
 	opSnapshot.Inc()
 	defer metricSnapshot.ObserveSince(time.Now())
 	exp := c.exportLocked()
+	for i := range exp.Datasets {
+		// Written without createdBy, as the log writes datasets: load
+		// takes the producer link from the derivations (putDataset).
+		exp.Datasets[i].CreatedBy = ""
+	}
 	if err := c.writeSnapshotLocked(&exp); err != nil {
 		return err
 	}

@@ -3,17 +3,28 @@
 // planning, estimation, derivation, discovery and sharing — wired over
 // the catalog, estimator, planner, executor and grid substrates.
 //
+// It is the one request path: plan a materialization (Plan), estimate
+// it from recorded history (Estimate, §5.3), derive it and record the
+// invocations (Materialize, §5.4). The estimator learns each run once:
+// NewWithCatalog folds the history a catalog holds, and Materialize
+// folds the attempts of its own run. The chimera command line's plan,
+// estimate and run are a thin shell over this loop.
+//
 // A System runs in one of two modes. Simulated mode executes workflows
 // on the discrete-event grid — the configuration used by the experiment
-// harness. Local mode executes workflows as registered Go functions on
-// the local machine against real files — the configuration used by the
-// interactive examples.
+// harness; invocations are stamped from the Unix epoch, so runs stay
+// deterministic. Local mode executes workflows as registered Go
+// functions (or, with the driver's ExecFallback, real processes) on the
+// local machine against real files, stamping invocations with wall-clock
+// time — the configuration used by the interactive examples and chimera.
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"chimera/internal/catalog"
 	"chimera/internal/dag"
@@ -21,6 +32,7 @@ import (
 	"chimera/internal/estimator"
 	"chimera/internal/executor"
 	"chimera/internal/grid"
+	"chimera/internal/obs"
 	"chimera/internal/planner"
 	"chimera/internal/query"
 	"chimera/internal/schema"
@@ -34,7 +46,7 @@ type System struct {
 	Name string
 	// Cat is the underlying virtual data catalog.
 	Cat *catalog.Catalog
-	// Est is the cost estimator (fed by every executed invocation).
+	// Est is the cost estimator, fed each recorded invocation once.
 	Est *estimator.Estimator
 
 	// Cluster and Planner are set in simulated mode.
@@ -65,23 +77,23 @@ func NewSimulated(name string, g *grid.Grid, seed int64, types *dtype.Registry) 
 // NewLocal wires a system that executes transformations as registered
 // Go functions in the given workspace directory.
 func NewLocal(name, workspace string, types *dtype.Registry) *System {
-	cat := catalog.New(types)
-	drv := executor.NewLocalDriver(workspace)
-	drv.Resolve = cat.Resolver()
-	return &System{
-		Name:  name,
-		Cat:   cat,
-		Est:   estimator.New(60),
-		Local: drv,
-	}
+	return NewWithCatalog(name, workspace, catalog.New(types))
 }
 
 // NewWithCatalog wraps an existing catalog (e.g. a durable one opened
-// with catalog.Open) in local mode.
+// with catalog.Open) in local mode. The estimator starts from the
+// invocations the catalog has recorded.
 func NewWithCatalog(name, workspace string, cat *catalog.Catalog) *System {
+	est := estimator.New(60)
+	if err := est.LoadCatalog(cat); err != nil {
+		// The catalog refuses an invocation citing an unknown derivation,
+		// so only a damaged log gets here: estimates then rest on the
+		// invocations folded before the one named.
+		obs.Logger("core").Warn("estimator history incomplete", "err", err)
+	}
 	drv := executor.NewLocalDriver(workspace)
 	drv.Resolve = cat.Resolver()
-	return &System{Name: name, Cat: cat, Est: estimator.New(60), Local: drv}
+	return &System{Name: name, Cat: cat, Est: est, Local: drv}
 }
 
 // --- Composition -------------------------------------------------------
@@ -170,23 +182,32 @@ func (s *System) Recompute(bad string) ([]MaterializeResult, error) {
 	return s.Materialize(cl.Datasets...)
 }
 
-// --- Estimation --------------------------------------------------------
+// --- Planning and estimation --------------------------------------------
+
+// Plan lists the derivations that must run, in dependency order, to
+// materialize target; none when it is materialized already.
+func (s *System) Plan(target string) ([]schema.Derivation, error) {
+	return s.Cat.MaterializationPlan(target, stageable)
+}
+
+// stageable is the planning rule: a dataset is available when it is
+// materialized, or when it is primary data, which can be staged even
+// with no replica registered — in local mode the workspace holds it (the
+// driver fails loudly if not), and an estimate asks "what would deriving
+// this cost?", not "can it run right now?".
+func stageable(v *catalog.View, ds string) bool {
+	if v.Materialized(ds) {
+		return true
+	}
+	rec, ok := v.Dataset(ds)
+	return ok && rec.CreatedBy == ""
+}
 
 // Estimate predicts the cost of materializing a target on the given
 // number of hosts (defaulting to the grid's size in simulated mode, 1
 // locally).
 func (s *System) Estimate(target string, hosts int) (estimator.Estimate, error) {
-	// For estimation, primary data is assumed stageable even if no
-	// replica is registered yet: the question is "what would deriving
-	// this cost?", not "can it run right now?".
-	available := func(v *catalog.View, ds string) bool {
-		if v.Materialized(ds) {
-			return true
-		}
-		rec, ok := v.Dataset(ds)
-		return ok && rec.CreatedBy == ""
-	}
-	dvs, err := s.Cat.MaterializationPlan(target, available)
+	dvs, err := s.Plan(target)
 	if err != nil {
 		return estimator.Estimate{}, err
 	}
@@ -216,9 +237,22 @@ type MaterializeResult struct {
 
 // Materialize satisfies requests for the given targets: already
 // materialized targets are reused; the rest are derived by running the
-// combined workflow. Invocations (and the runtimes feeding the
-// estimator) are recorded in the catalog.
+// combined workflow. Invocations are recorded in the catalog, and each
+// attempt of the run is folded into the estimator.
 func (s *System) Materialize(targets ...string) ([]MaterializeResult, error) {
+	return s.MaterializeContext(context.Background(), targets...)
+}
+
+// MaterializeContext is Materialize under a caller context: when the
+// context carries a tracer (obs.WithTracer), the run records one span
+// per attempt on the driver's timeline under a workflow root, beside
+// the executor's wall-clock spans.
+func (s *System) MaterializeContext(ctx context.Context, targets ...string) ([]MaterializeResult, error) {
+	// In simulated mode only a replica can be staged to a site.
+	rule := stageable
+	if s.Local == nil {
+		rule = nil
+	}
 	results := make([]MaterializeResult, len(targets))
 	var pending []schema.Derivation
 	seen := make(map[string]bool)
@@ -228,7 +262,7 @@ func (s *System) Materialize(targets ...string) ([]MaterializeResult, error) {
 			results[i].Reused = true
 			continue
 		}
-		dvs, err := s.Cat.MaterializationPlan(t, s.materializedOrLocal)
+		dvs, err := s.Cat.MaterializationPlan(t, rule)
 		if err != nil {
 			return nil, err
 		}
@@ -250,9 +284,13 @@ func (s *System) Materialize(targets ...string) ([]MaterializeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := s.runGraph(g)
+	rep, err := s.runGraph(ctx, g)
 	if err != nil {
 		return nil, err
+	}
+	for _, r := range rep.Results {
+		n, _ := g.Node(r.Node)
+		s.Est.Observe(n.Derivation.TR, r.End-r.Start, r.BytesIn, r.BytesOut, r.ExitCode == 0)
 	}
 	for i := range results {
 		if !results[i].Reused {
@@ -262,37 +300,23 @@ func (s *System) Materialize(targets ...string) ([]MaterializeResult, error) {
 	if !rep.Succeeded() {
 		return results, fmt.Errorf("core: workflow incomplete: %d failed, %d blocked", rep.Failed, rep.Blocked)
 	}
-	// Fold the new invocations into the estimator.
-	if err := s.Est.LoadCatalog(s.Cat); err != nil {
-		return results, err
-	}
 	return results, nil
 }
 
-// materializedOrLocal treats a dataset as materialized if the catalog
-// says so; in local mode every external input is assumed present in the
-// workspace (the driver will fail loudly if not).
-func (s *System) materializedOrLocal(v *catalog.View, ds string) bool {
-	if v.Materialized(ds) {
-		return true
-	}
-	if s.Local != nil {
-		rec, ok := v.Dataset(ds)
-		return ok && rec.CreatedBy == ""
-	}
-	return false
-}
-
 // runGraph executes a workflow graph in the system's mode.
-func (s *System) runGraph(g *dag.Graph) (executor.Report, error) {
+func (s *System) runGraph(ctx context.Context, g *dag.Graph) (executor.Report, error) {
 	ex := &executor.Executor{
 		Catalog:    s.Cat,
 		MaxRetries: s.MaxRetries,
+		Trace:      obs.TracerFrom(ctx),
 	}
 	switch {
 	case s.Local != nil:
 		ex.Driver = s.Local
 		ex.Assign = func(*dag.Node) (executor.Placement, error) { return executor.Placement{Site: "local"}, nil }
+		// The driver's clock counts seconds since it was made: that
+		// moment stamps its attempts in wall-clock time.
+		ex.Epoch = time.Now().UTC().Add(-time.Duration(s.Local.Now() * float64(time.Second)))
 	case s.Cluster != nil:
 		ex.Driver = executor.NewSimDriver(s.Cluster)
 		ex.Assign = s.Planner.Assign
@@ -300,7 +324,7 @@ func (s *System) runGraph(g *dag.Graph) (executor.Report, error) {
 	default:
 		return executor.Report{}, errors.New("core: system has neither local driver nor cluster")
 	}
-	return ex.Run(g)
+	return ex.RunContext(ctx, g)
 }
 
 // Register installs a local implementation for a transformation name

@@ -207,16 +207,7 @@ func TestLocalModeEndToEnd(t *testing.T) {
 	if err := s.LoadVDL(pipelineVDL); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Register("cook", func(task executor.Task) error {
-		data, err := os.ReadFile(filepath.Join(task.Workspace, task.Node.Inputs[0]))
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(task.Workspace, task.Node.Outputs[0]),
-			[]byte(strings.ToUpper(string(data))), 0o644)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	cookUpper(t, s)
 	if err := os.WriteFile(filepath.Join(ws, "source"), []byte("events"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +294,10 @@ func TestMaterializeFailurePropagates(t *testing.T) {
 // regression for the View callback: planning runs its materialized
 // predicate while it holds the catalog's View (every shard's read
 // lock), and a writer waiting for that View blocks every new read lock
-// on its shards. The planner's real callbacks (materializedOrLocal,
-// Estimate's predicate)
-// must therefore read through the View; one that called a locked
-// Catalog method would hang here against 8 concurrent writers on a
-// durable catalog.
+// on its shards. The planning rule (stageable, behind Plan, Estimate
+// and local Materialize) must therefore read through the View; one
+// that called a locked Catalog method would hang here against 8
+// concurrent writers on a durable catalog.
 func TestMaterializationPlanUnderConcurrentWriters(t *testing.T) {
 	const chain, writers, perWriter = 12, 8, 150
 	dir := t.TempDir()
@@ -358,7 +348,7 @@ func TestMaterializationPlanUnderConcurrentWriters(t *testing.T) {
 					return
 				default:
 				}
-				dvs, err := cat.MaterializationPlan(target, s.materializedOrLocal)
+				dvs, err := s.Plan(target)
 				if err != nil || len(dvs) != chain {
 					t.Errorf("plan: %d derivations, %v; want %d", len(dvs), err, chain)
 					return
@@ -381,5 +371,126 @@ func TestMaterializationPlanUnderConcurrentWriters(t *testing.T) {
 	}
 	if err := cat.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cookUpper registers cook as an upper-casing copy of its input.
+func cookUpper(t *testing.T, s *System) {
+	t.Helper()
+	if err := s.Register("cook", func(task executor.Task) error {
+		data, err := os.ReadFile(filepath.Join(task.Workspace, task.Node.Inputs[0]))
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(task.Workspace, task.Node.Outputs[0]),
+			[]byte(strings.ToUpper(string(data))), 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEstimatorLearnsEachRunOnce: the estimator holds one sample per
+// recorded invocation after several runs, not the whole history again
+// per run.
+func TestEstimatorLearnsEachRunOnce(t *testing.T) {
+	s := newSimSystem(t)
+	w := workload.CMS(workload.CMSParams{Runs: 3})
+	if err := w.Install(s.Cat); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range w.Targets {
+		if _, err := s.Materialize(target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make(map[string]int)
+	for _, iv := range s.Cat.Invocations() {
+		if !iv.Succeeded() {
+			t.Fatalf("invocation %s failed: the count below is of successes", iv.ID)
+		}
+		dv, err := s.Cat.Derivation(iv.Derivation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[dv.TR]++
+	}
+	if n := len(s.Cat.Invocations()); n != 12 {
+		t.Fatalf("%d invocations, want 12", n)
+	}
+	for tr, n := range want {
+		if got := s.Est.History(tr); got != n {
+			t.Errorf("%s: %d estimator samples for %d invocations", tr, got, n)
+		}
+	}
+}
+
+// TestLocalInvocationsAreWallClock: local mode stamps each invocation
+// with the wall-clock time of its run.
+func TestLocalInvocationsAreWallClock(t *testing.T) {
+	ws := t.TempDir()
+	s := NewLocal("laptop", ws, nil)
+	if err := s.LoadVDL(pipelineVDL); err != nil {
+		t.Fatal(err)
+	}
+	cookUpper(t, s)
+	if err := os.WriteFile(filepath.Join(ws, "source"), []byte("events"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now()
+	if _, err := s.Materialize("refined"); err != nil {
+		t.Fatal(err)
+	}
+	after := time.Now()
+	ivs := s.Cat.Invocations()
+	if len(ivs) != 2 {
+		t.Fatalf("%d invocations, want 2", len(ivs))
+	}
+	for _, iv := range ivs {
+		if iv.Start.Before(before) || iv.End.After(after) || iv.End.Before(iv.Start) {
+			t.Errorf("invocation %s ran %v..%v, outside its run %v..%v",
+				iv.ID, iv.Start, iv.End, before.UTC(), after.UTC())
+		}
+	}
+}
+
+// TestNewWithCatalogLearnsHistory: a system over a durable catalog with
+// recorded runs estimates from that history.
+func TestNewWithCatalogLearnsHistory(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *catalog.Catalog {
+		cat, err := catalog.Open(filepath.Join(dir, "cat"), nil, catalog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
+	cat := open()
+	s := NewWithCatalog("durable", dir, cat)
+	if err := s.LoadVDL(pipelineVDL); err != nil {
+		t.Fatal(err)
+	}
+	cookUpper(t, s)
+	if err := os.WriteFile(filepath.Join(dir, "source"), []byte("events"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Materialize("refined"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cat = open()
+	defer cat.Close()
+	s = NewWithCatalog("durable", dir, cat)
+	if err := s.LoadVDL(`DV second->doublecook( i=@{input:"source"}, o=@{output:"refined2"} );`); err != nil {
+		t.Fatal(err)
+	}
+	est, err := s.Estimate("refined2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !est.Confident || est.TotalWork >= 120 {
+		t.Errorf("estimate ignores the recorded runs: %+v", est)
 	}
 }

@@ -117,7 +117,9 @@ func (sh *shard) apply(d catalog.Delta) {
 		sh.pending, sh.foldable = d, true
 	}
 	sh.gen++
-	sh.admittedValid = false
+	// The memo is stale now: drop its copy of the member, which an index
+	// that only folds would otherwise keep for its whole lifetime.
+	sh.admitted, sh.admitErr, sh.admittedValid = catalog.Export{}, nil, false
 }
 
 // holdsAny reports whether the shard holds an object under any identity

@@ -356,6 +356,53 @@ func TestDeltaCrawlUnchangedSkipsRebuild(t *testing.T) {
 	}
 }
 
+// TestFoldDropsStaleAdmission: a delta landing in a shard drops the
+// shard's memoized admission, a sorted copy of everything the member
+// held at the last rebuild. An unfiltered index that only folds after
+// its first crawl would otherwise keep that copy for good.
+func TestFoldDropsStaleAdmission(t *testing.T) {
+	cat, client, _ := site(t, "g")
+	if err := cat.AddDataset(schema.Dataset{Name: "d"}); err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex("x", "group")
+	ix.AddMember("g", client)
+	memos := func() (held int) {
+		ix.crawlMu.Lock()
+		defer ix.crawlMu.Unlock()
+		for _, sh := range ix.shards {
+			if sh.admittedValid || !reflect.ValueOf(sh.admitted).IsZero() {
+				held++
+			}
+		}
+		return held
+	}
+	if err := ix.Crawl(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.LastPass(); got != passRebuild {
+		t.Fatalf("first pass was a %s, want %s", got, passRebuild)
+	}
+	if memos() != 1 {
+		t.Fatal("the rebuild left no admission memo: the check below shows nothing")
+	}
+	if err := cat.AddDataset(schema.Dataset{Name: "d2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Crawl(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.LastPass(); got != passFold {
+		t.Fatalf("second pass was a %s, want %s", got, passFold)
+	}
+	if n := memos(); n != 0 {
+		t.Errorf("%d shard(s) still hold an admitted export after a fold", n)
+	}
+	if _, ok := ix.Lookup("dataset", "d2"); !ok {
+		t.Error("the fold missed d2")
+	}
+}
+
 // delayedSite serves a catalog with an injected per-request delay.
 func delayedSite(t *testing.T, name string, delay time.Duration) (*catalog.Catalog, *vds.Client) {
 	t.Helper()
